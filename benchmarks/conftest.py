@@ -26,11 +26,15 @@ seconds.
 
 from __future__ import annotations
 
+import json
 import os
+import platform
 
 import pytest
 
-from repro import ReactivePlatform, RunTelemetry, WorldConfig, run_study
+from repro import RunTelemetry, WorldConfig, run_study
+from repro.columnar import HAVE_NUMPY
+from repro.util.fileio import atomic_write
 
 # The full 17-month window at a laptop-scale population (large enough
 # that the mega-anycast providers sit a full domain-count decade above
@@ -93,7 +97,10 @@ def emit_json():
     ``repro.obs/v2`` snapshot, parseable by the same tooling that reads
     ``--metrics-out`` files (``repro obs summary`` / ``bench-diff``). Snapshots go to :data:`JSON_OUT_DIR` — the
     tracked ``benchmarks/baselines/`` unless ``REPRO_BENCH_OUT``
-    redirects them (e.g. to a CI artifact directory).
+    redirects them (e.g. to a CI artifact directory). Like the
+    ``studybench`` snapshots, each carries a ``host`` block (CPU count,
+    Python version, NumPy availability) so numbers from different
+    machines are never compared blind.
     """
     os.makedirs(JSON_OUT_DIR, exist_ok=True)
 
@@ -101,8 +108,14 @@ def emit_json():
         telemetry = RunTelemetry.create()
         for key, value in sorted(values.items()):
             telemetry.registry.gauge(f"repro.bench.{name}.{key}").set(value)
+        doc = telemetry.snapshot()
+        doc["host"] = {"cpus": os.cpu_count() or 1,
+                       "python": platform.python_version(),
+                       "numpy": HAVE_NUMPY}
         path = os.path.join(JSON_OUT_DIR, f"BENCH_{name}.json")
-        telemetry.write_json(path)
+        with atomic_write(path) as fp:
+            json.dump(doc, fp, indent=2, sort_keys=True)
+            fp.write("\n")
         return path
 
     return _emit_json

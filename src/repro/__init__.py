@@ -15,7 +15,7 @@ every §5/§6 analysis on the returned :class:`repro.core.pipeline.Study`.
 Subpackages (importable directly for finer-grained use):
 
 - :mod:`repro.net` — IPv4 primitives, radix trie, AS/Org types
-- :mod:`repro.dns` — names, records, wire codec, agnostic resolver
+- :mod:`repro.dns` — names, record types, delegations, agnostic resolver
 - :mod:`repro.topology` — synthetic AS topology, prefix2AS, AS2Org
 - :mod:`repro.anycast` — anycast deployments and the quarterly census
 - :mod:`repro.world` — ground truth: providers, domains, capacity model
@@ -44,7 +44,7 @@ from repro.obs import MetricsRegistry, RunTelemetry
 from repro.world.config import WorldConfig
 from repro.world.simulation import World, build_world
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "Study",

@@ -1,29 +1,16 @@
-"""DNS substrate: names, records, zones, wire codec, cache, and resolver.
+"""DNS substrate: names, record types, delegations, and the resolver.
 
 This package implements the protocol-level machinery the reproduction
 needs: an OpenINTEL-style measurement sends explicit NS queries through
 an unbound-like *agnostic* stub resolver (random authoritative selection,
-retry after timeout, empty cache), and the simulated world answers them.
+retry after timeout, empty cache), and the simulated world answers them
+through its capacity-model transport.
 """
 
-from repro.dns.name import DomainName, is_valid_hostname
+from repro.dns.name import DomainName
 from repro.dns.rcode import Rcode, ResponseStatus
-from repro.dns.rr import DnskeyData, RRType, ResourceRecord, RRset, RrsigData
-from repro.dns.zone import Zone, Delegation
-from repro.dns.message import (
-    Edns,
-    Flags,
-    Header,
-    Message,
-    Opcode,
-    Question,
-    decode_message,
-    encode_message,
-)
-from repro.dns.authoritative import AuthoritativeServer, ServedZone, response_size
-from repro.dns.zonefile import ZoneFileError, dump_zone_file, parse_zone_file
-from repro.dns.iterative import DnsUniverse, IterativeResolver, IterativeResult
-from repro.dns.cache import DnsCache
+from repro.dns.rr import RRType
+from repro.dns.zone import Delegation
 from repro.dns.resolver import (
     AgnosticResolver,
     QueryOutcome,
@@ -35,34 +22,10 @@ from repro.dns.server import NameserverId
 
 __all__ = [
     "DomainName",
-    "is_valid_hostname",
     "Rcode",
     "ResponseStatus",
     "RRType",
-    "ResourceRecord",
-    "RRset",
-    "RrsigData",
-    "DnskeyData",
-    "Zone",
     "Delegation",
-    "AuthoritativeServer",
-    "ZoneFileError",
-    "dump_zone_file",
-    "parse_zone_file",
-    "ServedZone",
-    "response_size",
-    "DnsUniverse",
-    "IterativeResolver",
-    "IterativeResult",
-    "Edns",
-    "Flags",
-    "Header",
-    "Message",
-    "Opcode",
-    "Question",
-    "decode_message",
-    "encode_message",
-    "DnsCache",
     "AgnosticResolver",
     "QueryOutcome",
     "ResolutionResult",

@@ -8,14 +8,10 @@ through here; IDN labels are carried in their ACE (``xn--``) form.
 
 from __future__ import annotations
 
-import re
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 MAX_NAME_OCTETS = 253
 MAX_LABEL_OCTETS = 63
-
-_LABEL_RE = re.compile(r"^(?!-)[a-z0-9_-]{1,63}(?<!-)$")
-_HOSTNAME_LABEL_RE = re.compile(r"^(?!-)[a-z0-9-]{1,63}(?<!-)$")
 
 
 def _encode_label(label: str) -> str:
@@ -83,14 +79,6 @@ class DomainName:
             raise ValueError("the root has no parent")
         return DomainName(self.labels[1:])
 
-    def is_subdomain_of(self, other: "DomainName") -> bool:
-        """True when ``self`` equals or falls under ``other``."""
-        other = DomainName(other)
-        n = len(other.labels)
-        if n == 0:
-            return True
-        return self.labels[-n:] == other.labels
-
     def registered_domain(self, n_public_labels: int = 1) -> "DomainName":
         """The registrable domain assuming the public suffix spans the
         last ``n_public_labels`` labels (1 for .com/.nl/.ru, 2 for .co.uk).
@@ -103,24 +91,10 @@ class DomainName:
             raise ValueError(f"{self} has no registrable domain below suffix")
         return DomainName(self.labels[-need:])
 
-    def relativize(self, origin: "DomainName") -> Tuple[str, ...]:
-        """Labels of ``self`` below ``origin``."""
-        origin = DomainName(origin)
-        if not self.is_subdomain_of(origin):
-            raise ValueError(f"{self} is not under {origin}")
-        n = len(origin.labels)
-        return self.labels[: len(self.labels) - n]
-
-    def child(self, label: str) -> "DomainName":
-        return DomainName((label,) + self.labels)
-
     # -- rendering / identity ---------------------------------------------
 
     def to_text(self) -> str:
         return ".".join(self.labels) if self.labels else "."
-
-    def to_wire_labels(self) -> Tuple[bytes, ...]:
-        return tuple(l.encode("ascii") for l in self.labels)
 
     @property
     def depth(self) -> int:
@@ -150,16 +124,3 @@ class DomainName:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-
-def is_valid_hostname(text: str) -> bool:
-    """RFC 952/1123 hostname check (letters/digits/hyphens per label)."""
-    text = text.strip().rstrip(".").lower()
-    if not text or len(text) > MAX_NAME_OCTETS:
-        return False
-    return all(_HOSTNAME_LABEL_RE.match(label) for label in text.split("."))
-
-
-def sort_names(names: Iterable[DomainName]) -> list:
-    """Canonical DNS ordering (by reversed label sequence)."""
-    return sorted(names, key=lambda n: tuple(reversed(n.labels)))

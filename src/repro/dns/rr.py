@@ -1,20 +1,12 @@
-"""Resource records and RRsets.
+"""Resource record types.
 
-Record data (rdata) is kept in a small typed form per RRType: A records
-hold an IPv4 int, NS/CNAME hold a DomainName, SOA holds its seven
-fields. The wire codec in :mod:`repro.dns.message` serializes these.
+Every measurement in the study is an explicit NS query;
+:class:`RRType` names the query type a measurement carries.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Union
-
-from repro.dns.name import DomainName
-from repro.net.ip import coerce_ip, ip_to_str
-
-DEFAULT_TTL = 3600
 
 
 class RRType(enum.IntEnum):
@@ -26,214 +18,6 @@ class RRType(enum.IntEnum):
     SOA = 6
     TXT = 16
     AAAA = 28
-    OPT = 41      # EDNS0 pseudo-record (RFC 6891)
-    RRSIG = 46    # DNSSEC signature (RFC 4034)
-    DNSKEY = 48   # DNSSEC key (RFC 4034)
 
     def __str__(self) -> str:
         return self.name
-
-
-class RRClass(enum.IntEnum):
-    IN = 1
-
-
-@dataclass(frozen=True)
-class SoaData:
-    """SOA rdata fields (RFC 1035 §3.3.13)."""
-
-    mname: DomainName
-    rname: DomainName
-    serial: int
-    refresh: int = 7200
-    retry: int = 900
-    expire: int = 1209600
-    minimum: int = 3600
-
-
-@dataclass(frozen=True)
-class RrsigData:
-    """RRSIG rdata (RFC 4034 §3.1) — the signature bytes are opaque.
-
-    DNSSEC matters to the paper indirectly: signature-bearing responses
-    outgrow UDP limits, which drove DNS-over-TCP adoption and with it
-    the prevalence of TCP SYN floods against port 53 (§6.2).
-    """
-
-    type_covered: int
-    algorithm: int
-    labels: int
-    original_ttl: int
-    expiration: int
-    inception: int
-    key_tag: int
-    signer: DomainName
-    signature: bytes
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "signer", DomainName(self.signer))
-        if not self.signature:
-            raise ValueError("RRSIG requires signature bytes")
-
-
-@dataclass(frozen=True)
-class DnskeyData:
-    """DNSKEY rdata (RFC 4034 §2.1) — the key bytes are opaque."""
-
-    flags: int
-    protocol: int
-    algorithm: int
-    key: bytes
-
-    ZONE_KEY_FLAG = 0x0100
-    SEP_FLAG = 0x0001
-
-    def __post_init__(self) -> None:
-        if not self.key:
-            raise ValueError("DNSKEY requires key bytes")
-
-    @property
-    def is_zone_key(self) -> bool:
-        return bool(self.flags & self.ZONE_KEY_FLAG)
-
-    @property
-    def is_sep(self) -> bool:
-        """Secure entry point (usually the KSK)."""
-        return bool(self.flags & self.SEP_FLAG)
-
-
-Rdata = Union[int, DomainName, SoaData, RrsigData, DnskeyData, bytes, str]
-
-
-@dataclass(frozen=True)
-class ResourceRecord:
-    """A single DNS resource record."""
-
-    name: DomainName
-    rtype: RRType
-    rdata: Rdata
-    ttl: int = DEFAULT_TTL
-    rclass: RRClass = RRClass.IN
-
-    def __post_init__(self) -> None:
-        if self.ttl < 0 or self.ttl > 2 ** 31 - 1:
-            raise ValueError(f"invalid TTL: {self.ttl}")
-        object.__setattr__(self, "name", DomainName(self.name))
-        object.__setattr__(self, "rdata", self._normalize_rdata())
-
-    def _normalize_rdata(self) -> Rdata:
-        if self.rtype == RRType.A:
-            return coerce_ip(self.rdata)  # type: ignore[arg-type]
-        if self.rtype in (RRType.NS, RRType.CNAME):
-            return DomainName(self.rdata)  # type: ignore[arg-type]
-        if self.rtype == RRType.SOA:
-            if not isinstance(self.rdata, SoaData):
-                raise TypeError("SOA record requires SoaData rdata")
-            return self.rdata
-        if self.rtype == RRType.TXT:
-            if isinstance(self.rdata, str):
-                return self.rdata.encode("utf-8")
-            if isinstance(self.rdata, bytes):
-                return self.rdata
-            raise TypeError("TXT record requires str or bytes rdata")
-        if self.rtype == RRType.AAAA:
-            if isinstance(self.rdata, bytes) and len(self.rdata) == 16:
-                return self.rdata
-            raise TypeError("AAAA record requires 16 rdata bytes")
-        if self.rtype == RRType.RRSIG:
-            if not isinstance(self.rdata, RrsigData):
-                raise TypeError("RRSIG record requires RrsigData rdata")
-            return self.rdata
-        if self.rtype == RRType.DNSKEY:
-            if not isinstance(self.rdata, DnskeyData):
-                raise TypeError("DNSKEY record requires DnskeyData rdata")
-            return self.rdata
-        if self.rtype == RRType.OPT:
-            if isinstance(self.rdata, bytes):
-                return self.rdata
-            raise TypeError("OPT record requires bytes rdata")
-        raise ValueError(f"unsupported rtype: {self.rtype}")
-
-    def rdata_text(self) -> str:
-        if self.rtype == RRType.A:
-            return ip_to_str(self.rdata)  # type: ignore[arg-type]
-        if self.rtype in (RRType.NS, RRType.CNAME):
-            return str(self.rdata)
-        if self.rtype == RRType.SOA:
-            soa = self.rdata
-            return (f"{soa.mname} {soa.rname} {soa.serial} "
-                    f"{soa.refresh} {soa.retry} {soa.expire} {soa.minimum}")
-        if self.rtype == RRType.TXT:
-            return self.rdata.decode("utf-8", "replace")  # type: ignore[union-attr]
-        if self.rtype == RRType.RRSIG:
-            sig = self.rdata
-            return (f"{RRType(sig.type_covered).name} alg={sig.algorithm} "
-                    f"tag={sig.key_tag} signer={sig.signer}")
-        if self.rtype == RRType.DNSKEY:
-            key = self.rdata
-            kind = "KSK" if key.is_sep else "ZSK"
-            return f"{kind} flags={key.flags} alg={key.algorithm}"
-        return repr(self.rdata)
-
-    def __str__(self) -> str:
-        return f"{self.name} {self.ttl} IN {self.rtype} {self.rdata_text()}"
-
-
-@dataclass
-class RRset:
-    """All records sharing (name, type); the unit of a DNS answer."""
-
-    name: DomainName
-    rtype: RRType
-    records: List[ResourceRecord] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.name = DomainName(self.name)
-        for rr in self.records:
-            self._check(rr)
-
-    def _check(self, rr: ResourceRecord) -> None:
-        if rr.name != self.name or rr.rtype != self.rtype:
-            raise ValueError(f"record {rr} does not belong to rrset "
-                             f"({self.name}, {self.rtype})")
-
-    def add(self, rdata: Rdata, ttl: int = DEFAULT_TTL) -> ResourceRecord:
-        rr = ResourceRecord(self.name, self.rtype, rdata, ttl)
-        if rr not in self.records:
-            self.records.append(rr)
-        return rr
-
-    @property
-    def ttl(self) -> int:
-        """An RRset shares one effective TTL; we use the minimum."""
-        return min((rr.ttl for rr in self.records), default=DEFAULT_TTL)
-
-    def rdatas(self) -> Tuple[Rdata, ...]:
-        return tuple(rr.rdata for rr in self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __bool__(self) -> bool:
-        return bool(self.records)
-
-
-def ns_rrset(owner, nameservers: Sequence, ttl: int = DEFAULT_TTL) -> RRset:
-    """Convenience: build the NS RRset for ``owner``."""
-    owner = DomainName(owner)
-    rrset = RRset(owner, RRType.NS)
-    for ns in nameservers:
-        rrset.add(DomainName(ns), ttl)
-    return rrset
-
-
-def a_rrset(owner, addresses: Sequence, ttl: int = DEFAULT_TTL) -> RRset:
-    """Convenience: build the A RRset for ``owner``."""
-    owner = DomainName(owner)
-    rrset = RRset(owner, RRType.A)
-    for addr in addresses:
-        rrset.add(coerce_ip(addr), ttl)
-    return rrset

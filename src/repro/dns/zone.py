@@ -1,19 +1,17 @@
-"""Zones and delegations.
+"""Delegations: the parent-side view of a registered domain.
 
-A :class:`Zone` holds the authoritative data for an apex (SOA, NS, and
-arbitrary records below the apex). A :class:`Delegation` captures the
-parent-side view — the NS set and glue a registrant publishes at the
-registry — which is what OpenINTEL's explicit NS queries ultimately
-exercise and what the join pipeline maps attacks onto.
+A :class:`Delegation` captures the NS set and glue a registrant
+publishes at the registry — which is what OpenINTEL's explicit NS
+queries ultimately exercise and what the join pipeline maps attacks
+onto.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.dns.name import DomainName
-from repro.dns.rr import DEFAULT_TTL, RRType, RRset, ResourceRecord, SoaData
 
 
 @dataclass(frozen=True)
@@ -57,76 +55,3 @@ class Delegation:
 
     def __len__(self) -> int:
         return len(self.ns_addrs)
-
-
-class Zone:
-    """Authoritative zone contents for one apex."""
-
-    def __init__(self, apex, soa: Optional[SoaData] = None):
-        self.apex = DomainName(apex)
-        self._rrsets: Dict[Tuple[DomainName, RRType], RRset] = {}
-        if soa is None:
-            soa = SoaData(
-                mname=self.apex.child("ns1"),
-                rname=DomainName("hostmaster." + self.apex.to_text()),
-                serial=1,
-            )
-        self.add_record(self.apex, RRType.SOA, soa)
-
-    @property
-    def soa(self) -> SoaData:
-        rrset = self._rrsets[(self.apex, RRType.SOA)]
-        return rrset.records[0].rdata  # type: ignore[return-value]
-
-    def bump_serial(self) -> int:
-        """Increment the SOA serial (infrastructure change marker)."""
-        old = self.soa
-        new = SoaData(old.mname, old.rname, old.serial + 1,
-                      old.refresh, old.retry, old.expire, old.minimum)
-        self._rrsets[(self.apex, RRType.SOA)] = RRset(
-            self.apex, RRType.SOA, [ResourceRecord(self.apex, RRType.SOA, new)])
-        return new.serial
-
-    def add_record(self, name, rtype: RRType, rdata, ttl: int = DEFAULT_TTL) -> None:
-        name = DomainName(name)
-        if not name.is_subdomain_of(self.apex):
-            raise ValueError(f"{name} is outside zone {self.apex}")
-        key = (name, rtype)
-        rrset = self._rrsets.get(key)
-        if rrset is None:
-            rrset = RRset(name, rtype)
-            self._rrsets[key] = rrset
-        rrset.add(rdata, ttl)
-
-    def get_rrset(self, name, rtype: RRType) -> Optional[RRset]:
-        return self._rrsets.get((DomainName(name), rtype))
-
-    def has_name(self, name) -> bool:
-        name = DomainName(name)
-        return any(key[0] == name for key in self._rrsets)
-
-    def names(self) -> List[DomainName]:
-        return sorted({key[0] for key in self._rrsets})
-
-    def rrsets(self) -> Iterable[RRset]:
-        return self._rrsets.values()
-
-    def set_ns(self, hosts: Sequence, ttl: int = DEFAULT_TTL) -> None:
-        """Replace the apex NS RRset."""
-        rrset = RRset(self.apex, RRType.NS)
-        for host in hosts:
-            rrset.add(DomainName(host), ttl)
-        self._rrsets[(self.apex, RRType.NS)] = rrset
-
-    @property
-    def ns_hosts(self) -> Tuple[DomainName, ...]:
-        rrset = self.get_rrset(self.apex, RRType.NS)
-        if rrset is None:
-            return ()
-        return tuple(rr.rdata for rr in rrset)  # type: ignore[misc]
-
-    def __len__(self) -> int:
-        return len(self._rrsets)
-
-    def __repr__(self) -> str:
-        return f"Zone({self.apex.to_text()!r}, rrsets={len(self)})"

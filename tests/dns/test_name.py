@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dns.name import DomainName, is_valid_hostname, sort_names
+from repro.dns.name import DomainName
 
 LABEL = st.from_regex(r"[a-z0-9]([a-z0-9-]{0,20}[a-z0-9])?", fullmatch=True)
 NAMES = st.lists(LABEL, min_size=1, max_size=5).map(tuple)
@@ -71,15 +71,6 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             _ = DomainName("").parent
 
-    def test_is_subdomain_of(self):
-        assert DomainName("a.b.example.com").is_subdomain_of("example.com")
-        assert DomainName("example.com").is_subdomain_of("example.com")
-        assert not DomainName("example.com").is_subdomain_of("other.com")
-        assert not DomainName("badexample.com").is_subdomain_of("example.com")
-
-    def test_everything_under_root(self):
-        assert DomainName("x.y").is_subdomain_of("")
-
     def test_registered_domain(self):
         assert DomainName("a.b.example.com").registered_domain() == \
             DomainName("example.com")
@@ -91,18 +82,6 @@ class TestHierarchy:
     def test_registered_domain_too_shallow(self):
         with pytest.raises(ValueError):
             DomainName("com").registered_domain()
-
-    def test_relativize(self):
-        rel = DomainName("a.b.example.com").relativize("example.com")
-        assert rel == ("a", "b")
-
-    def test_relativize_rejects_unrelated(self):
-        with pytest.raises(ValueError):
-            DomainName("a.com").relativize("b.com")
-
-    def test_child(self):
-        assert DomainName("example.com").child("ns1") == \
-            DomainName("ns1.example.com")
 
 
 class TestIdentity:
@@ -122,20 +101,9 @@ class TestIdentity:
 
     def test_ordering_by_reversed_labels(self):
         names = [DomainName("b.com"), DomainName("a.net"), DomainName("a.com")]
-        ordered = sort_names(names)
+        ordered = sorted(names)
         assert [n.to_text() for n in ordered] == ["a.com", "b.com", "a.net"]
 
     def test_len_and_depth(self):
         name = DomainName("a.b.c")
         assert len(name) == name.depth == 3
-
-
-class TestHostnameValidation:
-    @pytest.mark.parametrize("good", ["example.com", "ns1.example.com", "a.b"])
-    def test_valid(self, good):
-        assert is_valid_hostname(good)
-
-    @pytest.mark.parametrize("bad", ["", "-bad.com", "bad-.com",
-                                     "under_score.com", "a" * 300])
-    def test_invalid(self, bad):
-        assert not is_valid_hostname(bad)

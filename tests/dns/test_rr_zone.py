@@ -1,122 +1,10 @@
-"""Tests for resource records, RRsets, zones, and delegations."""
+"""Tests for delegations."""
 
 import pytest
 
 from repro.dns.name import DomainName
-from repro.dns.rr import (
-    DEFAULT_TTL,
-    RRType,
-    RRset,
-    ResourceRecord,
-    SoaData,
-    a_rrset,
-    ns_rrset,
-)
-from repro.dns.zone import Delegation, Zone
+from repro.dns.zone import Delegation
 from repro.net.ip import parse_ip
-
-
-class TestResourceRecord:
-    def test_a_record_coerces_ip(self):
-        rr = ResourceRecord("example.com", RRType.A, "192.0.2.1")
-        assert rr.rdata == parse_ip("192.0.2.1")
-        assert rr.rdata_text() == "192.0.2.1"
-
-    def test_ns_record(self):
-        rr = ResourceRecord("example.com", RRType.NS, "ns1.example.com")
-        assert rr.rdata == DomainName("ns1.example.com")
-
-    def test_txt_record_from_str(self):
-        rr = ResourceRecord("example.com", RRType.TXT, "hello")
-        assert rr.rdata == b"hello"
-
-    def test_soa_requires_soadata(self):
-        with pytest.raises(TypeError):
-            ResourceRecord("example.com", RRType.SOA, "junk")
-
-    def test_aaaa_requires_16_bytes(self):
-        with pytest.raises(TypeError):
-            ResourceRecord("example.com", RRType.AAAA, b"short")
-        rr = ResourceRecord("example.com", RRType.AAAA, b"\x00" * 16)
-        assert len(rr.rdata) == 16
-
-    def test_rejects_bad_ttl(self):
-        with pytest.raises(ValueError):
-            ResourceRecord("example.com", RRType.A, 1, ttl=-1)
-
-    def test_str_contains_fields(self):
-        rr = ResourceRecord("example.com", RRType.A, "192.0.2.1", ttl=60)
-        text = str(rr)
-        assert "example.com" in text and "A" in text and "192.0.2.1" in text
-
-
-class TestRRset:
-    def test_add_deduplicates(self):
-        rrset = RRset(DomainName("example.com"), RRType.A)
-        rrset.add("192.0.2.1")
-        rrset.add("192.0.2.1")
-        assert len(rrset) == 1
-
-    def test_ttl_is_minimum(self):
-        rrset = RRset(DomainName("example.com"), RRType.A)
-        rrset.add("192.0.2.1", ttl=300)
-        rrset.add("192.0.2.2", ttl=60)
-        assert rrset.ttl == 60
-
-    def test_rejects_foreign_record(self):
-        rr = ResourceRecord("other.com", RRType.A, 1)
-        with pytest.raises(ValueError):
-            RRset(DomainName("example.com"), RRType.A, [rr])
-
-    def test_helpers(self):
-        ns = ns_rrset("example.com", ["ns1.example.com", "ns2.example.com"])
-        assert len(ns) == 2
-        a = a_rrset("example.com", ["192.0.2.1"])
-        assert a.rdatas() == (parse_ip("192.0.2.1"),)
-
-    def test_bool(self):
-        assert not RRset(DomainName("example.com"), RRType.A)
-
-
-class TestZone:
-    def test_auto_soa(self):
-        zone = Zone("example.com")
-        assert zone.soa.serial == 1
-
-    def test_bump_serial(self):
-        zone = Zone("example.com")
-        assert zone.bump_serial() == 2
-        assert zone.soa.serial == 2
-
-    def test_add_and_get(self):
-        zone = Zone("example.com")
-        zone.add_record("www.example.com", RRType.A, "192.0.2.1")
-        rrset = zone.get_rrset("www.example.com", RRType.A)
-        assert rrset is not None and len(rrset) == 1
-
-    def test_rejects_out_of_zone(self):
-        zone = Zone("example.com")
-        with pytest.raises(ValueError):
-            zone.add_record("other.com", RRType.A, 1)
-
-    def test_set_ns(self):
-        zone = Zone("example.com")
-        zone.set_ns(["ns1.example.com", "ns2.example.com"])
-        assert len(zone.ns_hosts) == 2
-        zone.set_ns(["ns3.example.com"])
-        assert len(zone.ns_hosts) == 1
-
-    def test_names_sorted(self):
-        zone = Zone("example.com")
-        zone.add_record("b.example.com", RRType.A, 1)
-        zone.add_record("a.example.com", RRType.A, 2)
-        names = zone.names()
-        assert names == sorted(names)
-
-    def test_has_name(self):
-        zone = Zone("example.com")
-        assert zone.has_name("example.com")
-        assert not zone.has_name("www.example.com")
 
 
 class TestDelegation:
