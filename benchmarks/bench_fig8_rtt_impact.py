@@ -4,75 +4,19 @@ Paper: most attacks show no observable impairment; ~5% of events reach
 a 10-fold RTT increase, a third of those peak past 100-fold; the
 high-impact events concentrate on small-medium deployments while very
 large deployments show only 2-3x.
-
-Also times the columnar :class:`~repro.columnar.EventFrame` analysis
-against repeated object-path ``analyze_impact`` calls: the object path
-re-walks every event's 5-minute points on each call (the series
-statistics are properties), the frame walks them once at build time and
-then bins flat scalar columns.
 """
 
-import time
-
-from repro.columnar import EventFrame, analyze_impact_frame
 from repro.core.impact import analyze_impact
 from repro.util.plot import ascii_scatter
 from repro.util.tables import Table, format_pct
 
-#: acceptance bound for the amortized frame analysis (the ISSUE
-#: criterion), asserted when the object path is slow enough to time.
-MIN_FRAME_SPEEDUP = 5.0
-#: analysis calls the frame build is amortized over — the figure
-#: benches re-run the binning at least this often per study.
-ANALYSIS_REPEATS = 20
-#: below this object-path wall time the ratio is timer noise (CI smoke
-#: worlds have a handful of events), so only equality is asserted.
-MIN_TIMEABLE_S = 0.01
-
-_ANALYSIS_FIELDS = ("n_events", "n_with_impact", "over_10x", "over_100x",
-                    "grid", "peak_by_size", "mean_by_size")
-
-
-def measure_frame_analysis(events):
-    """Time ``ANALYSIS_REPEATS`` object analyses vs one frame build
-    plus as many frame analyses, and check they agree field by field."""
-    t0 = time.perf_counter()
-    for _ in range(ANALYSIS_REPEATS):
-        obj = analyze_impact(events)
-    object_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    frame = EventFrame(events)
-    for _ in range(ANALYSIS_REPEATS):
-        col = analyze_impact_frame(frame)
-    columnar_s = time.perf_counter() - t0
-
-    return {"n_events": len(events), "repeats": ANALYSIS_REPEATS,
-            "object_s": object_s, "columnar_s": columnar_s,
-            "speedup": object_s / columnar_s,
-            "equal": all(getattr(col, f) == getattr(obj, f)
-                         for f in _ANALYSIS_FIELDS)}
-
-
 def test_fig8_rtt_impact(benchmark, study, emit, emit_json):
     analysis = benchmark(analyze_impact, study.events)
-
-    frame_result = measure_frame_analysis(study.events)
     emit_json("fig8_rtt_impact", {
-        "n_events": frame_result["n_events"],
-        "analysis_repeats": frame_result["repeats"],
-        "object_s": frame_result["object_s"],
-        "columnar_s": frame_result["columnar_s"],
-        "speedup_columnar": frame_result["speedup"],
+        "n_events": analysis.n_events,
         "over_10x_share": analysis.over_10x_share,
         "n_with_impact": analysis.n_with_impact,
     })
-    # The frame analysis must agree with the object path exactly, and
-    # beat it by the acceptance bound once the work is big enough to
-    # time reliably.
-    assert frame_result["equal"]
-    if frame_result["object_s"] >= MIN_TIMEABLE_S:
-        assert frame_result["speedup"] >= MIN_FRAME_SPEEDUP
 
     table = Table(["metric", "paper", "measured"],
                   title="Figure 8 - RTT impact distribution")

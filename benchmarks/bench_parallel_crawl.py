@@ -19,20 +19,11 @@ import os
 import time
 
 from repro import WorldConfig, build_world
-from repro.columnar import HAVE_NUMPY
-from repro.columnar.crawl import STATUS_BY_CODE
 from repro.openintel.platform import OpenIntelPlatform
-from repro.openintel.storage import MeasurementStore
 from repro.util.tables import Table
 
-#: acceptance bound at 4 workers on a >= 4-core host (the ISSUE criterion).
+#: acceptance bound at 4 workers on a >= 4-core host.
 MIN_SPEEDUP_4W = 2.0
-#: acceptance bound for the columnar ingest replay (batch flush vs one
-#: add_fast per row), asserted on the NumPy fast path.
-MIN_INGEST_SPEEDUP = 5.0
-#: below this row count the flush is too quick to time against its
-#: fixed costs (CI smoke worlds), so only equality is asserted.
-MIN_INGEST_ROWS = 500_000
 WORKER_COUNTS = (1, 2, 4)
 
 # One month of the default-scale world: same per-domain-day work as the
@@ -59,58 +50,8 @@ def measure(world):
         rows.append((f"{n_workers} workers", elapsed, serial_s / elapsed,
                      store == serial))
 
-    t0 = time.perf_counter()
-    columnar = OpenIntelPlatform(world, columnar=True).run()
-    columnar_s = time.perf_counter() - t0
-    rows.append(("columnar serial", columnar_s, serial_s / columnar_s,
-                 columnar == serial))
-
-    ingest = measure_ingest_replay(world, serial)
     return {"rows": rows, "n_measurements": serial.n_measurements,
-            "cpus": os.cpu_count() or 1, "ingest": ingest}
-
-
-#: timing repeats per ingest path; the best (min) of the repeats is
-#: reported, the standard noise-robust estimator for a shared host.
-INGEST_REPEATS = 3
-
-
-def measure_ingest_replay(world, serial):
-    """Time store ingest alone: one ``add_fast`` per row vs one batch
-    flush over the same rows.
-
-    The resolver's RNG draws dominate crawl wall time, so the tentpole
-    speedup lives at the ingest boundary — replay the full crawl's
-    measurement rows into fresh stores both ways (best of
-    :data:`INGEST_REPEATS` each) and compare.
-    """
-    platform = OpenIntelPlatform(world, columnar=True)
-    platform._defer_flush = True
-    platform.run()
-    batch = platform._pending_batch
-
-    object_times = []
-    for _ in range(INGEST_REPEATS):
-        object_store = MeasurementStore()
-        add_fast = object_store.add_fast
-        t0 = time.perf_counter()
-        for nsset_id, ts, code, rtt, dense in zip(
-                batch.nsset_id, batch.ts, batch.status, batch.rtt_ms,
-                batch.dense):
-            add_fast(nsset_id, ts, STATUS_BY_CODE[code], rtt, bool(dense))
-        object_times.append(time.perf_counter() - t0)
-
-    columnar_times = []
-    for _ in range(INGEST_REPEATS):
-        columnar_store = MeasurementStore()
-        t0 = time.perf_counter()
-        batch.flush_into(columnar_store)
-        columnar_times.append(time.perf_counter() - t0)
-
-    object_s, columnar_s = min(object_times), min(columnar_times)
-    return {"rows": len(batch), "object_s": object_s,
-            "columnar_s": columnar_s, "speedup": object_s / columnar_s,
-            "equal": object_store == columnar_store == serial}
+            "cpus": os.cpu_count() or 1}
 
 
 def render(result):
@@ -121,55 +62,36 @@ def render(result):
     for name, elapsed, speedup, equal in result["rows"]:
         table.add_row([name, f"{elapsed:.2f}", f"{speedup:.2f}x",
                        "yes" if equal else "NO"])
-    ingest = result["ingest"]
-    return (table.render()
-            + f"\n\ningest replay over {ingest['rows']} rows: "
-              f"add_fast {ingest['object_s']:.2f}s vs columnar flush "
-              f"{ingest['columnar_s']:.2f}s "
-              f"({ingest['speedup']:.1f}x, numpy={HAVE_NUMPY}, "
-              f"stores equal: {'yes' if ingest['equal'] else 'NO'})")
+    return table.render()
 
 
 def test_parallel_crawl_speedup(emit, emit_json):
     world = build_world(BENCH_WORLD)
     result = measure(world)
     emit("parallel_crawl", render(result))
-    ingest = result["ingest"]
     emit_json("parallel_crawl", {
         "n_measurements": result["n_measurements"],
         "cpus": result["cpus"],
-        "numpy": 1.0 if HAVE_NUMPY else 0.0,
-        "ingest_rows": ingest["rows"],
-        "ingest_wall_s_object": ingest["object_s"],
-        "ingest_wall_s_columnar": ingest["columnar_s"],
-        "ingest_speedup_columnar": ingest["speedup"],
         **{f"wall_s_{name.replace(' ', '_')}": elapsed
            for name, elapsed, _, _ in result["rows"]},
         **{f"speedup_{name.replace(' ', '_')}": speedup
            for name, _, speedup, _ in result["rows"]},
     })
 
-    # Invariance is unconditional: every worker count and the columnar
-    # path produce the serial object store, bit for bit.
+    # Invariance is unconditional: every worker count produces the
+    # serial store, bit for bit.
     assert all(equal for _, _, _, equal in result["rows"])
-    assert ingest["equal"]
     # The speedup bound only means something with cores to spread over.
     if result["cpus"] >= 4:
         four = next(s for name, _, s, _ in result["rows"]
                     if name == "4 workers")
         assert four >= MIN_SPEEDUP_4W
-    # The columnar ingest bound holds on the NumPy fast path at real
-    # batch sizes; the stdlib fallback trades speed for zero
-    # dependencies, and tiny smoke batches are all fixed cost.
-    if HAVE_NUMPY and ingest["rows"] >= MIN_INGEST_ROWS:
-        assert ingest["speedup"] >= MIN_INGEST_SPEEDUP
 
 
 if __name__ == "__main__":  # standalone: python benchmarks/bench_parallel_crawl.py
     result = measure(build_world(BENCH_WORLD))
     print(render(result))
     ok = all(equal for _, _, _, equal in result["rows"])
-    ok = ok and result["ingest"]["equal"]
     if result["cpus"] >= 4:
         four = next(s for name, _, s, _ in result["rows"]
                     if name == "4 workers")
@@ -177,10 +99,4 @@ if __name__ == "__main__":  # standalone: python benchmarks/bench_parallel_crawl
         print(f"\n4-worker speedup: {four:.2f}x (bound {MIN_SPEEDUP_4W}x)")
     else:
         print(f"\nonly {result['cpus']} CPU(s): speedup bound not asserted")
-    if HAVE_NUMPY and result["ingest"]["rows"] >= MIN_INGEST_ROWS:
-        ok = ok and result["ingest"]["speedup"] >= MIN_INGEST_SPEEDUP
-        print(f"ingest speedup: {result['ingest']['speedup']:.1f}x "
-              f"(bound {MIN_INGEST_SPEEDUP}x)")
-    else:
-        print("small batch or no numpy: ingest speedup bound not asserted")
     raise SystemExit(0 if ok else 1)

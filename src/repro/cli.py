@@ -104,12 +104,6 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
                              "pre-built world (default 1 = serial); the "
                              "results are bit-for-bit identical for any "
                              "N, chaos runs force serial")
-    parser.add_argument("--columnar", action="store_true",
-                        help="run the hottest phases (telescope "
-                             "inference, crawl ingest, event extraction) "
-                             "over repro.columnar batch columns; output "
-                             "is bit-identical to the object path, chaos "
-                             "runs force the object path")
     _add_cache_args(parser)
 
 
@@ -219,7 +213,6 @@ def _run(args: argparse.Namespace):
     study = run_study(config, chaos=chaos, n_workers=workers,
                       telemetry=telemetry,
                       cache=getattr(args, "cache_dir", None),
-                      columnar=getattr(args, "columnar", False),
                       journal=(telemetry.journal
                                if telemetry.journal.enabled else None),
                       profile=getattr(args, "profile", False))

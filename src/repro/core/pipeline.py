@@ -83,12 +83,6 @@ SERIAL_CRAWL_REASON = (
     "is stateful (burst state, fault log, RNG streams), "
     "so its schedule cannot be sharded across forked "
     "workers")
-#: why a chaos run cannot use the columnar batch path.
-COLUMNAR_CHAOS_REASON = (
-    "chaos runs force the object ingest path: the fault "
-    "injector hooks per-row store ingest "
-    "(wrap_store_ingest), which the columnar batch flush "
-    "would bypass")
 
 
 def _warn_bypass(reason: str, stacklevel: int = 3) -> None:
@@ -174,9 +168,7 @@ def _observe_telescope(ctx: RunContext, world: World) -> RSDoSFeed:
         link_util_fn=_link_util_fn(world),
         headroom=ctx.params["config"].headroom,
         jitter_seed=ctx.params.get("telescope_jitter_seed"))
-    return RSDoSFeed.observe(attacks, simulator,
-                             columnar=ctx.params.get("columnar", False),
-                             registry=ctx.telemetry.registry)
+    return RSDoSFeed.observe(attacks, simulator)
 
 
 def _run_crawl(ctx: RunContext, world: World) -> MeasurementStore:
@@ -184,8 +176,7 @@ def _run_crawl(ctx: RunContext, world: World) -> MeasurementStore:
     transport = (injector.wrap_transport(world.transport)
                  if injector is not None else None)
     platform = OpenIntelPlatform(world, transport=transport,
-                                 telemetry=ctx.telemetry,
-                                 columnar=ctx.params.get("columnar", False))
+                                 telemetry=ctx.telemetry)
     if injector is not None:
         injector.wrap_store_ingest(platform.store)
     # The serve layer crawls one day-partition at a time; a full-range
@@ -242,15 +233,8 @@ def _build_metadata(ctx: RunContext, world: World) -> NSSetMetadata:
 def _extract_events(ctx: RunContext, join: DatasetJoin,
                     store: MeasurementStore,
                     metadata: NSSetMetadata) -> List[AttackEvent]:
-    min_domains = ctx.params["config"].event_min_domains
-    if ctx.params.get("columnar"):
-        from repro.columnar import StoreFrame
-        from repro.columnar.frame import extract_events_frame
-
-        frame = StoreFrame(store, registry=ctx.telemetry.registry)
-        return extract_events_frame(join, frame, metadata,
-                                    min_domains=min_domains)
-    return extract_events(join, store, metadata, min_domains=min_domains)
+    return extract_events(join, store, metadata,
+                          min_domains=ctx.params["config"].event_min_domains)
 
 
 def _run_counterfactuals(ctx: RunContext, world: World, events):
@@ -545,7 +529,6 @@ def run_study(config: Optional[WorldConfig] = None,
               telemetry: Optional[RunTelemetry] = None,
               cache: Optional[Union[str, "ArtifactStore",
                                     "PhaseCache"]] = None,
-              columnar: bool = False,
               journal: Optional[Union[str, RunJournal]] = None,
               profile: bool = False) -> Study:
     """Run the full pipeline: world -> telescope + OpenINTEL -> join ->
@@ -596,17 +579,6 @@ def run_study(config: Optional[WorldConfig] = None,
     (faults must never be cached), as do runs on a pre-built ``world``
     (its build flags cannot be fingerprinted); both warn.
 
-    ``columnar`` routes the three hottest paths — telescope window
-    inference, crawl measurement ingest, and the 5-minute bucket walk
-    of event extraction — through :mod:`repro.columnar` batch columns
-    instead of per-record objects. Output is **bit-identical** to the
-    object path (the goldens assert it end to end, at any worker
-    count, warm or cold cache), so the flag changes wall clock and the
-    ``repro.columnar.*`` metrics, nothing else — it does not enter the
-    cache fingerprint. Chaos runs force the object path (with a
-    warning): the fault injector hooks per-row store ingest, which a
-    batch flush would bypass.
-
     ``journal`` writes the run's append-only JSONL event log (see
     :mod:`repro.obs.journal`): a path opens (and closes) a fresh
     :class:`~repro.obs.RunJournal` for this run; an already-open
@@ -636,9 +608,6 @@ def run_study(config: Optional[WorldConfig] = None,
         from repro.chaos.injector import FaultInjector
 
         injector = FaultInjector(chaos, telemetry=telemetry)
-    if columnar and injector is not None:
-        _warn_bypass(COLUMNAR_CHAOS_REASON, stacklevel=2)
-        columnar = False
 
     ctx = RunContext(telemetry=telemetry, params={
         "config": config,
@@ -647,7 +616,6 @@ def run_study(config: Optional[WorldConfig] = None,
         "install_scenarios": install_scenarios,
         "n_workers": n_workers,
         "progress": progress,
-        "columnar": columnar,
     })
     profiler = None
     if profile:
@@ -667,8 +635,8 @@ def run_study(config: Optional[WorldConfig] = None,
     jnl = telemetry.journal
     jnl.emit("run.start", run_id=telemetry.run_id, seed=config.seed,
              n_domains=config.n_domains, n_workers=n_workers,
-             chaos=injector is not None, columnar=columnar,
-             cached=phase_cache is not None, profiled=profile)
+             chaos=injector is not None, cached=phase_cache is not None,
+             profiled=profile)
     try:
         values = executor.run(ctx, root_span="study",
                               root_meta={"seed": config.seed,

@@ -27,17 +27,14 @@ no downstream number.
 :meth:`OpenIntelPlatform.run_parallel` shards the domain population
 across processes forked from the parent — workers inherit the
 pre-built world and the fully-configured platform (resolver config,
-``keep_raw``, oversampling, transport) by memory, so nothing is
-rebuilt per worker and nothing is dropped on the way in.
+oversampling, transport) by memory, so nothing is rebuilt per worker
+and nothing is dropped on the way in.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.world.config import WorldConfig
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dns.rcode import ResponseStatus
 from repro.dns.resolver import AgnosticResolver, ResolverConfig
@@ -62,10 +59,8 @@ class OpenIntelPlatform:
     """Drives the daily crawl and fills a :class:`MeasurementStore`."""
 
     def __init__(self, world: World, config: Optional[ResolverConfig] = None,
-                 keep_raw: bool = False, dense_oversampling: int = 6,
-                 transport=None,
-                 telemetry: Optional[RunTelemetry] = None,
-                 columnar: bool = False):
+                 dense_oversampling: int = 6, transport=None,
+                 telemetry: Optional[RunTelemetry] = None):
         if dense_oversampling < 1:
             raise ValueError("dense_oversampling must be >= 1")
         self.telemetry = telemetry or NULL_TELEMETRY
@@ -83,7 +78,6 @@ class OpenIntelPlatform:
         self.transport = transport or world.transport
         self.resolver = AgnosticResolver(self.transport, self.rng, self.config)
         self.store = MeasurementStore()
-        self.keep_raw = keep_raw
         #: OpenINTEL sends many query types per domain per day (NS, SOA,
         #: A, AAAA, MX, ...), all of which exercise the same NSSet and
         #: feed the paper's RTT aggregates. We replay that multiplicity
@@ -94,18 +88,6 @@ class OpenIntelPlatform:
         #: (index, count): crawl only every count-th domain starting at
         #: index — the unit of work for the multi-process crawl.
         self.shard: Tuple[int, int] = (0, 1)
-        #: columnar ingest: the hot loop appends measurement rows to a
-        #: :class:`repro.columnar.MeasurementBatch` instead of calling
-        #: ``add_fast`` per row, and the batch is folded into the store
-        #: in one group-by flush. Bit-identical output either way.
-        self.columnar = columnar
-        #: sharded columnar crawls defer the flush: each worker returns
-        #: its raw batch and the parent flushes the concatenation once,
-        #: so every (NSSet, interval) group is summed in a single
-        #: ``fsum`` — the exactness contract of :mod:`repro.columnar`.
-        self._defer_flush = False
-        self._pending_batch = None
-        self.raw: List[Measurement] = []
         self._offsets: List[int] = []
         self._domain_seeds: List[int] = []
         self._classes: Dict[int, int] = {}
@@ -174,18 +156,9 @@ class OpenIntelPlatform:
         classes = self._classes
         quiet_rtts = self._quiet_rtts
         store = self.store
-        if self.columnar:
-            from repro.columnar import MeasurementBatch
-
-            batch = MeasurementBatch()
-            add = batch.append
-        else:
-            batch = None
-            add = store.add_fast
+        add = store.add_fast
         dense_days_of = self.world.dense_days_of
         deadline = self.config.deadline_ms
-        keep_raw = self.keep_raw
-        raw = self.raw
         span = end - start
         # Count exactly the windows iter_days yields: a partial final
         # day is still a crawled window, so round up, not down.
@@ -248,19 +221,8 @@ class OpenIntelPlatform:
                             result.rtt_ms, dense)
                         if stats is not None:
                             stats.add_result(result.status, result.rtt_ms)
-                        if keep_raw:
-                            raw.append(Measurement(
-                                ts=ts_j, domain_id=domain_id,
-                                nsset_id=nsset_id, status=result.status,
-                                rtt_ms=result.rtt_ms,
-                                n_attempts=result.n_attempts))
         finally:
             self.world.set_transport_rng(restore)
-        if batch is not None:
-            if self._defer_flush:
-                self._pending_batch = batch
-            else:
-                batch.flush_into(store, registry=self.telemetry.registry)
         return store
 
     # -- the multi-process crawl ----------------------------------------------
@@ -272,9 +234,9 @@ class OpenIntelPlatform:
         """Crawl with ``n_workers`` processes forked from this platform.
 
         Workers inherit the pre-built world and this platform's full
-        configuration (resolver config, ``keep_raw``, oversampling,
-        transport) through ``fork`` — nothing is rebuilt per worker —
-        and each crawls an interleaved shard of the domain population.
+        configuration (resolver config, oversampling, transport) through
+        ``fork`` — nothing is rebuilt per worker — and each crawls an
+        interleaved shard of the domain population.
         The parent folds the per-shard stores into :attr:`store`.
 
         The result is **bit-for-bit identical for any** ``n_workers``
@@ -284,9 +246,7 @@ class OpenIntelPlatform:
 
         ``progress`` is reported at shard granularity —
         ``progress(shards_done, n_workers)`` after each worker finishes
-        (the serial path reports per day). With ``keep_raw``, the merged
-        :attr:`raw` rows are sorted by ``(ts, domain_id)``, which is
-        likewise invariant to the worker count.
+        (the serial path reports per day).
 
         Stateful transports (e.g. the chaos injector's wrapper) must use
         the serial crawl: their draws and fault logs live in the parent
@@ -306,15 +266,6 @@ class OpenIntelPlatform:
             return self.run(start, end, progress)
         global _FORK_PARENT
         jobs = [(shard, n_workers, start, end) for shard in range(n_workers)]
-        merged_batch = None
-        if self.columnar:
-            # Shard batches are concatenated and flushed ONCE, so each
-            # (NSSet, interval) group is a single fsum over all of its
-            # values — per-shard flushes would round each shard's
-            # partial sum separately and break bit-identity.
-            from repro.columnar import MeasurementBatch
-
-            merged_batch = MeasurementBatch()
         journal = self.telemetry.journal
         for shard in range(n_workers):
             journal.emit("worker.start", surface="crawl", shard=shard,
@@ -322,13 +273,9 @@ class OpenIntelPlatform:
         _FORK_PARENT = self
         try:
             with multiprocessing.get_context("fork").Pool(n_workers) as pool:
-                for done, (payload, raw, stats, capture) in enumerate(
+                for done, (store, stats, capture) in enumerate(
                         pool.imap(_crawl_shard, jobs), start=1):
-                    if merged_batch is not None:
-                        merged_batch.extend(payload)
-                    else:
-                        self.store.merge(payload)
-                    self.raw.extend(raw)
+                    self.store.merge(store)
                     if self.stats is not None and stats is not None:
                         self.stats.merge(stats)
                     if capture is not None:
@@ -344,11 +291,6 @@ class OpenIntelPlatform:
                         progress(done, n_workers)
         finally:
             _FORK_PARENT = None
-        if merged_batch is not None:
-            merged_batch.flush_into(self.store,
-                                    registry=self.telemetry.registry)
-        if self.keep_raw:
-            self.raw.sort(key=lambda m: (m.ts, m.domain_id))
         return self.store
 
 
@@ -361,25 +303,22 @@ class OpenIntelPlatform:
 _FORK_PARENT: Optional[OpenIntelPlatform] = None
 
 
-def _crawl_shard(args) -> Tuple[object, List[Measurement],
-                                Optional[CrawlStats], Optional[dict]]:
+def _crawl_shard(args) -> Tuple[MeasurementStore, Optional[CrawlStats],
+                                Optional[dict]]:
     """Worker entry point: crawl one shard of the domain population.
-
-    Returns the shard's filled :class:`MeasurementStore` — or, on a
-    columnar platform, its unflushed
-    :class:`repro.columnar.MeasurementBatch` — as the first element.
 
     Runs in a child forked from the parent, so ``_FORK_PARENT`` *is*
     the parent's fully-configured platform (same world, resolver
-    config, ``keep_raw``, oversampling, transport) — only the shard
-    assignment and fresh output store/stats are local to this process.
-    The shard's :class:`CrawlStats` (``None`` when telemetry is off)
-    rides back with the store for the parent to merge.
+    config, oversampling, transport) — only the shard assignment and
+    fresh output store/stats are local to this process. Returns the
+    shard's filled :class:`MeasurementStore`; the shard's
+    :class:`CrawlStats` (``None`` when telemetry is off) rides back
+    with it for the parent to merge.
 
     When the parent's telemetry is enabled, the shard also runs under
     its own fresh telemetry bundle — a ``crawl.shard`` span plus its
     stats published to a shard-local registry — and ships the capture
-    back as the fourth element for the parent to stitch under its
+    back as the third element for the parent to stitch under its
     ``crawl`` span with a ``shard`` label (:mod:`repro.obs.merge`).
     Forked children share the parent's monotonic clock domain, so the
     grafted span offsets line up without rebasing. The shard's journal
@@ -391,58 +330,22 @@ def _crawl_shard(args) -> Tuple[object, List[Measurement],
     assert platform is not None, "_crawl_shard outside run_parallel"
     platform.shard = (shard, n_shards)
     platform.store = MeasurementStore()
-    platform.raw = []
     platform.stats = CrawlStats() if platform.stats is not None else None
     shard_telemetry = None
     if platform.telemetry.enabled:
         shard_telemetry = RunTelemetry.create(clock=platform.telemetry.clock)
         platform.telemetry = shard_telemetry
-    if platform.columnar:
-        # Return the shard's raw batch, unflushed: the parent folds the
-        # concatenation of all shards into its store in one flush.
-        platform._defer_flush = True
     if shard_telemetry is None:
-        payload = platform.run(start, end)
+        store = platform.run(start, end)
     else:
         with shard_telemetry.tracer.span("crawl.shard", shard=shard,
                                          n_shards=n_shards) as span:
-            payload = platform.run(start, end)
+            store = platform.run(start, end)
             if platform.stats is not None:
                 span.annotate(rows=platform.stats.rows)
-    if platform.columnar:
-        payload = platform._pending_batch
     capture = None
     if shard_telemetry is not None:
         if platform.stats is not None:
             platform.stats.publish(shard_telemetry.registry)
         capture = capture_telemetry(shard_telemetry)
-    return payload, platform.raw, platform.stats, capture
-
-
-def run_parallel(config_or_world: Union[World, "WorldConfig"],
-                 n_workers: int = 4,
-                 config: Optional[ResolverConfig] = None,
-                 keep_raw: bool = False,
-                 dense_oversampling: int = 6,
-                 transport=None, columnar: bool = False) -> MeasurementStore:
-    """Build (or accept) a world, then crawl it with ``n_workers``.
-
-    Convenience wrapper over :meth:`OpenIntelPlatform.run_parallel`:
-    the world is built **once** in the parent and shared with workers
-    via ``fork``, and the platform surface matches the serial
-    constructor exactly (``config``/``keep_raw``/``dense_oversampling``/
-    ``transport``). Output is bit-for-bit identical for any
-    ``n_workers``.
-    """
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    if isinstance(config_or_world, World):
-        world = config_or_world
-    else:
-        from repro.world.simulation import build_world
-
-        world = build_world(config_or_world)
-    platform = OpenIntelPlatform(world, config=config, keep_raw=keep_raw,
-                                 dense_oversampling=dense_oversampling,
-                                 transport=transport, columnar=columnar)
-    return platform.run_parallel(n_workers)
+    return store, platform.stats, capture

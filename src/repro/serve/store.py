@@ -275,7 +275,6 @@ class ShardedStudyStore:
             "install_scenarios": self.install_scenarios,
             "n_workers": self.n_workers,
             "progress": None,
-            "columnar": False,
             "attacks": attacks_starting_on(world.attacks, day),
             "telescope_rng": rng,
             "telescope_jitter_seed": jitter,

@@ -66,24 +66,8 @@ class RSDoSFeed:
     @classmethod
     def observe(cls, ground_truth: Iterable[Attack],
                 simulator: BackscatterSimulator,
-                thresholds: Optional[RSDoSThresholds] = None,
-                columnar: bool = False, registry=None) -> "RSDoSFeed":
-        """Run the full telescope pipeline over a ground-truth schedule.
-
-        With ``columnar`` the observations stream into a
-        :class:`repro.columnar.ObservationBatch` and inference/curation
-        run over flat columns — bit-identical output (same attacks,
-        same records, same order), at batch speed. ``registry``
-        (optional) receives the ``repro.columnar.*`` counters.
-        """
-        if columnar:
-            from repro.columnar import (ObservationBatch, curate_records,
-                                        infer_attacks)
-
-            batch = ObservationBatch.from_observations(
-                simulator.observe_all(ground_truth))
-            inferred = infer_attacks(batch, thresholds, registry=registry)
-            return cls(curate_records(batch, inferred), inferred)
+                thresholds: Optional[RSDoSThresholds] = None) -> "RSDoSFeed":
+        """Run the full telescope pipeline over a ground-truth schedule."""
         observations = list(simulator.observe_all(ground_truth))
         classifier = RSDoSClassifier(thresholds)
         inferred = classifier.infer(observations)

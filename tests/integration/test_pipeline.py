@@ -1,7 +1,13 @@
 """End-to-end pipeline and configuration tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import Study, WorldConfig, build_world, run_study
 from repro.world.config import PAPER_TOTAL_ATTACKS
 
@@ -160,3 +166,19 @@ class TestDegradedPredicate:
     def test_clean_run_not_degraded(self, tiny_study):
         assert tiny_study.store.n_rejected == 0
         assert not tiny_study.degraded
+
+
+class TestNoNumpy:
+    def test_default_study_never_imports_numpy(self):
+        # Peak RSS is a study benchmark metric: a study process (and the
+        # HAVE_NUMPY probe its snapshot writer makes) must not load NumPy.
+        code = ("import sys\n"
+                "from repro import WorldConfig, run_study\n"
+                "from repro.columnar import HAVE_NUMPY\n"
+                "run_study(WorldConfig.tiny()).report()\n"
+                "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -4,11 +4,7 @@ import pytest
 
 from repro.dns.resolver import ResolverConfig
 from repro.openintel import platform as platform_mod
-from repro.openintel.platform import (
-    OpenIntelPlatform,
-    _crawl_shard,
-    run_parallel,
-)
+from repro.openintel.platform import OpenIntelPlatform, _crawl_shard
 from repro.util.timeutil import DAY
 
 
@@ -20,7 +16,7 @@ def serial_store(tiny_world):
 @pytest.fixture(scope="module")
 def parallel_store(tiny_world):
     # The world is built once and shared with the workers via fork.
-    return run_parallel(tiny_world, n_workers=2)
+    return OpenIntelPlatform(tiny_world).run_parallel(2)
 
 
 class TestWorkerCountInvariance:
@@ -31,7 +27,7 @@ class TestWorkerCountInvariance:
 
     def test_four_workers_bit_for_bit_equal_serial(self, tiny_world,
                                                    serial_store):
-        assert run_parallel(tiny_world, n_workers=4) == serial_store
+        assert OpenIntelPlatform(tiny_world).run_parallel(4) == serial_store
 
     def test_more_workers_than_domains_is_harmless(self, tiny_world):
         start = tiny_world.timeline.start
@@ -57,11 +53,11 @@ class TestWorkerCountInvariance:
 
     def test_single_worker_is_the_serial_path(self, tiny_world,
                                               serial_store):
-        assert run_parallel(tiny_world, n_workers=1) == serial_store
+        assert OpenIntelPlatform(tiny_world).run_parallel(1) == serial_store
 
-    def test_rejects_bad_worker_count(self, tiny_config):
+    def test_rejects_bad_worker_count(self, tiny_world):
         with pytest.raises(ValueError):
-            run_parallel(tiny_config, n_workers=0)
+            OpenIntelPlatform(tiny_world).run_parallel(-1)
 
 
 class TestWorkerConfigFidelity:
@@ -72,23 +68,21 @@ class TestWorkerConfigFidelity:
 
     def test_worker_inherits_full_configuration(self, tiny_world):
         platform = OpenIntelPlatform(tiny_world, config=self.CUSTOM,
-                                     keep_raw=True, dense_oversampling=3)
+                                     dense_oversampling=3)
         platform_mod._FORK_PARENT = platform
         try:
             # Run the worker entry point in-process: with fork semantics
             # the worker platform *is* the parent object, so every
             # setting the serial crawl would use is what the shard uses.
             start = tiny_world.timeline.start
-            store, raw, _stats, _capture = _crawl_shard(
+            store, _stats, _capture = _crawl_shard(
                 (0, 2, start, start + DAY))
         finally:
             platform_mod._FORK_PARENT = None
         worker_platform = platform  # fork: same object in the child
         assert worker_platform.config == self.CUSTOM
-        assert worker_platform.keep_raw is True
         assert worker_platform.dense_oversampling == 3
         assert store.n_measurements > 0
-        assert raw, "keep_raw must be honoured by the shard"
 
     def test_non_default_settings_survive_the_fork(self, tiny_world):
         # End-to-end: a custom resolver config changes measured values
@@ -97,11 +91,10 @@ class TestWorkerConfigFidelity:
         start = tiny_world.timeline.start
         end = start + 2 * DAY
         serial = OpenIntelPlatform(
-            tiny_world, config=self.CUSTOM, keep_raw=True,
+            tiny_world, config=self.CUSTOM,
             dense_oversampling=3).run(start, end)
         parallel_platform = OpenIntelPlatform(
-            tiny_world, config=self.CUSTOM, keep_raw=True,
-            dense_oversampling=3)
+            tiny_world, config=self.CUSTOM, dense_oversampling=3)
         parallel = parallel_platform.run_parallel(2, start, end)
         assert parallel == serial
         # ... and the settings demonstrably mattered: a default-config
@@ -110,16 +103,6 @@ class TestWorkerConfigFidelity:
         # rebuilt a default platform.
         default_serial = OpenIntelPlatform(tiny_world).run(start, end)
         assert parallel.n_measurements != default_serial.n_measurements
-
-    def test_keep_raw_rows_invariant_to_worker_count(self, tiny_world):
-        start = tiny_world.timeline.start
-        end = start + 2 * DAY
-        serial_platform = OpenIntelPlatform(tiny_world, keep_raw=True)
-        serial_platform.run(start, end)
-        parallel_platform = OpenIntelPlatform(tiny_world, keep_raw=True)
-        parallel_platform.run_parallel(2, start, end)
-        key = lambda m: (m.ts, m.domain_id)  # noqa: E731
-        assert sorted(serial_platform.raw, key=key) == parallel_platform.raw
 
 
 class TestParallelMechanics:

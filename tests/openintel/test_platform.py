@@ -133,12 +133,6 @@ class TestCrawl:
         assert seen == [(0, 4), (1, 4), (2, 4), (3, 4)]
         assert all(i < n for i, n in seen)
 
-    def test_keep_raw(self, tiny_world):
-        platform = OpenIntelPlatform(tiny_world, keep_raw=True)
-        start = parse_ts("2021-03-01")  # dense day for TransIP
-        platform.run(start, start + DAY)
-        assert platform.raw  # raw rows retained for dense/slow paths
-
     def test_rejects_bad_oversampling(self, tiny_world):
         with pytest.raises(ValueError):
             OpenIntelPlatform(tiny_world, dense_oversampling=0)

@@ -217,7 +217,9 @@ class TestMeasurementStore:
         store = self._store()
         store.add_fast(7, 4000, ResponseStatus.OK, float("nan"), False)
         store.add_fast(7, 4000, ResponseStatus.OK, -5.0, False)
-        assert store.n_rejected == 2
+        store.add_fast(7, 4000, ResponseStatus.OK,
+                       MeasurementStore.MAX_RTT_MS * 2, False)
+        assert store.n_rejected == 3
         assert store.n_measurements == 3
         assert store.day_aggregate(7, 0).is_valid
 
