@@ -6,7 +6,7 @@ probes find all three nameservers unresponsive; RZD — attack Mar 8
 15:30-20:45, intermittently responsive from 06:00 next morning.
 """
 
-from repro import ReactivePlatform
+from repro import ReactiveService
 from repro.util.tables import Table
 from repro.util.timeutil import DAY, HOUR, Window, format_ts, parse_ts
 
@@ -26,9 +26,8 @@ def regenerate(study):
         daily.append((day, agg.ok_n if agg else 0, agg.n if agg else 0))
         day += DAY
 
-    platform = ReactivePlatform(study.world)
-    store = platform.run(study.feed, window=Window(RZD_ATTACK.start,
-                                                   MILRU_ATTACK.end))
+    store = ReactiveService(study.world).run(
+        study.feed, window=Window(RZD_ATTACK.start, MILRU_ATTACK.end)).store
     milru_unresponsive = store.unresponsive_share(milru.domain_id,
                                                   MILRU_BLACKOUT)
     rzd_first = store.first_responsive_after(rzd.domain_id,

@@ -5,13 +5,14 @@ policy, ``wrap_transport`` returns the original callable (zero
 overhead), and even the *armed* wrapper (``force=True``) — every fault
 probability zero but the per-call checks still executed — must stay
 under 5% on the pipeline's hot path. This bench prices both by running
-the reactive platform (transport-bound: one transport call per probe)
-over the TransIP window with each transport variant.
+the reactive service (transport-bound: one transport call per probe)
+over the TransIP window with each transport variant passed as its
+``transport=``.
 """
 
 import time
 
-from repro import ChaosConfig, ReactivePlatform
+from repro import ChaosConfig, ReactiveService
 from repro.chaos import FaultInjector
 from repro.util.tables import Table
 from repro.util.timeutil import Window, parse_ts
@@ -25,9 +26,9 @@ MAX_ARMED_OVERHEAD = 0.15
 ROUNDS = 5
 
 
-def _run_platform(study, transport):
-    platform = ReactivePlatform(study.world, transport=transport)
-    return platform.run(study.feed, window=TRANSIP_MARCH)
+def _run_service(study, transport):
+    service = ReactiveService(study.world, transport=transport)
+    return service.run(study.feed, window=TRANSIP_MARCH).store
 
 
 def measure(study):
@@ -47,7 +48,7 @@ def measure(study):
         for name, transport in (("plain", plain), ("disabled", disabled),
                                 ("armed", armed)):
             t0 = time.perf_counter()
-            stores[name] = _run_platform(study, transport)
+            stores[name] = _run_service(study, transport)
             times[name].append(time.perf_counter() - t0)
 
     def median_ratio(name):
@@ -62,9 +63,9 @@ def measure(study):
         "overhead_armed": median_ratio("armed") - 1.0,
         "identical_disabled": disabled is plain,
         "n_probes": len(stores["plain"].probes),
-        # Repeated platform runs share the world's transport RNG stream,
-        # so exact probe samples differ run-to-run (see architecture.md
-        # on determinism); only the *volume* is comparable.
+        # The raw world transport is stateful: repeated runs share its
+        # RNG stream, so exact probe samples differ run-to-run (see
+        # architecture.md on determinism); only the *volume* is comparable.
         "probe_spread": (max(len(s.probes) for s in stores.values())
                          / min(len(s.probes) for s in stores.values()) - 1.0),
         "faults": len(injector.events),
@@ -74,7 +75,7 @@ def measure(study):
 def render(result):
     table = Table(["transport variant", "best of %d (s)" % ROUNDS,
                    "overhead (median of paired rounds)"],
-                  title="Chaos layer overhead (reactive platform, "
+                  title="Chaos layer overhead (reactive service, "
                         f"{result['n_probes']} probes)")
     table.add_row(["plain", f"{result['plain']:.3f}", "+0.0%"])
     for name in ("disabled", "armed"):

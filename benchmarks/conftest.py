@@ -9,7 +9,7 @@ output capture.
 Benchmarks with numeric results additionally dump them machine-readable
 via ``emit_json`` as ``BENCH_<name>.json`` in the ``repro.obs/v2``
 telemetry snapshot schema (each value a ``repro.bench.<name>.<key>``
-gauge; older baselines on disk are v1, and every reader accepts both),
+gauge),
 so a perf trajectory accumulates across runs in one parseable format —
 ``python -m repro obs bench-diff`` compares a fresh batch against the
 tracked baselines direction-aware. Unlike the rendered ``.txt`` files (scratch output under the

@@ -12,7 +12,7 @@ Run:  python examples/russian_infrastructure.py
 import sys
 import time
 
-from repro import ReactivePlatform, WorldConfig, run_study
+from repro import ReactiveService, WorldConfig, run_study
 from repro.util.tables import Table
 from repro.util.timeutil import HOUR, Window, format_ts, parse_ts
 
@@ -72,8 +72,8 @@ def main() -> int:
 
     print("\nrunning reactive platform over the mil.ru attack "
           "(probing all 3 nameservers every 5 minutes)...", file=sys.stderr)
-    platform = ReactivePlatform(study.world)
-    store = platform.run(study.feed, window=MILRU_ATTACK)
+    store = ReactiveService(study.world).run(study.feed,
+                                             window=MILRU_ATTACK).store
     print(availability_overview(
         store, milru.domain_id, MILRU_ATTACK.expand(after=24 * HOUR),
         12 * HOUR,
@@ -89,8 +89,8 @@ def main() -> int:
           f"all three nameservers).")
 
     print("\nrunning reactive platform over the RZD attack...", file=sys.stderr)
-    platform2 = ReactivePlatform(study.world)
-    store2 = platform2.run(study.feed, window=RZD_ATTACK)
+    store2 = ReactiveService(study.world).run(study.feed,
+                                              window=RZD_ATTACK).store
     print(availability_overview(
         store2, rzd.domain_id,
         Window(RZD_ATTACK.start, parse_ts("2022-03-09 12:00")), 2 * HOUR,

@@ -28,13 +28,12 @@ Subpackages (importable directly for finer-grained use):
 - :mod:`repro.artifacts` — content-addressed phase cache (warm re-runs)
 - :mod:`repro.engine` — declarative phase graph + middleware executor
 - :mod:`repro.core` — the paper's join pipeline and analyses
-- :mod:`repro.reactive` — production-rate reactive platform (backpressure,
-  admission control, exactly-once recovery)
+- :mod:`repro.reactive` — the §4.3.1 reactive platform (backpressure,
+  admission control, exactly-once recovery) and its probe store
 - :mod:`repro.datasets` — open-resolver scan, dataset bundle I/O
 """
 
 from repro.core.pipeline import Study, run_study
-from repro.core.reactive import ReactivePlatform
 from repro.reactive import ReactiveReport, ReactiveService
 from repro.artifacts.cache import PhaseCache
 from repro.artifacts.store import ArtifactStore
@@ -44,12 +43,11 @@ from repro.obs import MetricsRegistry, RunTelemetry
 from repro.world.config import WorldConfig
 from repro.world.simulation import World, build_world
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "Study",
     "run_study",
-    "ReactivePlatform",
     "ReactiveService",
     "ReactiveReport",
     "ArtifactStore",

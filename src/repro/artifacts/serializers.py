@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 _FEED_SCHEMA = "repro.artifacts.feed/v1"
-_STORE_SCHEMA_V1 = "repro.artifacts.store/v1"
 #: v2: columnar layout — one flat vector per aggregate field instead of
 #: one row list per aggregate, so a warm crawl read deserializes a few
 #: long JSON arrays and rebuilds aggregates in one tight column walk.
@@ -107,23 +106,6 @@ _AGG_COLUMNS = ("n", "ok_n", "rtt_sum", "rtt_min", "rtt_max",
                 "timeout_n", "servfail_n", "other_err_n")
 
 
-def _agg_from_row(row) -> Aggregate:
-    agg = Aggregate()
-    agg.n = row[2]
-    agg.ok_n = row[3]
-    # The expansion [rtt_sum] represents the same exact value as the
-    # original multi-term expansion: fsum collapses to rtt_sum either
-    # way, so every observable column round-trips bit-for-bit.
-    rtt_sum = float(row[4])
-    agg._rtt_partials = [rtt_sum] if rtt_sum else []
-    agg.rtt_min = float(row[5])
-    agg.rtt_max = float(row[6])
-    agg.timeout_n = row[7]
-    agg.servfail_n = row[8]
-    agg.other_err_n = row[9]
-    return agg
-
-
 def _table_doc(table) -> Dict:
     """One aggregate dict as sorted column vectors (the v2 layout)."""
     rows = sorted(table.items())
@@ -147,8 +129,9 @@ def _table_load(doc: Dict, target) -> None:
         agg = Aggregate()
         agg.n = n_col[i]
         agg.ok_n = ok_col[i]
-        # [rtt_sum] represents the same exact value as the original
-        # multi-term expansion (see _agg_from_row).
+        # The expansion [rtt_sum] represents the same exact value as
+        # the original multi-term expansion: fsum collapses to rtt_sum
+        # either way, so every observable column round-trips bit-for-bit.
         rtt_sum = float(sum_col[i])
         agg._rtt_partials = [rtt_sum] if rtt_sum else []
         agg.rtt_min = float(min_col[i])
@@ -173,24 +156,12 @@ def dumps_store(store: MeasurementStore) -> bytes:
 
 
 def loads_store(data: bytes) -> MeasurementStore:
-    """Deserialize a cached store — the v2 columnar layout, or the v1
-    row layout still found in caches written before the migration.
-    Either way the round-trip is exact."""
-    doc = json.loads(data.decode("utf-8"))
-    found = doc.get("schema")
-    if found not in (_STORE_SCHEMA, _STORE_SCHEMA_V1):
-        raise ValueError(f"artifact schema mismatch: expected "
-                         f"{_STORE_SCHEMA!r}, found {found!r}")
+    """Deserialize :func:`dumps_store` output (exact round-trip)."""
+    doc = _loads(data, _STORE_SCHEMA)
     store = MeasurementStore()
     store.n_measurements = doc["n_measurements"]
     store.n_rejected = doc["n_rejected"]
     store.n_merges = doc["n_merges"]
-    if found == _STORE_SCHEMA_V1:
-        for row in doc["daily"]:
-            store.daily[(row[0], row[1])] = _agg_from_row(row)
-        for row in doc["buckets"]:
-            store.buckets[(row[0], row[1])] = _agg_from_row(row)
-        return store
     _table_load(doc["daily"], store.daily)
     _table_load(doc["buckets"], store.buckets)
     return store

@@ -17,7 +17,6 @@ from repro.core.impact import FailureAnalysis, ImpactAnalysis, analyze_failures,
 from repro.core.correlation import CorrelationAnalysis, analyze_correlation
 from repro.core.resilience import ResilienceAnalysis, analyze_resilience
 from repro.core.topasn import top_attacked_asns, top_attacked_ips
-from repro.core.reactive import ReactivePlatform, ReactiveProbe, ReactiveStore
 from repro.core.vantage import (
     CatchmentDisagreement,
     MultiVantageProber,
@@ -60,9 +59,6 @@ __all__ = [
     "analyze_resilience",
     "top_attacked_asns",
     "top_attacked_ips",
-    "ReactivePlatform",
-    "ReactiveProbe",
-    "ReactiveStore",
     "CatchmentDisagreement",
     "MultiVantageProber",
     "VantagePoint",

@@ -50,7 +50,6 @@ from repro.obs.spans import NULL_TRACER, NullTracer, Span, Tracer
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
     SNAPSHOT_SCHEMA,
-    SNAPSHOT_SCHEMAS,
     RunTelemetry,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "RunTelemetry",
     "NULL_TELEMETRY",
     "SNAPSHOT_SCHEMA",
-    "SNAPSHOT_SCHEMAS",
     "RunJournal",
     "NullJournal",
     "NULL_JOURNAL",

@@ -35,7 +35,7 @@ import sys
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.journal import phase_durations, read_journal
-from repro.obs.telemetry import SNAPSHOT_SCHEMAS
+from repro.obs.telemetry import SNAPSHOT_SCHEMA
 
 __all__ = [
     "add_obs_parser",
@@ -64,12 +64,12 @@ def load_observations(path: str) -> Tuple[str, object]:
         doc = json.loads(text)
     except ValueError:
         return "journal", read_journal(path)
-    if isinstance(doc, dict) and doc.get("schema") in SNAPSHOT_SCHEMAS:
+    if isinstance(doc, dict) and doc.get("schema") == SNAPSHOT_SCHEMA:
         return "snapshot", doc
     if isinstance(doc, dict) and doc.get("type") == "journal.open":
         return "journal", [doc]  # a run that died right after opening
     raise ValueError(
-        f"{path}: neither a telemetry snapshot ({'/'.join(SNAPSHOT_SCHEMAS)})"
+        f"{path}: neither a telemetry snapshot ({SNAPSHOT_SCHEMA})"
         f" nor a run journal")
 
 

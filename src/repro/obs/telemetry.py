@@ -31,7 +31,7 @@ readings, and ``started_at_utc + (start - anchor_monotonic)`` places
 any span on the wall clock — the same anchor pair a
 :class:`~repro.obs.journal.RunJournal` stamps into its header, so
 spans and journal records from one run correlate across processes.
-Readers accept both versions; v1 files simply lack the anchors.
+Readers accept only v2: every committed snapshot is v2.
 
 Benchmarks reuse the same schema for their ``BENCH_*.json`` trajectory
 files (see ``benchmarks/conftest.py``).
@@ -48,14 +48,11 @@ from repro.obs.journal import NULL_JOURNAL, new_run_id
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_TRACER, Tracer
 
-__all__ = ["RunTelemetry", "NULL_TELEMETRY", "SNAPSHOT_SCHEMA",
-           "SNAPSHOT_SCHEMAS"]
+__all__ = ["RunTelemetry", "NULL_TELEMETRY", "SNAPSHOT_SCHEMA"]
 
-#: Version tag stamped into every snapshot.
+#: Version tag stamped into every snapshot (and the only one readers
+#: accept).
 SNAPSHOT_SCHEMA = "repro.obs/v2"
-
-#: Every schema version a reader should accept (v1 lacks the anchors).
-SNAPSHOT_SCHEMAS = ("repro.obs/v1", "repro.obs/v2")
 
 
 class RunTelemetry:

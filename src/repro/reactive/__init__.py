@@ -1,9 +1,10 @@
-"""The production-rate reactive platform (§4.3.1, hardened).
+"""The reactive measurement platform (§4.3.1).
 
-The original :class:`repro.core.reactive.ReactivePlatform` schedules
-every triggered campaign unconditionally — correct at study scale,
-hopeless at production event rates. This package rebuilds the platform
-as an overload-aware pipeline:
+When the RSDoS feed reports an attack on a nameserver address, the
+platform probes up to 50 related domains every 5 minutes — every
+nameserver of each, spread evenly over the window — starting within
+10 minutes of the report and continuing for 24 hours after the attack.
+It is built as an overload-aware pipeline:
 
 - triggers flow through a *bounded* topic with a backpressure policy
   (``block`` / ``shed_oldest`` / ``reject``) and a hardened validation
@@ -18,8 +19,11 @@ as an overload-aware pipeline:
   chaos-soaked run's probe store is bit-identical to an unfaulted one
   (see ``tests/integration/test_reactive_soak.py``).
 
-The legacy platform remains for study-scale use; this package is the
-one the ``repro reactive`` CLI and the soak/bench suites exercise.
+Probe results land in a :class:`ReactiveStore`;
+:func:`measurement_store_from_reactive` and
+:func:`reactive_impact_series` carry them into the §5/§6 impact path.
+The ``repro reactive`` CLI, the §5.2 Russia case, and the soak/bench
+suites all run on :class:`ReactiveService`.
 """
 
 from repro.reactive.campaigns import (
@@ -36,19 +40,31 @@ from repro.reactive.service import (
     WorkerKilled,
     replay_transport,
 )
+from repro.reactive.store import (
+    REACTIVE_TIMEOUT_RTT_MS,
+    ReactiveProbe,
+    ReactiveStore,
+    measurement_store_from_reactive,
+    reactive_impact_series,
+)
 from repro.reactive.synth import fast_transport, synthetic_triggers
 
 __all__ = [
+    "REACTIVE_TIMEOUT_RTT_MS",
     "Campaign",
     "CampaignScheduler",
     "CampaignState",
     "CampaignWorker",
+    "ReactiveProbe",
     "ReactiveReport",
     "ReactiveService",
+    "ReactiveStore",
     "TRIGGER_LATENCY_BUCKETS_S",
     "WorkerKilled",
     "fast_transport",
+    "measurement_store_from_reactive",
     "plan_campaign",
+    "reactive_impact_series",
     "replay_transport",
     "synthetic_triggers",
 ]

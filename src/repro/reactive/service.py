@@ -49,11 +49,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.chaos.injector import FaultInjector
-from repro.core.reactive import ReactiveProbe, ReactiveStore
 from repro.dns.rr import RRType
 from repro.obs.journal import NULL_JOURNAL
 from repro.obs.registry import buffered
@@ -64,6 +63,7 @@ from repro.reactive.campaigns import (
     CampaignState,
     plan_campaign,
 )
+from repro.reactive.store import ReactiveProbe, ReactiveStore
 from repro.streaming.processors import (
     FailFastProcessor,
     FilterProcessor,
@@ -92,6 +92,15 @@ RESULTS_TOPIC = "probe-results"
 #: The campaign consumer's broker group (its committed offsets live
 #: under this name, so recovery does not need the consumer object).
 CONSUMER_GROUP = "campaigns"
+
+#: The paper's trigger SLO: probing starts within 10 minutes of the
+#: feed reporting an attack; a later start is flagged ``late``.
+TRIGGER_SLA_S = 10 * MINUTE
+#: How long a campaign may wait for budget before it is shed (loudly)
+#: instead of triggering uselessly late.
+SHED_AFTER_S = 30 * MINUTE
+#: The smallest per-window allocation a throttled campaign is granted.
+MIN_ALLOCATION = 1
 
 
 class WorkerKilled(Exception):
@@ -146,9 +155,8 @@ class CampaignWorker:
     """
 
     def __init__(self, broker: Broker, world: World, *,
-                 probes_per_window: int, trigger_sla_s: int,
-                 post_attack_s: int, probe_budget: Optional[int],
-                 shed_after_s: int, min_allocation: int,
+                 probes_per_window: int, post_attack_s: int,
+                 probe_budget: Optional[int],
                  checkpoint_every: int, transport, seed: int,
                  crash_hook: Optional[Callable[[int], bool]] = None,
                  on_checkpoint: Optional[Callable[[Dict], None]] = None,
@@ -160,7 +168,6 @@ class CampaignWorker:
         self.transport = transport
         self.seed = seed
         self.probes_per_window = probes_per_window
-        self.trigger_sla_s = trigger_sla_s
         self.post_attack_s = post_attack_s
         self.checkpoint_every = checkpoint_every
         self.crash_hook = crash_hook
@@ -186,7 +193,7 @@ class CampaignWorker:
         self.results = broker.topic(RESULTS_TOPIC)
         self.campaigns = CampaignScheduler(
             probes_per_window=probes_per_window, probe_budget=probe_budget,
-            shed_after_s=shed_after_s, min_allocation=min_allocation,
+            shed_after_s=SHED_AFTER_S, min_allocation=MIN_ALLOCATION,
             on_probe=self._probe, metrics=self.metrics, journal=journal)
         #: end of the last committed tick (the next tick's start).
         self.now_window: Optional[int] = None
@@ -243,7 +250,7 @@ class CampaignWorker:
             campaign = plan_campaign(
                 self.world, record.value, record.ts,
                 probes_per_window=self.probes_per_window,
-                trigger_sla_s=self.trigger_sla_s,
+                trigger_sla_s=TRIGGER_SLA_S,
                 post_attack_s=self.post_attack_s, seed=self.seed)
             if campaign is None:
                 self.n_no_domains += 1
@@ -393,17 +400,14 @@ class ReactiveService:
     One service instance runs one feed (a fresh broker per
     :meth:`run`). Overload knobs: ``feed_capacity`` + ``backpressure``
     bound the trigger topic; ``probe_budget`` caps concurrent
-    domain-probes per window; ``shed_after_s`` bounds how long a
-    campaign may wait before it is shed (loudly) instead of triggering
-    uselessly late.
+    domain-probes per window. The trigger SLO, the shed deadline and
+    the throttle floor are the fixed :data:`TRIGGER_SLA_S`,
+    :data:`SHED_AFTER_S` and :data:`MIN_ALLOCATION`.
     """
 
     def __init__(self, world: World, *, probes_per_window: int = 50,
-                 trigger_sla_s: int = 10 * MINUTE,
                  post_attack_s: int = DAY,
                  probe_budget: Optional[int] = None,
-                 shed_after_s: int = 30 * MINUTE,
-                 min_allocation: int = 1,
                  feed_capacity: Optional[int] = None,
                  backpressure: str = "block",
                  checkpoint_every: int = 6,
@@ -412,11 +416,8 @@ class ReactiveService:
                  telemetry: Optional[RunTelemetry] = None):
         self.world = world
         self.probes_per_window = probes_per_window
-        self.trigger_sla_s = trigger_sla_s
         self.post_attack_s = post_attack_s
         self.probe_budget = probe_budget
-        self.shed_after_s = shed_after_s
-        self.min_allocation = min_allocation
         self.feed_capacity = feed_capacity
         self.backpressure = backpressure
         self.checkpoint_every = checkpoint_every
@@ -447,11 +448,8 @@ class ReactiveService:
         return CampaignWorker(
             self._broker, self.world,
             probes_per_window=self.probes_per_window,
-            trigger_sla_s=self.trigger_sla_s,
             post_attack_s=self.post_attack_s,
             probe_budget=self.probe_budget,
-            shed_after_s=self.shed_after_s,
-            min_allocation=self.min_allocation,
             checkpoint_every=self.checkpoint_every,
             transport=self.transport, seed=self.seed,
             crash_hook=self._crash_hook,

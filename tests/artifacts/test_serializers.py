@@ -5,13 +5,18 @@ semantically equal to ``x`` (bit-for-bit on every float), and
 ``dumps(loads(dumps(x))) == dumps(x)`` (deterministic bytes).
 """
 
+import json
+
 import pytest
 
+from repro.artifacts.cache import PhaseCache
 from repro.artifacts.serializers import (PHASE_SERIALIZERS, dumps_events,
                                          dumps_feed, dumps_join, dumps_store,
                                          loads_events, loads_feed, loads_join,
                                          loads_store)
+from repro.artifacts.store import ArtifactStore
 from repro.core.join import DatasetJoin
+from repro.obs import RunTelemetry
 
 
 class TestFeedRoundTrip:
@@ -74,6 +79,23 @@ class TestSchemaGuards:
         data = dumps_feed(tiny_study.feed)
         with pytest.raises(ValueError, match="schema mismatch"):
             loads_store(data)
+
+    def test_v1_store_blob_is_a_cache_miss(self, tmp_path):
+        # The retired row layout: one list per aggregate.
+        v1_blob = json.dumps({
+            "schema": "repro.artifacts.store/v1",
+            "n_measurements": 1, "n_rejected": 0, "n_merges": 0,
+            "daily": [[7, 0, 1, 1, 20.0, 20.0, 20.0, 0, 0, 0]],
+            "buckets": []}).encode()
+        with pytest.raises(ValueError, match="schema mismatch"):
+            loads_store(v1_blob)
+        telemetry = RunTelemetry.create()
+        cache = PhaseCache(ArtifactStore(str(tmp_path)), telemetry)
+        cache.store.put("v1-key", v1_blob, phase="crawl")
+        assert cache.fetch("crawl", "v1-key") is None
+        counters = telemetry.snapshot()["metrics"]["counters"]
+        assert [k for k in counters if k.startswith("repro.cache.")] == \
+            ["repro.cache.misses{phase=crawl}"]
 
     def test_registry_covers_every_phase(self):
         assert set(PHASE_SERIALIZERS) == \

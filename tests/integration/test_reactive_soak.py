@@ -36,7 +36,6 @@ def soak_service(world, **overrides):
     kwargs = dict(probes_per_window=PROBES_PER_WINDOW,
                   post_attack_s=HOUR,
                   probe_budget=PROBE_BUDGET,
-                  shed_after_s=30 * MINUTE,
                   transport=fast_transport(seed=2),
                   checkpoint_every=4)
     kwargs.update(overrides)

@@ -8,7 +8,7 @@ platform which probes every nameserver.
 
 import pytest
 
-from repro import ReactivePlatform, WorldConfig, run_study
+from repro import ReactiveService, WorldConfig, run_study
 from repro.util.timeutil import DAY, HOUR, Window, day_start, parse_ts
 
 
@@ -28,6 +28,13 @@ def study():
 
 MILRU_ATTACK = Window(parse_ts("2022-03-11 10:00"), parse_ts("2022-03-18 20:00"))
 RZD_ATTACK = Window(parse_ts("2022-03-08 15:30"), parse_ts("2022-03-08 20:45"))
+
+
+@pytest.fixture(scope="module")
+def rzd_store(study):
+    """Reactive probes of the RZD attack, shared by the RZD tests."""
+    return ReactiveService(study.world).run(study.feed,
+                                            window=RZD_ATTACK).store
 
 
 class TestMilRu:
@@ -78,8 +85,8 @@ class TestMilRu:
         assert agg is not None and agg.ok_n == 0
 
     def test_reactive_sees_unresolvable_blackout(self, study):
-        platform = ReactivePlatform(study.world)
-        store = platform.run(study.feed, window=MILRU_ATTACK)
+        store = ReactiveService(study.world).run(
+            study.feed, window=MILRU_ATTACK).store
         record = study.world.directory.get_by_name("mil.ru")
         blackout = Window(parse_ts("2022-03-12 00:00"),
                           parse_ts("2022-03-17 06:00"))
@@ -108,24 +115,20 @@ class TestRzd:
             assert abs(attack.start - RZD_ATTACK.start) <= 600
             assert abs(attack.end - RZD_ATTACK.end) <= 600
 
-    def test_unresolvable_during_attack(self, study):
-        platform = ReactivePlatform(study.world)
-        store = platform.run(study.feed, window=RZD_ATTACK)
+    def test_unresolvable_during_attack(self, study, rzd_store):
         record = study.world.directory.get_by_name("rzd.ru")
-        share = store.unresponsive_share(record.domain_id, RZD_ATTACK)
+        share = rzd_store.unresponsive_share(record.domain_id, RZD_ATTACK)
         # Nine probes land in each 5-minute bucket (three campaigns x
         # three nameservers), so even a ~99.5% per-probe drop rate leaks
         # an answer into a few buckets; "unresolvable" here means the
         # overwhelming majority of buckets saw no answer at all.
         assert share > 0.85
 
-    def test_recovery_at_six_am(self, study):
+    def test_recovery_at_six_am(self, study, rzd_store):
         # §5.2.2: the domain became intermittently responsive at 06:00
         # the next morning.
-        platform = ReactivePlatform(study.world)
-        store = platform.run(study.feed, window=RZD_ATTACK)
         record = study.world.directory.get_by_name("rzd.ru")
-        first = store.first_responsive_after(
+        first = rzd_store.first_responsive_after(
             record.domain_id, parse_ts("2022-03-08 21:00"))
         assert first is not None
         recovery = parse_ts("2022-03-09 06:00")

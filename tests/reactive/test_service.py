@@ -14,7 +14,8 @@ from repro.reactive import (
     synthetic_triggers,
 )
 from repro.streaming import TopicFull
-from repro.util.timeutil import DAY, FIVE_MINUTES, HOUR, MINUTE, window_start
+from repro.util.timeutil import (DAY, FIVE_MINUTES, HOUR, MINUTE, Window,
+                                 parse_ts, window_start)
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -328,3 +329,75 @@ class TestReactiveJournal:
         assert checkpoints
         incarnations = {r["incarnation"] for r in checkpoints}
         assert len(incarnations) > 1  # replayed workers journal too
+
+
+TRANSIP_MARCH = Window(parse_ts("2021-03-01 18:00"),
+                       parse_ts("2021-03-02 04:00"))
+
+
+class TestStudyFeed:
+    """The §4.3.1 properties on a study's own RSDoS feed: the March
+    TransIP attacks, with the default world transport and no budget."""
+
+    @pytest.fixture(scope="class")
+    def report(self, world, tiny_study):
+        return ReactiveService(world).run(tiny_study.feed,
+                                          window=TRANSIP_MARCH)
+
+    def test_campaigns_triggered(self, report):
+        # The TransIP March campaign attacks three nameservers.
+        assert len({c.victim_ip for c in report.campaigns}) >= 3
+
+    def test_trigger_delay_at_most_ten_minutes(self, report):
+        for campaign in report.campaigns:
+            assert campaign.triggered_at - campaign.attack.start \
+                <= 10 * MINUTE
+
+    def test_probes_cover_attack_and_tail(self, report):
+        for campaign in report.campaigns:
+            assert campaign.ends_at - campaign.attack.end == DAY
+        first = report.campaigns[0]
+        ts_values = [p.ts for p in report.store.probes]
+        assert min(ts_values) >= first.triggered_at
+        assert max(ts_values) >= first.attack.end + DAY - 2 * FIVE_MINUTES
+
+    def test_probe_rate_bounded(self, report):
+        # Ethics bound: each domain is probed at most once per window
+        # per campaign, times its nameserver count.
+        per_bucket = {}
+        for probe in report.store.probes:
+            key = (probe.domain_id, probe.ts // FIVE_MINUTES)
+            per_bucket[key] = per_bucket.get(key, 0) + 1
+        assert max(per_bucket.values()) <= 50
+
+    def test_probes_spread_within_window(self, report):
+        offsets = {p.ts % FIVE_MINUTES for p in report.store.probes}
+        assert len(offsets) > 1  # not all at the window boundary
+
+    def test_probes_hit_every_nameserver(self, report, world):
+        store = report.store
+        for domain_id in {p.domain_id for p in store.probes}:
+            probed_ns = {p.ns_ip for p in store.domain_probes(domain_id)}
+            nameservers = world.directory[domain_id].delegation.nameserver_ips
+            assert probed_ns == set(nameservers)
+
+    def test_failures_observed_during_attack(self, report):
+        # The March TransIP attack leaves many probes unanswered.
+        during = [p for p in report.store.probes
+                  if parse_ts("2021-03-01 20:00") <= p.ts
+                  <= parse_ts("2021-03-02 00:00")]
+        assert during
+        failed = sum(1 for p in during if not p.answered)
+        assert failed / len(during) > 0.3
+
+    def test_recovery_after_attack(self, report):
+        after = [p for p in report.store.probes
+                 if p.ts >= parse_ts("2021-03-02 06:00")]
+        assert after
+        answered = sum(1 for p in after if p.answered)
+        assert answered / len(after) > 0.9
+
+    def test_empty_window_no_probes(self, world, tiny_study):
+        report = ReactiveService(world).run(tiny_study.feed,
+                                            window=Window(0, 100))
+        assert len(report.store) == 0

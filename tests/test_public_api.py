@@ -11,6 +11,7 @@ PACKAGES = [
     "repro.anycast", "repro.world", "repro.attacks", "repro.telescope",
     "repro.openintel", "repro.streaming", "repro.chaos", "repro.obs",
     "repro.artifacts", "repro.engine", "repro.datasets", "repro.core",
+    "repro.reactive",
 ]
 
 
@@ -26,6 +27,14 @@ class TestExports:
     def test_module_documented(self, package):
         module = importlib.import_module(package)
         assert module.__doc__ and len(module.__doc__.strip()) > 40
+
+    def test_reactive_exports_the_probe_store(self):
+        import repro.reactive
+        for name in ("ReactiveStore", "ReactiveProbe",
+                     "measurement_store_from_reactive",
+                     "reactive_impact_series"):
+            assert name in repro.reactive.__all__
+            assert getattr(repro.reactive, name).__doc__
 
     def test_top_level_api(self):
         assert callable(repro.run_study)
