@@ -26,7 +26,7 @@ Subpackages (importable directly for finer-grained use):
 - :mod:`repro.chaos` — seeded fault injection over the pipeline surfaces
 - :mod:`repro.obs` — run telemetry: metrics registry, phase spans, clocks
 - :mod:`repro.artifacts` — content-addressed phase cache (warm re-runs)
-- :mod:`repro.engine` — declarative phase graph + middleware executor
+- :mod:`repro.engine` — declarative phase graph + one-runner executor
 - :mod:`repro.core` — the paper's join pipeline and analyses
 - :mod:`repro.reactive` — the §4.3.1 reactive platform (backpressure,
   admission control, exactly-once recovery) and its probe store
@@ -43,7 +43,7 @@ from repro.obs import MetricsRegistry, RunTelemetry
 from repro.world.config import WorldConfig
 from repro.world.simulation import World, build_world
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "Study",

@@ -3,9 +3,9 @@
 :class:`PhaseCache` is what ``run_study(..., cache=...)`` talks to at
 each phase boundary: *fetch* an artifact by its fingerprint key (a hit
 deserializes and skips the phase), or *save* a freshly-computed one.
-The pipeline no longer calls it inline: fetch/save is driven by
-:class:`repro.engine.CacheMiddleware`, which applies this cache
-uniformly to every study-graph node declaring a ``cache_key``.
+The pipeline no longer calls it inline: fetch/save is driven by the
+phase runner of :class:`repro.engine.Executor`, which applies this
+cache uniformly to every study-graph node declaring a ``cache_key``.
 Every operation is accounted through :mod:`repro.obs`:
 
 - ``repro.cache.hits{phase=...}`` / ``repro.cache.misses{phase=...}``

@@ -76,14 +76,13 @@ class _ChaoticProcessor(Processor):
 
 
 class FaultInjector:
-    """Applies a :class:`ChaosConfig` to the pipeline's surfaces."""
+    """Applies a :class:`ChaosConfig` to the pipeline's surfaces.
 
-    #: Consulted by the engine's worker-count policy: the injector is
-    #: stateful (burst continuations, the fault log, its RNG streams
-    #: all live in this process), so a faulted crawl cannot be sharded
-    #: across forked workers without splitting that state. Every chaos
-    #: run therefore forces the crawl serial, with a warning.
-    forces_serial_crawl = True
+    The injector is stateful (burst continuations, the fault log, its
+    RNG streams all live in this process), so a faulted crawl cannot be
+    sharded across forked workers; ``run_study`` forces every chaos
+    run's crawl serial, with a warning.
+    """
 
     def __init__(self, config: ChaosConfig,
                  telemetry: Optional[RunTelemetry] = None):

@@ -5,9 +5,10 @@ telescope, crawl, chaos damage, feed hardening, join, event extraction
 — is a :class:`repro.engine.Phase` node of :data:`STUDY_GRAPH`, and
 ``run_study`` is a thin facade that executes that graph through the
 :class:`repro.engine.Executor`. Cross-cutting concerns (telemetry
-spans, :class:`~repro.artifacts.cache.PhaseCache` fetch/save, the
-chaos worker policy) are middleware applied uniformly to every node,
-so no per-phase plumbing lives here.
+spans, journal records, profiling,
+:class:`~repro.artifacts.cache.PhaseCache` fetch/save) live in the
+executor's one phase runner, applied uniformly to every node, so no
+per-phase plumbing lives here.
 
 The resulting :class:`Study` lazily computes every analysis in the
 paper; each analysis is itself a declared engine node (see
@@ -44,15 +45,10 @@ from repro.core.ports import PortAnalysis, analyze_ports, analyze_successful_por
 from repro.core.resilience import ResilienceAnalysis, analyze_resilience
 from repro.datasets.openresolvers import OpenResolverScan
 from repro.engine import (
-    CacheMiddleware,
     Executor,
-    JournalMiddleware,
     Phase,
     PhaseGraph,
-    ProfileMiddleware,
     RunContext,
-    SpanMiddleware,
-    WorkerPolicy,
     analysis_graph,
     cached_analysis,
 )
@@ -269,7 +265,6 @@ STUDY_PHASES = (
           inputs=("world",),
           provides="crawl_store",
           cache_key="crawl",
-          parallel=True,
           annotations=lambda store, ctx: {"rows": store.n_measurements},
           fresh_annotations=lambda store, ctx: {
               "workers": ctx.params.get("n_workers", 1)},
@@ -535,8 +530,8 @@ def run_study(config: Optional[WorldConfig] = None,
     events. Pass a pre-built ``world`` to reuse one across analyses.
 
     The run executes :data:`STUDY_GRAPH` — the declared §4 dataflow —
-    through the :class:`repro.engine.Executor`; spans, cache traffic,
-    and the chaos worker policy are engine middleware, applied
+    through the :class:`repro.engine.Executor`, whose one phase runner
+    applies spans, journal records, profiling and cache traffic
     identically to every phase.
 
     ``n_workers > 1`` runs the crawl — the dominant cost of every
@@ -603,6 +598,9 @@ def run_study(config: Optional[WorldConfig] = None,
     config = world.config if world is not None else (config or WorldConfig())
     phase_cache, keys = _open_phase_cache(cache, config, world, chaos,
                                           install_scenarios, telemetry)
+    if chaos is not None and n_workers != 1:
+        _warn_bypass(SERIAL_CRAWL_REASON)
+        n_workers = 1
     injector: Optional["FaultInjector"] = None
     if chaos is not None:
         from repro.chaos.injector import FaultInjector
@@ -622,16 +620,8 @@ def run_study(config: Optional[WorldConfig] = None,
         from repro.obs.profile import PhaseProfiler
 
         profiler = PhaseProfiler(telemetry.registry)
-    middleware = [SpanMiddleware(), JournalMiddleware()]
-    if profiler is not None:
-        middleware.append(ProfileMiddleware(profiler))
-    middleware += [
-        CacheMiddleware(phase_cache, keys),
-        WorkerPolicy(
-            serial=injector is not None and injector.forces_serial_crawl,
-            warn=lambda: _warn_bypass(SERIAL_CRAWL_REASON, stacklevel=9)),
-    ]
-    executor = Executor(STUDY_GRAPH, middleware=middleware)
+    executor = Executor(STUDY_GRAPH, cache=phase_cache, keys=keys,
+                        profiler=profiler)
     jnl = telemetry.journal
     jnl.emit("run.start", run_id=telemetry.run_id, seed=config.seed,
              n_domains=config.n_domains, n_workers=n_workers,

@@ -5,17 +5,15 @@ crawl join into per-NSSet buckets, then fan out into the analyses.
 This package expresses that dataflow as data rather than procedure:
 
 - :class:`Phase` declares one node: name, input slots, output slot,
-  fingerprint key + serializer (cacheability), chaos/parallelism
-  policy flags, span annotations;
+  fingerprint key + serializer (cacheability), an enablement gate,
+  span annotations;
 - :class:`PhaseGraph` validates the declarations at build time — cycle
   detection (the cycle is named), unknown-input errors, duplicate
   outputs — and fixes a deterministic topological order;
-- :class:`Executor` runs the graph through one middleware chain
-  (:class:`SpanMiddleware`, :class:`JournalMiddleware`,
-  :class:`ProfileMiddleware`, :class:`CacheMiddleware`,
-  :class:`WorkerPolicy`), so telemetry spans, journal records,
-  opt-in profiling, cache fetch/save, and worker policy are applied
-  uniformly to every node instead of being copy-pasted per phase.
+- :class:`Executor` runs every node through one phase runner, so the
+  telemetry span, journal records (timed by that span), opt-in
+  profiling and cache fetch/save are applied uniformly to every node
+  instead of being copy-pasted per phase.
 
 ``run_study`` (:mod:`repro.core.pipeline`) is a thin facade over the
 study graph built from these pieces, and the :class:`~repro.core
@@ -24,16 +22,7 @@ engine. ``python -m repro graph`` prints the declared DAG.
 """
 
 from repro.engine.analysis import analyses_of, analysis_graph, cached_analysis
-from repro.engine.executor import (
-    CacheMiddleware,
-    Executor,
-    JournalMiddleware,
-    Middleware,
-    ProfileMiddleware,
-    RunContext,
-    SpanMiddleware,
-    WorkerPolicy,
-)
+from repro.engine.executor import Executor, RunContext
 from repro.engine.graph import (
     CycleError,
     DuplicateNodeError,
@@ -54,12 +43,6 @@ __all__ = [
     "UnknownInputError",
     "CycleError",
     "RunContext",
-    "Middleware",
-    "SpanMiddleware",
-    "JournalMiddleware",
-    "ProfileMiddleware",
-    "CacheMiddleware",
-    "WorkerPolicy",
     "Executor",
     "cached_analysis",
     "analyses_of",

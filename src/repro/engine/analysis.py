@@ -6,8 +6,8 @@
 analysis' dependencies (the owner attributes it reads — ``join``,
 ``events``, ...); access then runs the analysis as a single-node
 subgraph of the owner class' :func:`analysis_graph` through the shared
-:class:`~repro.engine.executor.Executor` with span middleware, and
-memoizes the result in the instance ``__dict__`` (exactly like
+:class:`~repro.engine.executor.Executor` (span and journal records,
+no cache), and memoizes the result in the instance ``__dict__`` (exactly like
 ``functools.cached_property``, so later accesses are plain attribute
 lookups).
 
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.engine.executor import (Executor, JournalMiddleware, RunContext,
-                                   SpanMiddleware)
+from repro.engine.executor import Executor, RunContext
 from repro.engine.graph import PhaseGraph
 from repro.engine.phase import Phase
 
@@ -85,9 +84,7 @@ class cached_analysis:
         """Execute just this node (its deps are owner attributes)."""
         graph = analysis_graph(type(obj))
         ctx = RunContext(telemetry=obj.telemetry, params={"subject": obj})
-        executor = Executor(graph, middleware=(SpanMiddleware(),
-                                               JournalMiddleware()))
-        values = executor.run(
+        values = Executor(graph).run(
             ctx, targets=[self.phase_name],
             sources={slot: getattr(obj, slot) for slot in self.deps})
         return values[self.phase_name]

@@ -1,73 +1,49 @@
-"""The engine's executor: one middleware chain, applied to every node.
+"""The engine's executor: one phase runner, applied to every node.
 
 The :class:`Executor` walks a :class:`~repro.engine.graph.PhaseGraph`
-in its deterministic order and pushes each enabled phase through a
-middleware onion::
+in its deterministic order and runs each enabled phase through
+:meth:`Executor._run_phase`, the one place the cross-cutting concerns
+live:
 
-    SpanMiddleware( JournalMiddleware( [ProfileMiddleware(]
-        CacheMiddleware( WorkerPolicy( compute ) ) [)] ) )
+- the phase span, with the phase's result annotations;
+- opt-in resource profiling, when the executor was given a
+  :class:`~repro.obs.profile.PhaseProfiler`;
+- :class:`~repro.artifacts.cache.PhaseCache` fetch/save, when the
+  phase declares a ``cache_key`` the executor has a key for;
+- the run-journal ``phase.start`` / ``phase.finish`` / ``phase.error``
+  records, whose ``duration_s`` is read off the closed span — the span
+  is the only timer, so the journal and the span tree cannot disagree.
 
-so cross-cutting concerns — the telemetry span with its annotations,
-the run-journal records, opt-in resource profiling (only present in
-the chain when requested), cache fetch/save, the worker-count policy
-— are written once here
-instead of being re-interleaved inline at every phase the way the
-pipeline used to. A disabled phase (``Phase.enabled`` false) skips the
-chain entirely and fills its slot via ``Phase.fallback``, untraced and
-uncached.
-
-Middleware contract: ``run(phase, ctx, call_next) -> value`` where
-``call_next(phase, ctx)`` invokes the rest of the chain. Innermost,
-the executor resolves the phase's declared inputs from the context's
-slot values and calls ``phase.compute(ctx, **inputs)``.
+An untraced phase runs the same way against the null tracer and the
+null journal. A disabled phase (``Phase.enabled`` false) skips the
+runner entirely and fills its slot via ``Phase.fallback``, untraced
+and uncached.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.engine.graph import PhaseGraph
 from repro.engine.phase import Phase
+from repro.obs import NULL_JOURNAL, NULL_TELEMETRY, NULL_TRACER
 
-__all__ = ["RunContext", "Middleware", "SpanMiddleware", "JournalMiddleware",
-           "ProfileMiddleware", "CacheMiddleware", "WorkerPolicy", "Executor"]
-
-
-class _NoSpan:
-    """Annotation sink for untraced phases (and tracerless contexts)."""
-
-    __slots__ = ()
-
-    def annotate(self, **meta) -> None:
-        pass
-
-
-_NO_SPAN = _NoSpan()
+__all__ = ["RunContext", "Executor"]
 
 
 class RunContext:
     """Everything one graph run threads through its phases.
 
     - ``values``: output slot -> produced value (sources pre-seeded);
-    - ``params``: run knobs the computes and middleware read (config,
-      worker count, the fault injector, progress callbacks, ...);
-    - ``telemetry`` / ``tracer``: the run's :mod:`repro.obs` bundle;
-    - ``span``: the innermost phase span while one is open (a no-op
-      sink otherwise), so computes can annotate without branching;
-    - ``root``: the run's root span when the executor opened one.
+    - ``params``: run knobs the computes read (config, worker count,
+      the fault injector, progress callbacks, ...);
+    - ``telemetry``: the run's :mod:`repro.obs` bundle.
     """
 
     def __init__(self, telemetry=None, params: Optional[Mapping] = None):
-        from repro.obs import NULL_TELEMETRY
-
         self.telemetry = telemetry or NULL_TELEMETRY
-        self.tracer = self.telemetry.tracer
         self.params: Dict[str, object] = dict(params or {})
         self.values: Dict[str, object] = {}
-        self.span = _NO_SPAN
-        self.root = _NO_SPAN
-        #: names of phases satisfied from the cache this run.
-        self.cached_phases: set = set()
 
     def __getitem__(self, slot: str):
         return self.values[slot]
@@ -76,165 +52,71 @@ class RunContext:
         return slot in self.values
 
 
-class Middleware:
-    """Base middleware: pass-through."""
+class Executor:
+    """Runs a :class:`PhaseGraph`, one phase runner for every node.
 
-    def run(self, phase: Phase, ctx: RunContext, call_next: Callable):
-        return call_next(phase, ctx)
-
-
-class SpanMiddleware(Middleware):
-    """Opens the phase's span and applies its result annotations.
-
-    Untraced phases pass straight through. The span is exposed as
-    ``ctx.span`` for the inner chain (the cache middleware stamps
-    ``cached=True`` on it; computes may annotate freely).
+    ``cache`` is an optional :class:`~repro.artifacts.cache.PhaseCache`
+    and ``keys`` maps ``Phase.cache_key`` names to concrete cache keys;
+    ``profiler`` is an optional
+    :class:`~repro.obs.profile.PhaseProfiler`.
     """
 
-    def run(self, phase: Phase, ctx: RunContext, call_next: Callable):
-        if not phase.traced:
-            return call_next(phase, ctx)
-        with ctx.tracer.span(phase.name) as span:
-            previous, ctx.span = ctx.span, span
-            try:
-                result = call_next(phase, ctx)
-                span.annotate(**phase.annotations(result, ctx))
-            finally:
-                ctx.span = previous
-        return result
-
-
-class JournalMiddleware(Middleware):
-    """Emits ``phase.start`` / ``phase.finish`` journal records.
-
-    Reads the journal off ``ctx.telemetry.journal`` (the default
-    :data:`~repro.obs.journal.NULL_JOURNAL` short-circuits to a
-    pass-through), so the same middleware instance serves journaled and
-    unjournaled runs. ``phase.finish`` carries the wall duration (from
-    the telemetry clock) and whether the phase was satisfied from the
-    cache; a raising phase gets ``phase.error`` instead, with the
-    exception type, so the journal's last record names what killed the
-    run. Untraced phases are skipped, keeping the journal's phase set
-    identical to the span tree's.
-    """
-
-    def run(self, phase: Phase, ctx: RunContext, call_next: Callable):
-        journal = ctx.telemetry.journal
-        if not journal.enabled or not phase.traced:
-            return call_next(phase, ctx)
-        clock = ctx.telemetry.clock
-        journal.emit("phase.start", phase=phase.name)
-        started = clock.now()
-        try:
-            result = call_next(phase, ctx)
-        except BaseException as exc:
-            journal.emit("phase.error", phase=phase.name,
-                         duration_s=round(clock.now() - started, 6),
-                         error=type(exc).__name__)
-            raise
-        journal.emit("phase.finish", phase=phase.name,
-                     duration_s=round(clock.now() - started, 6),
-                     cached=phase.name in ctx.cached_phases)
-        return result
-
-
-class ProfileMiddleware(Middleware):
-    """Wraps traced phases in a
-    :class:`~repro.obs.profile.PhaseProfiler` measurement.
-
-    Only ever inserted into a chain when profiling was requested —
-    ``run_study`` builds the chain without it otherwise, which is what
-    makes the disabled cost exactly zero rather than merely small.
-    """
-
-    def __init__(self, profiler):
-        self.profiler = profiler
-
-    def run(self, phase: Phase, ctx: RunContext, call_next: Callable):
-        if not phase.traced:
-            return call_next(phase, ctx)
-        with self.profiler.measure(phase.name):
-            return call_next(phase, ctx)
-
-
-class CacheMiddleware(Middleware):
-    """Fetch/save cacheable phases against a
-    :class:`~repro.artifacts.cache.PhaseCache`.
-
-    A hit skips the inner chain (the compute never runs) and stamps the
-    phase span ``cached=True``; a miss computes and saves best-effort.
-    Phases without a ``cache_key``, and runs without a cache, pass
-    through untouched.
-    """
-
-    def __init__(self, cache=None, keys: Optional[Mapping[str, str]] = None):
+    def __init__(self, graph: PhaseGraph, cache=None,
+                 keys: Optional[Mapping[str, str]] = None, profiler=None):
+        self.graph = graph
         self.cache = cache
         self.keys = dict(keys or {})
+        self.profiler = profiler
 
-    def run(self, phase: Phase, ctx: RunContext, call_next: Callable):
+    # -- one phase ------------------------------------------------------------
+
+    def _run_phase(self, phase: Phase, ctx: RunContext):
+        """Run one enabled phase under its span, and journal it."""
+        if phase.traced:
+            tracer, journal = ctx.telemetry.tracer, ctx.telemetry.journal
+            profiler = self.profiler
+        else:
+            tracer, journal, profiler = NULL_TRACER, NULL_JOURNAL, None
+        try:
+            with tracer.span(phase.name) as span:
+                journal.emit("phase.start", phase=phase.name)
+                if profiler is None:
+                    result, cached = self._fetch_or_compute(phase, ctx, span)
+                else:
+                    with profiler.measure(phase.name):
+                        result, cached = self._fetch_or_compute(
+                            phase, ctx, span)
+                span.annotate(**phase.annotations(result, ctx))
+        except BaseException as exc:
+            if journal.enabled:
+                journal.emit("phase.error", phase=phase.name,
+                             duration_s=round(span.duration, 6),
+                             error=type(exc).__name__)
+            raise
+        if journal.enabled:
+            journal.emit("phase.finish", phase=phase.name,
+                         duration_s=round(span.duration, 6), cached=cached)
+        return result
+
+    def _fetch_or_compute(self, phase: Phase, ctx: RunContext, span):
+        """``(value, cached)``: a cache hit, or a fresh compute (saved
+        when the phase is cacheable)."""
         key = (self.keys.get(phase.cache_key)
                if self.cache is not None and phase.cache_key else None)
-        if key is None:
-            return call_next(phase, ctx)
         dumps = loads = None
         if phase.serializer is not None:
             dumps, loads = phase.serializer
-        hit = self.cache.fetch(phase.cache_key, key, loads=loads)
-        if hit is not None:
-            ctx.span.annotate(cached=True)
-            ctx.cached_phases.add(phase.name)
-            return hit
-        result = call_next(phase, ctx)
-        self.cache.save(phase.cache_key, key, result, dumps=dumps)
-        return result
-
-
-class WorkerPolicy(Middleware):
-    """The worker-count policy, applied to ``parallel`` phases.
-
-    When ``serial`` is set (a chaos run: the fault injector's burst
-    state, fault log, and RNG streams live in one process), a parallel
-    phase asked for more than one worker is forced serial and ``warn``
-    is called once with no arguments.
-    """
-
-    def __init__(self, serial: bool = False,
-                 warn: Optional[Callable[[], None]] = None):
-        self.serial = serial
-        self.warn = warn
-
-    def run(self, phase: Phase, ctx: RunContext, call_next: Callable):
-        if (phase.parallel and self.serial
-                and ctx.params.get("n_workers", 1) != 1):
-            if self.warn is not None:
-                self.warn()
-            ctx.params["n_workers"] = 1
-        return call_next(phase, ctx)
-
-
-class Executor:
-    """Runs a :class:`PhaseGraph` through one middleware chain."""
-
-    def __init__(self, graph: PhaseGraph,
-                 middleware: Sequence[Middleware] = ()):
-        self.graph = graph
-        self.middleware = tuple(middleware)
-
-    # -- the chain ------------------------------------------------------------
-
-    def _compute(self, phase: Phase, ctx: RunContext):
-        """Innermost link: resolve inputs, compute, fresh-annotate."""
+        if key is not None:
+            hit = self.cache.fetch(phase.cache_key, key, loads=loads)
+            if hit is not None:
+                span.annotate(cached=True)
+                return hit, True
         inputs = {slot: ctx.values[slot] for slot in phase.inputs}
         result = phase.compute(ctx, **inputs)
-        ctx.span.annotate(**phase.fresh_annotations(result, ctx))
-        return result
-
-    def _chain(self) -> Callable[[Phase, RunContext], object]:
-        call = self._compute
-        for mw in reversed(self.middleware):
-            def call(phase, ctx, _mw=mw, _next=call):
-                return _mw.run(phase, ctx, _next)
-        return call
+        span.annotate(**phase.fresh_annotations(result, ctx))
+        if key is not None:
+            self.cache.save(phase.cache_key, key, result, dumps=dumps)
+        return result, False
 
     # -- running --------------------------------------------------------------
 
@@ -247,9 +129,8 @@ class Executor:
 
         ``sources`` seeds declared source slots with values. With
         ``root_span`` set, the whole run nests under one span of that
-        name (annotated with ``root_meta``), exposed as ``ctx.root``
-        for run-level annotations. Returns ``ctx.values`` — every slot
-        produced, keyed by name.
+        name (annotated with ``root_meta``). Returns ``ctx.values`` —
+        every slot produced, keyed by name.
         """
         for slot, value in (sources or {}).items():
             if slot not in self.graph.sources:
@@ -259,20 +140,14 @@ class Executor:
             ctx.values[slot] = value
         order = (self.graph.order if targets is None
                  else self.graph.subset(targets))
-        chain = self._chain()
         if root_span is not None:
-            with ctx.tracer.span(root_span, **(root_meta or {})) as root:
-                ctx.root = root
-                try:
-                    self._run_order(order, ctx, chain)
-                finally:
-                    ctx.root = _NO_SPAN
+            with ctx.telemetry.tracer.span(root_span, **(root_meta or {})):
+                self._run_order(order, ctx)
         else:
-            self._run_order(order, ctx, chain)
+            self._run_order(order, ctx)
         return ctx.values
 
-    def _run_order(self, order: Iterable[Phase], ctx: RunContext,
-                   chain: Callable) -> None:
+    def _run_order(self, order: Iterable[Phase], ctx: RunContext) -> None:
         for phase in order:
             missing = [s for s in phase.inputs if s not in ctx.values]
             if missing:
@@ -280,7 +155,7 @@ class Executor:
                     f"phase {phase.name!r} is missing input value(s) "
                     f"{missing}; seed them via run(sources=...)")
             if phase.is_enabled(ctx):
-                value = chain(phase, ctx)
+                value = self._run_phase(phase, ctx)
             else:
                 inputs = {slot: ctx.values[slot] for slot in phase.inputs}
                 value = phase.substitute(ctx, **inputs)

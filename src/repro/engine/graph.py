@@ -170,8 +170,6 @@ class PhaseGraph:
             flags = []
             if phase.cache_key:
                 flags.append("cached")
-            if phase.parallel:
-                flags.append("parallel")
             if not phase.traced:
                 flags.append("untraced")
             if phase.enabled is not None:

@@ -1,11 +1,11 @@
 """The declarative unit of the engine: one named pipeline phase.
 
 A :class:`Phase` declares *what* a stage is — its name, the output slot
-it provides, the slots it consumes, whether it is traced, cacheable, or
-parallel — while the :class:`~repro.engine.executor.Executor` decides
-*how* every stage runs (spans, cache traffic, worker policy) through
-one shared middleware chain. The pipeline itself never repeats that
-plumbing per phase; it only declares nodes.
+it provides, the slots it consumes, whether it is traced or cacheable —
+while the :class:`~repro.engine.executor.Executor` decides *how* every
+stage runs (span, journal records, profiling, cache traffic) in its one
+phase runner. The pipeline itself never repeats that plumbing per
+phase; it only declares nodes.
 
 A phase's ``compute`` receives the run context followed by its declared
 inputs as keyword arguments::
@@ -56,11 +56,8 @@ class Phase:
     #: name of this phase's entry in the executor's fingerprint-key map;
     #: ``None`` means the phase is never cached.
     cache_key: Optional[str] = None
-    #: optional ``(dumps, loads)`` override for the cache middleware.
+    #: optional ``(dumps, loads)`` override for the phase cache.
     serializer: Optional[Tuple[Callable, Callable]] = None
-    #: the phase shards across workers, so the worker-count policy
-    #: (e.g. "chaos forces serial") applies to it.
-    parallel: bool = False
     #: gate on the run context; a disabled phase runs ``fallback``.
     enabled: Optional[Callable] = None
     #: untraced/uncached substitute used when ``enabled(ctx)`` is false.
@@ -95,8 +92,6 @@ class Phase:
         flags = []
         if self.cache_key:
             flags.append("cached")
-        if self.parallel:
-            flags.append("parallel")
         if not self.traced:
             flags.append("untraced")
         suffix = f" [{','.join(flags)}]" if flags else ""

@@ -1,15 +1,16 @@
 """Partial plans: what a subset run will compute, fetch, reuse, skip.
 
 The executor's ``targets=`` parameter restricts a run to a subset of
-the graph (:meth:`PhaseGraph.subset`), and :class:`CacheMiddleware`
-satisfies cached phases without computing them — but neither says *in
-advance* which phases a run will actually execute. :func:`partial_plan`
+the graph (:meth:`PhaseGraph.subset`), and an executor given a
+:class:`~repro.artifacts.cache.PhaseCache` satisfies cached phases
+without computing them — but neither says *in advance* which phases a
+run will actually execute. :func:`partial_plan`
 answers that, deterministically and without side effects, by combining
 the graph's dependency structure with a cache-membership predicate:
 
 - ``reuse``  — a target already cached; nothing upstream of it runs;
-- ``fetch``  — a cached phase a missing target depends on (the cache
-  middleware will deserialize it instead of computing);
+- ``fetch``  — a cached phase a missing target depends on (the
+  executor will deserialize it instead of computing);
 - ``compute`` — a missing (or uncacheable) phase that must run;
 - ``skip``   — an ancestor no missing phase needs.
 
@@ -56,7 +57,7 @@ def partial_plan(graph: PhaseGraph, targets,
         cached[phase.name] = key is not None and has(key)
     # A missing target must run; walking the order backwards pulls in
     # the dependencies of everything that must run, stopping at cached
-    # phases (the middleware fetches those instead of recursing).
+    # phases (the executor fetches those instead of recursing).
     needed = {name for name in targets if not cached[name]}
     for phase in reversed(order):
         if phase.name in needed and not cached[phase.name]:

@@ -32,9 +32,11 @@ Event types
     emitted by ``run_study`` around the whole pipeline (config summary
     on start; degradation flags on finish).
 ``phase.start`` / ``phase.finish`` / ``phase.error``
-    emitted by :class:`repro.engine.JournalMiddleware` for every traced
-    node of the study graph and every lazy ``analysis.*`` descriptor;
-    ``phase.finish`` carries ``duration_s`` and ``cached``.
+    emitted by the phase runner of :class:`repro.engine.Executor` for
+    every traced node of the study graph and every lazy ``analysis.*``
+    descriptor; ``phase.finish`` carries ``duration_s`` and ``cached``.
+    The duration is the phase span's, rounded to 6 places: the span is
+    the only timer, so a journal needs an enabled tracer.
 ``cache.hit`` / ``cache.miss`` / ``cache.save``
     emitted by :class:`repro.artifacts.PhaseCache`.
 ``chaos.fault``

@@ -1,7 +1,8 @@
 """Opt-in per-phase resource profiling: CPU, peak RSS, allocations.
 
-A :class:`PhaseProfiler` wraps each traced phase (via
-:class:`repro.engine.ProfileMiddleware`) and publishes what it cost as
+A :class:`PhaseProfiler` wraps each traced phase (the
+:class:`repro.engine.Executor` measures every phase it was given a
+profiler for) and publishes what it cost as
 ``repro.profile.*`` gauges, labeled ``{phase=...}``:
 
 ================================  =============================================
@@ -18,16 +19,15 @@ A :class:`PhaseProfiler` wraps each traced phase (via
                                   starting point, in KiB
 ================================  =============================================
 
-The zero-overhead contract
---------------------------
+The near-zero-overhead contract
+-------------------------------
 
-Profiling is **off by default** and its cost when off is exactly zero:
-``run_study`` only inserts the middleware (and only starts
-``tracemalloc``) when asked to profile, so an unprofiled run executes
-not one extra instruction in the phase path — no disabled-check per
-phase, no tracing hooks, nothing. Tests assert that an unprofiled run
-records no ``repro.profile.*`` series and leaves ``tracemalloc``
-untracing.
+Profiling is **off by default** and its cost when off is one ``is
+None`` test per phase: ``run_study`` only builds a profiler (and only
+starts ``tracemalloc``) when asked to profile, and the executor's
+phase runner skips ``measure`` when it has none — no tracing hooks, no
+gauges, nothing else. Tests assert that an unprofiled run records no
+``repro.profile.*`` series and leaves ``tracemalloc`` untracing.
 
 When profiling *is* on, outputs still don't move: the profiler draws
 nothing from any seeded RNG and publishes only into the telemetry

@@ -15,9 +15,10 @@ The default tracer in the pipeline is :data:`NULL_TRACER`, whose spans
 are a shared no-op — instrumented code never branches on enablement.
 
 Pipeline phase spans (``study``'s children, ``analysis.*`` roots) are
-opened by :class:`repro.engine.SpanMiddleware` rather than inline
-``tracer.span(...)`` calls — one code path annotates every node of the
-study graph.
+opened by the phase runner of :class:`repro.engine.Executor` rather
+than inline ``tracer.span(...)`` calls — one code path annotates every
+node of the study graph, and the run journal's ``phase.*`` durations
+are read off the same spans.
 """
 
 from __future__ import annotations

@@ -98,12 +98,18 @@ class RunTelemetry:
         """Attach a :class:`~repro.obs.journal.RunJournal` to this run.
 
         The shared :data:`NULL_TELEMETRY` refuses an enabled journal —
-        it is a process-wide singleton and must stay inert.
+        it is a process-wide singleton and must stay inert. So does a
+        bundle with a null tracer: the journal's ``phase.*`` durations
+        are read off the phase spans, so a journal needs real ones.
         """
         if journal.enabled and self is NULL_TELEMETRY:
             raise ValueError(
                 "cannot attach a journal to the shared NULL_TELEMETRY; "
                 "use RunTelemetry.create()")
+        if journal.enabled and not self.tracer.enabled:
+            raise ValueError(
+                "cannot attach a journal to a telemetry bundle with a "
+                "null tracer: phase durations are read off its spans")
         self.journal = journal
 
     # -- exposition -----------------------------------------------------------

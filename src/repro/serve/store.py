@@ -10,10 +10,10 @@ independently-invalidated day shards.
 
 :meth:`build` is incremental by construction: it plans each day with
 :func:`repro.engine.partial_plan`, dispatches the executor only for
-the day's *missing* pipeline partitions (cache middleware fetches the
-rest), and assembles events partitions from cached neighbours. A
-fully-warm day costs one ``has()`` probe per phase; after editing one
-day's schedule (:func:`scale_attacks_on_day`,
+the day's *missing* pipeline partitions (the executor fetches the rest
+from the cache), and assembles events partitions from cached
+neighbours. A fully-warm day costs one ``has()`` probe per phase;
+after editing one day's schedule (:func:`scale_attacks_on_day`,
 ``ShardedStudyStore(..., edit=...)``) only the invalidated day chains
 re-execute — the property the serve tests assert byte-for-byte.
 
@@ -38,9 +38,7 @@ from repro.artifacts.fingerprint import (attacks_starting_on, catalog_key,
 from repro.core.events import extract_events
 from repro.core.nsset import NSSetMetadata
 from repro.core.pipeline import STUDY_GRAPH
-from repro.engine import (CacheMiddleware, Executor, JournalMiddleware,
-                          RunContext, SpanMiddleware, WorkerPolicy,
-                          partial_plan)
+from repro.engine import Executor, RunContext, partial_plan
 from repro.obs import NULL_TELEMETRY, RunTelemetry
 from repro.openintel.storage import MeasurementStore
 from repro.util.rng import derive_rng, derive_seed
@@ -280,10 +278,8 @@ class ShardedStudyStore:
             "telescope_jitter_seed": jitter,
             "crawl_window": (day, day + DAY),
         })
-        middleware = [SpanMiddleware(), JournalMiddleware(),
-                      CacheMiddleware(self.cache, plan.keys),
-                      WorkerPolicy()]
-        Executor(STUDY_GRAPH, middleware=middleware).run(ctx, targets=targets)
+        Executor(STUDY_GRAPH, cache=self.cache, keys=plan.keys).run(
+            ctx, targets=targets)
 
     def _build_events_day(self, plan: DayPlan,
                           report: BuildReport) -> None:

@@ -1,9 +1,8 @@
-"""Executor + middleware semantics, on synthetic graphs.
+"""Executor semantics, on synthetic graphs.
 
-The span middleware traces every traced node (and only those), the
-cache middleware skips computes on hits and saves on misses, the
-worker policy forces parallel phases serial with a warning, and
-disabled phases fall back untraced and uncached.
+The phase runner traces every traced node (and only those), journals
+each with its span's duration, skips computes on cache hits and saves
+on misses, and disabled phases fall back untraced and uncached.
 """
 
 import pytest
@@ -11,16 +10,13 @@ import pytest
 from repro.artifacts.store import ArtifactStore
 from repro.artifacts.cache import PhaseCache
 from repro.engine import (
-    CacheMiddleware,
     Executor,
     Phase,
     PhaseGraph,
     RunContext,
-    SpanMiddleware,
-    WorkerPolicy,
     cached_analysis,
 )
-from repro.obs import RunTelemetry
+from repro.obs import FakeClock, RunJournal, RunTelemetry, read_journal
 
 
 def _graph():
@@ -72,10 +68,10 @@ class TestExecution:
             RunContext(params={"on": True}))["maybe"] == "computed"
 
 
-class TestSpanMiddleware:
+class TestPhaseSpans:
     def _run(self, telemetry):
         ctx = RunContext(telemetry=telemetry)
-        Executor(_graph(), middleware=(SpanMiddleware(),)).run(
+        Executor(_graph()).run(
             ctx, sources={"seed": 3}, root_span="root",
             root_meta={"k": "v"})
 
@@ -100,11 +96,51 @@ class TestSpanMiddleware:
                   enabled=lambda ctx: False, fallback=lambda ctx: 2),
         ])
         ctx = RunContext(telemetry=telemetry)
-        Executor(graph, middleware=(SpanMiddleware(),)).run(ctx)
+        Executor(graph).run(ctx)
         assert telemetry.tracer.roots == []
 
+    def test_journal_durations_are_the_span_durations(self, tmp_path):
+        clock = FakeClock()
+        telemetry = RunTelemetry.create(clock=clock)
+        path = tmp_path / "run.jsonl"
+        telemetry.attach_journal(RunJournal(path, clock=clock))
+        graph = PhaseGraph([
+            Phase("slow", compute=lambda ctx: clock.advance(1.25)),
+            Phase("quiet", compute=lambda ctx: clock.advance(9.0),
+                  traced=False),
+        ])
+        Executor(graph).run(RunContext(telemetry=telemetry))
+        telemetry.journal.close()
+        records = [r for r in read_journal(path)
+                   if r["type"].startswith("phase.")]
+        assert [(r["type"], r["phase"]) for r in records] == [
+            ("phase.start", "slow"), ("phase.finish", "slow")]
+        assert records[1]["duration_s"] == 1.25
+        assert telemetry.tracer.roots[0].duration == 1.25
 
-class TestCacheMiddleware:
+    def test_a_raising_phase_journals_its_span_duration(self, tmp_path):
+        clock = FakeClock()
+        telemetry = RunTelemetry.create(clock=clock)
+        path = tmp_path / "run.jsonl"
+        telemetry.attach_journal(RunJournal(path, clock=clock))
+
+        def boom(ctx):
+            clock.advance(0.5)
+            raise ZeroDivisionError
+
+        graph = PhaseGraph([Phase("boom", compute=boom)])
+        with pytest.raises(ZeroDivisionError):
+            Executor(graph).run(RunContext(telemetry=telemetry))
+        telemetry.journal.close()
+        error = next(r for r in read_journal(path)
+                     if r["type"] == "phase.error")
+        assert error["phase"] == "boom"
+        assert error["error"] == "ZeroDivisionError"
+        assert error["duration_s"] == \
+            round(telemetry.tracer.roots[0].duration, 6) == 0.5
+
+
+class TestPhaseCache:
     @pytest.fixture()
     def cache(self, tmp_path):
         return PhaseCache(ArtifactStore(str(tmp_path)))
@@ -119,27 +155,31 @@ class TestCacheMiddleware:
                   cache_key="work", serializer=serializer),
         ])
 
-    def test_miss_computes_and_saves_then_hit_skips(self, cache):
+    def test_miss_computes_and_saves_then_hit_skips(self, cache, tmp_path):
         ran = []
         graph = self._graph(ran)
         keys = {"work": "ab" * 32}
-        mw = (SpanMiddleware(), CacheMiddleware(cache, keys))
-        ctx1 = RunContext(telemetry=RunTelemetry.create())
-        v1 = Executor(graph, middleware=mw).run(ctx1)["work"]
-        ctx2 = RunContext(telemetry=RunTelemetry.create())
-        v2 = Executor(graph, middleware=mw).run(ctx2)["work"]
+        finishes = []
+        for n in (1, 2):
+            telemetry = RunTelemetry.create()
+            path = tmp_path / f"run{n}.jsonl"
+            telemetry.attach_journal(RunJournal(path))
+            value = Executor(graph, cache=cache, keys=keys).run(
+                RunContext(telemetry=telemetry))["work"]
+            assert value == [1, 2]
+            telemetry.journal.close()
+            finishes += [r for r in read_journal(path)
+                         if r["type"] == "phase.finish"]
         assert ran == ["work"]  # second run never computed
-        assert v1 == v2 == [1, 2]
-        assert ctx1.cached_phases == set()
-        assert ctx2.cached_phases == {"work"}
+        assert [r["cached"] for r in finishes] == [False, True]
 
     def test_hit_annotates_the_span_cached(self, cache):
         graph = self._graph([])
         keys = {"work": "cd" * 32}
-        mw = (SpanMiddleware(), CacheMiddleware(cache, keys))
-        Executor(graph, middleware=mw).run(RunContext())
+        Executor(graph, cache=cache, keys=keys).run(RunContext())
         telemetry = RunTelemetry.create()
-        Executor(graph, middleware=mw).run(RunContext(telemetry=telemetry))
+        Executor(graph, cache=cache, keys=keys).run(
+            RunContext(telemetry=telemetry))
         span = telemetry.tracer.roots[0]
         assert span.meta.get("cached") is True
 
@@ -148,50 +188,18 @@ class TestCacheMiddleware:
         graph = PhaseGraph([
             Phase("plain", compute=lambda ctx: ran.append(1) or "x"),
         ])
-        mw = (CacheMiddleware(cache, {"plain": "ee" * 32}),)
-        Executor(graph, middleware=mw).run(RunContext())
-        Executor(graph, middleware=mw).run(RunContext())
+        executor = Executor(graph, cache=cache, keys={"plain": "ee" * 32})
+        executor.run(RunContext())
+        executor.run(RunContext())
         assert len(ran) == 2  # no cache_key declared -> never cached
 
     def test_no_cache_is_a_noop(self):
         ran = []
         graph = self._graph(ran)
-        mw = (CacheMiddleware(None, {"work": "ff" * 32}),)
-        Executor(graph, middleware=mw).run(RunContext())
-        Executor(graph, middleware=mw).run(RunContext())
+        executor = Executor(graph, cache=None, keys={"work": "ff" * 32})
+        executor.run(RunContext())
+        executor.run(RunContext())
         assert len(ran) == 2
-
-
-class TestWorkerPolicy:
-    def _graph(self, seen):
-        return PhaseGraph([
-            Phase("shard",
-                  compute=lambda ctx: seen.append(ctx.params["n_workers"]),
-                  parallel=True),
-            Phase("serialish", compute=lambda ctx: None),
-        ])
-
-    def test_serial_policy_forces_one_worker_and_warns(self):
-        seen, warned = [], []
-        mw = (WorkerPolicy(serial=True, warn=lambda: warned.append(1)),)
-        ctx = RunContext(params={"n_workers": 4})
-        Executor(self._graph(seen), middleware=mw).run(ctx)
-        assert seen == [1]
-        assert warned == [1]
-
-    def test_serial_policy_is_quiet_at_one_worker(self):
-        seen, warned = [], []
-        mw = (WorkerPolicy(serial=True, warn=lambda: warned.append(1)),)
-        Executor(self._graph(seen), middleware=mw).run(
-            RunContext(params={"n_workers": 1}))
-        assert seen == [1] and warned == []
-
-    def test_parallel_allowed_when_not_serial(self):
-        seen = []
-        mw = (WorkerPolicy(serial=False, warn=None),)
-        Executor(self._graph(seen), middleware=mw).run(
-            RunContext(params={"n_workers": 4}))
-        assert seen == [4]
 
 
 class TestCachedAnalysis:

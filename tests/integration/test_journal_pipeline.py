@@ -9,7 +9,7 @@ analysis output stay byte-identical to an uninstrumented run.
 import pytest
 
 from repro import RunTelemetry, WorldConfig, run_study
-from repro.obs import read_journal
+from repro.obs import RunJournal, read_journal
 
 CONFIG = WorldConfig.tiny()
 N_WORKERS = 4
@@ -99,6 +99,49 @@ class TestJournalContents:
         assert seqs == list(range(len(records)))
         ts = [r["t"] for r in records]
         assert ts == sorted(ts)
+
+
+class TestOneTimer:
+    """The journal's phase durations are read off the phase spans."""
+
+    @pytest.fixture(scope="class")
+    def attached(self, tmp_path_factory):
+        # Attached open, the way the CLI does, so the lazy analyses
+        # accessed after run_study returns are journaled too.
+        path = tmp_path_factory.mktemp("one-timer") / "run.jsonl"
+        telemetry = RunTelemetry.create()
+        telemetry.attach_journal(RunJournal(
+            path, run_id=telemetry.run_id, clock=telemetry.clock,
+            started_at_utc=telemetry.started_at_utc))
+        study = run_study(CONFIG, telemetry=telemetry,
+                          journal=telemetry.journal)
+        study.monthly
+        study.impact
+        telemetry.journal.close()
+        spans = {}
+        stack = [r for r in telemetry.tracer.roots if r.name != "study"]
+        stack += [c for r in telemetry.tracer.roots if r.name == "study"
+                  for c in r.children]
+        while stack:
+            span = stack.pop()
+            spans[span.name] = span
+            stack += span.children
+        return spans, read_journal(path)
+
+    def test_phase_set_is_the_traced_span_set(self, attached):
+        spans, records = attached
+        finished = {r["phase"] for r in records
+                    if r["type"] == "phase.finish"}
+        assert finished == set(spans)
+        assert {"analysis.monthly", "analysis.impact"} <= finished
+
+    def test_each_duration_is_its_span_duration(self, attached):
+        spans, records = attached
+        for record in records:
+            if record["type"] == "phase.finish":
+                span = spans[record["phase"]]
+                assert record["duration_s"] == round(span.duration, 6), \
+                    record["phase"]
 
 
 class TestDeterminism:

@@ -7,7 +7,10 @@ import pytest
 from repro.obs import (
     JOURNAL_SCHEMA,
     NULL_JOURNAL,
+    NULL_TELEMETRY,
+    NULL_TRACER,
     RunJournal,
+    RunTelemetry,
     phase_durations,
     read_journal,
 )
@@ -115,6 +118,21 @@ class TestNullJournal:
         NULL_JOURNAL.emit("anything", x=1)
         NULL_JOURNAL.close()
         assert NULL_JOURNAL.bind(incarnation=1) is NULL_JOURNAL
+
+
+class TestAttach:
+    """A journal reads its phase durations off the spans, so it needs
+    a bundle with an enabled tracer."""
+
+    def test_null_telemetry_refuses(self, journal):
+        with pytest.raises(ValueError, match="NULL_TELEMETRY"):
+            NULL_TELEMETRY.attach_journal(journal)
+
+    def test_null_tracer_refuses(self, journal):
+        telemetry = RunTelemetry(tracer=NULL_TRACER)
+        with pytest.raises(ValueError, match="null tracer"):
+            telemetry.attach_journal(journal)
+        assert telemetry.journal is NULL_JOURNAL
 
 
 class TestPhaseDurations:

@@ -1,5 +1,5 @@
-"""Per-phase resource profiling: the gauges and the zero-overhead-off
-contract."""
+"""Per-phase resource profiling: the gauges and the off-by-default
+contract (no series, no ``tracemalloc`` when unprofiled)."""
 
 import tracemalloc
 
