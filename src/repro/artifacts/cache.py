@@ -24,7 +24,7 @@ run's faults into every later run.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from repro.artifacts.serializers import PHASE_SERIALIZERS
 from repro.artifacts.store import ArtifactStore
@@ -62,15 +62,13 @@ class PhaseCache:
 
     # -- fetch / save ---------------------------------------------------------
 
-    def fetch(self, phase: str, key: str,
-              loads: Optional[Callable[[bytes], object]] = None):
+    def fetch(self, phase: str, key: str):
         """The cached artifact of ``phase`` under ``key``, or ``None``.
 
         A present-but-undeserializable blob counts as a miss (the
-        recompute will overwrite it); ``loads`` defaults to the phase's
-        registered serializer.
+        recompute will overwrite it).
         """
-        loads = loads or PHASE_SERIALIZERS[phase][1]
+        loads = PHASE_SERIALIZERS[phase][1]
         journal = self.telemetry.journal
         data = self.store.get(key)
         if data is None:
@@ -89,11 +87,10 @@ class PhaseCache:
         journal.emit("cache.hit", phase=phase, key=key, bytes=len(data))
         return artifact
 
-    def save(self, phase: str, key: str, artifact: object,
-             dumps: Optional[Callable[[object], bytes]] = None) -> bool:
+    def save(self, phase: str, key: str, artifact: object) -> bool:
         """Serialize and store a phase artifact; returns whether it was
         written. Unserializable artifacts are skipped, not fatal."""
-        dumps = dumps or PHASE_SERIALIZERS[phase][0]
+        dumps = PHASE_SERIALIZERS[phase][0]
         try:
             data = dumps(artifact)
         except ValueError:

@@ -15,7 +15,7 @@ on, and *nothing* else:
 - the keys of its upstream phases (``join`` chains ``telescope``;
   ``events`` chains ``join`` and ``crawl``).
 
-Worker count, telemetry, and progress callbacks are deliberately
+Worker count and telemetry are deliberately
 absent: the crawl is bit-for-bit worker-count-invariant (PR 2) and
 telemetry observes without perturbing (PR 3), so neither can change a
 phase's output. Chaos runs never consult the cache at all (see

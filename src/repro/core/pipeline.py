@@ -2,7 +2,8 @@
 
 The pipeline is *declared*, not hand-wired: every stage — world build,
 telescope, crawl, chaos damage, feed hardening, join, event extraction
-— is a :class:`repro.engine.Phase` node of :data:`STUDY_GRAPH`, and
+— is a :class:`repro.engine.Phase` node of :data:`STUDY_GRAPH`, listed
+in the order it runs (each phase after the phases it consumes), and
 ``run_study`` is a thin facade that executes that graph through the
 :class:`repro.engine.Executor`. Cross-cutting concerns (telemetry
 spans, journal records, profiling,
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional, Union
 
 if TYPE_CHECKING:  # avoid a core <-> chaos/artifacts import cycle at runtime
     from repro.artifacts.cache import PhaseCache
@@ -179,8 +180,7 @@ def _run_crawl(ctx: RunContext, world: World) -> MeasurementStore:
     # crawl (the default) is unchanged.
     start, end = ctx.params.get("crawl_window") or (None, None)
     store = platform.run_parallel(ctx.params.get("n_workers", 1),
-                                  start=start, end=end,
-                                  progress=ctx.params.get("progress"))
+                                  start=start, end=end)
     if platform.stats is not None:
         platform.stats.publish(ctx.telemetry.registry)
     return store
@@ -343,7 +343,7 @@ STUDY_PHASES = (
           doc="publish repro.store.* totals to the run's registry"),
 )
 
-#: The validated Figure-1 dataflow, in deterministic topological order.
+#: The validated Figure-1 dataflow; phases run in the order declared.
 STUDY_GRAPH = PhaseGraph(STUDY_PHASES, name="study")
 
 
@@ -517,7 +517,6 @@ def _open_phase_cache(cache, config: WorldConfig, world: Optional[World],
 
 def run_study(config: Optional[WorldConfig] = None,
               world: Optional[World] = None,
-              progress: Optional[Callable[[int, int], None]] = None,
               install_scenarios: bool = True,
               chaos: Optional["ChaosConfig"] = None,
               n_workers: int = 1,
@@ -613,7 +612,6 @@ def run_study(config: Optional[WorldConfig] = None,
         "injector": injector,
         "install_scenarios": install_scenarios,
         "n_workers": n_workers,
-        "progress": progress,
     })
     profiler = None
     if profile:

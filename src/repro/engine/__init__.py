@@ -5,11 +5,12 @@ crawl join into per-NSSet buckets, then fan out into the analyses.
 This package expresses that dataflow as data rather than procedure:
 
 - :class:`Phase` declares one node: name, input slots, output slot,
-  fingerprint key + serializer (cacheability), an enablement gate,
-  span annotations;
-- :class:`PhaseGraph` validates the declarations at build time — cycle
-  detection (the cycle is named), unknown-input errors, duplicate
-  outputs — and fixes a deterministic topological order;
+  fingerprint key (cacheability), an enablement gate, span
+  annotations;
+- :class:`PhaseGraph` validates the declarations at build time:
+  declaration order is the execution order, so a node consuming a
+  slot no earlier node or source provides is rejected (naming the
+  node and the slot), as are duplicate names and outputs;
 - :class:`Executor` runs every node through one phase runner, so the
   telemetry span, journal records (timed by that span), opt-in
   profiling and cache fetch/save are applied uniformly to every node
@@ -23,25 +24,14 @@ engine. ``python -m repro graph`` prints the declared DAG.
 
 from repro.engine.analysis import analyses_of, analysis_graph, cached_analysis
 from repro.engine.executor import Executor, RunContext
-from repro.engine.graph import (
-    CycleError,
-    DuplicateNodeError,
-    PhaseGraph,
-    PhaseGraphError,
-    UnknownInputError,
-)
+from repro.engine.graph import DuplicateNodeError, PhaseGraph, PhaseGraphError
 from repro.engine.phase import Phase
-from repro.engine.plan import PhasePlan, partial_plan
 
 __all__ = [
     "Phase",
-    "PhasePlan",
-    "partial_plan",
     "PhaseGraph",
     "PhaseGraphError",
     "DuplicateNodeError",
-    "UnknownInputError",
-    "CycleError",
     "RunContext",
     "Executor",
     "cached_analysis",

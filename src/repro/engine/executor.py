@@ -1,7 +1,7 @@
 """The engine's executor: one phase runner, applied to every node.
 
 The :class:`Executor` walks a :class:`~repro.engine.graph.PhaseGraph`
-in its deterministic order and runs each enabled phase through
+in declaration order and runs each enabled phase through
 :meth:`Executor._run_phase`, the one place the cross-cutting concerns
 live:
 
@@ -16,8 +16,8 @@ live:
 
 An untraced phase runs the same way against the null tracer and the
 null journal. A disabled phase (``Phase.enabled`` false) skips the
-runner entirely and fills its slot via ``Phase.fallback``, untraced
-and uncached.
+runner entirely and fills its slot via ``Phase.fallback`` (or
+``None``), untraced and uncached.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class RunContext:
 
     - ``values``: output slot -> produced value (sources pre-seeded);
     - ``params``: run knobs the computes read (config, worker count,
-      the fault injector, progress callbacks, ...);
+      the fault injector, ...);
     - ``telemetry``: the run's :mod:`repro.obs` bundle.
     """
 
@@ -44,12 +44,6 @@ class RunContext:
         self.telemetry = telemetry or NULL_TELEMETRY
         self.params: Dict[str, object] = dict(params or {})
         self.values: Dict[str, object] = {}
-
-    def __getitem__(self, slot: str):
-        return self.values[slot]
-
-    def __contains__(self, slot: str) -> bool:
-        return slot in self.values
 
 
 class Executor:
@@ -103,11 +97,8 @@ class Executor:
         when the phase is cacheable)."""
         key = (self.keys.get(phase.cache_key)
                if self.cache is not None and phase.cache_key else None)
-        dumps = loads = None
-        if phase.serializer is not None:
-            dumps, loads = phase.serializer
         if key is not None:
-            hit = self.cache.fetch(phase.cache_key, key, loads=loads)
+            hit = self.cache.fetch(phase.cache_key, key)
             if hit is not None:
                 span.annotate(cached=True)
                 return hit, True
@@ -115,7 +106,7 @@ class Executor:
         result = phase.compute(ctx, **inputs)
         span.annotate(**phase.fresh_annotations(result, ctx))
         if key is not None:
-            self.cache.save(phase.cache_key, key, result, dumps=dumps)
+            self.cache.save(phase.cache_key, key, result)
         return result, False
 
     # -- running --------------------------------------------------------------
@@ -138,7 +129,7 @@ class Executor:
                     f"{slot!r} is not a declared source of graph "
                     f"{self.graph.name!r}")
             ctx.values[slot] = value
-        order = (self.graph.order if targets is None
+        order = (self.graph.phases if targets is None
                  else self.graph.subset(targets))
         if root_span is not None:
             with ctx.telemetry.tracer.span(root_span, **(root_meta or {})):
@@ -154,9 +145,11 @@ class Executor:
                 raise KeyError(
                     f"phase {phase.name!r} is missing input value(s) "
                     f"{missing}; seed them via run(sources=...)")
-            if phase.is_enabled(ctx):
+            if phase.enabled is None or phase.enabled(ctx):
                 value = self._run_phase(phase, ctx)
-            else:
+            elif phase.fallback is not None:
                 inputs = {slot: ctx.values[slot] for slot in phase.inputs}
-                value = phase.substitute(ctx, **inputs)
+                value = phase.fallback(ctx, **inputs)
+            else:
+                value = None
             ctx.values[phase.provides] = value

@@ -20,8 +20,9 @@ Optional knobs:
   ``fallback`` — executed untraced and uncached, so clean runs carry no
   trace of the disabled stage.
 - ``cache_key`` names the entry in the executor's fingerprint-key map;
-  a phase with no ``cache_key`` is never cached. ``serializer``
-  optionally overrides the phase-registry ``(dumps, loads)`` pair.
+  a phase with no ``cache_key`` is never cached; a cached phase's
+  artifact goes through the phase-registry ``(dumps, loads)`` pair
+  (:data:`repro.artifacts.serializers.PHASE_SERIALIZERS`).
 - ``annotations`` / ``fresh_annotations`` produce span metadata from
   the result; ``fresh_annotations`` is skipped on a cache hit (a cached
   crawl reports its row count, not a worker count it never used).
@@ -56,11 +57,10 @@ class Phase:
     #: name of this phase's entry in the executor's fingerprint-key map;
     #: ``None`` means the phase is never cached.
     cache_key: Optional[str] = None
-    #: optional ``(dumps, loads)`` override for the phase cache.
-    serializer: Optional[Tuple[Callable, Callable]] = None
     #: gate on the run context; a disabled phase runs ``fallback``.
     enabled: Optional[Callable] = None
-    #: untraced/uncached substitute used when ``enabled(ctx)`` is false.
+    #: untraced/uncached substitute used when ``enabled(ctx)`` is false
+    #: (a disabled phase without one provides ``None``).
     fallback: Optional[Callable] = None
     #: span metadata derived from the result (applied on hit and miss).
     annotations: Callable = field(default=_no_annotations)
@@ -77,16 +77,6 @@ class Phase:
         if self.provides is None:
             object.__setattr__(self, "provides", self.name)
         object.__setattr__(self, "inputs", tuple(self.inputs))
-
-    def is_enabled(self, ctx) -> bool:
-        """Whether the phase's real compute runs for this context."""
-        return True if self.enabled is None else bool(self.enabled(ctx))
-
-    def substitute(self, ctx, **inputs):
-        """The disabled-phase value: ``fallback`` or ``None``."""
-        if self.fallback is None:
-            return None
-        return self.fallback(ctx, **inputs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []

@@ -34,7 +34,7 @@ and nothing is dropped on the way in.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dns.rcode import ResponseStatus
 from repro.dns.resolver import AgnosticResolver, ResolverConfig
@@ -142,9 +142,8 @@ class OpenIntelPlatform:
 
     # -- the crawl ---------------------------------------------------------------
 
-    def run(self, start: Optional[int] = None, end: Optional[int] = None,
-            progress: Optional[Callable[[int, int], None]] = None
-            ) -> MeasurementStore:
+    def run(self, start: Optional[int] = None,
+            end: Optional[int] = None) -> MeasurementStore:
         """Measure every domain daily over [start, end); returns the store."""
         timeline = self.world.timeline
         start = day_start(start if start is not None else timeline.start)
@@ -159,10 +158,6 @@ class OpenIntelPlatform:
         add = store.add_fast
         dense_days_of = self.world.dense_days_of
         deadline = self.config.deadline_ms
-        span = end - start
-        # Count exactly the windows iter_days yields: a partial final
-        # day is still a crawled window, so round up, not down.
-        n_days = (span + DAY - 1) // DAY if span > 0 else 0
 
         # One private stream, reseeded per (domain, day): samples depend
         # only on the work unit's key, never on crawl order or sharding.
@@ -175,9 +170,7 @@ class OpenIntelPlatform:
         stats = self.stats
         try:
             shard, n_shards = self.shard
-            for day_idx, day in enumerate(iter_days(start, end)):
-                if progress is not None:
-                    progress(day_idx, n_days)
+            for day in iter_days(start, end):
                 day_name = str(day)
                 for record in (domains if n_shards == 1
                                else domains[shard::n_shards]):
@@ -228,9 +221,7 @@ class OpenIntelPlatform:
     # -- the multi-process crawl ----------------------------------------------
 
     def run_parallel(self, n_workers: int = 4, start: Optional[int] = None,
-                     end: Optional[int] = None,
-                     progress: Optional[Callable[[int, int], None]] = None
-                     ) -> MeasurementStore:
+                     end: Optional[int] = None) -> MeasurementStore:
         """Crawl with ``n_workers`` processes forked from this platform.
 
         Workers inherit the pre-built world and this platform's full
@@ -244,10 +235,6 @@ class OpenIntelPlatform:
         streams make each shard's samples order-independent, and the
         store's exact sums make the merge order-independent.
 
-        ``progress`` is reported at shard granularity —
-        ``progress(shards_done, n_workers)`` after each worker finishes
-        (the serial path reports per day).
-
         Stateful transports (e.g. the chaos injector's wrapper) must use
         the serial crawl: their draws and fault logs live in the parent
         and cannot be meaningfully merged across forked workers —
@@ -259,11 +246,11 @@ class OpenIntelPlatform:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if n_workers == 1:
-            return self.run(start, end, progress)
+            return self.run(start, end)
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():  # pragma: no cover
-            return self.run(start, end, progress)
+            return self.run(start, end)
         global _FORK_PARENT
         jobs = [(shard, n_workers, start, end) for shard in range(n_workers)]
         journal = self.telemetry.journal
@@ -287,8 +274,6 @@ class OpenIntelPlatform:
                                  shard=done - 1,
                                  rows=stats.rows if stats is not None
                                  else None)
-                    if progress is not None:
-                        progress(done, n_workers)
         finally:
             _FORK_PARENT = None
         return self.store

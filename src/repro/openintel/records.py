@@ -1,4 +1,4 @@
-"""Measurement record schema and serialization.
+"""Measurement record schema.
 
 A :class:`Measurement` is one resolution of one domain's NS RRset: the
 timestamp the worker issued it, the domain and its NSSet, the outcome
@@ -9,9 +9,7 @@ makes RTT the paper's impact signal.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
 
 from repro.dns.rcode import ResponseStatus
 
@@ -36,30 +34,3 @@ class Measurement:
     @property
     def ok(self) -> bool:
         return self.status is ResponseStatus.OK
-
-
-_FIELDS = ("ts", "domain_id", "nsset_id", "status", "rtt_ms", "n_attempts")
-
-
-def dump_measurements(measurements: Iterable[Measurement], fp: TextIO) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(_FIELDS)
-    for m in measurements:
-        writer.writerow([m.ts, m.domain_id, m.nsset_id, m.status.value,
-                         f"{m.rtt_ms:.3f}", m.n_attempts])
-
-
-def load_measurements(fp: TextIO) -> Iterator[Measurement]:
-    reader = csv.reader(fp)
-    header = next(reader, None)
-    if tuple(header or ()) != _FIELDS:
-        raise ValueError("unexpected measurement header")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(_FIELDS):
-            raise ValueError(f"line {lineno}: wrong field count")
-        yield Measurement(ts=int(row[0]), domain_id=int(row[1]),
-                          nsset_id=int(row[2]),
-                          status=ResponseStatus(row[3]),
-                          rtt_ms=float(row[4]), n_attempts=int(row[5]))

@@ -8,14 +8,14 @@ chained keys of :func:`repro.artifacts.fingerprint.day_keys`, so the
 store factors the monolithic study into independently-buildable,
 independently-invalidated day shards.
 
-:meth:`build` is incremental by construction: it plans each day with
-:func:`repro.engine.partial_plan`, dispatches the executor only for
-the day's *missing* pipeline partitions (the executor fetches the rest
-from the cache), and assembles events partitions from cached
-neighbours. A fully-warm day costs one ``has()`` probe per phase;
-after editing one day's schedule (:func:`scale_attacks_on_day`,
-``ShardedStudyStore(..., edit=...)``) only the invalidated day chains
-re-execute — the property the serve tests assert byte-for-byte.
+:meth:`build` is incremental by construction: it hands the executor
+only the day's *missing* pipeline partitions as targets (the executor
+fetches their cached ancestors and computes the rest), and assembles
+events partitions from cached neighbours. A fully-warm day costs one
+``has()`` probe per phase; after editing one day's schedule
+(:func:`scale_attacks_on_day`, ``ShardedStudyStore(..., edit=...)``)
+only the invalidated day chains re-execute — the property the serve
+tests assert byte-for-byte.
 
 Partition semantics are serve-specific, not byte-equal to a monolithic
 ``run_study``: each day's telescope runs on a fresh, day-derived RNG
@@ -38,7 +38,7 @@ from repro.artifacts.fingerprint import (attacks_starting_on, catalog_key,
 from repro.core.events import extract_events
 from repro.core.nsset import NSSetMetadata
 from repro.core.pipeline import STUDY_GRAPH
-from repro.engine import Executor, RunContext, partial_plan
+from repro.engine import Executor, RunContext
 from repro.obs import NULL_TELEMETRY, RunTelemetry
 from repro.openintel.storage import MeasurementStore
 from repro.util.rng import derive_rng, derive_seed
@@ -202,12 +202,11 @@ class ShardedStudyStore:
         """Bring every day partition into the cache, incrementally.
 
         Two passes: the pipeline partitions (telescope -> crawl ->
-        join) run per day through the executor with day-scoped keys —
-        :func:`repro.engine.partial_plan` decides what actually
-        executes — then events partitions are assembled from the
-        cached join + neighbouring crawl days. Warm partitions are
-        never recomputed, and untouched days' artifacts are never
-        rewritten.
+        join) run per day through the executor with day-scoped keys,
+        targeting only the day's missing partitions — then events
+        partitions are assembled from the cached join + neighbouring
+        crawl days. Warm partitions are never recomputed, and untouched
+        days' artifacts are never rewritten.
         """
         journal = self.telemetry.journal
         plans = self.plan()
@@ -246,12 +245,7 @@ class ShardedStudyStore:
                             report: BuildReport) -> None:
         targets = [p for p in _PIPELINE_PHASES if p in plan.missing]
         if targets:
-            graph_plan = partial_plan(STUDY_GRAPH, targets,
-                                      keys=plan.keys,
-                                      has=self.cache.store.has)
-            run_targets = [p.name for p in graph_plan
-                           if p.action == "compute"]
-            self._run_day(plan, run_targets)
+            self._run_day(plan, targets)
         for phase in _PIPELINE_PHASES:
             self._record(report, plan, phase)
 
@@ -272,7 +266,6 @@ class ShardedStudyStore:
             "injector": None,
             "install_scenarios": self.install_scenarios,
             "n_workers": self.n_workers,
-            "progress": None,
             "attacks": attacks_starting_on(world.attacks, day),
             "telescope_rng": rng,
             "telescope_jitter_seed": jitter,

@@ -12,7 +12,6 @@ validation in the test suite).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
@@ -20,7 +19,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 from repro.attacks.model import Attack
 from repro.net.ip import IPV4_SPACE
 from repro.telescope.darknet import Darknet
-from repro.util.rng import derive_rng
+from repro.util.rng import derive_rng, poisson
 from repro.util.timeutil import FIVE_MINUTES
 from repro.world.capacity import overload_drop
 
@@ -105,7 +104,7 @@ class BackscatterSimulator:
                 * attack.response_ratio
             response_packets = spoofed_pps * respond * seconds
             expected = self.darknet.expected_hits(response_packets)
-            n_packets = self._sample_count(expected)
+            n_packets = poisson(self.rng, expected)
             if n_packets == 0:
                 continue
             # Cumulative distinct darknet sources so far (saturating at
@@ -139,22 +138,6 @@ class BackscatterSimulator:
         for attack in attacks:
             yield from self.observe_attack(attack)
 
-    def _sample_count(self, expected: float) -> int:
-        """Poisson sample (normal approximation above 1000)."""
-        if expected <= 0:
-            return 0
-        if expected > 1000:
-            return max(0, int(round(self.rng.gauss(expected, math.sqrt(expected)))))
-        # Knuth's algorithm is fine at these magnitudes.
-        limit = math.exp(-expected)
-        k = 0
-        p = 1.0
-        while True:
-            p *= self.rng.random()
-            if p <= limit:
-                return k
-            k += 1
-
     # -- packet-level reference path (validation) ---------------------------------
 
     def materialize_packets(self, attack: Attack, max_packets: int = 200_000
@@ -181,6 +164,6 @@ class BackscatterSimulator:
             respond = (1.0 - overload_drop(link_util, self.headroom)) \
                 * attack.response_ratio
             expected = spoofed_pps * respond * self.darknet.coverage
-            for _ in range(self._sample_count(expected)):
+            for _ in range(poisson(self.rng, expected)):
                 packets.append((ts, self.darknet.sample_address(self.rng)))
         return packets

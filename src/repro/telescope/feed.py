@@ -115,50 +115,6 @@ class RSDoSFeed:
                 r.n_ports, r.n_packets, f"{r.max_ppm:.3f}", r.n_slash16,
                 r.n_unique_sources])
 
-    _ATTACK_FIELDS = [f.name for f in fields(InferredAttack)]
-
-    def dump_attacks(self, fp: TextIO) -> None:
-        """Write the inferred attacks as CSV with exact float columns.
-
-        Unlike :meth:`dump_records` (whose ``max_ppm`` is rounded for
-        human eyes), float columns here use ``repr`` and therefore
-        round-trip bit-for-bit — the contract the artifact cache and
-        :meth:`load_attacks` rely on.
-        """
-        writer = csv.writer(fp)
-        writer.writerow(self._ATTACK_FIELDS)
-        for a in self.attacks:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in (getattr(a, name)
-                                       for name in self._ATTACK_FIELDS)])
-
-    @classmethod
-    def load_attacks(cls, fp: TextIO) -> List[InferredAttack]:
-        """Parse :meth:`dump_attacks` output back into attacks."""
-        reader = csv.reader(fp)
-        header = next(reader, None)
-        if header != cls._ATTACK_FIELDS:
-            raise ValueError("unexpected attacks header")
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(cls._ATTACK_FIELDS):
-                raise ValueError(f"line {lineno}: wrong field count")
-            values = dict(zip(cls._ATTACK_FIELDS, row))
-            out.append(InferredAttack(
-                victim_ip=int(values["victim_ip"]),
-                start=int(values["start"]), end=int(values["end"]),
-                n_packets=int(values["n_packets"]),
-                max_ppm=float(values["max_ppm"]),
-                max_slash16=int(values["max_slash16"]),
-                n_unique_sources=int(values["n_unique_sources"]),
-                proto=int(values["proto"]),
-                first_port=int(values["first_port"]),
-                n_ports=int(values["n_ports"]),
-                n_windows=int(values["n_windows"])))
-        return out
-
     @classmethod
     def load_records(cls, fp: TextIO) -> List[FeedRecord]:
         reader = csv.reader(fp)

@@ -40,7 +40,7 @@ from repro.attacks.model import Attack
 from repro.net.ports import PORT_DNS, PROTO_UDP
 from repro.telescope.darknet import Darknet
 from repro.telescope.rsdos import InferredAttack
-from repro.util.rng import derive_rng
+from repro.util.rng import derive_rng, poisson
 from repro.util.timeutil import FIVE_MINUTES, HOUR, Window
 
 __all__ = ["ReflectorObservation", "ReflectorThresholds",
@@ -186,7 +186,7 @@ class ReflectorSimulator:
                 continue
             rng = derive_rng(self.jitter_seed, "reflector",
                              str(attack.victim_ip), str(ts))
-            n_queries = self._sample_count(rng, dark_qps * seconds)
+            n_queries = poisson(rng, dark_qps * seconds)
             if n_queries == 0:
                 continue
             targets = self._expected_unique_targets(n_queries, n_dark)
@@ -210,22 +210,6 @@ class ReflectorSimulator:
         if n_queries <= 0 or n_dark <= 0:
             return 0.0
         return n_dark * (1.0 - math.exp(-n_queries / n_dark))
-
-    @staticmethod
-    def _sample_count(rng, expected: float) -> int:
-        """Poisson sample (normal approximation above 1000)."""
-        if expected <= 0:
-            return 0
-        if expected > 1000:
-            return max(0, int(round(rng.gauss(expected, math.sqrt(expected)))))
-        limit = math.exp(-expected)
-        k = 0
-        p = 1.0
-        while True:
-            p *= rng.random()
-            if p <= limit:
-                return k
-            k += 1
 
 
 class ReflectorClassifier:

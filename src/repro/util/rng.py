@@ -10,6 +10,7 @@ another, which keeps scenario outputs stable as the library evolves.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from typing import Dict, Iterable, List, Sequence, TypeVar
 
@@ -76,6 +77,27 @@ class RngStreams:
     def spawn_seed(self, *names: str) -> int:
         """Derive a raw integer seed (for APIs that take seeds, not RNGs)."""
         return derive_seed(self.root_seed, "seed", *names)
+
+
+def poisson(rng: random.Random, lam: float) -> int:
+    """A Poisson(``lam``) count drawn from ``rng``.
+
+    Knuth's multiplication method, one uniform per unit of the count,
+    switching to a rounded normal approximation above ``lam = 1000``.
+    The telescope's seeded outputs depend on this exact draw sequence.
+    """
+    if lam <= 0:
+        return 0
+    if lam > 1000:
+        return max(0, int(round(rng.gauss(lam, math.sqrt(lam)))))
+    limit = math.exp(-lam)
+    draw = rng.random
+    k = 0
+    p = draw()
+    while p > limit:
+        k += 1
+        p *= draw()
+    return k
 
 
 def weighted_choice(rng: random.Random, items: Sequence[T], weights: Sequence[float]) -> T:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.artifacts.store import ArtifactStore
 from repro.artifacts.cache import PhaseCache
+from repro.artifacts.serializers import PHASE_SERIALIZERS
 from repro.engine import (
     Executor,
     Phase,
@@ -142,17 +143,18 @@ class TestPhaseSpans:
 
 class TestPhaseCache:
     @pytest.fixture()
-    def cache(self, tmp_path):
+    def cache(self, tmp_path, monkeypatch):
+        import json
+
+        monkeypatch.setitem(PHASE_SERIALIZERS, "work",
+                            (lambda v: json.dumps(v).encode(),
+                             lambda b: json.loads(b.decode())))
         return PhaseCache(ArtifactStore(str(tmp_path)))
 
     def _graph(self, ran):
-        import json
-
-        serializer = (lambda v: json.dumps(v).encode(),
-                      lambda b: json.loads(b.decode()))
         return PhaseGraph([
             Phase("work", compute=lambda ctx: ran.append("work") or [1, 2],
-                  cache_key="work", serializer=serializer),
+                  cache_key="work"),
         ])
 
     def test_miss_computes_and_saves_then_hit_skips(self, cache, tmp_path):

@@ -1,19 +1,20 @@
-"""Graph validation: the ISSUE's structural-safety contract.
+"""Graph validation: the engine's structural-safety contract.
 
-Every malformed declaration fails at graph-*build* time — cycles are
-named, unknown inputs are rejected before anything runs — and the
-topological order is deterministic across runs and processes.
+Phases run in the order they are declared. Every malformed declaration
+fails at graph-*build* time — a phase consuming a slot no earlier
+phase or source provides is rejected (naming the phase and the slot)
+before anything runs — and the study graph's rendered order is pinned
+by the goldens under ``tests/engine/golden/``.
 """
+
+from pathlib import Path
 
 import pytest
 
-from repro.engine import (
-    CycleError,
-    DuplicateNodeError,
-    Phase,
-    PhaseGraph,
-    UnknownInputError,
-)
+from repro.core.pipeline import study_graph
+from repro.engine import DuplicateNodeError, Phase, PhaseGraph, PhaseGraphError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _phase(name, inputs=(), provides=None, **kw):
@@ -37,14 +38,14 @@ class TestPhaseDeclaration:
 
 class TestValidation:
     def test_unknown_input_raises_at_build_time(self):
-        with pytest.raises(UnknownInputError,
+        with pytest.raises(PhaseGraphError,
                            match=r"phase 'b' consumes 'ghost'"):
             PhaseGraph([_phase("a"), _phase("b", inputs=("ghost",))])
 
     def test_sources_satisfy_inputs(self):
         graph = PhaseGraph([_phase("b", inputs=("seed",))],
                            sources=("seed",))
-        assert [p.name for p in graph.order] == ["b"]
+        assert [p.name for p in graph.phases] == ["b"]
 
     def test_duplicate_name_raises(self):
         with pytest.raises(DuplicateNodeError, match="duplicate phase name"):
@@ -60,59 +61,64 @@ class TestValidation:
         with pytest.raises(DuplicateNodeError, match="shadows"):
             PhaseGraph([_phase("a", provides="seed")], sources=("seed",))
 
-    def test_cycle_raises_with_the_cycle_named(self):
-        with pytest.raises(CycleError) as err:
+    def test_consumer_declared_before_producer_raises(self):
+        with pytest.raises(PhaseGraphError,
+                           match=r"phase 'sink' consumes 'root', which no "
+                                 r"earlier phase provides"):
+            PhaseGraph([_phase("sink", inputs=("root",)), _phase("root")])
+
+    def test_self_cycle_raises(self):
+        # A phase consuming its own output is never satisfiable.
+        with pytest.raises(PhaseGraphError,
+                           match=r"phase 'a' consumes 'out'"):
+            PhaseGraph([_phase("a", inputs=("out",), provides="out")])
+
+    def test_cycle_raises_at_its_first_declared_member(self):
+        with pytest.raises(PhaseGraphError,
+                           match=r"phase 'a' consumes 'c'"):
             PhaseGraph([
                 _phase("a", inputs=("c",)),
                 _phase("b", inputs=("a",)),
                 _phase("c", inputs=("b",)),
             ])
-        # The cycle's members, in dependency order, are all named.
-        assert set(err.value.cycle) == {"a", "b", "c"}
-        assert "->" in str(err.value)
-
-    def test_self_cycle_raises(self):
-        with pytest.raises(CycleError) as err:
-            PhaseGraph([_phase("a", inputs=("a",))])
-        assert err.value.cycle == ("a",)
 
     def test_cycle_below_valid_prefix_is_still_found(self):
-        with pytest.raises(CycleError) as err:
+        with pytest.raises(PhaseGraphError,
+                           match=r"phase 'x' consumes 'y'"):
             PhaseGraph([
                 _phase("ok"),
                 _phase("x", inputs=("ok", "y")),
                 _phase("y", inputs=("x",)),
             ])
-        assert set(err.value.cycle) == {"x", "y"}
 
 
 class TestDeterministicOrder:
     PHASES = [
-        ("sink", ("left", "right")),
+        ("root", ()),
         ("left", ("root",)),
         ("right", ("root",)),
-        ("root", ()),
+        ("sink", ("left", "right")),
     ]
 
     def _build(self):
         return PhaseGraph([_phase(n, inputs=i) for n, i in self.PHASES])
 
     def test_order_is_topological(self):
-        order = [p.name for p in self._build().order]
+        order = [p.name for p in self._build().phases]
         assert order.index("root") < order.index("left")
         assert order.index("root") < order.index("right")
         assert order.index("left") < order.index("sink")
         assert order.index("right") < order.index("sink")
 
     def test_order_is_identical_across_builds(self):
-        orders = {tuple(p.name for p in self._build().order)
+        orders = {tuple(p.name for p in self._build().phases)
                   for _ in range(20)}
         assert len(orders) == 1
 
     def test_declaration_order_breaks_ties(self):
-        # left and right are both ready after root; left is declared
-        # first among the ready set, so it always runs first.
-        order = [p.name for p in self._build().order]
+        # left and right are both ready after root; the declaration
+        # order is the run order, so left always runs first.
+        order = [p.name for p in self._build().phases]
         assert order == ["root", "left", "right", "sink"]
 
 
@@ -157,3 +163,16 @@ class TestQueries:
             assert f'"{name}" [shape=' in dot
         assert '"root" -> "left"' in dot
         assert '"left" -> "sink"' in dot
+
+
+class TestStudyGraphGolden:
+    """The declared study DAG renders exactly as recorded, so the
+    declaration order is the order the engine has always run."""
+
+    def test_render_text_matches_golden(self):
+        golden = (GOLDEN / "study_graph.txt").read_text()
+        assert study_graph().render_text() + "\n" == golden
+
+    def test_to_dot_matches_golden(self):
+        golden = (GOLDEN / "study_graph.dot").read_text()
+        assert study_graph().to_dot() + "\n" == golden

@@ -90,11 +90,6 @@ class TestStudyPipeline:
         assert [a0.victim_ip for a0 in a.feed.attacks] != \
             [b0.victim_ip for b0 in b.feed.attacks]
 
-    def test_progress_callback(self, tiny_config):
-        ticks = []
-        run_study(tiny_config, progress=lambda i, n: ticks.append(i))
-        assert ticks and ticks == sorted(ticks)
-
     def test_telescope_misses_some_ground_truth(self, tiny_study):
         # Reflected/unspoofed attacks are invisible: the feed must be a
         # strict subset of ground truth (paper §4.3).
@@ -126,12 +121,6 @@ class TestParallelStudyEquivalence:
         assert study.monthly == serial.monthly
         assert study.failures == serial.failures
         assert study.impact == serial.impact
-
-    def test_parallel_progress_callback(self, tiny_config):
-        ticks = []
-        run_study(tiny_config, n_workers=2,
-                  progress=lambda done, n: ticks.append((done, n)))
-        assert ticks == [(1, 2), (2, 2)]
 
     def test_chaos_forces_serial_with_warning(self, tiny_config):
         from repro import ChaosConfig

@@ -106,14 +106,6 @@ class TestWorkerConfigFidelity:
 
 
 class TestParallelMechanics:
-    def test_progress_reports_shard_completion(self, tiny_world):
-        seen = []
-        platform = OpenIntelPlatform(tiny_world)
-        start = tiny_world.timeline.start
-        platform.run_parallel(2, start, start + DAY,
-                              progress=lambda done, n: seen.append((done, n)))
-        assert seen == [(1, 2), (2, 2)]
-
     def test_parent_store_accumulates(self, tiny_world):
         platform = OpenIntelPlatform(tiny_world)
         start = tiny_world.timeline.start

@@ -113,26 +113,6 @@ class TestCrawl:
         assert store.n_measurements >= 2 * per_day
         assert store.n_measurements < 4 * per_day
 
-    def test_progress_callback(self, tiny_world):
-        seen = []
-        platform = OpenIntelPlatform(tiny_world)
-        start = tiny_world.timeline.start
-        platform.run(start, start + 2 * DAY,
-                     progress=lambda i, n: seen.append((i, n)))
-        assert seen == [(0, 2), (1, 2)]
-
-    def test_progress_counts_partial_final_window(self, tiny_world):
-        # Regression: floor division undercounted a non-day-aligned end,
-        # so the callback reported day_idx == n_days (e.g. (3, 3) on a
-        # 3.5-day range) even though iter_days crawls the partial day.
-        seen = []
-        platform = OpenIntelPlatform(tiny_world)
-        start = tiny_world.timeline.start
-        platform.run(start, start + 3 * DAY + DAY // 2,
-                     progress=lambda i, n: seen.append((i, n)))
-        assert seen == [(0, 4), (1, 4), (2, 4), (3, 4)]
-        assert all(i < n for i, n in seen)
-
     def test_rejects_bad_oversampling(self, tiny_world):
         with pytest.raises(ValueError):
             OpenIntelPlatform(tiny_world, dense_oversampling=0)

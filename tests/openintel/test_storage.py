@@ -1,11 +1,9 @@
 """Tests for measurement records and aggregate storage."""
 
-import io
-
 import pytest
 
 from repro.dns.rcode import ResponseStatus
-from repro.openintel.records import Measurement, dump_measurements, load_measurements
+from repro.openintel.records import Measurement
 from repro.openintel.storage import Aggregate, MeasurementStore
 from repro.util.timeutil import DAY, FIVE_MINUTES
 
@@ -21,20 +19,6 @@ class TestMeasurement:
             Measurement(0, 1, 2, ResponseStatus.OK, -1.0)
         with pytest.raises(ValueError):
             Measurement(0, 1, 2, ResponseStatus.OK, 1.0, n_attempts=0)
-
-    def test_serialization_roundtrip(self):
-        measurements = [
-            Measurement(100, 1, 2, ResponseStatus.OK, 10.5, 1),
-            Measurement(200, 3, 4, ResponseStatus.TIMEOUT, 15000.0, 6),
-        ]
-        buf = io.StringIO()
-        dump_measurements(measurements, buf)
-        buf.seek(0)
-        assert list(load_measurements(buf)) == measurements
-
-    def test_load_rejects_bad_header(self):
-        with pytest.raises(ValueError):
-            list(load_measurements(io.StringIO("bogus\n")))
 
 
 class TestAggregate:

@@ -36,6 +36,13 @@ class TestExports:
             assert name in repro.reactive.__all__
             assert getattr(repro.reactive, name).__doc__
 
+    def test_engine_exports(self):
+        import repro.engine
+        assert sorted(repro.engine.__all__) == sorted([
+            "Phase", "PhaseGraph", "PhaseGraphError", "DuplicateNodeError",
+            "RunContext", "Executor", "cached_analysis", "analyses_of",
+            "analysis_graph"])
+
     def test_top_level_api(self):
         assert callable(repro.run_study)
         assert callable(repro.build_world)

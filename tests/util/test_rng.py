@@ -1,5 +1,6 @@
 """Tests for deterministic RNG streams."""
 
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from repro.util.rng import (
     RngStreams,
     derive_seed,
+    poisson,
     sample_unique,
     weighted_choice,
     zipf_weights,
@@ -32,6 +34,34 @@ class TestDeriveSeed:
     def test_always_in_64bit_range(self, root, name):
         seed = derive_seed(root, name)
         assert 0 <= seed < 2 ** 64
+
+
+def _knuth_reference(rng, lam):
+    """Knuth's sampler written out plainly: the draw contract of
+    :func:`poisson`, which the telescope goldens depend on."""
+    if lam <= 0:
+        return 0
+    if lam > 1000:
+        return max(0, int(round(rng.gauss(lam, math.sqrt(lam)))))
+    limit = math.exp(-lam)
+    k = 0
+    p = 1.0
+    while True:
+        p *= rng.random()
+        if p <= limit:
+            return k
+        k += 1
+
+
+class TestPoisson:
+    @pytest.mark.parametrize("lam", [0.0, -1.0, 0.3, 4.5, 60.0, 999.0,
+                                     1000.5, 40_000.0])
+    def test_draws_the_reference_sequence(self, lam):
+        ours, ref = random.Random(7), random.Random(7)
+        assert [poisson(ours, lam) for _ in range(50)] == \
+            [_knuth_reference(ref, lam) for _ in range(50)]
+        # Same counts *and* the same number of uniforms consumed.
+        assert ours.getstate() == ref.getstate()
 
 
 class TestRngStreams:
