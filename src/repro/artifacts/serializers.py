@@ -129,11 +129,7 @@ def _table_load(doc: Dict, target) -> None:
         agg = Aggregate()
         agg.n = n_col[i]
         agg.ok_n = ok_col[i]
-        # The expansion [rtt_sum] represents the same exact value as
-        # the original multi-term expansion: fsum collapses to rtt_sum
-        # either way, so every observable column round-trips bit-for-bit.
-        rtt_sum = float(sum_col[i])
-        agg._rtt_partials = [rtt_sum] if rtt_sum else []
+        agg.rtt_sum = float(sum_col[i])
         agg.rtt_min = float(min_col[i])
         agg.rtt_max = float(max_col[i])
         agg.timeout_n = to_col[i]

@@ -78,10 +78,9 @@ class _ChaoticProcessor(Processor):
 class FaultInjector:
     """Applies a :class:`ChaosConfig` to the pipeline's surfaces.
 
-    The injector is stateful (burst continuations, the fault log, its
-    RNG streams all live in this process), so a faulted crawl cannot be
-    sharded across forked workers; ``run_study`` forces every chaos
-    run's crawl serial, with a warning.
+    The injector is stateful: burst continuations, the fault log and
+    its RNG streams all live on this object, so one injector serves one
+    run's faults in the order the run meets them.
     """
 
     def __init__(self, config: ChaosConfig,
@@ -330,7 +329,7 @@ class FaultInjector:
         """In-place damage that ``Aggregate.is_valid`` must catch."""
         style = rng.randrange(3)
         if style == 0:
-            agg._rtt_partials = [float("nan")]  # NaN crept into a sum column
+            agg.rtt_sum = float("nan")        # NaN crept into a sum column
         elif style == 1:
             agg.n = -agg.n - 1                # integer underflow on a counter
         else:

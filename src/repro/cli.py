@@ -100,10 +100,9 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
                         help="fault-schedule seed (default 0; independent "
                              "of the world --seed)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="crawl with N processes forked from the "
-                             "pre-built world (default 1 = serial); the "
-                             "results are bit-for-bit identical for any "
-                             "N, chaos runs force serial")
+                        help="accepted for compatibility: the crawl is "
+                             "serial, and N other than 1 warns and "
+                             "changes nothing (default 1)")
     _add_cache_args(parser)
 
 
@@ -198,19 +197,17 @@ def _run(args: argparse.Namespace):
         chaos = ChaosConfig.preset(args.chaos, seed=args.chaos_seed)
         print(f"chaos enabled ({args.chaos}, seed {args.chaos_seed}):\n"
               f"{chaos.describe()}", file=sys.stderr)
-    workers = getattr(args, "workers", 1)
     print(f"running study {config.start} .. {config.end_exclusive} "
           f"({config.n_domains} domains, "
-          f"{config.attacks_per_month} attacks/month"
-          + (f", {workers} crawl workers" if workers != 1 else "")
-          + ")...", file=sys.stderr)
+          f"{config.attacks_per_month} attacks/month)...", file=sys.stderr)
     # Wall time comes from the telemetry clock (monotonic even when the
     # bundle itself is the no-op one), so the ad-hoc "done in" line and
     # the --trace span tree measure on the same axis.
     telemetry = _telemetry_from(args)
     clock = telemetry.clock
     t0 = clock.now()
-    study = run_study(config, chaos=chaos, n_workers=workers,
+    study = run_study(config, chaos=chaos,
+                      n_workers=getattr(args, "workers", 1),
                       telemetry=telemetry,
                       cache=getattr(args, "cache_dir", None),
                       journal=(telemetry.journal
@@ -484,7 +481,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return scale_attacks_on_day(attacks, day, factor)
 
     store = ShardedStudyStore(config, args.cache_dir, telemetry=telemetry,
-                              n_workers=args.workers, edit=edit)
+                              edit=edit)
     if args.plan:
         print(json.dumps([plan.to_doc() for plan in store.plan()],
                          sort_keys=True, indent=2))
@@ -567,9 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8080,
                          help="listen port (0 picks a free one)")
-    p_serve.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="crawl each day's partition with N processes "
-                              "(default 1 = serial)")
     p_serve.add_argument("--build-only", action="store_true",
                          help="build/refresh the shard store and exit "
                               "without starting the HTTP server")

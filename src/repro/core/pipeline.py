@@ -74,19 +74,17 @@ PREBUILT_WORLD_REASON = (
     "a pre-built world cannot be fingerprinted (its build "
     "flags are unknown); pass a config instead of a world "
     "to use the artifact cache")
-#: why a chaos run cannot shard the crawl.
-SERIAL_CRAWL_REASON = (
-    "chaos runs force a serial crawl: the fault injector "
-    "is stateful (burst state, fault log, RNG streams), "
-    "so its schedule cannot be sharded across forked "
-    "workers")
+#: why a worker count other than 1 changes nothing.
+WORKERS_IGNORED_REASON = (
+    "the crawl is serial: n_workers other than 1 is ignored")
 
 
 def _warn_bypass(reason: str, stacklevel: int = 3) -> None:
     """Emit one of the pipeline's feature-bypass warnings.
 
-    All bypasses are :class:`RuntimeWarning`: the run proceeds, with
-    the named feature (cache, sharded crawl) disabled.
+    All bypasses are :class:`RuntimeWarning`: the run proceeds without
+    the named feature (the cache) or ignores the named argument
+    (``n_workers``).
     """
     warnings.warn(reason, RuntimeWarning, stacklevel=stacklevel)
 
@@ -179,8 +177,7 @@ def _run_crawl(ctx: RunContext, world: World) -> MeasurementStore:
     # The serve layer crawls one day-partition at a time; a full-range
     # crawl (the default) is unchanged.
     start, end = ctx.params.get("crawl_window") or (None, None)
-    store = platform.run_parallel(ctx.params.get("n_workers", 1),
-                                  start=start, end=end)
+    store = platform.run(start, end)
     if platform.stats is not None:
         platform.stats.publish(ctx.telemetry.registry)
     return store
@@ -266,9 +263,7 @@ STUDY_PHASES = (
           provides="crawl_store",
           cache_key="crawl",
           annotations=lambda store, ctx: {"rows": store.n_measurements},
-          fresh_annotations=lambda store, ctx: {
-              "workers": ctx.params.get("n_workers", 1)},
-          doc="OpenINTEL-style daily DNS crawl (sharded across workers)"),
+          doc="OpenINTEL-style daily DNS crawl of every domain"),
     Phase("corrupt_store",
           compute=_corrupt_store,
           inputs=("crawl_store",),
@@ -533,14 +528,9 @@ def run_study(config: Optional[WorldConfig] = None,
     applies spans, journal records, profiling and cache traffic
     identically to every phase.
 
-    ``n_workers > 1`` runs the crawl — the dominant cost of every
-    figure and table — sharded across processes forked from the
-    pre-built world (:meth:`OpenIntelPlatform.run_parallel`). Results
-    are bit-for-bit identical for any worker count, so every downstream
-    analysis is unchanged; only the wall clock shrinks. Chaos runs
-    force a serial crawl (with a warning): the fault injector is
-    stateful — its burst state, fault log, and RNG streams live in the
-    parent and cannot be meaningfully merged across forked workers.
+    The crawl runs in this process. ``n_workers`` is kept for callers
+    that pass it: any value other than 1 warns once and changes
+    nothing, and a value below 1 raises :class:`ValueError`.
 
     ``chaos`` enables seeded fault injection on the pipeline's
     measurement surfaces (see :mod:`repro.chaos`): the crawl's transport
@@ -554,9 +544,8 @@ def run_study(config: Optional[WorldConfig] = None,
     ``telemetry`` threads a :class:`repro.obs.RunTelemetry` through the
     run: per-phase spans (world build, telescope, crawl, join, events —
     the lazy analyses span as they are computed), ``repro.crawl.*``
-    shard stats merged across workers, ``repro.stream.*`` /
-    ``repro.chaos.*`` counters on a chaos run, and ``repro.store.*``
-    ingest totals. Telemetry observes only — it draws from no seeded
+    crawl stats, ``repro.stream.*`` / ``repro.chaos.*`` counters on a
+    chaos run, and ``repro.store.*`` ingest totals. Telemetry observes only — it draws from no seeded
     RNG, and every study output is bit-identical whether it is enabled
     or the default no-op bundle (a test asserts this).
 
@@ -568,10 +557,10 @@ def run_study(config: Optional[WorldConfig] = None,
     from the canonical config; on a hit the phase is skipped — its span
     is annotated ``cached=True`` and ``repro.cache.*`` counters record
     the traffic — and on a miss the freshly-computed artifact is
-    stored. Warm-cache output is bit-identical to cold, at any worker
-    count (tests assert it). Chaos runs bypass the cache entirely
-    (faults must never be cached), as do runs on a pre-built ``world``
-    (its build flags cannot be fingerprinted); both warn.
+    stored. Warm-cache output is bit-identical to cold (tests assert
+    it). Chaos runs bypass the cache entirely (faults must never be
+    cached), as do runs on a pre-built ``world`` (its build flags
+    cannot be fingerprinted); both warn.
 
     ``journal`` writes the run's append-only JSONL event log (see
     :mod:`repro.obs.journal`): a path opens (and closes) a fresh
@@ -583,6 +572,10 @@ def run_study(config: Optional[WorldConfig] = None,
     telemetry to an enabled bundle; both observe only — stdout and
     every study output stay byte-identical (asserted in tests and CI).
     """
+    if n_workers < 1:
+        raise ValueError("n_workers must be >= 1")
+    if n_workers != 1:
+        _warn_bypass(WORKERS_IGNORED_REASON)
     telemetry = telemetry or NULL_TELEMETRY
     if (journal is not None or profile) and telemetry is NULL_TELEMETRY:
         telemetry = RunTelemetry.create()
@@ -597,9 +590,6 @@ def run_study(config: Optional[WorldConfig] = None,
     config = world.config if world is not None else (config or WorldConfig())
     phase_cache, keys = _open_phase_cache(cache, config, world, chaos,
                                           install_scenarios, telemetry)
-    if chaos is not None and n_workers != 1:
-        _warn_bypass(SERIAL_CRAWL_REASON)
-        n_workers = 1
     injector: Optional["FaultInjector"] = None
     if chaos is not None:
         from repro.chaos.injector import FaultInjector
@@ -611,7 +601,6 @@ def run_study(config: Optional[WorldConfig] = None,
         "world": world,
         "injector": injector,
         "install_scenarios": install_scenarios,
-        "n_workers": n_workers,
     })
     profiler = None
     if profile:
@@ -622,9 +611,8 @@ def run_study(config: Optional[WorldConfig] = None,
                         profiler=profiler)
     jnl = telemetry.journal
     jnl.emit("run.start", run_id=telemetry.run_id, seed=config.seed,
-             n_domains=config.n_domains, n_workers=n_workers,
-             chaos=injector is not None, cached=phase_cache is not None,
-             profiled=profile)
+             n_domains=config.n_domains, chaos=injector is not None,
+             cached=phase_cache is not None, profiled=profile)
     try:
         values = executor.run(ctx, root_span="study",
                               root_meta={"seed": config.seed,

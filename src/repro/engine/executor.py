@@ -104,7 +104,6 @@ class Executor:
                 return hit, True
         inputs = {slot: ctx.values[slot] for slot in phase.inputs}
         result = phase.compute(ctx, **inputs)
-        span.annotate(**phase.fresh_annotations(result, ctx))
         if key is not None:
             self.cache.save(phase.cache_key, key, result)
         return result, False

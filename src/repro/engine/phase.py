@@ -23,9 +23,8 @@ Optional knobs:
   a phase with no ``cache_key`` is never cached; a cached phase's
   artifact goes through the phase-registry ``(dumps, loads)`` pair
   (:data:`repro.artifacts.serializers.PHASE_SERIALIZERS`).
-- ``annotations`` / ``fresh_annotations`` produce span metadata from
-  the result; ``fresh_annotations`` is skipped on a cache hit (a cached
-  crawl reports its row count, not a worker count it never used).
+- ``annotations`` produces span metadata from the result, on a cache
+  hit and a miss alike.
 """
 
 from __future__ import annotations
@@ -64,8 +63,6 @@ class Phase:
     fallback: Optional[Callable] = None
     #: span metadata derived from the result (applied on hit and miss).
     annotations: Callable = field(default=_no_annotations)
-    #: span metadata applied only when the phase actually computed.
-    fresh_annotations: Callable = field(default=_no_annotations)
     #: one-line description, shown by ``repro graph``.
     doc: str = ""
 

@@ -12,7 +12,6 @@ metric namespace (``repro.crawl.*``, ``repro.stream.*``,
 ``repro.chaos.*``, ``repro.store.*``, ``repro.profile.*``).
 
 Second-layer tooling: :mod:`repro.obs.journal` (the run journal),
-:mod:`repro.obs.merge` (cross-process span/metric capture + stitch),
 :mod:`repro.obs.profile` (per-phase CPU/RSS/allocation gauges), and
 :mod:`repro.obs.cli` (the ``repro obs`` subcommand).
 """
@@ -26,12 +25,6 @@ from repro.obs.journal import (
     new_run_id,
     phase_durations,
     read_journal,
-)
-from repro.obs.merge import (
-    CAPTURE_SCHEMA,
-    capture_telemetry,
-    merge_capture,
-    span_from_dict,
 )
 from repro.obs.profile import PhaseProfiler
 from repro.obs.registry import (
@@ -82,8 +75,4 @@ __all__ = [
     "read_journal",
     "phase_durations",
     "PhaseProfiler",
-    "CAPTURE_SCHEMA",
-    "capture_telemetry",
-    "merge_capture",
-    "span_from_dict",
 ]

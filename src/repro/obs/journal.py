@@ -43,8 +43,6 @@ Event types
     one record per injected fault, mirroring the injector's event log.
 ``degraded``
     emitted once before ``run.finish`` when the study is degraded.
-``worker.start`` / ``worker.finish``
-    crawl shard lifecycle (parent-side, one pair per shard).
 ``worker.kill`` / ``worker.restore`` / ``worker.checkpoint``
     reactive worker lifecycle; ``incarnation`` counts restores.
 ``reactive.admit`` / ``reactive.shed``

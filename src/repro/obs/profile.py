@@ -6,9 +6,7 @@ profiler for) and publishes what it cost as
 ``repro.profile.*`` gauges, labeled ``{phase=...}``:
 
 ================================  =============================================
-``repro.profile.cpu_s``           process CPU seconds (user+system, *including
-                                  reaped children* — a forked 4-worker crawl's
-                                  CPU lands on the parent's ``crawl`` phase)
+``repro.profile.cpu_s``           process CPU seconds (user+system)
 ``repro.profile.peak_rss_kb``     peak resident set size, in KiB, as of the
                                   phase's end (``ru_maxrss`` is a high-water
                                   mark, so this is monotone across phases —
@@ -58,13 +56,13 @@ __all__ = ["PhaseProfiler", "cpu_seconds", "peak_rss_kb"]
 
 
 def cpu_seconds() -> float:
-    """Total CPU seconds consumed: user+system, self and reaped children."""
+    """CPU seconds this process has consumed (user+system)."""
     t = os.times()
-    return t.user + t.system + t.children_user + t.children_system
+    return t.user + t.system
 
 
 def peak_rss_kb() -> Optional[float]:
-    """Peak resident set size in KiB (self + children), if measurable.
+    """Peak resident set size of this process in KiB, if measurable.
 
     Linux reports ``ru_maxrss`` in KiB already; macOS reports bytes.
     Returns ``None`` where the ``resource`` module is unavailable.
@@ -72,9 +70,7 @@ def peak_rss_kb() -> Optional[float]:
     if resource is None:  # pragma: no cover - non-POSIX
         return None
     scale = 1024.0 if os.uname().sysname == "Darwin" else 1.0
-    peak = max(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-               resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-    return peak / scale
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
 
 
 class PhaseProfiler:

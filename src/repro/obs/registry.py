@@ -148,7 +148,7 @@ class Histogram:
 
     def add_counts(self, bucket_counts: Sequence[int], total_sum: float,
                    nan: int = 0) -> None:
-        """Bulk-merge pre-bucketed counts (e.g. a crawl shard's stats).
+        """Bulk-merge pre-bucketed counts (e.g. the crawl's RTT histogram).
 
         ``bucket_counts`` must match this histogram's layout (one slot
         per bound plus overflow).

@@ -106,17 +106,6 @@ class Tracer:
         """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
 
-    def graft(self, span: Span) -> None:
-        """Attach an already-closed span subtree to the current position.
-
-        Used by :mod:`repro.obs.merge` to stitch a worker process's
-        captured span tree under the parent's open phase span (or as a
-        new root when no span is open). The subtree is adopted as-is —
-        its timestamps are expected to come from the same monotonic
-        domain (forked workers share the parent's clock).
-        """
-        (self._stack[-1].children if self._stack else self.roots).append(span)
-
     def snapshot(self) -> List[Dict[str, object]]:
         """Every root span subtree as JSON-serializable dicts."""
         return [root.to_dict() for root in self.roots]
@@ -159,9 +148,6 @@ class NullTracer(Tracer):
     def span(self, name: str, **meta) -> Iterator[Span]:
         """A no-op span (nothing is recorded)."""
         yield self._SPAN
-
-    def graft(self, span: Span) -> None:
-        """Nothing is recorded."""
 
     def snapshot(self) -> List[Dict[str, object]]:
         """Always empty."""

@@ -1,4 +1,4 @@
-"""The daily measurement crawl (serial and multi-process).
+"""The daily measurement crawl.
 
 Each registered domain is measured once per UTC day at a stable
 per-domain time-of-day (OpenINTEL spreads its crawl over the day), by
@@ -10,25 +10,16 @@ baseline reply directly instead of running the resolver state machine;
 the two paths are statistically identical in quiet conditions (a test
 asserts this) because an unloaded server always answers its first query.
 
-Determinism and sharding
-------------------------
+Determinism
+-----------
 
 Every random draw a domain-day needs (nameserver choice, reply
 sampling, jitter) comes from a private stream seeded by
 ``derive_seed(crawl_seed, domain_id, day)``. A domain-day is therefore
 a closed unit of work whose samples depend on nothing but its key —
-not on how many domains were crawled before it, nor in which process.
-Combined with the store's order-invariant exact RTT sums, this makes
-the crawl's output *bit-for-bit identical for any worker count*: the
-serial crawl and an N-worker sharded crawl produce equal stores (a
-test asserts it), so parallelising the dominant pipeline cost changes
-no downstream number.
-
-:meth:`OpenIntelPlatform.run_parallel` shards the domain population
-across processes forked from the parent — workers inherit the
-pre-built world and the fully-configured platform (resolver config,
-oversampling, transport) by memory, so nothing is rebuilt per worker
-and nothing is dropped on the way in.
+not on how many domains or days were crawled before it. That is what
+lets the serve layer crawl one day at a time: a day-windowed crawl
+fills exactly the aggregates a full-range crawl fills for that day.
 """
 
 from __future__ import annotations
@@ -40,7 +31,6 @@ from repro.dns.rcode import ResponseStatus
 from repro.dns.resolver import AgnosticResolver, ResolverConfig
 from repro.dns.rr import RRType
 from repro.obs import NULL_TELEMETRY, RunTelemetry
-from repro.obs.merge import capture_telemetry, merge_capture
 from repro.openintel.records import Measurement
 from repro.openintel.stats import CrawlStats
 from repro.openintel.storage import MeasurementStore
@@ -64,7 +54,7 @@ class OpenIntelPlatform:
         if dense_oversampling < 1:
             raise ValueError("dense_oversampling must be >= 1")
         self.telemetry = telemetry or NULL_TELEMETRY
-        #: shard counters collected when telemetry is enabled (``None``
+        #: crawl counters collected when telemetry is enabled (``None``
         #: otherwise, so the hot loop pays a single identity check).
         #: Telemetry only observes — with it on or off the crawl draws
         #: the same random streams and fills an identical store.
@@ -85,9 +75,6 @@ class OpenIntelPlatform:
         #: the >=5-measured-domains event threshold; on quiet days one
         #: query per day is statistically sufficient for the baselines.
         self.dense_oversampling = dense_oversampling
-        #: (index, count): crawl only every count-th domain starting at
-        #: index — the unit of work for the multi-process crawl.
-        self.shard: Tuple[int, int] = (0, 1)
         self._offsets: List[int] = []
         self._domain_seeds: List[int] = []
         self._classes: Dict[int, int] = {}
@@ -160,7 +147,7 @@ class OpenIntelPlatform:
         deadline = self.config.deadline_ms
 
         # One private stream, reseeded per (domain, day): samples depend
-        # only on the work unit's key, never on crawl order or sharding.
+        # only on the work unit's key, never on crawl order or window.
         day_rng = random.Random()
         rng_random = day_rng.random
         rng_expo = day_rng.expovariate
@@ -169,11 +156,9 @@ class OpenIntelPlatform:
         restore = self.world.set_transport_rng(day_rng)
         stats = self.stats
         try:
-            shard, n_shards = self.shard
             for day in iter_days(start, end):
                 day_name = str(day)
-                for record in (domains if n_shards == 1
-                               else domains[shard::n_shards]):
+                for record in domains:
                     domain_id = record.domain_id
                     nsset_id = record.nsset_id
                     reseed(derive_seed(domain_seeds[domain_id], day_name))
@@ -217,120 +202,3 @@ class OpenIntelPlatform:
         finally:
             self.world.set_transport_rng(restore)
         return store
-
-    # -- the multi-process crawl ----------------------------------------------
-
-    def run_parallel(self, n_workers: int = 4, start: Optional[int] = None,
-                     end: Optional[int] = None) -> MeasurementStore:
-        """Crawl with ``n_workers`` processes forked from this platform.
-
-        Workers inherit the pre-built world and this platform's full
-        configuration (resolver config, oversampling, transport) through
-        ``fork`` — nothing is rebuilt per worker — and each crawls an
-        interleaved shard of the domain population.
-        The parent folds the per-shard stores into :attr:`store`.
-
-        The result is **bit-for-bit identical for any** ``n_workers``
-        (including the serial ``run``): per-(domain, day) derived RNG
-        streams make each shard's samples order-independent, and the
-        store's exact sums make the merge order-independent.
-
-        Stateful transports (e.g. the chaos injector's wrapper) must use
-        the serial crawl: their draws and fault logs live in the parent
-        and cannot be meaningfully merged across forked workers —
-        :func:`repro.core.pipeline.run_study` enforces this.
-
-        Platforms without the ``fork`` start method fall back to the
-        serial crawl.
-        """
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if n_workers == 1:
-            return self.run(start, end)
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():  # pragma: no cover
-            return self.run(start, end)
-        global _FORK_PARENT
-        jobs = [(shard, n_workers, start, end) for shard in range(n_workers)]
-        journal = self.telemetry.journal
-        for shard in range(n_workers):
-            journal.emit("worker.start", surface="crawl", shard=shard,
-                         n_shards=n_workers)
-        _FORK_PARENT = self
-        try:
-            with multiprocessing.get_context("fork").Pool(n_workers) as pool:
-                for done, (store, stats, capture) in enumerate(
-                        pool.imap(_crawl_shard, jobs), start=1):
-                    self.store.merge(store)
-                    if self.stats is not None and stats is not None:
-                        self.stats.merge(stats)
-                    if capture is not None:
-                        # imap yields in job order, so shard == done-1;
-                        # folding here keeps the merge deterministic.
-                        merge_capture(self.telemetry, capture,
-                                      shard=done - 1)
-                    journal.emit("worker.finish", surface="crawl",
-                                 shard=done - 1,
-                                 rows=stats.rows if stats is not None
-                                 else None)
-        finally:
-            _FORK_PARENT = None
-        return self.store
-
-
-# ---------------------------------------------------------------------------
-# Multi-process crawl plumbing
-# ---------------------------------------------------------------------------
-
-#: The platform being sharded; set by :meth:`run_parallel` immediately
-#: before forking so workers find it in their inherited memory.
-_FORK_PARENT: Optional[OpenIntelPlatform] = None
-
-
-def _crawl_shard(args) -> Tuple[MeasurementStore, Optional[CrawlStats],
-                                Optional[dict]]:
-    """Worker entry point: crawl one shard of the domain population.
-
-    Runs in a child forked from the parent, so ``_FORK_PARENT`` *is*
-    the parent's fully-configured platform (same world, resolver
-    config, oversampling, transport) — only the shard assignment and
-    fresh output store/stats are local to this process. Returns the
-    shard's filled :class:`MeasurementStore`; the shard's
-    :class:`CrawlStats` (``None`` when telemetry is off) rides back
-    with it for the parent to merge.
-
-    When the parent's telemetry is enabled, the shard also runs under
-    its own fresh telemetry bundle — a ``crawl.shard`` span plus its
-    stats published to a shard-local registry — and ships the capture
-    back as the third element for the parent to stitch under its
-    ``crawl`` span with a ``shard`` label (:mod:`repro.obs.merge`).
-    Forked children share the parent's monotonic clock domain, so the
-    grafted span offsets line up without rebasing. The shard's journal
-    stays the null journal: only the parent writes the journal file
-    (the forked file descriptor is not safely shareable).
-    """
-    shard, n_shards, start, end = args
-    platform = _FORK_PARENT
-    assert platform is not None, "_crawl_shard outside run_parallel"
-    platform.shard = (shard, n_shards)
-    platform.store = MeasurementStore()
-    platform.stats = CrawlStats() if platform.stats is not None else None
-    shard_telemetry = None
-    if platform.telemetry.enabled:
-        shard_telemetry = RunTelemetry.create(clock=platform.telemetry.clock)
-        platform.telemetry = shard_telemetry
-    if shard_telemetry is None:
-        store = platform.run(start, end)
-    else:
-        with shard_telemetry.tracer.span("crawl.shard", shard=shard,
-                                         n_shards=n_shards) as span:
-            store = platform.run(start, end)
-            if platform.stats is not None:
-                span.annotate(rows=platform.stats.rows)
-    capture = None
-    if shard_telemetry is not None:
-        if platform.stats is not None:
-            platform.stats.publish(shard_telemetry.registry)
-        capture = capture_telemetry(shard_telemetry)
-    return store, platform.stats, capture

@@ -1,16 +1,8 @@
-"""Per-shard crawl statistics, mergeable across worker processes.
+"""Crawl statistics: the counters one crawl accumulates.
 
-The multi-process crawl forks workers that each crawl one shard of the
-domain population; a :class:`CrawlStats` is the picklable bag of
-counters a worker collects alongside its :class:`MeasurementStore` and
-returns to the parent, which folds the shards together and publishes
-the totals into the run's metrics registry (``repro.crawl.*``).
-
-Worker-count invariance carries over from the store: every field is
-either an integer count (sums commute) or the crawl-RTT sum kept as an
-exact Shewchuk expansion (order-invariant, same technique as
-``Aggregate``), so the merged stats are identical for any worker count
-— a test asserts equality at 1/2/4 workers.
+A :class:`CrawlStats` rides along the crawl when telemetry is enabled
+and publishes its totals into the run's metrics registry
+(``repro.crawl.*``) once the crawl is done.
 """
 
 from __future__ import annotations
@@ -20,9 +12,6 @@ from typing import List, Tuple
 
 from repro.dns.rcode import ResponseStatus
 from repro.obs.registry import DEFAULT_BUCKETS_MS, MetricsRegistry
-from repro.openintel.storage import _exact_add
-
-import math
 
 __all__ = ["CrawlStats", "RTT_BUCKETS_MS"]
 
@@ -31,11 +20,11 @@ RTT_BUCKETS_MS: Tuple[float, ...] = DEFAULT_BUCKETS_MS
 
 
 class CrawlStats:
-    """Counters one crawl (or one shard of it) accumulates."""
+    """Counters one crawl accumulates."""
 
     __slots__ = ("domain_days", "fast_path_days", "dead_days",
                  "resolver_days", "queries", "ok", "timeout", "servfail",
-                 "other", "rtt_bucket_counts", "_rtt_partials")
+                 "other", "rtt_bucket_counts", "rtt_sum")
 
     def __init__(self) -> None:
         self.domain_days = 0
@@ -52,8 +41,8 @@ class CrawlStats:
         self.servfail = 0
         self.other = 0
         self.rtt_bucket_counts: List[int] = [0] * (len(RTT_BUCKETS_MS) + 1)
-        #: exact expansion of the OK-RTT sum (order-invariant).
-        self._rtt_partials: List[float] = []
+        #: running sum of OK RTTs.
+        self.rtt_sum = 0.0
 
     # -- collection (crawl hot loop) -----------------------------------------
 
@@ -61,7 +50,7 @@ class CrawlStats:
         """Record one answered measurement and its RTT."""
         self.ok += 1
         self.rtt_bucket_counts[bisect_left(RTT_BUCKETS_MS, rtt_ms)] += 1
-        _exact_add(self._rtt_partials, rtt_ms)
+        self.rtt_sum += rtt_ms
 
     def add_result(self, status: ResponseStatus, rtt_ms: float) -> None:
         """Record one resolver result."""
@@ -74,33 +63,12 @@ class CrawlStats:
         else:
             self.other += 1
 
-    # -- merge / publish ------------------------------------------------------
-
-    @property
-    def rtt_sum(self) -> float:
-        """Correctly-rounded sum of OK RTTs — order-invariant."""
-        return math.fsum(self._rtt_partials)
+    # -- publish --------------------------------------------------------------
 
     @property
     def rows(self) -> int:
         """Measurement rows produced (one per status recorded)."""
         return self.ok + self.timeout + self.servfail + self.other
-
-    def merge(self, other: "CrawlStats") -> None:
-        """Fold another shard's stats into this one (commutative)."""
-        self.domain_days += other.domain_days
-        self.fast_path_days += other.fast_path_days
-        self.dead_days += other.dead_days
-        self.resolver_days += other.resolver_days
-        self.queries += other.queries
-        self.ok += other.ok
-        self.timeout += other.timeout
-        self.servfail += other.servfail
-        self.other += other.other
-        for i, n in enumerate(other.rtt_bucket_counts):
-            self.rtt_bucket_counts[i] += n
-        for p in other._rtt_partials:
-            _exact_add(self._rtt_partials, p)
 
     def publish(self, registry: MetricsRegistry) -> None:
         """Emit the totals as ``repro.crawl.*`` metrics."""
@@ -116,22 +84,6 @@ class CrawlStats:
             counter("repro.crawl.responses", status=status).inc(n)
         registry.histogram("repro.crawl.rtt_ms", buckets=RTT_BUCKETS_MS) \
             .add_counts(self.rtt_bucket_counts, self.rtt_sum)
-
-    # -- comparison -----------------------------------------------------------
-
-    def state(self) -> Tuple:
-        """Every observable column, for exact comparison in tests."""
-        return (self.domain_days, self.fast_path_days, self.dead_days,
-                self.resolver_days, self.queries, self.ok, self.timeout,
-                self.servfail, self.other, tuple(self.rtt_bucket_counts),
-                self.rtt_sum)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CrawlStats):
-            return NotImplemented
-        return self.state() == other.state()
-
-    __hash__ = None  # mutable; equality is by value
 
     def __repr__(self) -> str:
         return (f"CrawlStats(domain_days={self.domain_days}, "

@@ -7,15 +7,6 @@ the authors used Spark for; this store instead aggregates on ingest —
 daily everywhere (for the day-before baselines) and at 5-minute
 granularity on *dense* days (days on which an attack touches the NSSet),
 which is provably sufficient for every metric in the paper's analysis.
-
-RTT sums are kept as exact Shewchuk expansions (``math.fsum``'s
-algorithm), so an aggregate's sum is a function of the *multiset* of
-ingested values only — never of their arrival order. That property is
-what lets the sharded multi-process crawl merge per-worker stores into
-a result bit-for-bit identical to the serial crawl for any worker
-count: every other column (counts, min, max) is trivially
-order-invariant, and the sum column would otherwise drift by an ulp
-whenever shards interleave differently.
 """
 
 from __future__ import annotations
@@ -28,41 +19,17 @@ from repro.openintel.records import Measurement
 from repro.util.timeutil import DAY, FIVE_MINUTES, day_start, window_start
 
 
-def _exact_add(partials: List[float], x: float) -> None:
-    """Fold ``x`` into a Shewchuk partials expansion, in place.
-
-    The expansion represents its sum exactly (each partial carries
-    rounding error the ones before it could not), so the represented
-    value is invariant to insertion order; ``math.fsum`` over the
-    partials yields the correctly-rounded total. In the common case the
-    expansion holds a single element and this costs one two-sum.
-    """
-    i = 0
-    for j in range(len(partials)):
-        y = partials[j]
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    del partials[i:]
-    partials.append(x)
-
-
 class Aggregate:
     """Per-(NSSet, interval) statistics: the §4.1 tuple."""
 
-    __slots__ = ("n", "ok_n", "_rtt_partials", "rtt_min", "rtt_max",
+    __slots__ = ("n", "ok_n", "rtt_sum", "rtt_min", "rtt_max",
                  "timeout_n", "servfail_n", "other_err_n")
 
     def __init__(self) -> None:
         self.n = 0
         self.ok_n = 0
-        #: exact expansion of the OK-RTT sum (see module docstring).
-        self._rtt_partials: List[float] = []
+        #: running sum of OK RTTs.
+        self.rtt_sum = 0.0
         self.rtt_min = float("inf")
         self.rtt_max = 0.0
         self.timeout_n = 0
@@ -73,7 +40,7 @@ class Aggregate:
         self.n += 1
         if status is ResponseStatus.OK:
             self.ok_n += 1
-            _exact_add(self._rtt_partials, rtt_ms)
+            self.rtt_sum += rtt_ms
             if rtt_ms < self.rtt_min:
                 self.rtt_min = rtt_ms
             if rtt_ms > self.rtt_max:
@@ -88,8 +55,7 @@ class Aggregate:
     def merge(self, other: "Aggregate") -> None:
         self.n += other.n
         self.ok_n += other.ok_n
-        for p in other._rtt_partials:
-            _exact_add(self._rtt_partials, p)
+        self.rtt_sum += other.rtt_sum
         self.rtt_min = min(self.rtt_min, other.rtt_min)
         self.rtt_max = max(self.rtt_max, other.rtt_max)
         self.timeout_n += other.timeout_n
@@ -97,25 +63,17 @@ class Aggregate:
         self.other_err_n += other.other_err_n
 
     def copy(self) -> "Aggregate":
-        """An independent deep copy (no shared partials list)."""
+        """An independent copy."""
         dup = Aggregate()
         dup.n = self.n
         dup.ok_n = self.ok_n
-        dup._rtt_partials = list(self._rtt_partials)
+        dup.rtt_sum = self.rtt_sum
         dup.rtt_min = self.rtt_min
         dup.rtt_max = self.rtt_max
         dup.timeout_n = self.timeout_n
         dup.servfail_n = self.servfail_n
         dup.other_err_n = self.other_err_n
         return dup
-
-    @property
-    def rtt_sum(self) -> float:
-        """Correctly-rounded sum of OK RTTs — order-invariant."""
-        try:
-            return math.fsum(self._rtt_partials)
-        except (OverflowError, ValueError):  # inf - inf in a damaged sum
-            return float("nan")
 
     @property
     def errors(self) -> int:
@@ -191,7 +149,7 @@ class MeasurementStore:
         self.n_measurements = 0
         #: malformed rows rejected at ingest (negative/NaN/inf RTTs).
         self.n_rejected = 0
-        #: donor stores folded in via :meth:`merge` (sharded crawls).
+        #: donor stores folded in via :meth:`merge` (serve's day partitions).
         self.n_merges = 0
 
     # -- ingest --------------------------------------------------------------
@@ -285,7 +243,11 @@ class MeasurementStore:
         return self.daily.pop((nsset_id, day_start(day)), None) is not None
 
     def merge(self, other: "MeasurementStore") -> None:
-        """Fold another store's aggregates into this one (sharded runs).
+        """Fold another store's aggregates into this one.
+
+        Serve assembles each events partition this way from the crawl
+        day partitions it reads. Their keys carry the day or 5-minute
+        bucket, so no two partitions share a key.
 
         Newly-adopted aggregates are *copied*: adopting by reference
         would alias the donor's objects, so a later ``add``/``merge``
@@ -324,7 +286,7 @@ class MeasurementStore:
         """Exact (bit-for-bit observable) store equality.
 
         Compares every aggregate's columns with exact float equality —
-        the contract the worker-count-invariance tests assert.
+        the contract the determinism and warm == cold tests assert.
         """
         if not isinstance(other, MeasurementStore):
             return NotImplemented

@@ -134,14 +134,12 @@ class ShardedStudyStore:
     def __init__(self, config: WorldConfig, cache,
                  install_scenarios: bool = True,
                  telemetry: Optional[RunTelemetry] = None,
-                 n_workers: int = 1,
                  edit: Optional[Callable[[List], List]] = None,
                  loaded_cap: int = 64):
         self.config = config
         self.install_scenarios = install_scenarios
         self.telemetry = telemetry or NULL_TELEMETRY
         self.cache = PhaseCache.open(cache, telemetry=self.telemetry)
-        self.n_workers = n_workers
         self._edit = edit
         self._world: Optional[World] = None
         self._metadata: Optional[NSSetMetadata] = None
@@ -265,7 +263,6 @@ class ShardedStudyStore:
             "world": world,
             "injector": None,
             "install_scenarios": self.install_scenarios,
-            "n_workers": self.n_workers,
             "attacks": attacks_starting_on(world.attacks, day),
             "telescope_rng": rng,
             "telescope_jitter_seed": jitter,

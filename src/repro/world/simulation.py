@@ -313,13 +313,13 @@ class World:
     def set_transport_rng(self, rng: random.Random) -> random.Random:
         """Redirect the transport's randomness; returns the previous rng.
 
-        The sharded crawl reseeds a private stream per ``(domain, day)``
-        (see :mod:`repro.openintel.platform`) so reply samples depend
-        only on which domain-day is being measured — never on how many
-        prior queries other workers issued — making crawl results
-        invariant to the worker count. Callers must restore the previous
-        rng when done so other probing subsystems keep their shared
-        stream semantics.
+        The crawl reseeds a private stream per ``(domain, day)`` (see
+        :mod:`repro.openintel.platform`) so reply samples depend only on
+        which domain-day is being measured — never on how many queries
+        were issued before it — which is what lets the serve layer crawl
+        one day at a time. Callers must restore the previous rng when
+        done so other probing subsystems keep their shared stream
+        semantics.
         """
         prev = self._rng_transport
         self._rng_transport = rng

@@ -4,6 +4,7 @@ import pytest
 
 from repro.dns.rcode import ResponseStatus
 from repro.net.ip import parse_ip
+from repro.obs import RunTelemetry
 from repro.openintel.platform import OpenIntelPlatform
 from repro.util.timeutil import DAY, day_start, parse_ts
 
@@ -113,6 +114,11 @@ class TestCrawl:
         assert store.n_measurements >= 2 * per_day
         assert store.n_measurements < 4 * per_day
 
+    def test_serial_crawl_is_repeatable(self, tiny_world, store):
+        # Per-(domain, day) streams mean the crawl does not consume
+        # the world's shared RNG state: same world, same store.
+        assert OpenIntelPlatform(tiny_world).run() == store
+
     def test_rejects_bad_oversampling(self, tiny_world):
         with pytest.raises(ValueError):
             OpenIntelPlatform(tiny_world, dense_oversampling=0)
@@ -135,3 +141,33 @@ class TestCrawl:
             if a is not None:
                 assert a.n == b.n
                 assert a.avg_rtt == pytest.approx(b.avg_rtt)
+
+
+class TestCrawlStats:
+    @pytest.fixture(scope="class")
+    def stats(self, tiny_world):
+        platform = OpenIntelPlatform(tiny_world,
+                                     telemetry=RunTelemetry.create())
+        platform.run()
+        return platform.stats
+
+    def test_stats_are_internally_consistent(self, stats):
+        assert stats.domain_days == (stats.fast_path_days + stats.dead_days
+                                     + stats.resolver_days)
+        assert stats.rows == (stats.ok + stats.timeout + stats.servfail
+                              + stats.other)
+        assert stats.rows > 0
+        assert sum(stats.rtt_bucket_counts) == stats.ok
+        assert stats.rtt_sum > 0.0
+
+    def test_published_metrics_match_the_stats(self, stats):
+        telemetry = RunTelemetry.create()
+        stats.publish(telemetry.registry)
+        counters = telemetry.snapshot()["metrics"]["counters"]
+        assert counters["repro.crawl.domain_days"] == stats.domain_days
+        assert counters["repro.crawl.rows"] == stats.rows
+        assert counters["repro.crawl.responses{status=ok}"] == stats.ok
+        hist = telemetry.snapshot()["metrics"]["histograms"]
+        assert hist["repro.crawl.rtt_ms"]["count"] == stats.ok
+        assert hist["repro.crawl.rtt_ms"]["sum"] == pytest.approx(
+            stats.rtt_sum)

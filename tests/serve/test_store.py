@@ -4,7 +4,10 @@ import pytest
 
 from repro import WorldConfig
 from repro.artifacts import ArtifactStore, day_keys
+from repro.artifacts.fingerprint import attacks_starting_on, events_crawl_cover
 from repro.obs import RunTelemetry
+from repro.openintel.platform import OpenIntelPlatform
+from repro.openintel.storage import MeasurementStore
 from repro.serve import SERVE_PHASES, ShardedStudyStore
 from repro.util.timeutil import DAY, parse_ts
 
@@ -176,3 +179,20 @@ class TestDayChaining:
             for event in events:
                 assert event.attack.start >= day
                 assert event.attack.start < day + DAY
+
+    def test_merged_crawl_cover_equals_one_crawl(self, built_store):
+        """Day partitions share no aggregate key (each key carries its
+        day or 5-minute bucket), so the crawl days an events partition
+        merges equal one crawl over the same window, bit for bit."""
+        world = built_store.world()
+        cover = max((events_crawl_cover(
+            day, attacks_starting_on(world.attacks, day),
+            built_store.config.timeline) for day in built_store.days()),
+            key=len)
+        assert len(cover) > 1
+        merged = MeasurementStore()
+        for day in cover:
+            merged.merge(built_store.load_day(day, "crawl"))
+        crawl = OpenIntelPlatform(world).run(cover[0], cover[-1] + DAY)
+        assert merged == crawl
+        assert merged.n_merges == len(cover)
