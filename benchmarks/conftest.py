@@ -100,15 +100,19 @@ def emit_json():
     redirects them (e.g. to a CI artifact directory). Like the
     ``studybench`` snapshots, each carries a ``host`` block (CPU count,
     Python version, NumPy availability) so numbers from different
-    machines are never compared blind.
+    machines are never compared blind. Given a run's ``telemetry``, the
+    snapshot also carries that run's span tree, so it says where the
+    time went.
     """
     os.makedirs(JSON_OUT_DIR, exist_ok=True)
 
-    def _emit_json(name: str, values) -> str:
-        telemetry = RunTelemetry.create()
+    def _emit_json(name: str, values, telemetry=None) -> str:
+        gauges = RunTelemetry.create()
         for key, value in sorted(values.items()):
-            telemetry.registry.gauge(f"repro.bench.{name}.{key}").set(value)
-        doc = telemetry.snapshot()
+            gauges.registry.gauge(f"repro.bench.{name}.{key}").set(value)
+        doc = gauges.snapshot()
+        if telemetry is not None:
+            doc["spans"] = telemetry.snapshot()["spans"]
         doc["host"] = {"cpus": os.cpu_count() or 1,
                        "python": platform.python_version(),
                        "numpy": HAVE_NUMPY}

@@ -16,9 +16,8 @@ on, and *nothing* else:
   ``events`` chains ``join`` and ``crawl``).
 
 Worker count and telemetry are deliberately
-absent: the crawl is bit-for-bit worker-count-invariant (PR 2) and
-telemetry observes without perturbing (PR 3), so neither can change a
-phase's output. Chaos runs never consult the cache at all (see
+absent: the crawl is serial and ignores ``n_workers``, and telemetry
+observes without perturbing, so neither can change a phase's output. Chaos runs never consult the cache at all (see
 :mod:`repro.artifacts.cache`), so fault schedules need no key.
 
 Keys are pure functions of their inputs — no clocks, no RNG, no
@@ -48,9 +47,11 @@ __all__ = ["SCHEMA_VERSIONS", "PHASES", "canonical_config",
 SCHEMA_VERSIONS: Dict[str, int] = {
     # v2: max_ppm jitter moved off the shared rng onto per-(victim,
     # window) derived streams — same artifact format, different bytes.
-    "telescope": 2,
+    # v3: packed columns behind a JSON header line.
+    "telescope": 3,
     # v2: columnar store layout (column arrays instead of row dicts).
-    "crawl": 2,
+    # v3: packed columns behind a JSON header line.
+    "crawl": 3,
     "join": 1,
     "events": 1,
     # serve-layer domain->NSSet catalog (attack-independent).

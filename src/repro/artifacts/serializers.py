@@ -2,24 +2,38 @@
 
 Each cacheable phase artifact — the telescope's :class:`RSDoSFeed`, the
 crawl's :class:`MeasurementStore`, the :class:`DatasetJoin`, and the
-extracted :class:`AttackEvent` list — gets a ``dumps``/``loads`` pair
-over UTF-8 JSON bytes. These extend the :mod:`repro.datasets.io` text
-formats with one stricter contract: **every value round-trips exactly**.
-Floats are emitted via ``json``'s ``repr``-faithful formatting (the
-export CSVs round RTTs for human eyes; a cache must not), so a warm
-study is bit-identical to the cold run that populated it — the property
-the pipeline tests assert.
+extracted :class:`AttackEvent` list — gets a ``dumps``/``loads`` pair.
+Every pair keeps one contract: **every value round-trips exactly**, so a
+warm study is bit-identical to the cold run that populated it — the
+property the pipeline tests assert — and ``dumps(loads(b)) == b``.
 
-Serialized bytes are deterministic (sorted keys, fixed separators, no
-whitespace variance), so re-serializing a loaded artifact reproduces
-the cached bytes byte-for-byte.
+The two large artifacts, the feed and the store, are packed columns:
+one JSON header line (schema, scalar totals and a column directory of
+``[name, type code, count]``), a newline, then each column's values
+back to back as little-endian ``array`` items — ``q`` (int64) or ``d``
+(IEEE-754 double, so every float, ``inf`` included, is kept bit for
+bit). ``loads_feed``/``loads_store`` parse the header, check the whole
+blob's structure against it, restore the feed's attacks and the store's
+totals, and keep the rest as undecoded column bytes: the feed's records
+and the store's ``daily``/``buckets`` tables are built from them the
+first time something reads them (see :meth:`RSDoSFeed.deferred` and
+:meth:`MeasurementStore.deferred`). A value a column cannot hold
+exactly makes ``dumps`` raise :class:`ValueError`, as does a damaged or
+foreign blob in ``loads``.
+
+The join, the events and the serve catalog are nested and small, and
+stay sorted-key JSON with ``repr``-faithful floats.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, List
+import sys
+from array import array
+from itertools import chain
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.core.events import AttackEvent
 from repro.core.join import (AttackClass, ClassifiedAttack, DatasetJoin)
@@ -39,15 +53,11 @@ __all__ = [
     "PHASE_SERIALIZERS",
 ]
 
-_FEED_SCHEMA = "repro.artifacts.feed/v1"
-#: v2: columnar layout — one flat vector per aggregate field instead of
-#: one row list per aggregate, so a warm crawl read deserializes a few
-#: long JSON arrays and rebuilds aggregates in one tight column walk.
-_STORE_SCHEMA = "repro.artifacts.store/v2"
+_FEED_SCHEMA = "repro.artifacts.feed/v2"
+_STORE_SCHEMA = "repro.artifacts.store/v3"
 _JOIN_SCHEMA = "repro.artifacts.join/v1"
 _EVENTS_SCHEMA = "repro.artifacts.events/v1"
 
-_RECORD_FIELDS = [f.name for f in dataclasses.fields(FeedRecord)]
 _ATTACK_FIELDS = [f.name for f in dataclasses.fields(InferredAttack)]
 
 
@@ -56,13 +66,16 @@ def _dumps(doc: Dict) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
-def _loads(data: bytes, schema: str) -> Dict:
-    doc = json.loads(data.decode("utf-8"))
-    found = doc.get("schema")
+def _check_schema(doc: object, schema: str) -> Dict:
+    found = doc.get("schema") if isinstance(doc, dict) else None
     if found != schema:
         raise ValueError(f"artifact schema mismatch: expected {schema!r}, "
                          f"found {found!r}")
     return doc
+
+
+def _loads(data: bytes, schema: str) -> Dict:
+    return _check_schema(json.loads(data.decode("utf-8")), schema)
 
 
 def _row(obj, field_names) -> List:
@@ -70,97 +83,203 @@ def _row(obj, field_names) -> List:
 
 
 def _attack_from_row(row) -> InferredAttack:
-    return InferredAttack(**dict(zip(_ATTACK_FIELDS, row)))
+    return InferredAttack(*row)
+
+
+# -- packed columns -----------------------------------------------------------
+
+#: column type codes (int64, double); both take 8 bytes an item.
+_CODES = ("q", "d")
+_ITEMSIZE = 8
+#: columns are little-endian on disk whatever the host's byte order.
+_SWAP = sys.byteorder == "big"
+
+#: (column, type code) pairs of a table.
+_Layout = Sequence[Tuple[str, str]]
+
+
+def _layout(cls) -> _Layout:
+    """One column per dataclass field: ``int`` packs as ``q``, ``float``
+    as ``d``."""
+    return [(f.name, {"int": "q", "float": "d"}[f.type])
+            for f in dataclasses.fields(cls)]
+
+
+def _pack(name: str, code: str, values: List) -> bytes:
+    """One column's bytes; a value the column cannot hold exactly is a
+    :class:`ValueError` (an int beyond int64, a float in an int column,
+    an int a double would round)."""
+    try:
+        packed = array(code, values)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"column {name!r} cannot hold a value: {exc}") \
+            from None
+    if code == "d" and any(not isinstance(v, float) and v != x
+                           for v, x in zip(values, packed)):
+        raise ValueError(f"column {name!r} cannot hold a value exactly")
+    if _SWAP:
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def _dumps_packed(header: Dict,
+                  columns: Iterable[Tuple[str, str, List]]) -> bytes:
+    """The header line, then every column of ``columns``, which yields
+    one ``(name, code, values)`` at a time: only one column's values
+    are ever held as Python objects."""
+    directory, parts = [], []
+    for name, code, values in columns:
+        parts.append(_pack(name, code, values))
+        directory.append([name, code, len(values)])
+    return b"\n".join([_dumps(dict(header, columns=directory)),
+                       b"".join(parts)])
+
+
+def _loads_packed(data: bytes, schema: str, tables: Dict[str, _Layout]
+                  ) -> Tuple[Dict, Dict[str, Tuple[str, memoryview]]]:
+    """Parse and check a packed blob: the header and, per column, its
+    type code and undecoded bytes.
+
+    The whole structure is checked here — schema, column directory
+    against ``tables``, equal column lengths within a table, and the
+    byte count — so a truncated or foreign blob fails now, never later
+    inside an analysis. A JSON blob of an older layout has no newline:
+    all of it parses as a header with a foreign schema.
+    """
+    end = data.find(b"\n")
+    header = _check_schema(json.loads(data[:end] if end >= 0 else data),
+                           schema)
+    if end < 0:
+        raise ValueError("packed artifact has no column section")
+    try:
+        directory = [(name, code, count)
+                     for name, code, count in header["columns"]]
+    except (KeyError, TypeError, ValueError):
+        raise ValueError("malformed column directory") from None
+    for name, code, count in directory:
+        if code not in _CODES:
+            raise ValueError(f"unknown type code {code!r} of {name!r}")
+        if type(count) is not int or count < 0:
+            raise ValueError(f"bad count {count!r} of {name!r}")
+    if [(name, code) for name, code, _ in directory] != [
+            (f"{table}.{name}", code)
+            for table, layout in tables.items() for name, code in layout]:
+        raise ValueError("column directory does not match the layout")
+    for table in tables:
+        if len({count for name, _, count in directory
+                if name.startswith(table + ".")}) > 1:
+            raise ValueError(f"columns of {table!r} differ in length")
+    body = memoryview(data)[end + 1:]
+    size = _ITEMSIZE * sum(count for _, _, count in directory)
+    if len(body) != size:
+        raise ValueError(f"column section holds {len(body)} bytes, "
+                         f"the directory {size}")
+    columns, offset = {}, 0
+    for name, code, count in directory:
+        stop = offset + count * _ITEMSIZE
+        columns[name] = (code, body[offset:stop])
+        offset = stop
+    return header, columns
+
+
+def _unpack(column: Tuple[str, memoryview]) -> List:
+    """One column's values, decoded."""
+    code, raw = column
+    values = array(code)
+    values.frombytes(raw)
+    if _SWAP:
+        values.byteswap()
+    return values.tolist()
+
+
+def _object_columns(table: str, objs: Sequence, layout: _Layout
+                    ) -> Iterator[Tuple[str, str, List]]:
+    for name, code in layout:
+        yield f"{table}.{name}", code, list(map(attrgetter(name), objs))
+
+
+def _objects(cls, columns, table: str, layout: _Layout) -> List:
+    """Rebuild a table's objects, one ``cls(*row)`` per row."""
+    return [cls(*row) for row in zip(*(_unpack(columns[f"{table}.{name}"])
+                                       for name, _ in layout))]
 
 
 # -- telescope: RSDoSFeed -----------------------------------------------------
 
+_RECORD_LAYOUT = _layout(FeedRecord)
+_ATTACK_LAYOUT = _layout(InferredAttack)
+_FEED_TABLES = {"records": _RECORD_LAYOUT, "attacks": _ATTACK_LAYOUT}
+
 
 def dumps_feed(feed: RSDoSFeed) -> bytes:
     """Serialize the curated feed: window records + inferred attacks."""
-    return _dumps({
-        "schema": _FEED_SCHEMA,
-        "record_fields": _RECORD_FIELDS,
-        "attack_fields": _ATTACK_FIELDS,
-        "records": [_row(r, _RECORD_FIELDS) for r in feed.records],
-        "attacks": [_row(a, _ATTACK_FIELDS) for a in feed.attacks],
-    })
+    return _dumps_packed({"schema": _FEED_SCHEMA}, chain(
+        _object_columns("records", feed.records, _RECORD_LAYOUT),
+        _object_columns("attacks", feed.attacks, _ATTACK_LAYOUT)))
 
 
 def loads_feed(data: bytes) -> RSDoSFeed:
-    """Deserialize :func:`dumps_feed` output (exact round-trip)."""
-    doc = _loads(data, _FEED_SCHEMA)
-    if doc["record_fields"] != _RECORD_FIELDS \
-            or doc["attack_fields"] != _ATTACK_FIELDS:
-        raise ValueError("feed artifact field layout mismatch")
-    records = [FeedRecord(**dict(zip(_RECORD_FIELDS, row)))
-               for row in doc["records"]]
-    attacks = [_attack_from_row(row) for row in doc["attacks"]]
-    return RSDoSFeed(records, attacks)
+    """Deserialize :func:`dumps_feed` output (exact round-trip); the
+    records are built on first access."""
+    _, columns = _loads_packed(data, _FEED_SCHEMA, _FEED_TABLES)
+    return RSDoSFeed.deferred(
+        _objects(InferredAttack, columns, "attacks", _ATTACK_LAYOUT),
+        lambda: _objects(FeedRecord, columns, "records", _RECORD_LAYOUT))
 
 
 # -- crawl: MeasurementStore --------------------------------------------------
 
-#: Aggregate columns as serialized, in order (matches ``Aggregate.state()``).
-_AGG_COLUMNS = ("n", "ok_n", "rtt_sum", "rtt_min", "rtt_max",
-                "timeout_n", "servfail_n", "other_err_n")
+#: Aggregate columns, in ``Aggregate.state()`` order.
+_AGG_LAYOUT = [("n", "q"), ("ok_n", "q"), ("rtt_sum", "d"),
+               ("rtt_min", "d"), ("rtt_max", "d"), ("timeout_n", "q"),
+               ("servfail_n", "q"), ("other_err_n", "q")]
+#: a table's rows sorted by their (nsset_id, ts) key.
+_TABLE_LAYOUT = [("nsset_id", "q"), ("ts", "q"), *_AGG_LAYOUT]
+_STORE_TABLES = {"daily": _TABLE_LAYOUT, "buckets": _TABLE_LAYOUT}
+_STORE_TOTALS = ("n_measurements", "n_rejected", "n_merges")
 
 
-def _table_doc(table) -> Dict:
-    """One aggregate dict as sorted column vectors (the v2 layout)."""
-    rows = sorted(table.items())
-    states = [agg.state() for _, agg in rows]
-    doc: Dict = {
-        "nsset_id": [key[0] for key, _ in rows],
-        "ts": [key[1] for key, _ in rows],
-    }
-    for i, name in enumerate(_AGG_COLUMNS):
-        doc[name] = [state[i] for state in states]
-    return doc
+def _table_columns(name: str, table: Dict
+                   ) -> Iterator[Tuple[str, str, List]]:
+    keys = sorted(table)
+    yield f"{name}.nsset_id", "q", [key[0] for key in keys]
+    yield f"{name}.ts", "q", [key[1] for key in keys]
+    yield from _object_columns(name, [table[key] for key in keys],
+                               _AGG_LAYOUT)
 
 
-def _table_load(doc: Dict, target) -> None:
-    """Rebuild one aggregate dict from v2 column vectors."""
-    nsset_id = doc["nsset_id"]
-    ts = doc["ts"]
-    cols = [doc[name] for name in _AGG_COLUMNS]
-    n_col, ok_col, sum_col, min_col, max_col, to_col, sf_col, oe_col = cols
-    for i in range(len(nsset_id)):
-        agg = Aggregate()
-        agg.n = n_col[i]
-        agg.ok_n = ok_col[i]
-        agg.rtt_sum = float(sum_col[i])
-        agg.rtt_min = float(min_col[i])
-        agg.rtt_max = float(max_col[i])
-        agg.timeout_n = to_col[i]
-        agg.servfail_n = sf_col[i]
-        agg.other_err_n = oe_col[i]
-        target[(nsset_id[i], ts[i])] = agg
+def _aggregate(*state) -> Aggregate:
+    agg = Aggregate()
+    (agg.n, agg.ok_n, agg.rtt_sum, agg.rtt_min, agg.rtt_max, agg.timeout_n,
+     agg.servfail_n, agg.other_err_n) = state
+    return agg
+
+
+def _table(columns, name: str) -> Dict[Tuple[int, int], Aggregate]:
+    """Rebuild one aggregate table from its columns."""
+    keys = zip(_unpack(columns[f"{name}.nsset_id"]),
+               _unpack(columns[f"{name}.ts"]))
+    return dict(zip(keys, _objects(_aggregate, columns, name, _AGG_LAYOUT)))
 
 
 def dumps_store(store: MeasurementStore) -> bytes:
     """Serialize daily + dense 5-minute aggregates and ingest totals."""
-    return _dumps({
-        "schema": _STORE_SCHEMA,
-        "columns": ["nsset_id", "ts", *_AGG_COLUMNS],
-        "n_measurements": store.n_measurements,
-        "n_rejected": store.n_rejected,
-        "n_merges": store.n_merges,
-        "daily": _table_doc(store.daily),
-        "buckets": _table_doc(store.buckets),
-    })
+    header = {"schema": _STORE_SCHEMA}
+    header.update((name, getattr(store, name)) for name in _STORE_TOTALS)
+    return _dumps_packed(header, chain(
+        _table_columns("daily", store.daily),
+        _table_columns("buckets", store.buckets)))
 
 
 def loads_store(data: bytes) -> MeasurementStore:
-    """Deserialize :func:`dumps_store` output (exact round-trip)."""
-    doc = _loads(data, _STORE_SCHEMA)
-    store = MeasurementStore()
-    store.n_measurements = doc["n_measurements"]
-    store.n_rejected = doc["n_rejected"]
-    store.n_merges = doc["n_merges"]
-    _table_load(doc["daily"], store.daily)
-    _table_load(doc["buckets"], store.buckets)
-    return store
+    """Deserialize :func:`dumps_store` output (exact round-trip); the
+    tables are built on first access."""
+    header, columns = _loads_packed(data, _STORE_SCHEMA, _STORE_TABLES)
+    totals = [header.get(name) for name in _STORE_TOTALS]
+    if any(type(total) is not int for total in totals):
+        raise ValueError("store totals must be ints")
+    return MeasurementStore.deferred(
+        *totals, build_table=lambda name: _table(columns, name))
 
 
 # -- join: DatasetJoin --------------------------------------------------------

@@ -12,7 +12,8 @@ which is provably sufficient for every metric in the paper's analysis.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.dns.rcode import ResponseStatus
 from repro.openintel.records import Measurement
@@ -152,6 +153,36 @@ class MeasurementStore:
         #: donor stores folded in via :meth:`merge` (serve's day partitions).
         self.n_merges = 0
 
+    @classmethod
+    def deferred(cls, n_measurements: int, n_rejected: int, n_merges: int,
+                 build_table: Callable[[str], Dict[Tuple[int, int],
+                                                   Aggregate]]
+                 ) -> "MeasurementStore":
+        """A store with its ingest totals set and its ``daily`` and
+        ``buckets`` tables built by ``build_table(name)`` the first time
+        something reads them.
+
+        The phase cache restores stores this way: a warm run that never
+        reads a table never pays for building it.
+        """
+        store = cls.__new__(cls)
+        store.n_measurements = n_measurements
+        store.n_rejected = n_rejected
+        store.n_merges = n_merges
+        store._build_table = build_table
+        return store
+
+    # Only a deferred store reaches these two: ``__init__``'s instance
+    # attributes shadow them, and so does the built table once cached.
+
+    @cached_property
+    def daily(self) -> Dict[Tuple[int, int], Aggregate]:
+        return self._build_table("daily")
+
+    @cached_property
+    def buckets(self) -> Dict[Tuple[int, int], Aggregate]:
+        return self._build_table("buckets")
+
     # -- ingest --------------------------------------------------------------
 
     def add(self, m: Measurement, dense: bool) -> None:
@@ -275,7 +306,11 @@ class MeasurementStore:
         ``registry`` is a :class:`repro.obs.MetricsRegistry` (kept
         untyped here so storage stays import-light). Counters carry the
         lifetime totals; gauges carry the current aggregate population.
+        A disabled registry returns at once, so it builds no deferred
+        table.
         """
+        if not registry.enabled:
+            return
         registry.counter("repro.store.ingested").inc(self.n_measurements)
         registry.counter("repro.store.rejected").inc(self.n_rejected)
         registry.counter("repro.store.merges").inc(self.n_merges)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO
+from functools import cached_property
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, TextIO
 
 from repro.attacks.model import Attack
 from repro.telescope.backscatter import BackscatterSimulator, WindowObservation
@@ -61,6 +62,12 @@ class RSDoSFeed:
         self.attacks: List[InferredAttack] = sorted(
             attacks, key=lambda a: (a.start, a.victim_ip))
 
+    @cached_property
+    def records(self) -> List[FeedRecord]:
+        # Only a deferred feed reaches this: ``__init__``'s instance
+        # attribute shadows it, and so does the built list once cached.
+        return self._build_records()
+
     # -- construction -----------------------------------------------------------
 
     @classmethod
@@ -78,6 +85,22 @@ class RSDoSFeed:
         records = [FeedRecord.from_observation(o) for o in observations
                    if any(w.contains(o.window_ts) for w in keep.get(o.victim_ip, ()))]
         return cls(records, inferred)
+
+    @classmethod
+    def deferred(cls, attacks: Sequence[InferredAttack],
+                 build_records: Callable[[], List[FeedRecord]]
+                 ) -> "RSDoSFeed":
+        """A feed holding ``attacks`` (already in feed order) whose
+        ``records`` are built by ``build_records()`` the first time
+        something reads them.
+
+        The phase cache restores feeds this way: the join reads only
+        the attacks, so most warm runs never build a record.
+        """
+        feed = cls.__new__(cls)
+        feed.attacks = list(attacks)
+        feed._build_records = build_records
+        return feed
 
     # -- queries ------------------------------------------------------------------
 

@@ -7,15 +7,16 @@ visibly skip the telescope and crawl phases (cached spans and
 cache.
 """
 
+import math
 import warnings
 
 import pytest
 
 from repro import WorldConfig, build_world, run_study
-from repro.artifacts.fingerprint import PHASES
+from repro.artifacts.fingerprint import PHASES, study_keys
 from repro.artifacts.store import ArtifactStore
 from repro.chaos import ChaosConfig, FaultPolicy
-from repro.obs import RunTelemetry
+from repro.obs import RunTelemetry, read_journal
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,59 @@ class TestWarmColdEquivalence:
                   telemetry=telemetry)
         assert _counter_total(telemetry, "repro.cache.hits") == 0
         assert _counter_total(telemetry, "repro.cache.misses") == len(PHASES)
+
+
+class TestDeferredBuild:
+    """A warm run builds the crawl tables and the feed records only when
+    something reads them; the report reads neither."""
+
+    def test_report_builds_no_table(self, cold_study, cache_dir):
+        warm = run_study(WorldConfig.tiny(), cache=cache_dir)
+        assert warm.report() == cold_study.report()
+        assert not {"daily", "buckets"} & set(vars(warm.store))
+        assert "records" not in vars(warm.feed)
+
+    def test_first_access_equals_cold(self, cold_study, cache_dir):
+        warm = run_study(WorldConfig.tiny(), cache=cache_dir)
+        assert warm.store.daily == cold_study.store.daily
+        assert warm.store.buckets == cold_study.store.buckets
+        assert any(math.isinf(agg.rtt_min)
+                   for agg in warm.store.buckets.values())
+        records = warm.feed.records
+        assert records == cold_study.feed.records
+        order = [(r.window_ts, r.victim_ip) for r in records]
+        assert order == sorted(order)
+
+    def test_warm_telemetry_publishes_cold_store_metrics(self, tmp_path):
+        def store_metrics():
+            telemetry = RunTelemetry.create()
+            run_study(WorldConfig.tiny(), cache=str(tmp_path),
+                      telemetry=telemetry)
+            metrics = telemetry.snapshot()["metrics"]
+            return {kind: {k: v for k, v in metrics[kind].items()
+                           if k.startswith("repro.store.")}
+                    for kind in ("counters", "gauges")}
+
+        cold = store_metrics()
+        assert cold["counters"] and cold["gauges"]
+        assert store_metrics() == cold
+
+    def test_corrupt_entries_refill_on_the_next_run(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        cold = run_study(WorldConfig.tiny(), cache=cache)
+        keys = study_keys(WorldConfig.tiny())
+        store = ArtifactStore(cache)
+        for phase in ("telescope", "crawl"):
+            store.put(keys[phase], store.get(keys[phase])[:-8], phase=phase)
+        journal = str(tmp_path / "run.jsonl")
+        refill = run_study(WorldConfig.tiny(), cache=cache, journal=journal)
+        assert refill.report() == cold.report()
+        assert sorted(r["phase"] for r in read_journal(journal)
+                      if r["type"] == "cache.miss" and r.get("corrupt")) \
+            == ["crawl", "telescope"]
+        telemetry = RunTelemetry.create()
+        run_study(WorldConfig.tiny(), cache=cache, telemetry=telemetry)
+        assert _counter_total(telemetry, "repro.cache.hits") == len(PHASES)
 
 
 class TestCacheBypass:

@@ -2,10 +2,14 @@
 
 Every artifact must satisfy two contracts: ``loads(dumps(x))`` is
 semantically equal to ``x`` (bit-for-bit on every float), and
-``dumps(loads(dumps(x))) == dumps(x)`` (deterministic bytes).
+``dumps(loads(dumps(x))) == dumps(x)`` (deterministic bytes). The
+packed feed and store blobs must also be checked whole at load time:
+every damaged or foreign blob is a :class:`ValueError`, so the phase
+cache counts it as a miss.
 """
 
 import json
+import math
 
 import pytest
 
@@ -16,7 +20,10 @@ from repro.artifacts.serializers import (PHASE_SERIALIZERS, dumps_events,
                                          loads_store)
 from repro.artifacts.store import ArtifactStore
 from repro.core.join import DatasetJoin
-from repro.obs import RunTelemetry
+from repro.dns.rcode import ResponseStatus
+from repro.obs import RunJournal, RunTelemetry, read_journal
+from repro.openintel.storage import MeasurementStore
+from repro.telescope.feed import FeedRecord, RSDoSFeed
 
 
 class TestFeedRoundTrip:
@@ -28,6 +35,15 @@ class TestFeedRoundTrip:
     def test_deterministic_bytes(self, tiny_study):
         data = dumps_feed(tiny_study.feed)
         assert dumps_feed(loads_feed(data)) == data
+
+    def test_records_built_on_first_access(self, tiny_study):
+        data = dumps_feed(tiny_study.feed)
+        loaded = loads_feed(data)
+        assert "records" not in vars(loaded)
+        assert loaded.attacks == tiny_study.feed.attacks
+        assert loaded.records == tiny_study.feed.records
+        assert "records" in vars(loaded)
+        assert dumps_feed(loaded) == data
 
 
 class TestStoreRoundTrip:
@@ -44,6 +60,22 @@ class TestStoreRoundTrip:
     def test_deterministic_bytes(self, tiny_study):
         data = dumps_store(tiny_study.store)
         assert dumps_store(loads_store(data)) == data
+
+    def test_tables_built_on_first_access(self, tiny_study):
+        loaded = loads_store(dumps_store(tiny_study.store))
+        assert not {"daily", "buckets"} & set(vars(loaded))
+        assert loaded.daily == tiny_study.store.daily
+        assert "buckets" not in vars(loaded)
+        assert loaded.buckets == tiny_study.store.buckets
+
+    def test_infinite_rtt_min_is_exact(self):
+        store = MeasurementStore()
+        store.add_fast(7, 0, ResponseStatus.TIMEOUT, 0.0, dense=True)
+        store.add_fast(7, 0, ResponseStatus.OK, 0.1 + 0.2, dense=False)
+        loaded = loads_store(dumps_store(store))
+        assert loaded == store
+        assert math.isinf(loaded.buckets[(7, 0)].rtt_min)
+        assert loaded.daily[(7, 0)].rtt_sum == 0.1 + 0.2
 
 
 class TestJoinRoundTrip:
@@ -102,3 +134,147 @@ class TestSchemaGuards:
             {"telescope", "crawl", "join", "events"}
         for dumps, loads in PHASE_SERIALIZERS.values():
             assert callable(dumps) and callable(loads)
+
+
+# -- the packed container -------------------------------------------------------
+
+
+def _edit_header(blob, edit):
+    """``blob`` with its JSON header line rewritten by ``edit``."""
+    end = blob.index(b"\n")
+    header = json.loads(blob[:end])
+    edit(header)
+    return json.dumps(header).encode() + blob[end:]
+
+
+def _grow_first_table(header):
+    """One more row in every column of the first table: the directory
+    then promises more bytes than the blob holds."""
+    table = header["columns"][0][0].split(".")[0]
+    for entry in header["columns"]:
+        if entry[0].startswith(table + "."):
+            entry[2] += 1
+
+
+def _unknown_code(header):
+    header["columns"][0][1] = "z"
+
+
+LEGACY_BLOBS = {
+    "telescope": {"schema": "repro.artifacts.feed/v1",
+                  "record_fields": [], "attack_fields": [],
+                  "records": [], "attacks": []},
+    "crawl": {"schema": "repro.artifacts.store/v2",
+              "columns": [], "n_measurements": 0, "n_rejected": 0,
+              "n_merges": 0, "daily": {}, "buckets": {}},
+}
+
+#: name -> (blob, phase) -> a damaged or foreign blob.
+CORRUPTIONS = {
+    "truncated": lambda blob, phase: blob[:-1],
+    "header_only": lambda blob, phase: blob[:blob.index(b"\n")],
+    "trailing_bytes": lambda blob, phase: blob + b"\0",
+    "directory_disagrees": lambda blob, phase: _edit_header(
+        blob, _grow_first_table),
+    "unknown_type_code": lambda blob, phase: _edit_header(
+        blob, _unknown_code),
+    "legacy_json": lambda blob, phase: json.dumps(
+        LEGACY_BLOBS[phase]).encode(),
+}
+
+
+def _artifact(study, phase):
+    return study.feed if phase == "telescope" else study.store
+
+
+@pytest.mark.parametrize("phase", ["telescope", "crawl"])
+class TestPackedIntegrity:
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_loads_raises_value_error(self, tiny_study, phase, corruption):
+        dumps, loads = PHASE_SERIALIZERS[phase]
+        blob = CORRUPTIONS[corruption](dumps(_artifact(tiny_study, phase)),
+                                       phase)
+        with pytest.raises(ValueError):
+            loads(blob)
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corrupt_entry_misses_then_refills(self, tiny_study, tmp_path,
+                                               phase, corruption):
+        dumps = PHASE_SERIALIZERS[phase][0]
+        artifact = _artifact(tiny_study, phase)
+        telemetry = RunTelemetry.create()
+        journal = RunJournal(tmp_path / "run.jsonl")
+        telemetry.attach_journal(journal)
+        cache = PhaseCache(ArtifactStore(str(tmp_path / "cache")), telemetry)
+        cache.store.put("k", CORRUPTIONS[corruption](dumps(artifact), phase),
+                        phase=phase)
+        assert cache.fetch(phase, "k") is None
+        assert cache.save(phase, "k", artifact)
+        refilled = cache.fetch(phase, "k")
+        journal.close()
+        assert dumps(refilled) == dumps(artifact)
+        counters = telemetry.snapshot()["metrics"]["counters"]
+        assert counters[f"repro.cache.misses{{phase={phase}}}"] == 1
+        assert counters[f"repro.cache.hits{{phase={phase}}}"] == 1
+        events = [(r["type"], r.get("corrupt"))
+                  for r in read_journal(tmp_path / "run.jsonl")
+                  if r["type"].startswith("cache.")]
+        assert events == [("cache.miss", True), ("cache.save", None),
+                          ("cache.hit", None)]
+
+
+def _one_aggregate_store():
+    store = MeasurementStore()
+    store.add_fast(7, 0, ResponseStatus.OK, 20.0, dense=True)
+    return store
+
+
+def _set_daily(column, value):
+    store = _one_aggregate_store()
+    setattr(store.daily[(7, 0)], column, value)
+    return store
+
+
+def _feed_with(**fields):
+    record = dict(window_ts=0, victim_ip=1, proto=6, first_port=80,
+                  n_ports=1, n_packets=30, max_ppm=12.5, n_slash16=3,
+                  n_unique_sources=9)
+    record.update(fields)
+    return RSDoSFeed([FeedRecord(**record)], [])
+
+
+UNHOLDABLE = {
+    "int_beyond_int64": ("crawl", lambda: _set_daily("n", 2 ** 63)),
+    "float_in_int_column": ("crawl", lambda: _set_daily("ok_n", 1.5)),
+    "int_a_double_rounds": ("crawl",
+                            lambda: _set_daily("rtt_sum", 2 ** 53 + 1)),
+    "str_in_float_column": ("crawl", lambda: _set_daily("rtt_max", "20")),
+    "feed_int_beyond_int64": ("telescope",
+                              lambda: _feed_with(n_packets=-2 ** 63 - 1)),
+    "feed_float_in_int_column": ("telescope",
+                                 lambda: _feed_with(window_ts=0.5)),
+}
+
+
+class TestUnholdableValues:
+    @pytest.mark.parametrize("case", sorted(UNHOLDABLE))
+    def test_dumps_raises_value_error(self, case):
+        phase, build = UNHOLDABLE[case]
+        with pytest.raises(ValueError, match="cannot hold"):
+            PHASE_SERIALIZERS[phase][0](build())
+
+    @pytest.mark.parametrize("case", sorted(UNHOLDABLE))
+    def test_cache_skips_instead_of_crashing(self, tmp_path, case):
+        phase, build = UNHOLDABLE[case]
+        telemetry = RunTelemetry.create()
+        cache = PhaseCache(ArtifactStore(str(tmp_path)), telemetry)
+        assert cache.save(phase, "k", build()) is False
+        assert not cache.store.has("k")
+        counters = telemetry.snapshot()["metrics"]["counters"]
+        assert counters[f"repro.cache.skipped{{phase={phase}}}"] == 1
+
+    def test_exact_int_in_float_column_round_trips(self):
+        store = _set_daily("rtt_sum", 20)
+        loaded = loads_store(dumps_store(store))
+        assert loaded == store
+        assert type(loaded.daily[(7, 0)].rtt_sum) is float
