@@ -278,8 +278,11 @@ def loads_store(data: bytes) -> MeasurementStore:
     totals = [header.get(name) for name in _STORE_TOTALS]
     if any(type(total) is not int for total in totals):
         raise ValueError("store totals must be ints")
+    rows = {name: count for name, _, count in header["columns"]}
     return MeasurementStore.deferred(
-        *totals, build_table=lambda name: _table(columns, name))
+        *totals, n_daily=rows["daily.nsset_id"],
+        n_buckets=rows["buckets.nsset_id"],
+        build_table=lambda name: _table(columns, name))
 
 
 # -- join: DatasetJoin --------------------------------------------------------

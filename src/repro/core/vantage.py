@@ -59,9 +59,7 @@ class VantagePoint:
             return self.world.load_at(ns, ts)
         site = ns.anycast.site_for_region(self.region)
         # Recompute the per-site load with this vantage's site.
-        index = self.world._index
-        assert index is not None
-        attacks = index.active_on_ip(ns.ip, ts)
+        attacks = self.world._index.active_on_ip(ns.ip, ts)
         blackout = any(
             (bw := a.blackout_window()) is not None and bw.contains(int(ts))
             for a in attacks)

@@ -39,11 +39,12 @@ class DomainName:
 
     __slots__ = ("labels",)
 
-    def __init__(self, name):
+    def __new__(cls, name):
+        # Immutable, so an existing name is returned as is, not copied.
         if isinstance(name, DomainName):
-            labels: Tuple[str, ...] = name.labels
-        elif isinstance(name, (tuple, list)):
-            labels = tuple(_encode_label(l) for l in name)
+            return name
+        if isinstance(name, (tuple, list)):
+            labels: Tuple[str, ...] = tuple(_encode_label(l) for l in name)
         elif isinstance(name, str):
             text = name.strip().rstrip(".")
             if not text:
@@ -58,7 +59,9 @@ class DomainName:
         for label in labels:
             if len(label) > MAX_LABEL_OCTETS:
                 raise ValueError(f"label too long: {label!r}")
+        self = object.__new__(cls)
         object.__setattr__(self, "labels", labels)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("DomainName is immutable")

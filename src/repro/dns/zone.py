@@ -20,11 +20,18 @@ class Delegation:
 
     ``ns_addrs`` maps each NS hostname to its IPv4 address ints. The set
     of all addresses across hostnames is the domain's *NSSet* key in the
-    paper's aggregation (§4.1).
+    paper's aggregation (§4.1), kept as ``nameserver_ips``: the sorted
+    unique IPv4 ints across all NS hosts.
     """
 
     domain: DomainName
     ns_addrs: Tuple[Tuple[DomainName, Tuple[int, ...]], ...]
+
+    def __post_init__(self) -> None:
+        ips = set()
+        for _, addrs in self.ns_addrs:
+            ips.update(addrs)
+        object.__setattr__(self, "nameserver_ips", tuple(sorted(ips)))
 
     @classmethod
     def build(cls, domain, ns_addrs: Dict) -> "Delegation":
@@ -37,14 +44,6 @@ class Delegation:
     @property
     def nameserver_hosts(self) -> Tuple[DomainName, ...]:
         return tuple(host for host, _ in self.ns_addrs)
-
-    @property
-    def nameserver_ips(self) -> Tuple[int, ...]:
-        """Sorted unique IPv4 ints across all NS hosts — the NSSet key."""
-        out = set()
-        for _, addrs in self.ns_addrs:
-            out.update(addrs)
-        return tuple(sorted(out))
 
     def addresses_of(self, host) -> Tuple[int, ...]:
         host = DomainName(host)

@@ -42,11 +42,6 @@ class PrefixTrie(Generic[V]):
         return self._size
 
     @staticmethod
-    def _bits(network: int, length: int) -> Iterator[int]:
-        for i in range(length):
-            yield (network >> (IPV4_BITS - 1 - i)) & 1
-
-    @staticmethod
     def _key(prefix) -> Tuple[int, int]:
         """Accept an IPv4Prefix, an ``(int, len)`` pair, or a CIDR string."""
         if isinstance(prefix, tuple):
@@ -58,16 +53,27 @@ class PrefixTrie(Generic[V]):
             return parse_prefix(prefix)
         return prefix.network, prefix.length
 
+    def _find(self, network: int, length: int) -> Optional[_Node[V]]:
+        """The node at ``network/length``, or None if it was never made."""
+        node = self._root
+        shift = IPV4_BITS - 1
+        for i in range(length):
+            node = node.children[(network >> (shift - i)) & 1]
+            if node is None:
+                return None
+        return node
+
     def insert(self, prefix, value: V) -> None:
         """Insert or replace the value at ``prefix``."""
         network, length = self._key(prefix)
         node = self._root
-        for bit in self._bits(network, length):
-            child = node.children[bit]
-            if child is None:
-                child = _Node()
-                node.children[bit] = child
-            node = child
+        shift = IPV4_BITS - 1
+        for i in range(length):
+            children = node.children
+            bit = (network >> (shift - i)) & 1
+            node = children[bit]
+            if node is None:
+                node = children[bit] = _Node()
         if not node.has_value:
             self._size += 1
         node.value = value
@@ -75,14 +81,8 @@ class PrefixTrie(Generic[V]):
 
     def exact(self, prefix) -> Optional[V]:
         """Value stored exactly at ``prefix``, or None."""
-        network, length = self._key(prefix)
-        node = self._root
-        for bit in self._bits(network, length):
-            child = node.children[bit]
-            if child is None:
-                return None
-            node = child
-        return node.value if node.has_value else None
+        node = self._find(*self._key(prefix))
+        return node.value if node is not None and node.has_value else None
 
     def longest_match(self, ip) -> Optional[Tuple[Tuple[int, int], V]]:
         """Longest-prefix match for an address.
@@ -92,19 +92,18 @@ class PrefixTrie(Generic[V]):
         """
         addr = coerce_ip(ip)
         node = self._root
-        best: Optional[Tuple[Tuple[int, int], V]] = None
-        if node.has_value:
-            best = ((0, 0), node.value)  # default route
+        best: Optional[_Node[V]] = node if node.has_value else None
+        best_length = 0  # 0 with a value at the root: the default route
+        shift = IPV4_BITS - 1
         for depth in range(IPV4_BITS):
-            bit = (addr >> (IPV4_BITS - 1 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
+            node = node.children[(addr >> (shift - depth)) & 1]
+            if node is None:
                 break
-            node = child
             if node.has_value:
-                length = depth + 1
-                best = ((network_of(addr, length), length), node.value)
-        return best
+                best, best_length = node, depth + 1
+        if best is None:
+            return None
+        return (network_of(addr, best_length), best_length), best.value
 
     def lookup(self, ip) -> Optional[V]:
         """Just the value of the longest match (the common call)."""
@@ -114,25 +113,39 @@ class PrefixTrie(Generic[V]):
     def covered(self, prefix) -> Iterator[Tuple[Tuple[int, int], V]]:
         """All stored prefixes equal to or more specific than ``prefix``."""
         network, length = self._key(prefix)
-        node = self._root
-        for bit in self._bits(network, length):
-            child = node.children[bit]
-            if child is None:
-                return
-            node = child
-        yield from self._walk(node, network, length)
+        node = self._find(network, length)
+        if node is not None:
+            yield from self._walk(node, network, length)
 
-    def _walk(self, node: _Node[V], network: int, length: int
+    @staticmethod
+    def _walk(node: _Node[V], network: int, length: int
               ) -> Iterator[Tuple[Tuple[int, int], V]]:
-        if node.has_value:
-            yield (network, length), node.value
-        if length >= IPV4_BITS:
-            return
-        zero, one = node.children
-        if zero is not None:
-            yield from self._walk(zero, network, length + 1)
-        if one is not None:
-            yield from self._walk(one, network | (1 << (IPV4_BITS - 1 - length)), length + 1)
+        """Stored prefixes at and below ``node``, in address order."""
+        stack = [(node, network, length)]
+        while stack:
+            node, network, length = stack.pop()
+            if node.has_value:
+                yield (network, length), node.value
+            zero, one = node.children
+            if one is not None:  # pushed first, so walked after zero
+                stack.append((one, network | (1 << (IPV4_BITS - 1 - length)),
+                              length + 1))
+            if zero is not None:
+                stack.append((zero, network, length + 1))
+
+    def copy(self) -> "PrefixTrie[V]":
+        """An independent trie holding the same prefixes and values."""
+        clone: PrefixTrie[V] = PrefixTrie()
+        clone._size = self._size
+        stack = [(self._root, clone._root)]
+        while stack:
+            node, twin = stack.pop()
+            twin.value, twin.has_value = node.value, node.has_value
+            for bit, child in enumerate(node.children):
+                if child is not None:
+                    twin.children[bit] = _Node()
+                    stack.append((child, twin.children[bit]))
+        return clone
 
     def items(self) -> Iterator[Tuple[Tuple[int, int], V]]:
         """All (prefix, value) pairs in the trie, in address order."""
@@ -144,14 +157,8 @@ class PrefixTrie(Generic[V]):
         Leaves structural nodes in place (fine for our workloads, which
         build once and query many times).
         """
-        network, length = self._key(prefix)
-        node = self._root
-        for bit in self._bits(network, length):
-            child = node.children[bit]
-            if child is None:
-                return False
-            node = child
-        if not node.has_value:
+        node = self._find(*self._key(prefix))
+        if node is None or not node.has_value:
             return False
         node.has_value = False
         node.value = None

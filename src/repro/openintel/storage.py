@@ -155,20 +155,22 @@ class MeasurementStore:
 
     @classmethod
     def deferred(cls, n_measurements: int, n_rejected: int, n_merges: int,
+                 n_daily: int, n_buckets: int,
                  build_table: Callable[[str], Dict[Tuple[int, int],
                                                    Aggregate]]
                  ) -> "MeasurementStore":
-        """A store with its ingest totals set and its ``daily`` and
-        ``buckets`` tables built by ``build_table(name)`` the first time
-        something reads them.
+        """A store with its ingest totals and table row counts set, and
+        its ``daily`` and ``buckets`` tables built by
+        ``build_table(name)`` the first time something reads them.
 
         The phase cache restores stores this way: a warm run that never
-        reads a table never pays for building it.
+        reads a table never pays for building it, not even to count it.
         """
         store = cls.__new__(cls)
         store.n_measurements = n_measurements
         store.n_rejected = n_rejected
         store.n_merges = n_merges
+        store._unbuilt_rows = {"daily": n_daily, "buckets": n_buckets}
         store._build_table = build_table
         return store
 
@@ -306,16 +308,25 @@ class MeasurementStore:
         ``registry`` is a :class:`repro.obs.MetricsRegistry` (kept
         untyped here so storage stays import-light). Counters carry the
         lifetime totals; gauges carry the current aggregate population.
-        A disabled registry returns at once, so it builds no deferred
-        table.
+        No deferred table is built to publish them.
         """
         if not registry.enabled:
             return
         registry.counter("repro.store.ingested").inc(self.n_measurements)
         registry.counter("repro.store.rejected").inc(self.n_rejected)
         registry.counter("repro.store.merges").inc(self.n_merges)
-        registry.gauge("repro.store.daily_aggregates").set(len(self.daily))
-        registry.gauge("repro.store.bucket_aggregates").set(len(self.buckets))
+        registry.gauge("repro.store.daily_aggregates").set(
+            self._rows("daily"))
+        registry.gauge("repro.store.bucket_aggregates").set(
+            self._rows("buckets"))
+
+    def _rows(self, table: str) -> int:
+        """A table's row count; a deferred table that was never built
+        is counted from its artifact, not built."""
+        built = self.__dict__.get(table)
+        if built is not None:
+            return len(built)
+        return self._unbuilt_rows[table]
 
     def __eq__(self, other: object) -> bool:
         """Exact (bit-for-bit observable) store equality.

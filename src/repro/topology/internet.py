@@ -9,6 +9,7 @@ longest-prefix match, as with RouteViews-derived data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.net.asn import AS, Organization
@@ -39,9 +40,18 @@ class ReservedSpace:
         TELESCOPE_SLASH10,                   # darknet
     )
 
+    @cached_property
+    def _ranges(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple((r.first, r.last) for r in self.prefixes)
+
     def covers(self, prefix: IPv4Prefix) -> bool:
-        return any(r.contains_prefix(prefix) or prefix.contains_prefix(r)
-                   for r in self.prefixes)
+        """Does ``prefix`` overlap reserved space? Two CIDR blocks
+        overlap exactly when one contains the other."""
+        first, last = prefix.first, prefix.last
+        for r_first, r_last in self._ranges:
+            if first <= r_last and r_first <= last:
+                return True
+        return False
 
     def contains_ip(self, ip: int) -> bool:
         return any(r.contains_ip(ip) for r in self.prefixes)
@@ -160,6 +170,10 @@ class InternetTopology:
     def routes(self) -> Iterator[Tuple[IPv4Prefix, int]]:
         for (network, length), asn in self._routes.items():
             yield IPv4Prefix(network, length), asn
+
+    def route_trie(self) -> PrefixTrie[int]:
+        """A copy of the routing table: prefix -> origin ASN."""
+        return self._routes.copy()
 
     @property
     def n_routes(self) -> int:

@@ -24,8 +24,7 @@ class Prefix2AS:
     @classmethod
     def from_topology(cls, internet: InternetTopology) -> "Prefix2AS":
         dataset = cls()
-        for prefix, asn in internet.routes():
-            dataset.add(prefix, asn)
+        dataset._trie = internet.route_trie()
         return dataset
 
     @classmethod

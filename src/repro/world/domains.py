@@ -202,6 +202,9 @@ def build_population(rng: random.Random, providers: Sequence[HostingProvider],
                                   [m.weight for m in misconfig_targets])
                   if misconfig_targets else None)
     secondaries = [by_name[n] for n in secondary_pool if n in by_name]
+    #: (provider, partner) -> the NS hosts and glue its domains share.
+    pair_ns_addrs: Dict[Tuple[str, Optional[str]],
+                        Tuple[Tuple[DomainName, Tuple[int, ...]], ...]] = {}
 
     for i in range(n_domains):
         provider = picker.pick(rng)
@@ -225,7 +228,12 @@ def build_population(rng: random.Random, providers: Sequence[HostingProvider],
                 partner = rng.choice(candidates)
         third_party = (provider.name == "TransIP"
                        and rng.random() < transip_third_party_web)
-        delegation = _delegation_for(provider, partner, name)
+        key = (provider.name, partner.name if partner else None)
+        ns_addrs = pair_ns_addrs.get(key)
+        if ns_addrs is None:
+            ns_addrs = _delegation_for(provider, partner, name).ns_addrs
+            pair_ns_addrs[key] = ns_addrs
+        delegation = Delegation(name, ns_addrs)
         directory.add(name, provider, delegation,
                       secondary=partner.name if partner else None,
                       third_party_web=third_party)

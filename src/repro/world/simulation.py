@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.anycast.census import AnycastCensus
@@ -65,6 +66,9 @@ SPECIAL_TARGETS = (
 UNIFIED_LAYER_HOT_COUNT = 2566
 # Providers offering secondary-NS service (multi-AS NSSets, Figure 12).
 SECONDARY_POOL = ("nic.ru", "GoDaddy", "Hosting-000", "Hosting-001", "Hosting-002")
+# The World's lazily built views of the attack schedule and the fleet.
+_ATTACK_DERIVED = ("_index", "_attack_weights", "link_capacity",
+                   "_vantage_site", "_dense_days")
 
 
 class AttackIndex:
@@ -159,19 +163,13 @@ class World:
             app_layer_factor=config.app_layer_factor,
             other_port_factor=config.other_port_factor,
             servfail_weight=config.servfail_weight)
-        self.link_capacity: Dict[int, float] = {}
         self.census: Optional[AnycastCensus] = None
         self.prefix2as: Optional[Prefix2AS] = None
         self.as2org: Optional[AS2Org] = None
         self.open_resolver_ips: Set[int] = set()
         self.internet = None  # set by build_world
         self.pack = None  # ScenarioPack instance, set by build_world
-        self._index: Optional[AttackIndex] = None
-        self._attack_weights: Dict[int, Tuple[float, float, float]] = {}
-        self._vantage_site: Dict[int, Tuple[float, float]] = {}  # ip -> (share, cap)
         self._rng_transport = self.rngs.stream("transport")
-        #: nsset_id -> day-start timestamps needing 5-minute recording.
-        self._dense_days: Dict[int, FrozenSet[int]] = {}
 
     # -- registration -------------------------------------------------------
 
@@ -189,19 +187,19 @@ class World:
         self.nameservers_by_ip[ns.ip] = ns
 
     # -- attack machinery --------------------------------------------------------
+    #
+    # Everything derived from the attack schedule and the nameserver
+    # fleet is built on first use, once the world is assembled: a run
+    # whose telescope and crawl come from the phase cache never builds
+    # it. ``finalize_attacks`` forgets and rebuilds it all at once.
 
     def finalize_attacks(self) -> None:
-        """Index the attack schedule; call after all attacks are added."""
-        tracked = {slash24_of(ip) for ip in self.nameservers_by_ip}
-        index = AttackIndex(tracked)
-        for attack in self.attacks:
-            index.add(attack)
-            self._attack_weights[attack.attack_id] = self._weights_of(attack)
-        index.freeze()
-        self._index = index
-        self._build_link_capacities()
-        self._build_vantage_sites()
-        self._build_dense_days()
+        """Rebuild the attack index and everything derived from it now;
+        call after editing the schedule or the nameserver fleet."""
+        for name in _ATTACK_DERIVED:
+            self.__dict__.pop(name, None)
+        for name in _ATTACK_DERIVED:
+            getattr(self, name)
 
     def replace_attacks(self, attacks: Iterable[Attack]) -> None:
         """Swap in an edited attack schedule and rebuild every derived
@@ -210,13 +208,25 @@ class World:
         ``(start, victim_ip)`` order the generator produces."""
         self.attacks = sorted(attacks,
                               key=lambda a: (a.window.start, a.victim_ip))
-        self._attack_weights.clear()
-        self._dense_days.clear()
         self.finalize_attacks()
 
+    @cached_property
+    def _index(self) -> AttackIndex:
+        """Time-indexed active attacks per victim IP and tracked /24."""
+        index = AttackIndex(slash24_of(ip) for ip in self.nameservers_by_ip)
+        for attack in self.attacks:
+            index.add(attack)
+        index.freeze()
+        return index
+
+    @cached_property
+    def _attack_weights(self) -> Dict[int, Tuple[float, float, float]]:
+        """attack_id -> (server-cost fraction, app-layer fraction, mean
+        bits/packet) of the attack's aggregate rate."""
+        return {attack.attack_id: self._weights_of(attack)
+                for attack in self.attacks}
+
     def _weights_of(self, attack: Attack) -> Tuple[float, float, float]:
-        """(server-cost fraction, app-layer fraction, mean bits/packet)
-        of an attack's aggregate rate."""
         total = attack.total_pps
         server_cost = sum(
             self.capacity_model.server_cost_pps(v.pps, v.ports, v.proto)
@@ -226,7 +236,8 @@ class World:
         bits = sum(v.pps * v.packet_bytes * 8 for v in attack.vectors)
         return server_cost / total, app / total, bits / total
 
-    def _build_link_capacities(self) -> None:
+    @cached_property
+    def link_capacity(self) -> Dict[int, float]:
         """Per-/24 uplink bandwidth: the largest uplink of the unicast
         servers behind it (co-located servers share it)."""
         best: Dict[int, float] = {}
@@ -235,32 +246,38 @@ class World:
                 continue
             s24 = ns.nsid.slash24
             best[s24] = max(best.get(s24, 0.0), ns.link_bps)
-        self.link_capacity = best
+        return best
 
-    def _build_vantage_sites(self) -> None:
+    @cached_property
+    def _vantage_site(self) -> Dict[int, Tuple[float, float]]:
+        """Anycast ip -> (catchment share, capacity) of the site the
+        vantage region is routed to."""
         region = self.config.vantage_region
+        sites: Dict[int, Tuple[float, float]] = {}
         for ns in self.nameservers_by_ip.values():
             if ns.anycast is not None:
                 site = ns.anycast.site_for_region(region)
-                self._vantage_site[ns.ip] = (site.catchment_weight,
-                                             site.capacity_pps)
+                sites[ns.ip] = (site.catchment_weight, site.capacity_pps)
+        return sites
 
-    def _build_dense_days(self) -> None:
-        """Precompute, per NSSet, the days needing 5-minute recording."""
-        assert self._index is not None
+    @cached_property
+    def _dense_days(self) -> Dict[int, FrozenSet[int]]:
+        """nsset_id -> day-start timestamps needing 5-minute recording."""
         ip_days: Dict[int, Set[int]] = {}
         for ip, day in self._index.ip_days:
             ip_days.setdefault(ip, set()).add(day)
         s24_days: Dict[int, Set[int]] = {}
         for s24, day in self._index.s24_days:
             s24_days.setdefault(s24, set()).add(day)
+        dense: Dict[int, FrozenSet[int]] = {}
         for nsset_id, ips in self.directory.nssets.items():
             days: Set[int] = set()
             for ip in ips:
                 days |= ip_days.get(ip, set())
                 days |= s24_days.get(slash24_of(ip), set())
             if days:
-                self._dense_days[nsset_id] = frozenset(days)
+                dense[nsset_id] = frozenset(days)
+        return dense
 
     def dense_days_of(self, nsset_id: int) -> FrozenSet[int]:
         return self._dense_days.get(nsset_id, frozenset())
@@ -273,8 +290,8 @@ class World:
 
     def load_at(self, ns: Nameserver, ts: float) -> LoadBreakdown:
         """Utilization breakdown of one nameserver at one instant."""
-        assert self._index is not None, "finalize_attacks() not called"
-        attacks = self._index.active_on_ip(ns.ip, ts)
+        index = self._index
+        attacks = index.active_on_ip(ns.ip, ts)
         blackout = any(
             (bw := a.blackout_window()) is not None and bw.contains(int(ts))
             for a in attacks)
@@ -298,7 +315,7 @@ class World:
                 blackout=blackout)
         s24 = ns.nsid.slash24
         link_bps = direct_bps
-        for attack in self._index.active_on_s24(s24, ts):
+        for attack in index.active_on_s24(s24, ts):
             if attack.victim_ip != ns.ip:
                 pps = attack.effective_pps(int(ts))
                 if pps > 0.0:
@@ -346,7 +363,6 @@ class World:
         return set(self.nameservers_by_ip)
 
     def attacks_on_ip(self, ip: int) -> List[Attack]:
-        assert self._index is not None
         return self._index.attacks_on_ip(ip)
 
     def provider_of_ip(self, ip: int) -> Optional[HostingProvider]:
@@ -437,8 +453,6 @@ def build_world(config: Optional[WorldConfig] = None,
     if extra:
         world.attacks.extend(extra)
         world.attacks.sort(key=lambda a: (a.window.start, a.victim_ip))
-
-    world.finalize_attacks()
     return world
 
 

@@ -17,6 +17,7 @@ from repro.artifacts.fingerprint import PHASES, study_keys
 from repro.artifacts.store import ArtifactStore
 from repro.chaos import ChaosConfig, FaultPolicy
 from repro.obs import RunTelemetry, read_journal
+from repro.world.simulation import _ATTACK_DERIVED
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,13 @@ class TestDeferredBuild:
         assert warm.report() == cold_study.report()
         assert not {"daily", "buckets"} & set(vars(warm.store))
         assert "records" not in vars(warm.feed)
+
+    def test_report_builds_no_attack_index(self, cold_study, cache_dir):
+        # The index serves only the telescope and the crawl, which a
+        # fully cached run fetches.
+        warm = run_study(WorldConfig.tiny(), cache=cache_dir)
+        warm.report()
+        assert not set(_ATTACK_DERIVED) & set(vars(warm.world))
 
     def test_first_access_equals_cold(self, cold_study, cache_dir):
         warm = run_study(WorldConfig.tiny(), cache=cache_dir)

@@ -68,6 +68,21 @@ class TestStoreRoundTrip:
         assert "buckets" not in vars(loaded)
         assert loaded.buckets == tiny_study.store.buckets
 
+    def test_metrics_without_building_tables(self, tiny_study):
+        def store_metrics(store):
+            telemetry = RunTelemetry.create()
+            store.publish_metrics(telemetry.registry)
+            metrics = telemetry.snapshot()["metrics"]
+            return {kind: {k: v for k, v in metrics[kind].items()
+                           if k.startswith("repro.store.")}
+                    for kind in ("counters", "gauges")}
+
+        loaded = loads_store(dumps_store(tiny_study.store))
+        published = store_metrics(loaded)
+        assert not {"daily", "buckets"} & set(vars(loaded))
+        assert published == store_metrics(tiny_study.store)
+        assert published["gauges"]["repro.store.bucket_aggregates"] > 0
+
     def test_infinite_rtt_min_is_exact(self):
         store = MeasurementStore()
         store.add_fast(7, 0, ResponseStatus.TIMEOUT, 0.0, dense=True)

@@ -28,6 +28,11 @@ class TestConstruction:
         name = DomainName("example.com")
         assert DomainName(name) == name
 
+    def test_from_domainname_is_not_a_copy(self):
+        # Names are immutable, so wrapping one returns it unchanged.
+        name = DomainName("example.com")
+        assert DomainName(name) is name
+
     def test_idn_encodes_to_ace(self):
         name = DomainName("минобороны.рф")
         assert all(l.isascii() for l in name.labels)

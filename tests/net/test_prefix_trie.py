@@ -152,6 +152,22 @@ class TestLpmProperty:
         assert dict(trie.items()) == expected
         assert len(trie) == len(expected)
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(PREFIXES, min_size=1, max_size=30))
+    def test_copy_is_equal_and_independent(self, raw_prefixes):
+        trie = PrefixTrie()
+        for i, (base, length) in enumerate(raw_prefixes):
+            trie.insert((network_of(base, length), length), i)
+        before = list(trie.items())
+        clone = trie.copy()
+        assert list(clone.items()) == before
+        assert len(clone) == len(trie)
+        clone.insert(before[0][0], "changed")
+        clone.insert((0, 0), "default")
+        clone.insert((0xFFFFFFFF, 32), "host")
+        assert list(trie.items()) == before
+        assert len(trie) == len(before)
+
 
 class TestScale:
     def test_many_inserts(self):

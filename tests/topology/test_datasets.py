@@ -38,6 +38,15 @@ class TestPrefix2AS:
     def test_len_matches_routes(self, gen):
         dataset = Prefix2AS.from_topology(gen.internet)
         assert len(dataset) == gen.internet.n_routes
+        assert list(dataset.entries()) == list(gen.internet.routes())
+
+    def test_is_a_snapshot(self):
+        gen = generate_topology(random.Random(5), TopologyConfig(n_filler_orgs=4))
+        dataset = Prefix2AS.from_topology(gen.internet)
+        asys = gen.internet.add_as(gen.internet.add_org("Late", "NL"))
+        late = gen.internet.allocate(asys, 24)
+        assert dataset.lookup(late.network) is None
+        assert len(dataset) == gen.internet.n_routes - 1
 
     def test_rejects_bad_asn(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.ip import IPv4Prefix, parse_ip
 from repro.topology.generator import ANALOG_ORGS, TopologyConfig, generate_topology
@@ -33,6 +34,21 @@ class TestReservedSpace:
         reserved = ReservedSpace()
         assert reserved.covers(IPv4Prefix.parse("10.1.0.0/16"))   # inside
         assert reserved.covers(IPv4Prefix.parse("0.0.0.0/0"))     # contains
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([edge for r in ReservedSpace().prefixes
+                            for edge in (r.first, r.last)]),
+           st.integers(min_value=-(2 ** 20), max_value=2 ** 20),
+           st.integers(min_value=0, max_value=32))
+    def test_covers_is_containment_either_way(self, edge, offset, length):
+        # The range-overlap test against its definition: CIDR blocks
+        # overlap exactly when one contains the other.
+        base = min(max(edge + offset, 0), 2 ** 32 - 1)
+        prefix = IPv4Prefix.containing(base, length)
+        reserved = ReservedSpace()
+        assert reserved.covers(prefix) == any(
+            r.contains_prefix(prefix) or prefix.contains_prefix(r)
+            for r in reserved.prefixes)
 
 
 class TestInternetTopology:

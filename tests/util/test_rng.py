@@ -10,6 +10,7 @@ from repro.util.rng import (
     RngStreams,
     derive_seed,
     poisson,
+    seed_prefix,
     sample_unique,
     weighted_choice,
     zipf_weights,
@@ -34,6 +35,25 @@ class TestDeriveSeed:
     def test_always_in_64bit_range(self, root, name):
         seed = derive_seed(root, name)
         assert 0 <= seed < 2 ** 64
+
+
+class TestSeedPrefix:
+    @given(st.integers(min_value=0, max_value=2 ** 64 - 1),
+           st.lists(st.text(max_size=12), max_size=3), st.text(max_size=12))
+    def test_copy_plus_name_is_derive_seed(self, root, names, name):
+        h = seed_prefix(root, *names).copy()
+        h.update(name.encode("utf-8"))
+        assert int.from_bytes(h.digest(), "big") == \
+            derive_seed(root, *names, name)
+
+    def test_prefix_is_reusable(self):
+        # The crawl copies one prefix per domain for every day.
+        prefix = seed_prefix(1234567)
+        for day in ("1614556800", "1614643200", "1614556800"):
+            h = prefix.copy()
+            h.update(day.encode("utf-8"))
+            assert int.from_bytes(h.digest(), "big") == \
+                derive_seed(1234567, day)
 
 
 def _knuth_reference(rng, lam):

@@ -7,7 +7,8 @@ from repro.dns.rr import RRType
 from repro.net.ip import ip_to_str, parse_ip, slash24_of
 from repro.util.timeutil import DAY, parse_ts
 from repro.world.config import WorldConfig
-from repro.world.simulation import SPECIAL_TARGETS, AttackIndex, build_world
+from repro.world.simulation import (_ATTACK_DERIVED, SPECIAL_TARGETS,
+                                    AttackIndex, build_world)
 
 
 class TestWorldAssembly:
@@ -142,6 +143,80 @@ class TestLoadModel:
             attack_day = parse_ts("2021-03-01")
             assert attack_day in dense
             assert attack_day + DAY in dense  # recovery margin
+
+
+class TestLazyAttackIndex:
+    """Everything derived from the schedule is built on first use; it
+    must equal what an explicit ``finalize_attacks()`` builds."""
+
+    @staticmethod
+    def _samples(world):
+        """(ns, ts) pairs across attack windows, recoveries and quiet
+        times, for unicast, anycast and /24-neighbour servers."""
+        servers = [ns for ns in world.nameservers_by_ip.values()
+                   if not ns.is_misconfig_target]
+        by_s24 = {}
+        for ns in servers:
+            by_s24.setdefault(ns.nsid.slash24, []).append(ns)
+        out = []
+        for attack in world.attacks[::3]:
+            ns = world.nameservers_by_ip.get(attack.victim_ip)
+            if ns is None or ns.is_misconfig_target:
+                continue
+            window = attack.impact_window
+            for ts in (window.start, (window.start + window.end) // 2,
+                       window.end + 600):
+                out += [(member, ts) for member in by_s24[ns.nsid.slash24]]
+        out += [(ns, parse_ts("2021-03-25 12:00")) for ns in servers[::40]]
+        return out
+
+    def test_lazy_equals_explicit(self, tiny_config):
+        lazy = build_world(tiny_config)
+        eager = build_world(tiny_config)
+        eager.finalize_attacks()
+        assert not set(_ATTACK_DERIVED) & set(vars(lazy))
+        assert set(_ATTACK_DERIVED) <= set(vars(eager))
+        # load_at is the first use: it builds the lazy world's index.
+        lazy_loads = [lazy.load_at(lazy.nameservers_by_ip[ns.ip], ts)
+                      for ns, ts in self._samples(eager)]
+        assert lazy_loads == [eager.load_at(ns, ts)
+                              for ns, ts in self._samples(eager)]
+        assert any(not load.quiet for load in lazy_loads)
+        assert lazy._index.ip_days == eager._index.ip_days
+        assert lazy._index.s24_days == eager._index.s24_days
+        assert lazy._dense_days == eager._dense_days
+        # attack ids come from a process-wide counter: compare in order.
+        assert [lazy._attack_weights[a.attack_id] for a in lazy.attacks] == \
+            [eager._attack_weights[a.attack_id] for a in eager.attacks]
+        assert lazy.link_capacity == eager.link_capacity
+        assert lazy._vantage_site == eager._vantage_site
+
+    def test_fleet_views_built_on_first_read(self, tiny_config):
+        # A lazy build that never fills these would let
+        # test_link_capacities_only_unicast pass on an empty dict.
+        world = build_world(tiny_config)
+        assert "link_capacity" not in vars(world)
+        assert len(world.link_capacity) > 0
+        assert "_vantage_site" not in vars(world)
+        assert len(world._vantage_site) > 0
+        assert "_index" not in vars(world)
+
+    def test_replace_attacks_rebuilds(self, tiny_config):
+        world = build_world(tiny_config)
+        transip = world.providers["TransIP"].nameservers[0]
+        hit = parse_ts("2021-03-01 20:00")
+        nsset_id = next(iter(world.directory.nssets_of_ip(transip.ip)))
+        assert not world.load_at(transip, hit).quiet
+        original = list(world.attacks)
+
+        world.replace_attacks([])
+        assert world.load_at(transip, hit).quiet
+        assert world.attacks_on_ip(transip.ip) == []
+        assert world.dense_days_of(nsset_id) == frozenset()
+
+        world.replace_attacks(original)
+        assert not world.load_at(transip, hit).quiet
+        assert world.is_dense_day(nsset_id, parse_ts("2021-03-01"))
 
 
 class TestAttackIndex:
