@@ -45,7 +45,7 @@ of the platform's exactly-once recovery.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.journal import NULL_JOURNAL
@@ -141,8 +141,11 @@ class Campaign:
     # -- checkpoint serialization --------------------------------------------
 
     def to_dict(self) -> Dict:
-        state = asdict(self)
-        state["attack"] = asdict(self.attack)
+        # Shallow copies suffice: every field is an int, str, tuple or
+        # the flat attack record. Every checkpoint copies every campaign
+        # run so far, so this stays off ``dataclasses.asdict``.
+        state = dict(vars(self))
+        state["attack"] = dict(vars(self.attack))
         state["domain_ids"] = list(self.domain_ids)
         state["reasons"] = list(self.reasons)
         return state

@@ -8,7 +8,7 @@ paper's join consumes, applying Moore-et-al-style inference thresholds.
 """
 
 from repro.telescope.darknet import Darknet, TELESCOPE_COVERAGE
-from repro.telescope.backscatter import BackscatterSimulator, WindowObservation
+from repro.telescope.backscatter import BackscatterSimulator
 from repro.telescope.rsdos import (
     InferredAttack,
     RSDoSClassifier,
@@ -30,7 +30,6 @@ __all__ = [
     "Darknet",
     "TELESCOPE_COVERAGE",
     "BackscatterSimulator",
-    "WindowObservation",
     "InferredAttack",
     "RSDoSClassifier",
     "RSDoSThresholds",

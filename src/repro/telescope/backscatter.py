@@ -14,41 +14,35 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import exp
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.attacks.model import Attack
 from repro.net.ip import IPV4_SPACE
 from repro.telescope.darknet import Darknet
-from repro.util.rng import derive_rng, poisson
+from repro.util.rng import derive_rng, poisson, seed_prefix
 from repro.util.timeutil import FIVE_MINUTES
 from repro.world.capacity import overload_drop
-
-# Victims answer attack traffic at most at this fraction of it even when
-# healthy (some stacks rate-limit RSTs/ICMP).
-_DEFAULT_RESPONSE_RATIO = 1.0
 
 # A callable the world provides: inbound-link utilization of the victim
 # at an instant (0.0 for victims we model no link for).
 LinkUtilFn = Callable[[int, int], float]
 
 
-@dataclass
-class WindowObservation:
-    """Telescope-side aggregate for one victim in one 5-minute window."""
+@dataclass(frozen=True)
+class FeedRecord:
+    """One curated feed row: the telescope's aggregate for one victim in
+    one 5-minute window."""
 
     window_ts: int
     victim_ip: int
+    proto: int
+    first_port: int
+    n_ports: int
     n_packets: int
     max_ppm: float
     n_slash16: int
     n_unique_sources: int       # distinct darknet addresses hit
-    proto: int
-    first_port: int
-    n_ports: int
-
-    def __post_init__(self) -> None:
-        if self.n_packets < 0:
-            raise ValueError("packet count must be non-negative")
 
 
 class BackscatterSimulator:
@@ -71,12 +65,20 @@ class BackscatterSimulator:
         #: simulator's seed instead.
         self.jitter_seed = (jitter_seed if jitter_seed is not None
                             else rng.getrandbits(64))
+        #: reseeded in place per (victim, window); a reseed also clears
+        #: ``gauss``'s cached pair, so it draws what a fresh
+        #: ``derive_rng`` stream would.
+        self._jitter_rng = random.Random()
 
     # -- per-attack observation -------------------------------------------------
 
-    def observe_attack(self, attack: Attack) -> List[WindowObservation]:
-        """All 5-minute window observations the telescope makes of one
-        attack. Empty when no vector is randomly spoofed."""
+    def observe_attack(self, attack: Attack) -> List[FeedRecord]:
+        """All 5-minute window records the telescope makes of one
+        attack. Empty when no vector is randomly spoofed.
+
+        Per window, the same floats in the same order as
+        :meth:`Attack.effective_spoofed_pps`, :func:`overload_drop`, the
+        :class:`Darknet` expectations and :meth:`window_jitter`."""
         if not attack.telescope_visible:
             return []
         spoofed_vectors = [v for v in attack.vectors
@@ -84,44 +86,64 @@ class BackscatterSimulator:
         proto = spoofed_vectors[0].proto
         ports = tuple(dict.fromkeys(p for v in spoofed_vectors for p in v.ports))
         first_port = ports[0] if ports else 0
+        n_ports = max(1, len(ports))
+        victim_ip = attack.victim_ip
+        start, end = attack.window.start, attack.window.end
+        # effective_spoofed_pps inside the window: the full rate, or the
+        # scrubbed one from ``scrub_from`` on, times the spoofed share.
+        total = attack.total_pps
+        share = attack.spoofed_pps / total
+        full_pps = total * share
+        imp = attack.impairment
+        if imp.scrub_efficiency > 0:
+            scrub_from = start + imp.scrub_delay_s
+            scrubbed_pps = total * (1.0 - imp.scrub_efficiency) * share
+        else:
+            scrub_from, scrubbed_pps = end, full_pps
+        response_ratio = attack.response_ratio
+        headroom = self.headroom
+        coverage = self.darknet.coverage
+        blocks = self.darknet.n_slash16s
         pool = attack.spoof_pool_size or IPV4_SPACE
-        pool_in_darknet = pool * self.darknet.coverage
+        pool_in_darknet = pool * coverage
+        link_util_fn = self.link_util_fn
+        rng = self.rng
+        jitter_prefix = seed_prefix(self.jitter_seed, str(victim_ip))
+        reseed, gauss = self._jitter_rng.seed, self._jitter_rng.gauss
         cum_packets = 0.0
 
-        observations: List[WindowObservation] = []
+        records: List[FeedRecord] = []
         for ts in attack.window.buckets(FIVE_MINUTES):
-            w_start = max(ts, attack.window.start)
-            w_end = min(ts + FIVE_MINUTES, attack.window.end)
+            w_start = max(ts, start)
+            w_end = min(ts + FIVE_MINUTES, end)
             seconds = w_end - w_start
             if seconds <= 0:
                 continue
             mid = (w_start + w_end) // 2
-            spoofed_pps = attack.effective_spoofed_pps(mid)
+            spoofed_pps = full_pps if mid < scrub_from else scrubbed_pps
             if spoofed_pps <= 0:
                 continue
-            link_util = self.link_util_fn(attack.victim_ip, mid)
-            respond = (1.0 - overload_drop(link_util, self.headroom)) \
-                * attack.response_ratio
-            response_packets = spoofed_pps * respond * seconds
-            expected = self.darknet.expected_hits(response_packets)
-            n_packets = poisson(self.rng, expected)
+            link_util = link_util_fn(victim_ip, mid)
+            respond = (response_ratio if link_util <= headroom else
+                       (1.0 - (1.0 - headroom / link_util)) * response_ratio)
+            n_packets = poisson(rng, spoofed_pps * respond * seconds * coverage)
             if n_packets == 0:
                 continue
             # Cumulative distinct darknet sources so far (saturating at
             # the spoof pool's darknet share).
             cum_packets += n_packets
-            unique_sources = self.darknet.expected_unique_addresses(
-                cum_packets, pool_in_darknet)
-            n_slash16 = int(round(self.darknet.expected_unique_slash16(n_packets)))
-            ppm = n_packets / max(seconds / 60.0, 1e-9)
-            max_ppm = ppm * self.window_jitter(attack.victim_ip, ts)
-            observations.append(WindowObservation(
-                window_ts=ts, victim_ip=attack.victim_ip,
-                n_packets=n_packets, max_ppm=max_ppm,
-                n_slash16=max(1, n_slash16),
-                n_unique_sources=int(round(unique_sources)),
-                proto=proto, first_port=first_port, n_ports=max(1, len(ports))))
-        return observations
+            unique_sources = pool_in_darknet * (
+                1.0 - exp(-cum_packets / pool_in_darknet))
+            n_slash16 = round(blocks * (1.0 - exp(-n_packets / blocks)))
+            h = jitter_prefix.copy()
+            h.update(str(ts).encode("utf-8"))
+            reseed(int.from_bytes(h.digest(), "big"))
+            max_ppm = n_packets / (seconds / 60.0) * (
+                1.0 + abs(gauss(0.0, 0.05)))
+            records.append(FeedRecord(
+                ts, victim_ip, proto, first_port, n_ports, n_packets,
+                max_ppm, max(1, n_slash16), round(unique_sources)))
+        return records
 
     def window_jitter(self, victim_ip: int, window_ts: int) -> float:
         """The peak-rate jitter factor of one (victim, window) pair.
@@ -134,7 +156,7 @@ class BackscatterSimulator:
         jr = derive_rng(self.jitter_seed, str(victim_ip), str(window_ts))
         return 1.0 + abs(jr.gauss(0.0, 0.05))
 
-    def observe_all(self, attacks: Iterable[Attack]) -> Iterator[WindowObservation]:
+    def observe_all(self, attacks: Iterable[Attack]) -> Iterator[FeedRecord]:
         for attack in attacks:
             yield from self.observe_attack(attack)
 

@@ -10,12 +10,12 @@ longitudinal tables count.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, TextIO
+from typing import Callable, Iterable, List, Optional, Sequence, TextIO
 
 from repro.attacks.model import Attack
-from repro.telescope.backscatter import BackscatterSimulator, WindowObservation
+from repro.telescope.backscatter import BackscatterSimulator, FeedRecord
 from repro.telescope.rsdos import InferredAttack, RSDoSClassifier, RSDoSThresholds
 from repro.net.ip import ip_to_str, parse_ip, slash24_of
 from repro.util.timeutil import Window
@@ -27,29 +27,6 @@ EXTRAPOLATION = 341.33
 def ppm_to_victim_pps(ppm: float, extrapolation: float = EXTRAPOLATION) -> float:
     """Footnote 2 of the paper: telescope ppm -> global victim pps."""
     return ppm * extrapolation / 60.0
-
-
-@dataclass(frozen=True)
-class FeedRecord:
-    """One curated feed row (victim x 5-minute window)."""
-
-    window_ts: int
-    victim_ip: int
-    proto: int
-    first_port: int
-    n_ports: int
-    n_packets: int
-    max_ppm: float
-    n_slash16: int
-    n_unique_sources: int
-
-    @classmethod
-    def from_observation(cls, obs: WindowObservation) -> "FeedRecord":
-        return cls(window_ts=obs.window_ts, victim_ip=obs.victim_ip,
-                   proto=obs.proto, first_port=obs.first_port,
-                   n_ports=obs.n_ports, n_packets=obs.n_packets,
-                   max_ppm=obs.max_ppm, n_slash16=obs.n_slash16,
-                   n_unique_sources=obs.n_unique_sources)
 
 
 class RSDoSFeed:
@@ -75,15 +52,10 @@ class RSDoSFeed:
                 simulator: BackscatterSimulator,
                 thresholds: Optional[RSDoSThresholds] = None) -> "RSDoSFeed":
         """Run the full telescope pipeline over a ground-truth schedule."""
-        observations = list(simulator.observe_all(ground_truth))
-        classifier = RSDoSClassifier(thresholds)
-        inferred = classifier.infer(observations)
+        observed = list(simulator.observe_all(ground_truth))
         # Curated records keep only windows belonging to inferred attacks.
-        keep: Dict[int, List[Window]] = {}
-        for attack in inferred:
-            keep.setdefault(attack.victim_ip, []).append(attack.window)
-        records = [FeedRecord.from_observation(o) for o in observations
-                   if any(w.contains(o.window_ts) for w in keep.get(o.victim_ip, ()))]
+        records: List[FeedRecord] = []
+        inferred = RSDoSClassifier(thresholds).infer(observed, kept=records)
         return cls(records, inferred)
 
     @classmethod

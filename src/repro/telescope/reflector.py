@@ -16,7 +16,7 @@ This module mirrors the RSDoS pipeline one layer over:
 =====================  ==========================
 backscatter branch     reflector branch
 =====================  ==========================
-WindowObservation      :class:`ReflectorObservation`
+FeedRecord             :class:`ReflectorObservation`
 RSDoSClassifier        :class:`ReflectorClassifier`
 RSDoSThresholds        :class:`ReflectorThresholds`
 InferredAttack         :class:`InferredReflection`

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.telescope.backscatter import WindowObservation
+from repro.telescope.backscatter import FeedRecord
 from repro.util.timeutil import FIVE_MINUTES, HOUR, Window
 
 
@@ -103,43 +103,51 @@ class InferredAttack:
 
 
 class RSDoSClassifier:
-    """Groups window observations into inferred attacks."""
+    """Groups window records into inferred attacks."""
 
     def __init__(self, thresholds: Optional[RSDoSThresholds] = None):
         self.thresholds = thresholds or RSDoSThresholds()
 
-    def infer(self, observations: Iterable[WindowObservation]
+    def infer(self, records: Iterable[FeedRecord],
+              kept: Optional[List[FeedRecord]] = None
               ) -> List[InferredAttack]:
-        """Classify a stream of window observations (any order) into
-        inferred attacks, dropping sub-threshold noise."""
-        by_victim: Dict[int, List[WindowObservation]] = {}
-        for obs in observations:
-            by_victim.setdefault(obs.victim_ip, []).append(obs)
+        """Classify a stream of window records (any order) into
+        inferred attacks, dropping sub-threshold noise.
+
+        When ``kept`` is a list, the records of every group that became
+        an attack are appended to it: exactly the records some inferred
+        attack's window contains, since each group is a time-sorted run
+        of one victim's 300 s-aligned windows.
+        """
+        by_victim: Dict[int, List[FeedRecord]] = {}
+        for record in records:
+            by_victim.setdefault(record.victim_ip, []).append(record)
         attacks: List[InferredAttack] = []
         for victim_ip, windows in by_victim.items():
-            windows.sort(key=lambda o: o.window_ts)
-            attacks.extend(self._infer_victim(victim_ip, windows))
+            windows.sort(key=lambda r: r.window_ts)
+            for group in self._groups(windows):
+                attack = self._finalize(victim_ip, group)
+                if attack is not None:
+                    attacks.append(attack)
+                    if kept is not None:
+                        kept.extend(group)
         attacks.sort(key=lambda a: (a.start, a.victim_ip))
         return attacks
 
-    def _infer_victim(self, victim_ip: int,
-                      windows: List[WindowObservation]) -> Iterator[InferredAttack]:
-        th = self.thresholds
-        group: List[WindowObservation] = []
-        for obs in windows:
-            if group and obs.window_ts - group[-1].window_ts > th.gap_s:
-                attack = self._finalize(victim_ip, group)
-                if attack is not None:
-                    yield attack
+    def _groups(self, windows: List[FeedRecord]) -> Iterator[List[FeedRecord]]:
+        """Runs of ``windows`` (time-sorted) split at gaps over ``gap_s``."""
+        gap_s = self.thresholds.gap_s
+        group: List[FeedRecord] = []
+        for record in windows:
+            if group and record.window_ts - group[-1].window_ts > gap_s:
+                yield group
                 group = []
-            group.append(obs)
+            group.append(record)
         if group:
-            attack = self._finalize(victim_ip, group)
-            if attack is not None:
-                yield attack
+            yield group
 
     def _finalize(self, victim_ip: int,
-                  group: List[WindowObservation]) -> Optional[InferredAttack]:
+                  group: List[FeedRecord]) -> Optional[InferredAttack]:
         th = self.thresholds
         n_packets = sum(o.n_packets for o in group)
         if n_packets < th.min_packets:
@@ -148,10 +156,6 @@ class RSDoSClassifier:
             return None
         start = group[0].window_ts
         end = group[-1].window_ts + FIVE_MINUTES
-        if len(group) == 1 and n_packets < th.min_packets * 2:
-            # A single sparse window cannot establish min duration; keep
-            # it only if it clearly clears the packet bar.
-            pass
         if end - start < th.min_duration_s:
             return None
         # First port/proto: from the earliest window (the feed's "first

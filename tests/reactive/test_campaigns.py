@@ -1,5 +1,7 @@
 """Campaign planning, admission control, and deterministic shedding."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.obs import MetricsRegistry
@@ -94,6 +96,24 @@ class TestCampaignSerialization:
         assert restored == campaign
         assert restored.attack == campaign.attack
         assert restored.degraded
+
+    def test_to_dict_equals_asdict(self):
+        """The shallow checkpoint copy holds what a deep
+        ``dataclasses.asdict`` copy held, key for key, in field order,
+        and shares no container with the live campaign."""
+        campaign = make_campaign()
+        campaign.triggered_at = campaign.deadline
+        campaign.flag("late")
+        campaign.flag("throttled")
+        want = asdict(campaign)
+        want["domain_ids"] = list(campaign.domain_ids)
+        want["reasons"] = list(campaign.reasons)
+        got = campaign.to_dict()
+        assert got == want
+        assert list(got) == list(want)
+        assert list(got["attack"]) == list(want["attack"])
+        got["attack"]["n_packets"] = -1
+        assert campaign.attack.n_packets == 100
 
     def test_flag_is_idempotent(self):
         campaign = make_campaign()

@@ -83,6 +83,15 @@ class TestPoisson:
         # Same counts *and* the same number of uniforms consumed.
         assert ours.getstate() == ref.getstate()
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known deviation #6: exp(-lam) is subnormal above lam~708 and "
+        "0.0 above lam~745, so the Knuth loop stops near 745 draws"))
+    def test_mean_holds_at_high_rate(self):
+        rng = random.Random(3)
+        draws = [poisson(rng, 900.0) for _ in range(2000)]
+        # The sample mean's standard error is sqrt(900 / 2000) ~ 0.67.
+        assert sum(draws) / len(draws) == pytest.approx(900.0, abs=5.0)
+
 
 class TestRngStreams:
     def test_same_stream_object_returned(self):
