@@ -3,10 +3,12 @@
 One :class:`Campaign` is the probing plan for one triggered attack
 (§4.3.1: up to 50 related domains every 5 minutes, every nameserver of
 each, for the attack plus 24 hours). The :class:`CampaignScheduler`
-owns every campaign's lifecycle on top of the discrete-event
-:class:`~repro.streaming.scheduler.EventScheduler`:
+owns every live campaign's lifecycle:
 
 ``waiting`` -> ``active`` -> ``done``, or ``waiting`` -> ``shed``.
+
+A campaign leaves the scheduler when it is done or shed; its owner
+keeps the finished ones (the reactive worker logs them to a topic).
 
 Scheduling is *deadline-ordered*: among admitted campaigns, probes are
 laid out each window in order of trigger deadline (the paper's
@@ -45,12 +47,12 @@ of the platform's exactly-once recovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.journal import NULL_JOURNAL
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.streaming.scheduler import EventScheduler
 from repro.telescope.rsdos import InferredAttack
 from repro.util.rng import derive_rng
 from repro.util.timeutil import FIVE_MINUTES, MINUTE, window_start
@@ -142,8 +144,8 @@ class Campaign:
 
     def to_dict(self) -> Dict:
         # Shallow copies suffice: every field is an int, str, tuple or
-        # the flat attack record. Every checkpoint copies every campaign
-        # run so far, so this stays off ``dataclasses.asdict``.
+        # the flat attack record. Every checkpoint copies every live
+        # campaign, so this stays off ``dataclasses.asdict``.
         state = dict(vars(self))
         state["attack"] = dict(vars(self.attack))
         state["domain_ids"] = list(self.domain_ids)
@@ -206,13 +208,11 @@ def _deadline_order(campaign: Campaign) -> Tuple[int, int, int, int]:
 class CampaignScheduler:
     """Deadline-ordered, budget-capped campaign execution.
 
-    Built on :class:`EventScheduler`: each 5-minute tick, the owner
-    calls :meth:`admit_tick` (admission control + shedding),
-    :meth:`schedule_window` (lay out this window's probes), then
-    :meth:`run_until` (fire them in virtual time) and
-    :meth:`finish_tick`. All state is checkpointable at tick
-    boundaries (the event heap is empty there), so a killed worker
-    restores mid-run with nothing lost.
+    Each 5-minute tick, the owner calls :meth:`admit_tick` (admission
+    control + shedding), :meth:`probe_window` (lay out and fire this
+    window's probes) and :meth:`finish_tick`. A tick leaves nothing
+    pending, so the live campaigns are the whole checkpoint and a
+    killed worker restores mid-run with nothing lost.
     """
 
     def __init__(self, *, probes_per_window: int = 50,
@@ -236,11 +236,8 @@ class CampaignScheduler:
         self.shed_after_s = shed_after_s
         self.min_allocation = min_allocation
         self.on_probe = on_probe or (lambda campaign, domain_id, ts: None)
-        self.scheduler = EventScheduler()
         self.waitlist: List[Campaign] = []
         self.active: List[Campaign] = []
-        #: done + shed campaigns, in completion order.
-        self.finished: List[Campaign] = []
         #: sum of active allocations (domain-probes per window in use).
         self.in_flight = 0
         metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -264,12 +261,15 @@ class CampaignScheduler:
 
     # -- per-tick lifecycle ---------------------------------------------------
 
-    def admit_tick(self, w: int) -> None:
-        """Shed stale waiters, then admit by priority within budget."""
+    def admit_tick(self, w: int) -> List[Campaign]:
+        """Shed stale waiters, then admit by priority within budget;
+        returns the campaigns shed, in waitlist order."""
         kept: List[Campaign] = []
+        shed: List[Campaign] = []
         for campaign in self.waitlist:
             if w - campaign.report_ts > self.shed_after_s:
                 self._shed(campaign, w)
+                shed.append(campaign)
             else:
                 kept.append(campaign)
         self.waitlist = kept
@@ -286,6 +286,7 @@ class CampaignScheduler:
                     continue
             self._admit(campaign, w, grant, full)
         self.waitlist = sorted(still_waiting, key=_shed_priority)
+        return shed
 
     def _admit(self, campaign: Campaign, w: int, grant: int,
                full: int) -> None:
@@ -312,20 +313,23 @@ class CampaignScheduler:
         campaign.state = CampaignState.SHED
         campaign.shed_at = w
         campaign.flag("shed")
-        self.finished.append(campaign)
         self._c_shed.inc()
         self.journal.emit("reactive.shed", campaign=campaign.key,
                           waited_s=w - campaign.report_ts)
 
-    def schedule_window(self, w: int) -> int:
-        """Lay out this window's probes for every active campaign, in
-        deadline order; returns the number of probe slots scheduled.
+    def probe_window(self, w: int) -> int:
+        """Fire this window's probes for every active campaign; returns
+        how many fired.
 
         Each campaign spends its allocation spread evenly across the
         window (the paper's ~one-query-every-6-seconds ethics bound),
-        round-robining over its domain set across windows.
+        round-robining over its domain set across windows. Campaigns
+        lay out their slots in deadline order, and the slots fire in
+        time order, ties in layout order. Every slot lies in
+        ``[w, w + FIVE_MINUTES)``, so the window ends with nothing
+        pending.
         """
-        scheduled = 0
+        slots: List[Tuple[int, Campaign, int]] = []
         for campaign in sorted(self.active, key=_deadline_order):
             if not campaign.first_window <= w < campaign.ends_at:
                 continue
@@ -333,32 +337,23 @@ class CampaignScheduler:
             spacing = FIVE_MINUTES // campaign.allocation
             base = campaign.cursor
             for i in range(campaign.allocation):
-                domain_id = campaign.domain_ids[(base + i) % n]
-                self.scheduler.at(
-                    w + i * spacing,
-                    self._probe_action(campaign, domain_id))
-                scheduled += 1
+                slots.append((w + i * spacing, campaign,
+                              campaign.domain_ids[(base + i) % n]))
             campaign.cursor += campaign.allocation
-        return scheduled
-
-    def _probe_action(self, campaign: Campaign, domain_id: int):
-        def action(ts: int) -> None:
+        slots.sort(key=itemgetter(0))
+        for ts, campaign, domain_id in slots:
             self.on_probe(campaign, domain_id, ts)
-        return action
-
-    def run_until(self, ts: int) -> int:
-        """Fire everything scheduled before ``ts`` (virtual time)."""
-        return self.scheduler.run_until(ts)
+        return len(slots)
 
     def finish_tick(self, tick_end: int) -> List[Campaign]:
-        """Retire campaigns whose probing ended; frees their budget."""
+        """Retire campaigns whose probing ended, freeing their budget;
+        returns them, in activation order."""
         done: List[Campaign] = []
         remaining: List[Campaign] = []
         for campaign in self.active:
             if campaign.ends_at <= tick_end:
                 campaign.state = CampaignState.DONE
                 self.in_flight -= campaign.allocation
-                self.finished.append(campaign)
                 done.append(campaign)
             else:
                 remaining.append(campaign)
@@ -366,34 +361,20 @@ class CampaignScheduler:
         return done
 
     def idle(self) -> bool:
-        """No campaigns anywhere and nothing left on the event heap."""
-        return (not self.active and not self.waitlist
-                and self.scheduler.pending == 0)
-
-    def all_campaigns(self) -> List[Campaign]:
-        """Every campaign ever submitted, in a deterministic order."""
-        return sorted(
-            self.finished + self.active + self.waitlist,
-            key=lambda c: (c.report_ts, c.attack.victim_ip, c.attack.start))
+        """No campaign is waiting or active."""
+        return not self.active and not self.waitlist
 
     # -- checkpoint / restore -------------------------------------------------
 
     def checkpoint(self) -> Dict:
-        """Tick-boundary snapshot (the event heap is empty there)."""
-        assert self.scheduler.pending == 0, \
-            "checkpoint only at tick boundaries"
+        """Tick-boundary snapshot of the live campaigns."""
         return {
             "waitlist": [c.to_dict() for c in self.waitlist],
             "active": [c.to_dict() for c in self.active],
-            "finished": [c.to_dict() for c in self.finished],
-            "in_flight": self.in_flight,
         }
 
-    def restore(self, state: Dict, now: int) -> None:
-        """Rebuild campaign state from a checkpoint; the event heap
-        restarts empty at ``now`` (probes are re-laid-out per window)."""
+    def restore(self, state: Dict) -> None:
+        """Rebuild the live campaigns from a checkpoint."""
         self.waitlist = [Campaign.from_dict(c) for c in state["waitlist"]]
         self.active = [Campaign.from_dict(c) for c in state["active"]]
-        self.finished = [Campaign.from_dict(c) for c in state["finished"]]
-        self.in_flight = state["in_flight"]
-        self.scheduler = EventScheduler(start_ts=now)
+        self.in_flight = sum(c.allocation for c in self.active)

@@ -14,22 +14,25 @@ Exactly-once recovery
 ---------------------
 
 The worker checkpoints at tick boundaries (every ``checkpoint_every``
-ticks), where the probe event heap is empty. A checkpoint is
+ticks); a tick fires every probe it lays out, so nothing is pending
+there. A checkpoint is
 
 - the broker-durable committed offset of the campaigns consumer,
 - the validation job's own checkpoint (offsets + sink high-water),
-- the results topic's end offset, and
-- the full campaign state (waiting/active/finished).
+- the end offsets of the results topic and of the finished-campaigns
+  log (done and shed campaigns are appended there, never copied), and
+- the live campaigns (waiting and active).
 
-Restore truncates the results and validated topics back to the
-checkpointed high-water marks, seeks consumers to committed offsets,
-and rebuilds campaign state; replay from there is deterministic (pure
-transport, per-campaign derived RNGs, totally-ordered scheduling), so
-a killed-and-restored run produces a probe store *bit-identical* to an
-uninterrupted one. After checkpointing, the worker ``trim``\\ s the
-trigger and validated topics up to the committed offsets — recovery
-never replays below a committed offset, and the release is what frees
-capacity on a bounded ``block`` trigger topic.
+Restore truncates the results, finished and validated topics back to
+the checkpointed high-water marks, seeks consumers to committed
+offsets, and rebuilds the live campaigns; replay from there is
+deterministic (pure transport, per-campaign derived RNGs,
+totally-ordered scheduling), so a killed-and-restored run produces a
+probe store *bit-identical* to an uninterrupted one. After
+checkpointing, the worker ``trim``\\ s the trigger and validated
+topics up to the committed offsets — recovery never replays below a
+committed offset, and the release is what frees capacity on a bounded
+``block`` trigger topic.
 
 Metric exactness under chaos: the worker's live counters (admitted,
 probes, trigger latency observations…) are staged in a
@@ -89,6 +92,9 @@ __all__ = [
 TRIGGER_TOPIC = "rsdos-triggers"
 VALIDATED_TOPIC = "dns-triggers"
 RESULTS_TOPIC = "probe-results"
+#: Done and shed campaigns, in completion order: an append-only log,
+#: so a checkpoint records its end offset instead of copying it.
+FINISHED_TOPIC = "campaigns-finished"
 #: The campaign consumer's broker group (its committed offsets live
 #: under this name, so recovery does not need the consumer object).
 CONSUMER_GROUP = "campaigns"
@@ -122,9 +128,8 @@ def replay_transport(world: World, seed: int = 0):
     ``World.transport`` draws reply samples from a shared RNG stream —
     stateful, so replaying a probe after a crash would observe a
     different reply. This wrapper reseeds a private stream per
-    ``(ns_ip, qname, ts)`` (the same idiom the sharded crawl uses for
-    worker-count invariance), making every probe a pure function of
-    what is being probed and when — the property exactly-once recovery
+    ``(ns_ip, qname, ts)``, making every probe a pure function of what
+    is being probed and when — the property exactly-once recovery
     depends on.
     """
     def transport(ns_ip, qname, qtype, ts):
@@ -148,7 +153,8 @@ class CampaignWorker:
     2. pumps the hardened validation job up to the tick's end;
     3. ingests validated triggers into planned campaigns;
     4. runs admission control, lays out and fires this window's probes;
-    5. retires finished campaigns and updates gauges;
+    5. appends shed and done campaigns to the finished log and updates
+       gauges;
     6. consults the chaos crash hook — dying *here* leaves the tick
        uncommitted — then commits the tick and, every
        ``checkpoint_every`` ticks, checkpoints.
@@ -191,6 +197,7 @@ class CampaignWorker:
         self.consumer = broker.consumer(VALIDATED_TOPIC, group=CONSUMER_GROUP,
                                         from_committed=True)
         self.results = broker.topic(RESULTS_TOPIC)
+        self.finished = broker.topic(FINISHED_TOPIC)
         self.campaigns = CampaignScheduler(
             probes_per_window=probes_per_window, probe_budget=probe_budget,
             shed_after_s=SHED_AFTER_S, min_allocation=MIN_ALLOCATION,
@@ -234,7 +241,6 @@ class CampaignWorker:
         w = window_start(nxt)
         if self.now_window is not None and w <= self.now_window:
             return self.now_window
-        self.campaigns.run_until(w)
         return w
 
     # -- the tick -------------------------------------------------------------
@@ -256,10 +262,11 @@ class CampaignWorker:
                 self.n_no_domains += 1
                 continue
             self.campaigns.submit(campaign)
-        self.campaigns.admit_tick(w)
-        self.campaigns.schedule_window(w)
-        self.campaigns.run_until(tick_end)
+        for campaign in self.campaigns.admit_tick(w):
+            self.finished.produce(w, campaign)
+        self.campaigns.probe_window(w)
         for campaign in self.campaigns.finish_tick(tick_end):
+            self.finished.produce(tick_end, campaign)
             self.metrics.gauge("repro.reactive.campaign_probes",
                                campaign=campaign.key).set(campaign.n_probes)
         self._g_queue.set(float(len(self.trigger_topic)))
@@ -302,12 +309,13 @@ class CampaignWorker:
         """
         self.consumer.commit()
         state = {
-            "version": 1,
+            "version": 2,
             "now": self.now_window,
             "ticks": self.ticks,
             "n_no_domains": self.n_no_domains,
             "job": self.job.checkpoint(),
             "results_end": self.results.end_offset,
+            "finished_end": self.finished.end_offset,
             "campaigns": self.campaigns.checkpoint(),
         }
         self.trigger_topic.trim(self.job.consumer.offset)
@@ -323,15 +331,16 @@ class CampaignWorker:
 
     def restore(self, state: Dict) -> None:
         """Resume a *fresh* worker from a checkpoint over the same broker."""
-        if state.get("version") != 1:
+        if state.get("version") != 2:
             raise ValueError(
                 f"unsupported checkpoint version: {state.get('version')}")
         self.job.restore(state["job"])
         self.results.truncate(state["results_end"])
+        self.finished.truncate(state["finished_end"])
         # The campaigns consumer was already constructed from the
         # broker's committed offset — the half of the checkpoint that
         # survives without the consumer object.
-        self.campaigns.restore(state["campaigns"], now=state["now"] or 0)
+        self.campaigns.restore(state["campaigns"])
         self.now_window = state["now"]
         self.ticks = state["ticks"]
         self.n_no_domains = state["n_no_domains"]
@@ -551,7 +560,11 @@ class ReactiveService:
     def _report(self, triggers: List[InferredAttack],
                 trigger_topic) -> ReactiveReport:
         worker = self._worker
-        campaigns = worker.campaigns.all_campaigns()
+        live = worker.campaigns
+        campaigns = sorted(
+            [record.value for record in worker.finished.read(0)]
+            + live.active + live.waitlist,
+            key=lambda c: (c.report_ts, c.attack.victim_ip, c.attack.start))
         store = ReactiveStore()
         for record in worker.results.read(0):
             store.add(record.value)

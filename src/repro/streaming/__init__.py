@@ -2,9 +2,9 @@
 
 The paper's reactive measurement platform is built on Kafka topics and
 Spark Structured Streaming jobs. This package provides the same
-primitives in-process: ordered topics with offset-tracking consumers, a
-discrete-event scheduler, and small stream processors (filter/map/
-window join) — enough to express the reactive pipeline faithfully.
+primitives in-process: ordered topics with offset-tracking consumers
+and small stream processors (filter, schema gate) run by stream jobs —
+enough to express the reactive pipeline faithfully.
 
 Jobs can run *hardened* for faulted inputs: per-record retries with
 backoff and jitter, a dead-letter topic for poison records, a circuit
@@ -25,15 +25,12 @@ from repro.streaming.topic import (
     Topic,
     TopicFull,
 )
-from repro.streaming.scheduler import EventScheduler, ScheduledEvent
 from repro.streaming.processors import (
     CircuitBreaker,
     DeadLetter,
     FailFastProcessor,
     FilterProcessor,
     FlaggedRecord,
-    FlatMapProcessor,
-    MapProcessor,
     PoisonRecord,
     Processor,
     RetryPolicy,
@@ -47,12 +44,8 @@ __all__ = [
     "Record",
     "Topic",
     "TopicFull",
-    "EventScheduler",
-    "ScheduledEvent",
     "Processor",
     "FilterProcessor",
-    "MapProcessor",
-    "FlatMapProcessor",
     "FailFastProcessor",
     "PoisonRecord",
     "RetryPolicy",

@@ -53,16 +53,6 @@ class Processor(Generic[T, U]):
         raise NotImplementedError
 
 
-class MapProcessor(Processor[T, U]):
-    """Applies a function to each record value."""
-
-    def __init__(self, fn: Callable[[T], U]):
-        self.fn = fn
-
-    def process(self, record: Record[T]) -> Iterable[U]:
-        yield self.fn(record.value)
-
-
 class FilterProcessor(Processor[T, T]):
     """Drops records failing a predicate."""
 
@@ -72,16 +62,6 @@ class FilterProcessor(Processor[T, T]):
     def process(self, record: Record[T]) -> Iterable[T]:
         if self.predicate(record.value):
             yield record.value
-
-
-class FlatMapProcessor(Processor[T, U]):
-    """Expands each record into many values."""
-
-    def __init__(self, fn: Callable[[T], Iterable[U]]):
-        self.fn = fn
-
-    def process(self, record: Record[T]) -> Iterable[U]:
-        return self.fn(record.value)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.attacks.model import Attack
 from repro.net.ports import PORT_DNS, PROTO_UDP
 from repro.telescope.darknet import Darknet
-from repro.telescope.rsdos import InferredAttack
+from repro.telescope.rsdos import InferredAttack, gap_groups
 from repro.util.rng import derive_rng, poisson
 from repro.util.timeutil import FIVE_MINUTES, HOUR, Window
 
@@ -218,34 +218,30 @@ class ReflectorClassifier:
     def __init__(self, thresholds: Optional[ReflectorThresholds] = None):
         self.thresholds = thresholds or ReflectorThresholds()
 
-    def infer(self, observations: Iterable[ReflectorObservation]
+    def infer(self, observations: Iterable[ReflectorObservation],
+              kept: Optional[List[ReflectorObservation]] = None
               ) -> List[InferredReflection]:
+        """Classify observations (any order) into inferred reflections,
+        dropping sub-threshold noise.
+
+        When ``kept`` is a list, the observations of every group that
+        became a reflection are appended to it, as
+        :meth:`RSDoSClassifier.infer` does for its records.
+        """
         by_victim: Dict[int, List[ReflectorObservation]] = {}
         for obs in observations:
             by_victim.setdefault(obs.victim_ip, []).append(obs)
         reflections: List[InferredReflection] = []
         for victim_ip, windows in by_victim.items():
             windows.sort(key=lambda o: o.window_ts)
-            reflections.extend(self._infer_victim(victim_ip, windows))
-        reflections.sort(key=lambda r: (r.start, r.victim_ip))
-        return reflections
-
-    def _infer_victim(self, victim_ip: int,
-                      windows: List[ReflectorObservation]
-                      ) -> Iterator[InferredReflection]:
-        th = self.thresholds
-        group: List[ReflectorObservation] = []
-        for obs in windows:
-            if group and obs.window_ts - group[-1].window_ts > th.gap_s:
+            for group in gap_groups(windows, self.thresholds.gap_s):
                 reflection = self._finalize(victim_ip, group)
                 if reflection is not None:
-                    yield reflection
-                group = []
-            group.append(obs)
-        if group:
-            reflection = self._finalize(victim_ip, group)
-            if reflection is not None:
-                yield reflection
+                    reflections.append(reflection)
+                    if kept is not None:
+                        kept.extend(group)
+        reflections.sort(key=lambda r: (r.start, r.victim_ip))
+        return reflections
 
     def _finalize(self, victim_ip: int,
                   group: List[ReflectorObservation]
@@ -292,19 +288,14 @@ class ReflectorFeed:
         inferred reflections (the simulator builds it from ground truth
         when asked via :meth:`observe_world_truth`).
         """
-        observations = list(simulator.observe_all(ground_truth))
-        reflections = ReflectorClassifier(thresholds).infer(observations)
+        # Curated observations keep only windows belonging to inferred
+        # reflections (the same curation step the RSDoS feed applies).
+        curated: List[ReflectorObservation] = []
+        reflections = ReflectorClassifier(thresholds).infer(
+            simulator.observe_all(ground_truth), kept=curated)
         if baf_of:
             for r in reflections:
                 r.assumed_baf = baf_of.get(r.victim_ip, r.assumed_baf)
-        # Keep only observations belonging to an inferred reflection
-        # (the same curation step the RSDoS feed applies).
-        keep: Dict[int, List[Window]] = {}
-        for r in reflections:
-            keep.setdefault(r.victim_ip, []).append(r.window)
-        curated = [o for o in observations
-                   if any(w.contains(o.window_ts)
-                          for w in keep.get(o.victim_ip, ()))]
         return cls(curated, reflections)
 
     def __len__(self) -> int:

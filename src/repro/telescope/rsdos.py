@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TypeVar
 
 from repro.telescope.backscatter import FeedRecord
 from repro.util.timeutil import FIVE_MINUTES, HOUR, Window
@@ -102,6 +102,26 @@ class InferredAttack:
         return self.n_unique_sources * extrapolation
 
 
+W = TypeVar("W")
+
+
+def gap_groups(windows: Sequence[W], gap_s: int) -> Iterator[List[W]]:
+    """Runs of one victim's ``windows`` (sorted by ``window_ts``), split
+    wherever two consecutive windows lie more than ``gap_s`` apart.
+
+    The inference walk both telescope branches share: each run is one
+    candidate attack, kept or dropped by the branch's thresholds.
+    """
+    group: List[W] = []
+    for window in windows:
+        if group and window.window_ts - group[-1].window_ts > gap_s:
+            yield group
+            group = []
+        group.append(window)
+    if group:
+        yield group
+
+
 class RSDoSClassifier:
     """Groups window records into inferred attacks."""
 
@@ -125,7 +145,7 @@ class RSDoSClassifier:
         attacks: List[InferredAttack] = []
         for victim_ip, windows in by_victim.items():
             windows.sort(key=lambda r: r.window_ts)
-            for group in self._groups(windows):
+            for group in gap_groups(windows, self.thresholds.gap_s):
                 attack = self._finalize(victim_ip, group)
                 if attack is not None:
                     attacks.append(attack)
@@ -133,18 +153,6 @@ class RSDoSClassifier:
                         kept.extend(group)
         attacks.sort(key=lambda a: (a.start, a.victim_ip))
         return attacks
-
-    def _groups(self, windows: List[FeedRecord]) -> Iterator[List[FeedRecord]]:
-        """Runs of ``windows`` (time-sorted) split at gaps over ``gap_s``."""
-        gap_s = self.thresholds.gap_s
-        group: List[FeedRecord] = []
-        for record in windows:
-            if group and record.window_ts - group[-1].window_ts > gap_s:
-                yield group
-                group = []
-            group.append(record)
-        if group:
-            yield group
 
     def _finalize(self, victim_ip: int,
                   group: List[FeedRecord]) -> Optional[InferredAttack]:

@@ -11,7 +11,7 @@ from repro.dns.rcode import Rcode
 from repro.dns.server import ServerReply
 from repro.openintel.storage import MeasurementStore
 from repro.dns.rcode import ResponseStatus
-from repro.streaming.processors import MapProcessor, Record
+from repro.streaming.processors import FilterProcessor, Record
 from repro.telescope.rsdos import InferredAttack, attack_problem
 from repro.util.timeutil import DAY
 
@@ -168,12 +168,12 @@ class TestProcessorFaults:
     def test_transient_exceptions_raised(self):
         config = ChaosConfig(seed=5, processor=FaultPolicy(exception_p=1.0))
         injector = FaultInjector(config)
-        wrapped = injector.wrap_processor(MapProcessor(lambda x: x))
+        wrapped = injector.wrap_processor(FilterProcessor(lambda x: True))
         with pytest.raises(TransientFault):
             list(wrapped.process(Record(0, 0, "x")))
 
     def test_null_processor_wrap_is_identity(self):
-        inner = MapProcessor(lambda x: x)
+        inner = FilterProcessor(lambda x: True)
         assert FaultInjector(ChaosConfig(seed=5)).wrap_processor(inner) is inner
 
 

@@ -1,5 +1,8 @@
 """Campaign planning, admission control, and deterministic shedding."""
 
+import heapq
+import itertools
+import random
 from dataclasses import asdict
 
 import pytest
@@ -210,11 +213,12 @@ class TestAdmission:
         sched.submit(starved)
         sched.admit_tick(w)
         assert starved.state == CampaignState.WAITING
-        sched.admit_tick(w + 31 * MINUTE)
+        shed = sched.admit_tick(w + 31 * MINUTE)
         assert starved.state == CampaignState.SHED
         assert "shed" in starved.reasons
         assert starved.shed_at == w + 31 * MINUTE
-        assert starved in sched.finished
+        assert shed == [starved]
+        assert starved not in sched.waitlist + sched.active
         shed = registry.counter("repro.reactive.shed", reason="overload")
         assert shed.value == 1
 
@@ -230,8 +234,9 @@ class TestAdmission:
         assert waiter.state == CampaignState.WAITING
         # hog ends (post=0 => ends_at == attack.end)
         end_tick = hog.ends_at
-        sched.finish_tick(end_tick)
+        assert sched.finish_tick(end_tick) == [hog]
         assert hog.state == CampaignState.DONE
+        assert sched.active == []
         assert sched.in_flight == 0
         sched.admit_tick(end_tick)
         assert waiter.state == CampaignState.ACTIVE
@@ -253,10 +258,7 @@ class TestProbeLayout:
         sched.submit(urgent)
         sched.admit_tick(w)
         probe_w = max(c.first_window for c in sched.active)
-        sched.run_until(probe_w)
-        sched.schedule_window(probe_w)
-        n = sched.run_until(probe_w + FIVE_MINUTES)
-        assert n == 4
+        assert sched.probe_window(probe_w) == 4
         # allocation 2 => spacing 150s, urgent (earlier deadline) first
         # at each instant
         ts_by_victim = {}
@@ -277,9 +279,7 @@ class TestProbeLayout:
         sched.admit_tick(w)
         start = campaign.first_window
         for probe_w in range(start, start + 3 * FIVE_MINUTES, FIVE_MINUTES):
-            sched.run_until(probe_w)
-            sched.schedule_window(probe_w)
-        sched.run_until(start + 3 * FIVE_MINUTES)
+            sched.probe_window(probe_w)
         # 2 probes/window over domains (100, 101, 102), round-robin
         assert fired == [100, 101, 102, 100, 101, 102]
 
@@ -292,10 +292,48 @@ class TestProbeLayout:
         campaign = make_campaign(victim_ip=1, start=w, post=0)
         sched.submit(campaign)
         sched.admit_tick(w)
-        assert sched.schedule_window(w) == 0  # before first_window
-        sched.run_until(campaign.ends_at)
-        sched.scheduler.now = campaign.ends_at
-        assert sched.schedule_window(campaign.ends_at) == 0  # past the end
+        assert sched.probe_window(w) == 0  # before first_window
+        assert sched.probe_window(campaign.ends_at) == 0  # past the end
+        assert fired == []
+
+    def test_fires_in_the_event_heap_order(self):
+        """One stable sort by time fires the slots in the order a
+        ``(ts, scheduling sequence)`` event heap would: throttled and
+        full allocations interleave, ties in deadline order."""
+        rng = random.Random(11)
+        w = 1000_000_000
+        fired = []
+        sched = CampaignScheduler(
+            probes_per_window=7, probe_budget=40,
+            on_probe=lambda c, d, ts: fired.append((ts, c.key, d)))
+        for victim in range(12):
+            sched.submit(make_campaign(
+                victim_ip=victim, start=w - rng.randrange(4) * FIVE_MINUTES,
+                n_domains=rng.randint(1, 9), impact=rng.randint(1, 50),
+                sla=rng.choice((5, 10)) * MINUTE, post=4 * HOUR))
+        sched.admit_tick(w)
+        assert len({c.allocation for c in sched.active}) >= 3
+        assert len({c.first_window for c in sched.active}) >= 2
+        assert any("throttled" in c.reasons for c in sched.active)
+        heap = []
+        seq = itertools.count()
+        for probe_w in range(w, w + 6 * FIVE_MINUTES, FIVE_MINUTES):
+            for c in sorted(sched.active, key=lambda c: (
+                    c.deadline, c.report_ts, c.victim_ip, c.attack.start)):
+                if c.first_window <= probe_w < c.ends_at:
+                    spacing = FIVE_MINUTES // c.allocation
+                    for i in range(c.allocation):
+                        domain = c.domain_ids[
+                            (c.cursor + i) % len(c.domain_ids)]
+                        heapq.heappush(heap, (probe_w + i * spacing,
+                                              next(seq), c.key, domain))
+            want = [(ts, key, d) for ts, _, key, d in
+                    (heapq.heappop(heap) for _ in range(len(heap)))]
+            del fired[:]
+            assert sched.probe_window(probe_w) == len(want)
+            assert fired == want
+            assert all(probe_w <= ts < probe_w + FIVE_MINUTES
+                       for ts, _, _ in fired)
 
 
 class TestCheckpointRestore:
@@ -309,25 +347,33 @@ class TestCheckpointRestore:
         sched.admit_tick(w)
         state = sched.checkpoint()
         fresh = CampaignScheduler(probes_per_window=4, probe_budget=4)
-        fresh.restore(state, now=w + FIVE_MINUTES)
+        fresh.restore(state)
         assert fresh.in_flight == sched.in_flight == 4
         assert [c.key for c in fresh.active] == [active.key]
         assert [c.key for c in fresh.waitlist] == [waiting.key]
         assert fresh.active[0] == active
-        assert fresh.scheduler.now == w + FIVE_MINUTES
-        assert fresh.scheduler.pending == 0
 
-    def test_checkpoint_rejects_mid_window_state(self):
-        sched = CampaignScheduler(probes_per_window=2)
+    def test_checkpoint_holds_only_live_campaigns(self):
+        sched = CampaignScheduler(probes_per_window=2, probe_budget=2,
+                                  shed_after_s=30 * MINUTE)
         w = 1000_000_000
-        campaign = make_campaign(victim_ip=1, start=w)
-        sched.submit(campaign)
+        done = make_campaign(victim_ip=1, start=w, post=0)
+        starved = make_campaign(victim_ip=2, start=w, impact=0)
+        live = make_campaign(victim_ip=3, start=w + HOUR)
+        sched.submit(done)
+        sched.submit(starved)
         sched.admit_tick(w)
-        probe_w = campaign.first_window
-        sched.run_until(probe_w)
-        sched.schedule_window(probe_w)
-        with pytest.raises(AssertionError):
-            sched.checkpoint()
+        assert sched.admit_tick(w + 31 * MINUTE) == [starved]
+        assert sched.finish_tick(done.ends_at) == [done]
+        sched.submit(live)
+        sched.admit_tick(done.ends_at)
+        state = sched.checkpoint()
+        assert set(state) == {"waitlist", "active"}
+        assert [c["attack"]["victim_ip"] for c in state["active"]] == [3]
+        assert state["waitlist"] == []
+        fresh = CampaignScheduler(probes_per_window=2, probe_budget=2)
+        fresh.restore(state)
+        assert fresh.in_flight == live.allocation == 2
 
     def test_restored_scheduler_is_json_safe(self):
         import json
@@ -337,7 +383,7 @@ class TestCheckpointRestore:
         sched.admit_tick(1000_000_000)
         encoded = json.dumps(sched.checkpoint())
         fresh = CampaignScheduler(probes_per_window=2)
-        fresh.restore(json.loads(encoded), now=0)
+        fresh.restore(json.loads(encoded))
         assert len(fresh.active) == 1
 
 

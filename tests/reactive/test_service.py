@@ -141,6 +141,45 @@ class TestRecovery:
         assert f"kills={report.counts['kills']}" in report.chaos_summary()
         assert "kills" not in report.summary()
 
+    def test_checkpoint_copies_only_live_campaigns(self, world):
+        """Finished campaigns live in an append-only log the checkpoint
+        records by end offset: a checkpoint taken after many campaigns
+        finished holds only the waiting and active ones, and a worker
+        restored from it ends where an uninterrupted run ends."""
+        triggers = synthetic_triggers(world, 120, seed=11)
+        clean = make_service(world).run(triggers)
+        service = make_service(world)
+        taken = []
+
+        class KillOnce:
+            def worker_crash_hook(self):
+                def hook(tick_ts):
+                    state = service._checkpoint
+                    if taken or state["finished_end"] < 40:
+                        return False
+                    taken.append(state)
+                    return True
+                return hook
+
+        report = service.run(triggers, injector=KillOnce())
+        assert report.counts["restores"] == 1
+        state = taken[0]
+        assert state["version"] == 2
+        assert set(state["campaigns"]) == {"waitlist", "active"}
+        live = state["campaigns"]["waitlist"] + state["campaigns"]["active"]
+        assert live and len(live) < state["finished_end"]
+        assert {c["state"] for c in state["campaigns"]["waitlist"]} <= {
+            CampaignState.WAITING}
+        assert {c["state"] for c in state["campaigns"]["active"]} == {
+            CampaignState.ACTIVE}
+        finished = service._broker.topic("campaigns-finished").read(0)
+        assert len(finished) == clean.counts["done"] + clean.counts["shed"]
+        assert not ({r.value.key for r in finished[:state["finished_end"]]}
+                    & {f"{c['attack']['victim_ip']}@{c['attack']['start']}"
+                       for c in live})
+        assert report.store_digest() == clean.store_digest()
+        assert report.summary() == clean.summary()
+
 
 class TestBackpressure:
     def test_block_policy_loses_nothing(self, world, triggers):

@@ -7,7 +7,6 @@ from repro.streaming import (
     BACKPRESSURE_POLICIES,
     Broker,
     Consumer,
-    EventScheduler,
     Topic,
     TopicFull,
 )
@@ -242,35 +241,3 @@ class TestPollUntilTs:
             topic.produce(ts, ts)
         consumer = Consumer(topic)
         assert len(consumer.poll(max_records=3, until_ts=2)) == 2
-
-
-class TestSchedulerFiredAccounting:
-    """Regression: ``run_all`` must not double- (or zero-) count."""
-
-    def test_n_fired_counted_exactly_once_via_run_all(self):
-        scheduler = EventScheduler()
-        fired = []
-        for ts in (5, 1, 3):
-            scheduler.at(ts, fired.append)
-        assert scheduler.run_all() == 3
-        assert scheduler.n_fired == 3
-        assert fired == [1, 3, 5]
-
-    def test_n_fired_accumulates_across_mixed_driving(self):
-        scheduler = EventScheduler()
-        for ts in (1, 2, 3, 4):
-            scheduler.at(ts, lambda ts: None)
-        scheduler.run_until(3)   # fires 1, 2
-        assert scheduler.n_fired == 2
-        scheduler.run_all()      # fires 3, 4
-        assert scheduler.n_fired == 4
-
-    def test_ties_fire_in_scheduling_order_under_run_all(self):
-        scheduler = EventScheduler()
-        order = []
-        scheduler.at(7, lambda ts: order.append("a"))
-        scheduler.at(7, lambda ts: order.append("b"))
-        scheduler.at(7, lambda ts: order.append("c"))
-        scheduler.run_all()
-        assert order == ["a", "b", "c"]
-        assert scheduler.n_fired == 3

@@ -8,7 +8,6 @@ from repro.streaming import (
     DeadLetter,
     FailFastProcessor,
     FlaggedRecord,
-    MapProcessor,
     PoisonRecord,
     Record,
     RetryPolicy,
@@ -31,6 +30,13 @@ class FlakyProcessor(Processor):
         if seen < self.failures_by_value.get(value, 0):
             raise RuntimeError(f"transient failure on {value!r}")
         yield value
+
+
+class Upper(Processor):
+    """A one-to-one test processor: upper-cases each value."""
+
+    def process(self, record: Record):
+        yield record.value.upper()
 
 
 def feed(broker, values, topic="in"):
@@ -87,7 +93,7 @@ class TestRetries:
         feed(broker, ["a"])
         flaky = FlakyProcessor({"A": 2})
         job = StreamJob(broker, "in", "out",
-                        [MapProcessor(str.upper), flaky], name="j",
+                        [Upper(), flaky], name="j",
                         retry_policy=RetryPolicy(max_retries=3))
         job.drain()
         assert [r.value for r in broker.topic("out")] == ["A"]

@@ -1,15 +1,19 @@
-"""Tests for topics, consumers, scheduler, and stream jobs."""
+"""Tests for topics, consumers, and stream jobs."""
 
 import pytest
 
-from repro.streaming.processors import (
-    FilterProcessor,
-    FlatMapProcessor,
-    MapProcessor,
-    StreamJob,
-)
-from repro.streaming.scheduler import EventScheduler
+from repro.streaming.processors import FilterProcessor, Processor, StreamJob
 from repro.streaming.topic import Broker, Consumer, Topic
+
+
+class Times(Processor):
+    """A one-to-one test processor: multiplies each value."""
+
+    def __init__(self, factor):
+        self.factor = factor
+
+    def process(self, record):
+        yield record.value * self.factor
 
 
 class TestTopic:
@@ -91,96 +95,7 @@ class TestBroker:
         assert broker.topics() == ["x"]
 
 
-class TestEventScheduler:
-    def test_fires_in_time_order(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.at(200, lambda ts: fired.append(("b", ts)))
-        scheduler.at(100, lambda ts: fired.append(("a", ts)))
-        scheduler.run_until(300)
-        assert fired == [("a", 100), ("b", 200)]
-
-    def test_ties_break_by_scheduling_order(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.at(100, lambda ts: fired.append("first"))
-        scheduler.at(100, lambda ts: fired.append("second"))
-        scheduler.run_until(101)
-        assert fired == ["first", "second"]
-
-    def test_run_until_exclusive(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.at(100, lambda ts: fired.append(ts))
-        scheduler.run_until(100)
-        assert fired == []
-        scheduler.run_until(101)
-        assert fired == [100]
-
-    def test_cancel(self):
-        scheduler = EventScheduler()
-        fired = []
-        event = scheduler.at(100, lambda ts: fired.append(ts))
-        event.cancel()
-        scheduler.run_until(200)
-        assert fired == []
-        assert scheduler.pending == 0
-
-    def test_rejects_past(self):
-        scheduler = EventScheduler(start_ts=100)
-        with pytest.raises(ValueError):
-            scheduler.at(50, lambda ts: None)
-
-    def test_after(self):
-        scheduler = EventScheduler(start_ts=100)
-        fired = []
-        scheduler.after(50, lambda ts: fired.append(ts))
-        scheduler.run_until(200)
-        assert fired == [150]
-
-    def test_every(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.every(0, 100, 350, lambda ts: fired.append(ts))
-        scheduler.run_until(1000)
-        assert fired == [0, 100, 200, 300]
-
-    def test_events_can_schedule_events(self):
-        scheduler = EventScheduler()
-        fired = []
-
-        def chain(ts):
-            fired.append(ts)
-            if ts < 300:
-                scheduler.at(ts + 100, chain)
-
-        scheduler.at(100, chain)
-        scheduler.run_until(1000)
-        assert fired == [100, 200, 300]
-
-    def test_run_all(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.at(100, lambda ts: fired.append(ts))
-        scheduler.at(5000, lambda ts: fired.append(ts))
-        scheduler.run_all()
-        assert fired == [100, 5000]
-
-    def test_clock_advances(self):
-        scheduler = EventScheduler()
-        scheduler.at(100, lambda ts: None)
-        scheduler.run_until(500)
-        assert scheduler.now == 500
-
-
 class TestStreamJob:
-    def test_map(self):
-        broker = Broker()
-        broker.topic("in").produce(1, 10)
-        job = StreamJob(broker, "in", "out", [MapProcessor(lambda x: x * 2)])
-        job.drain()
-        assert [r.value for r in broker.topic("out")] == [20]
-
     def test_filter(self):
         broker = Broker()
         for i in range(5):
@@ -190,28 +105,20 @@ class TestStreamJob:
         job.drain()
         assert [r.value for r in broker.topic("out")] == [0, 2, 4]
 
-    def test_flatmap(self):
-        broker = Broker()
-        broker.topic("in").produce(1, 3)
-        job = StreamJob(broker, "in", "out",
-                        [FlatMapProcessor(lambda x: range(x))])
-        job.drain()
-        assert [r.value for r in broker.topic("out")] == [0, 1, 2]
-
     def test_chained_processors(self):
         broker = Broker()
         for i in range(4):
             broker.topic("in").produce(i, i)
         job = StreamJob(broker, "in", "out", [
             FilterProcessor(lambda x: x > 0),
-            MapProcessor(lambda x: x * 10),
+            Times(10),
         ])
         job.drain()
         assert [r.value for r in broker.topic("out")] == [10, 20, 30]
 
     def test_incremental_step(self):
         broker = Broker()
-        job = StreamJob(broker, "in", "out", [MapProcessor(lambda x: x)])
+        job = StreamJob(broker, "in", "out", [Times(1)])
         broker.topic("in").produce(1, "a")
         assert job.step() == 1
         assert job.step() == 0
@@ -222,5 +129,5 @@ class TestStreamJob:
     def test_timestamps_preserved(self):
         broker = Broker()
         broker.topic("in").produce(123, "x")
-        StreamJob(broker, "in", "out", [MapProcessor(lambda v: v)]).drain()
+        StreamJob(broker, "in", "out", [Times(1)]).drain()
         assert broker.topic("out").read(0)[0].ts == 123

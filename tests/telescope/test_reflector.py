@@ -1,7 +1,10 @@
 """Tests for the reflector-query inference branch (amplification)."""
 
+import dataclasses
+
 import pytest
 
+from repro import WorldConfig, build_world
 from repro.attacks.model import AmplificationProfile, Attack, AttackVector, Spoofing
 from repro.net.ports import PORT_DNS, PROTO_UDP
 from repro.telescope.darknet import Darknet
@@ -188,3 +191,62 @@ class TestFeedAndValidation:
         pairs = match_reflections(list(schedule) + [plain],
                                   feed.reflections)
         assert len(pairs) == len(schedule)
+
+
+def reference_observe(attacks, simulator, baf_of) -> ReflectorFeed:
+    """The curation as first written: every observation, filtered by
+    "some inferred reflection on its victim contains its window"."""
+    observations = list(simulator.observe_all(attacks))
+    reflections = ReflectorClassifier().infer(observations)
+    for r in reflections:
+        r.assumed_baf = baf_of.get(r.victim_ip, r.assumed_baf)
+    keep = {}
+    for r in reflections:
+        keep.setdefault(r.victim_ip, []).append(r.window)
+    curated = [o for o in observations
+               if any(w.contains(o.window_ts)
+                      for w in keep.get(o.victim_ip, ()))]
+    return ReflectorFeed(curated, reflections)
+
+
+class TestCurationIsReferenceFilter:
+    """``ReflectorFeed.observe`` curates from the classifier's kept
+    groups; it must keep exactly what the window filter kept."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_amplification_tiny_worlds(self, seed):
+        world = build_world(dataclasses.replace(
+            WorldConfig.tiny(seed=seed), scenario_pack="amplification"))
+        feed = world.pack.observe_darknet(world)
+        simulator = ReflectorSimulator(
+            Darknet(), jitter_seed=world.rngs.spawn_seed(
+                "pack:amplification", "reflector"))
+        baf_of = {a.victim_ip: a.amplification.mean_baf
+                  for a in world.attacks if a.amplification is not None}
+        reference = reference_observe(world.attacks, simulator, baf_of)
+        assert feed.observations == reference.observations
+        assert feed.reflections == reference.reflections
+        assert feed.observations and feed.reflections
+
+    def test_overlapping_spray_and_a_dropped_group(self):
+        victim = 0x0A000001
+        schedule = [
+            amplified_attack(victim_ip=victim, start=0, duration=HOUR),
+            amplified_attack(victim_ip=victim, start=HOUR // 2),  # overlaps
+            amplified_attack(victim_ip=victim, start=4 * HOUR,
+                             duration=FIVE_MINUTES),  # one window: dropped
+            amplified_attack(victim_ip=victim, start=8 * HOUR + 60),
+        ]
+        baf_of = {victim: 30.0}
+        feed = ReflectorFeed.observe(
+            schedule, ReflectorSimulator(Darknet(), jitter_seed=3),
+            baf_of=baf_of)
+        reference = reference_observe(
+            schedule, ReflectorSimulator(Darknet(), jitter_seed=3), baf_of)
+        assert feed.observations == reference.observations
+        assert feed.reflections == reference.reflections
+        assert len(feed.reflections) == 2
+        assert not [o for o in feed.observations
+                    if 4 * HOUR <= o.window_ts < 5 * HOUR]
+        assert len([o for o in feed.observations
+                    if o.window_ts == HOUR // 2]) == 2
