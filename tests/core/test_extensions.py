@@ -13,12 +13,20 @@ from repro.core.enduser import (
 )
 from repro.core.vantage import (
     REGION_RTT_OFFSET_MS,
+    CatchmentDisagreement,
     MultiVantageProber,
+    VantageObservation,
     VantagePoint,
     masking_analysis,
 )
 from repro.core.visibility import analyze_visibility, match_attacks
-from repro.util.timeutil import HOUR, Window, parse_ts
+from repro.dns.name import DomainName
+from repro.dns.rr import RRType
+from repro.dns.server import ServerReply
+from repro.util.timeutil import DAY, FIVE_MINUTES, HOUR, Window, parse_ts
+from repro.world.capacity import LoadBreakdown
+from repro.world.config import WorldConfig
+from repro.world.simulation import build_world
 
 
 class TestVantagePoint:
@@ -95,6 +103,138 @@ class TestMultiVantageProber:
         assert 0 < len(results) <= 10
         for result in results:
             assert len(result.observations) == 3
+
+
+class _ReferenceVantage:
+    """The region-bound load model and transport written out from the
+    world's private attack index and weights, kept as the reference
+    :class:`VantagePoint` must equal."""
+
+    def __init__(self, world, region):
+        self.world = world
+        self.region = region
+        self._rtt_offset = REGION_RTT_OFFSET_MS[region]
+        self._rng = world.rngs.stream("vantage", region)
+
+    def load_at(self, ns, ts):
+        if ns.anycast is None:
+            return self.world.load_at(ns, ts)
+        site = ns.anycast.site_for_region(self.region)
+        attacks = self.world._index.active_on_ip(ns.ip, ts)
+        blackout = any(
+            (bw := a.blackout_window()) is not None and bw.contains(int(ts))
+            for a in attacks)
+        server_cost = 0.0
+        app_pps = 0.0
+        for attack in attacks:
+            pps = attack.effective_pps(int(ts))
+            if pps <= 0.0:
+                continue
+            server_frac, app_frac, _ = \
+                self.world._attack_weights[attack.attack_id]
+            server_cost += pps * server_frac
+            app_pps += pps * app_frac
+        share = site.catchment_weight
+        return LoadBreakdown(
+            server_util=server_cost * share / site.capacity_pps,
+            link_util=0.0,
+            app_util=app_pps * share / site.capacity_pps,
+            blackout=blackout)
+
+    def transport(self, ns_ip, qname, qtype, ts):
+        ns = self.world.nameservers_by_ip.get(ns_ip)
+        if ns is None:
+            return ServerReply.dropped()
+        if ns.is_misconfig_target:
+            if not ns.answers_queries:
+                return ServerReply.dropped()
+            return ServerReply.ok(ns.base_rtt_ms + self._rtt_offset
+                                  + self._rng.expovariate(0.5))
+        load = self.load_at(ns, ts)
+        return self.world.capacity_model.sample_reply(
+            self._rng, ns.base_rtt_ms + self._rtt_offset, load)
+
+
+def _reference_probe(vantages, ns_ip, ts, n_probes):
+    """``MultiVantageProber.probe`` over :class:`_ReferenceVantage` s."""
+    qname = DomainName("probe.invalid")
+    result = CatchmentDisagreement(ns_ip=ns_ip, ts=ts)
+    for vantage in vantages:
+        answered = 0
+        rtts = []
+        for _ in range(n_probes):
+            reply = vantage.transport(ns_ip, qname, RRType.NS, ts)
+            if reply.answered:
+                answered += 1
+                rtts.append(reply.rtt_ms)
+        result.observations.append(VantageObservation(
+            region=vantage.region,
+            answered_share=answered / n_probes,
+            mean_rtt_ms=sum(rtts) / len(rtts) if rtts else None,
+            n_probes=n_probes))
+    return result
+
+
+class TestVantageIsReference:
+    """VantagePoint's load and MultiVantageProber's replies equal the
+    reference's, value for value and draw for draw."""
+
+    REGIONS = ("eu-west", "us-east", "ap-east")
+
+    @staticmethod
+    def _instants(world, ip):
+        """Instants inside every attack on ``ip``, plus one quiet one."""
+        out = [world.timeline.start + DAY // 2]
+        for attack in world.attacks_on_ip(ip):
+            window = attack.impact_window
+            step = max(FIVE_MINUTES, window.duration // 8)
+            out.extend(range(window.start, window.end, step))
+            out.append(window.end - 1)
+        return out
+
+    @staticmethod
+    def _pair():
+        # Two worlds, so the reference and the real vantages draw from
+        # equal, separate ``vantage`` streams.
+        return build_world(WorldConfig.tiny()), build_world(WorldConfig.tiny())
+
+    def test_anycast_load_and_probes_equal_reference(self):
+        ref_world, world = self._pair()
+        anycast = sorted(ip for ip, ns in world.nameservers_by_ip.items()
+                         if ns.anycast is not None)
+        assert anycast
+        ref_vantages = [_ReferenceVantage(ref_world, region)
+                        for region in self.REGIONS]
+        prober = MultiVantageProber(world, self.REGIONS)
+        n_loaded = 0
+        for ip in anycast:
+            ns, ref_ns = world.nameservers_by_ip[ip], \
+                ref_world.nameservers_by_ip[ip]
+            for ts in self._instants(world, ip):
+                for ref, vantage in zip(ref_vantages, prober.vantages):
+                    expected = ref.load_at(ref_ns, ts)
+                    assert vantage.load_at(ns, ts) == expected
+                    n_loaded += expected.server_util > 0
+                assert prober.probe(ip, ts, n_probes=5) == \
+                    _reference_probe(ref_vantages, ip, ts, 5)
+        assert n_loaded > 0  # some instants carry attack load
+
+    def test_unicast_and_misconfig_probes_equal_reference(self):
+        ref_world, world = self._pair()
+        attacked = sorted({a.victim_ip for a in world.attacks
+                           if a.victim_ip in world.nameservers_by_ip})
+        unicast = [ip for ip in attacked
+                   if world.nameservers_by_ip[ip].anycast is None][:10]
+        misconfig = sorted(ip for ip, ns in world.nameservers_by_ip.items()
+                           if ns.is_misconfig_target)
+        assert unicast and misconfig
+        ref_vantages = [_ReferenceVantage(ref_world, region)
+                        for region in self.REGIONS]
+        prober = MultiVantageProber(world, self.REGIONS)
+        for ip in unicast + misconfig + [1]:  # 1: no such nameserver
+            for ts in self._instants(world, ip):
+                assert prober.probe(ip, ts, n_probes=5) == \
+                    _reference_probe(ref_vantages, ip, ts, 5)
 
 
 class TestEndUserCaching:

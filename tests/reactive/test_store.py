@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core.metrics import compute_baseline_degraded
+from repro.core.metrics import (
+    BASELINE_FALLBACK_DAYS,
+    ImpactPoint,
+    ImpactSeries,
+    compute_baseline_degraded,
+    impact_on_rtt,
+)
 from repro.reactive import (
     ReactiveProbe,
     ReactiveService,
@@ -61,6 +67,32 @@ class TestReactiveStore:
         assert store.unresponsive_share(1, Window(900, 1200)) == 0.0
 
 
+def _reference_reactive_impact_series(store, directory, nsset_id, window,
+                                      baseline_store, baseline_kind="day",
+                                      min_bucket_n=1,
+                                      baseline_fallback_days=
+                                      BASELINE_FALLBACK_DAYS):
+    """``reactive_impact_series`` with its bucket loop written out, kept
+    as the reference the shared series builder must equal."""
+    probes = measurement_store_from_reactive(store, directory)
+    baseline, fell_back = compute_baseline_degraded(
+        baseline_store, nsset_id, window.start, baseline_kind,
+        baseline_fallback_days)
+    series = ImpactSeries(nsset_id=nsset_id, window=window,
+                          baseline_rtt=baseline, min_bucket_n=min_bucket_n,
+                          degraded=fell_back)
+    for ts, agg in probes.buckets_in(nsset_id, window.start, window.end):
+        if not agg.is_valid:
+            series.n_corrupt += 1
+            series.degraded = True
+            continue
+        series.points.append(ImpactPoint(
+            ts=ts, n=agg.n, ok=agg.ok_n, timeouts=agg.timeout_n,
+            servfails=agg.servfail_n, avg_rtt=agg.avg_rtt,
+            impact=impact_on_rtt(agg.avg_rtt, baseline)))
+    return series
+
+
 class TestReactiveImpactAdapter:
     """Reactive probes feeding the §5/§6 RTT-impact machinery."""
 
@@ -116,6 +148,20 @@ class TestReactiveImpactAdapter:
         # Heavy attacks drop probes, and the series sees the timeouts
         # that OpenINTEL's once-daily crawl undercounts.
         assert any(p.timeouts > 0 for s in all_series for p in s.points)
+
+    def test_impact_series_equals_reference(self, report, tiny_world,
+                                            tiny_study):
+        store = report.store
+        n_points = 0
+        for campaign in report.campaigns:
+            nsset_id = tiny_world.directory[campaign.domain_ids[0]].nsset_id
+            window = Window(campaign.attack.start, campaign.attack.end)
+            args = (store, tiny_world.directory, nsset_id, window,
+                    tiny_study.store)
+            series = reactive_impact_series(*args)
+            assert series == _reference_reactive_impact_series(*args)
+            n_points += len(series.points)
+        assert n_points > 0
 
     def test_impact_series_empty_outside_probed_window(self, report,
                                                        tiny_world, tiny_study):
