@@ -25,7 +25,6 @@ from repro.attacks.generator import (
 from repro.attacks.packs import (
     DEFAULT_PACK,
     ScenarioPack,
-    TelescopeSignature,
     UnknownPackError,
     VolumetricPack,
     available_packs,
@@ -48,7 +47,6 @@ __all__ = [
     "generate_schedule",
     "DEFAULT_PACK",
     "ScenarioPack",
-    "TelescopeSignature",
     "UnknownPackError",
     "VolumetricPack",
     "available_packs",

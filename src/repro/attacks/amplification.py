@@ -32,7 +32,7 @@ from repro.attacks.model import (
     AttackVector,
     Spoofing,
 )
-from repro.attacks.packs import ScenarioPack, TelescopeSignature, register_pack
+from repro.attacks.packs import ScenarioPack, register_pack
 from repro.net.ports import PORT_DNS, PROTO_UDP
 from repro.util.timeutil import MINUTE, Window
 
@@ -152,8 +152,7 @@ class AmplificationPack(ScenarioPack):
 
     # -- telescope -----------------------------------------------------------
 
-    def telescope_signature(self) -> TelescopeSignature:
-        return TelescopeSignature(backscatter=True, reflector_queries=True)
+    reflector_queries = True
 
     def observe_darknet(self, world):
         from repro.telescope.darknet import Darknet

@@ -3,12 +3,13 @@
 The attack plane is not hard-wired into the pipeline: an attack class
 is a :class:`ScenarioPack` — a named plugin bundling the world hooks
 (extra infrastructure and enrichment), a schedule generator (extra
-ground-truth attacks), a telescope signature (how the darknet sees the
-class), and analysis hooks (a pack-specific report section). The
-registry maps pack names to implementations, ``WorldConfig`` carries
-the selected pack (name + params, both fingerprinted), and
-``build_world``/``run_study`` call the hooks at fixed points — so a
-new attack class is a new module, never a fork of the pipeline.
+ground-truth attacks), a telescope flag (whether the darknet also sees
+the class as reflector queries), and analysis hooks (a pack-specific
+report section). The registry maps pack names to implementations,
+``WorldConfig`` carries the selected pack (name + params, both
+fingerprinted), and ``build_world``/``run_study`` call the hooks at
+fixed points — so a new attack class is a new module, never a fork of
+the pipeline.
 
 The paper's randomly-spoofed volumetric model is itself the first
 pack (:class:`VolumetricPack`): every one of its hooks is a no-op on
@@ -46,7 +47,7 @@ from repro.attacks.model import Attack
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.telescope.reflector import ReflectorFeed
 
-__all__ = ["TelescopeSignature", "ScenarioPack", "VolumetricPack",
+__all__ = ["ScenarioPack", "VolumetricPack",
            "UnknownPackError", "register_pack", "get_pack",
            "available_packs", "validate_pack_name", "DEFAULT_PACK"]
 
@@ -75,31 +76,14 @@ class UnknownPackError(ValueError):
             + ", ".join(available_packs()))
 
 
-@dataclass(frozen=True)
-class TelescopeSignature:
-    """How a pack's attacks reach the darknet.
-
-    ``backscatter`` — victims of randomly-spoofed vectors answer into
-    the telescope (the RSDoS default, inferred by
-    :mod:`repro.telescope.rsdos`). ``reflector_queries`` — attackers
-    spray stale amplifier lists whose dead entries fall inside the
-    telescope, seen as queries spoofed as the victim (inferred by
-    :mod:`repro.telescope.reflector` and merged into the join as a
-    second curated feed).
-    """
-
-    backscatter: bool = True
-    reflector_queries: bool = False
-
-
 class ScenarioPack:
     """One pluggable attack class (the pack protocol).
 
     Subclasses override the hooks they need; every default is a no-op,
-    so a pack only pays for what it changes. Packs must be stateless
-    beyond ``params``: ``build_world`` and the engine's conditional
-    nodes construct instances independently, and any randomness must
-    come from ``world.rngs.stream("pack:<name>", ...)`` streams.
+    so a pack only pays for what it changes. ``build_world`` constructs
+    the one instance a run uses (``world.pack``). Packs must be
+    stateless beyond ``params``, and any randomness must come from
+    ``world.rngs.stream("pack:<name>", ...)`` streams.
     """
 
     #: registry name (also the CLI ``--scenario-pack`` value).
@@ -132,13 +116,16 @@ class ScenarioPack:
 
     # -- telescope hooks ------------------------------------------------------
 
-    def telescope_signature(self) -> TelescopeSignature:
-        """How this pack's attacks appear at the darknet."""
-        return TelescopeSignature()
+    #: do this pack's attackers spray stale amplifier lists whose dead
+    #: entries fall inside the telescope, seen as queries spoofed as
+    #: the victim? Those are inferred by :mod:`repro.telescope.reflector`
+    #: and merged into the join as a second curated feed. Every pack's
+    #: randomly-spoofed vectors also reach the darknet as backscatter.
+    reflector_queries: bool = False
 
     def observe_darknet(self, world) -> Optional["ReflectorFeed"]:
         """Run the pack's extra darknet inference branch (only called
-        when :meth:`telescope_signature` declares reflector queries)."""
+        when :attr:`reflector_queries` is true)."""
         return None
 
     # -- analysis hooks -------------------------------------------------------

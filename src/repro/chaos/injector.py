@@ -245,9 +245,7 @@ class FaultInjector:
         in :attr:`dead_letters` (as :class:`DeadLetter` values on the
         job's DLQ topic, with failure metadata).
         """
-        faulted = self.wrap_records(list(attacks), "feed",
-                                    corrupter=corrupt_attack,
-                                    truncator=truncate_attack)
+        faulted = self.wrap_feed(attacks)
         broker = Broker(metrics=self.telemetry.registry)
         topic = broker.topic("rsdos-feed")
         # Offsets serve as the (monotonic) topic timestamps: chaos may
@@ -261,12 +259,11 @@ class FaultInjector:
             [self.wrap_processor(validator)],
             name="feed-validate",
             retry_policy=RetryPolicy(max_retries=3),
-            dead_letter="rsdos-feed.dlq",
             circuit_breaker=CircuitBreaker())
         job.drain()
         self.feed_broker = broker
         self.feed_job = job
-        self.dead_letters = [r.value for r in broker.topic("rsdos-feed.dlq")]
+        self.dead_letters = [r.value for r in job.dead_letter]
         survivors: List[InferredAttack] = []
         for record in broker.topic("rsdos-feed-clean"):
             value = record.value

@@ -146,12 +146,25 @@ def impact_series(store: MeasurementStore, nsset_id: int, window: Window,
     ``baseline_fallback_days`` further back) and corrupt 5-minute
     buckets are skipped; either path sets ``series.degraded``.
     """
+    return _impact_series(store, store, nsset_id, window, baseline_kind,
+                          min_bucket_n, baseline_fallback_days)
+
+
+def _impact_series(bucket_store: MeasurementStore,
+                   baseline_store: MeasurementStore, nsset_id: int,
+                   window: Window, baseline_kind: str, min_bucket_n: int,
+                   baseline_fallback_days: int) -> ImpactSeries:
+    """The series of ``bucket_store``'s 5-minute aggregates of a NSSet
+    over ``window``, against the §4.1 baseline read from
+    ``baseline_store``."""
     baseline, fell_back = compute_baseline_degraded(
-        store, nsset_id, window.start, baseline_kind, baseline_fallback_days)
+        baseline_store, nsset_id, window.start, baseline_kind,
+        baseline_fallback_days)
     series = ImpactSeries(nsset_id=nsset_id, window=window,
                           baseline_rtt=baseline, min_bucket_n=min_bucket_n,
                           degraded=fell_back)
-    for ts, agg in store.buckets_in(nsset_id, window.start, window.end):
+    for ts, agg in bucket_store.buckets_in(nsset_id, window.start,
+                                           window.end):
         if not agg.is_valid:
             series.n_corrupt += 1
             series.degraded = True

@@ -110,36 +110,12 @@ def _chaos_enabled(ctx: RunContext) -> bool:
     return ctx.params.get("injector") is not None
 
 
-def _pack_of(ctx: RunContext):
-    """The run's scenario pack (see :mod:`repro.attacks.packs`).
-
-    Prefers the pre-built world's installed pack; otherwise instantiates
-    from the config — both routes are cheap and deterministic, so the
-    ``enabled`` gates of the pack-conditional nodes can call this before
-    the world phase has produced a value.
-    """
-    world = ctx.params.get("world")
-    if world is not None:
-        pack = getattr(world, "pack", None)
-        if pack is not None:
-            return pack
-    config = ctx.params.get("config")
-    if config is None:
-        return None
-    from repro.attacks.packs import get_pack
-
-    return get_pack(config.scenario_pack, config.pack_params)
-
-
 def _reflector_enabled(ctx: RunContext) -> bool:
-    pack = _pack_of(ctx)
-    return (pack is not None
-            and pack.telescope_signature().reflector_queries)
+    return ctx.values["world"].pack.reflector_queries
 
 
 def _counterfactual_enabled(ctx: RunContext) -> bool:
-    pack = _pack_of(ctx)
-    return pack is not None and pack.has_counterfactuals
+    return ctx.values["world"].pack.has_counterfactuals
 
 
 def _build_configured_world(ctx: RunContext) -> World:
@@ -195,8 +171,7 @@ def _harden_feed(ctx: RunContext, feed: RSDoSFeed) -> List:
 
 def _observe_reflectors(ctx: RunContext, world: World):
     """The pack's extra darknet branch (amplification reflector queries)."""
-    pack = getattr(world, "pack", None) or _pack_of(ctx)
-    return pack.observe_darknet(world)
+    return world.pack.observe_darknet(world)
 
 
 def _merge_curated_feeds(ctx: RunContext, feed_attacks, reflector_feed):
@@ -232,8 +207,7 @@ def _extract_events(ctx: RunContext, join: DatasetJoin,
 
 def _run_counterfactuals(ctx: RunContext, world: World, events):
     """The pack's mitigation counterfactuals over the finished events."""
-    pack = getattr(world, "pack", None) or _pack_of(ctx)
-    return pack.counterfactuals(world, events)
+    return world.pack.counterfactuals(world, events)
 
 
 def _publish_store_metrics(ctx: RunContext,
@@ -392,18 +366,12 @@ class Study:
     @property
     def pack(self):
         """The run's scenario pack (see :mod:`repro.attacks.packs`)."""
-        pack = getattr(self.world, "pack", None)
-        if pack is not None:
-            return pack
-        from repro.attacks.packs import get_pack
-
-        return get_pack(self.config.scenario_pack, self.config.pack_params)
+        return self.world.pack
 
     def pack_analysis(self):
         """The pack's own analysis of this study (``None`` for packs
         that add nothing, e.g. the default volumetric pack)."""
-        pack = self.pack
-        return pack.analyze(self) if pack is not None else None
+        return self.pack.analyze(self)
 
     @property
     def degraded_events(self) -> List[AttackEvent]:

@@ -30,11 +30,9 @@ def render_report(study: "Study") -> str:
     # The scenario pack's extra section appears only when the pack has
     # one (the default volumetric pack returns None), so default-path
     # reports stay byte-identical to the pre-pack pipeline.
-    pack = study.pack
-    if pack is not None:
-        section = pack.report_section(study)
-        if section:
-            sections.append(section)
+    section = study.pack.report_section(study)
+    if section:
+        sections.append(section)
     return "\n\n".join(sections)
 
 

@@ -58,26 +58,8 @@ class VantagePoint:
         if ns.anycast is None:
             return self.world.load_at(ns, ts)
         site = ns.anycast.site_for_region(self.region)
-        # Recompute the per-site load with this vantage's site.
-        attacks = self.world._index.active_on_ip(ns.ip, ts)
-        blackout = any(
-            (bw := a.blackout_window()) is not None and bw.contains(int(ts))
-            for a in attacks)
-        server_cost = 0.0
-        app_pps = 0.0
-        for attack in attacks:
-            pps = attack.effective_pps(int(ts))
-            if pps <= 0.0:
-                continue
-            server_frac, app_frac, _ = self.world._attack_weights[attack.attack_id]
-            server_cost += pps * server_frac
-            app_pps += pps * app_frac
-        share = site.catchment_weight
-        return LoadBreakdown(
-            server_util=server_cost * share / site.capacity_pps,
-            link_util=0.0,
-            app_util=app_pps * share / site.capacity_pps,
-            blackout=blackout)
+        return self.world.site_load_at(ns.ip, ts, site.catchment_weight,
+                                       site.capacity_pps)
 
     def transport(self, ns_ip: int, qname: DomainName, qtype: RRType,
                   ts: float) -> ServerReply:

@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.dns.rcode import ResponseStatus
-from repro.openintel.records import Measurement
 from repro.util.timeutil import DAY, FIVE_MINUTES, day_start, window_start
 
 
@@ -186,9 +185,6 @@ class MeasurementStore:
         return self._build_table("buckets")
 
     # -- ingest --------------------------------------------------------------
-
-    def add(self, m: Measurement, dense: bool) -> None:
-        self.add_fast(m.nsset_id, m.ts, m.status, m.rtt_ms, dense)
 
     def add_fast(self, nsset_id: int, ts: int, status: ResponseStatus,
                  rtt_ms: float, dense: bool) -> None:

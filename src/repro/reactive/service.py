@@ -191,8 +191,7 @@ class CampaignWorker:
                                name="trigger-schema"),
              FilterProcessor(lambda a: a.victim_ip in ns_ips)],
             name="trigger-validate",
-            retry_policy=RetryPolicy(max_retries=2),
-            dead_letter=f"{TRIGGER_TOPIC}.dlq")
+            retry_policy=RetryPolicy(max_retries=2))
         self.validated = broker.topic(VALIDATED_TOPIC)
         self.consumer = broker.consumer(VALIDATED_TOPIC, group=CONSUMER_GROUP,
                                         from_committed=True)

@@ -17,10 +17,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.metrics import (
     BASELINE_FALLBACK_DAYS,
-    ImpactPoint,
     ImpactSeries,
-    compute_baseline_degraded,
-    impact_on_rtt,
+    _impact_series,
 )
 from repro.dns.rcode import ResponseStatus
 from repro.openintel.storage import MeasurementStore
@@ -138,20 +136,6 @@ def reactive_impact_series(store: ReactiveStore, directory, nsset_id: int,
     Everything downstream of :class:`ImpactSeries` (mean/peak impact,
     event statistics, Figure 8) then works on reactive data as-is.
     """
-    probes = measurement_store_from_reactive(store, directory)
-    baseline, fell_back = compute_baseline_degraded(
-        baseline_store, nsset_id, window.start, baseline_kind,
-        baseline_fallback_days)
-    series = ImpactSeries(nsset_id=nsset_id, window=window,
-                          baseline_rtt=baseline, min_bucket_n=min_bucket_n,
-                          degraded=fell_back)
-    for ts, agg in probes.buckets_in(nsset_id, window.start, window.end):
-        if not agg.is_valid:
-            series.n_corrupt += 1
-            series.degraded = True
-            continue
-        series.points.append(ImpactPoint(
-            ts=ts, n=agg.n, ok=agg.ok_n, timeouts=agg.timeout_n,
-            servfails=agg.servfail_n, avg_rtt=agg.avg_rtt,
-            impact=impact_on_rtt(agg.avg_rtt, baseline)))
-    return series
+    return _impact_series(measurement_store_from_reactive(store, directory),
+                          baseline_store, nsset_id, window, baseline_kind,
+                          min_bucket_n, baseline_fallback_days)

@@ -6,10 +6,11 @@ primitives in-process: ordered topics with offset-tracking consumers
 and small stream processors (filter, schema gate) run by stream jobs —
 enough to express the reactive pipeline faithfully.
 
-Jobs can run *hardened* for faulted inputs: per-record retries with
-backoff and jitter, a dead-letter topic for poison records, a circuit
-breaker degrading to pass-through-with-flagging, and checkpoint/restore
-for exactly-once crash recovery (see ``docs/robustness.md``).
+Every job runs *hardened* for faulted inputs: per-record retries with
+backoff and jitter, a dead-letter topic for poison records, an optional
+circuit breaker degrading to pass-through-with-flagging, and
+checkpoint/restore for exactly-once crash recovery (see
+``docs/robustness.md``).
 
 Topics can be *bounded* (``capacity=`` plus a producer-side
 backpressure policy — ``block``, ``shed_oldest``, or ``reject``) and

@@ -4,23 +4,21 @@ A :class:`StreamJob` consumes one topic, applies a chain of processors,
 and produces to another topic. Jobs are pumped explicitly (``step()``),
 keeping the whole pipeline deterministic and single-threaded.
 
-Jobs can run *hardened* — the configuration a production pipeline needs
-to survive faulted inputs and flaky workers:
+Every job runs *hardened* — the configuration a production pipeline
+needs to survive faulted inputs and flaky workers:
 
 - :class:`RetryPolicy`: per-record retries with exponential backoff and
-  deterministic jitter, under a job-wide retry budget;
-- a **dead-letter topic** receiving a :class:`DeadLetter` (value +
-  structured failure metadata) for every poison record, instead of the
-  job crashing mid-stream;
-- a :class:`CircuitBreaker` that opens after N consecutive record
-  failures and degrades the job to pass-through-with-flagging
+  deterministic jitter;
+- a **dead-letter topic** (``<source>.dlq``) receiving a
+  :class:`DeadLetter` (value + structured failure metadata) for every
+  record that fails for good, instead of the job crashing mid-stream;
+- an optional :class:`CircuitBreaker` that opens after
+  :data:`BREAKER_FAILURE_THRESHOLD` consecutive record failures and
+  degrades the job to pass-through-with-flagging
   (:class:`FlaggedRecord`) until the breaker half-opens;
 - ``checkpoint()`` / ``restore()``: consumer-offset checkpointing with
   sink/DLQ truncation on restore, so a job killed mid-stream resumes
   exactly-once (identical sink contents to an uninterrupted run).
-
-A job constructed without any of these behaves exactly as before:
-processor exceptions propagate to the caller.
 """
 
 from __future__ import annotations
@@ -38,12 +36,23 @@ from typing import (
     TypeVar,
 )
 
-from repro.obs.registry import MetricsRegistry
 from repro.streaming.topic import Broker, Consumer, Record, Topic
 from repro.util.rng import derive_seed
 
 T = TypeVar("T")
 U = TypeVar("U")
+
+#: Retry backoff: attempt *k* waits ``BACKOFF_BASE_MS * BACKOFF_MULTIPLIER
+#: ** k`` virtual milliseconds, capped at ``BACKOFF_MAX_MS``, then
+#: jittered by up to ``±BACKOFF_JITTER`` (a fraction).
+BACKOFF_BASE_MS = 50.0
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_MAX_MS = 5_000.0
+BACKOFF_JITTER = 0.1
+#: Consecutive record failures that open a :class:`CircuitBreaker`.
+BREAKER_FAILURE_THRESHOLD = 5
+#: Flagged pass-throughs after which an open breaker half-opens.
+BREAKER_RECOVERY_RECORDS = 20
 
 
 class Processor(Generic[T, U]):
@@ -74,8 +83,8 @@ class PoisonRecord(Exception):
 
     Raised by a processor (typically :class:`FailFastProcessor`) when a
     record can *never* succeed — malformed schema, unparseable payload.
-    A hardened job routes it straight to the dead-letter topic without
-    burning retries; an unhardened job propagates it like any error.
+    The job routes it straight to the dead-letter topic without burning
+    retries.
     """
 
     def __init__(self, reason: str, value: Any = None):
@@ -90,8 +99,8 @@ class FailFastProcessor(Processor[T, T]):
     ``types`` is the accepted type (or tuple of types); ``check`` is an
     optional deeper validator returning a rejection reason (or ``None``
     when the value is fine). Mismatches raise :class:`PoisonRecord`, so
-    in a hardened job they land on the dead-letter topic with a reason
-    instead of crashing the job mid-stream.
+    they land on the job's dead-letter topic with a reason instead of
+    crashing the job mid-stream.
     """
 
     def __init__(self, types, check: Optional[Callable[[T], Optional[str]]] = None,
@@ -118,42 +127,25 @@ class FailFastProcessor(Processor[T, T]):
 class RetryPolicy:
     """Per-record retry with exponential backoff and bounded jitter.
 
-    Backoff for attempt *k* is ``base * multiplier**k`` capped at
-    ``max_backoff_ms``, then jittered by up to ``±jitter`` (a fraction).
-    Jitter is *deterministic* — derived from (job, offset, attempt) —
-    so a restored job recomputes identical delays without having to
-    checkpoint RNG state. ``retry_budget`` caps total retries across
-    the job's lifetime: once spent, failing records dead-letter on
-    their first error (protects throughput during failure storms).
+    A failing record is retried up to ``max_retries`` times, after the
+    backoff of :data:`BACKOFF_BASE_MS` and its companions. Jitter is
+    *deterministic* — derived from (job, offset, attempt) — so a
+    restored job recomputes identical delays without having to
+    checkpoint RNG state.
     """
 
     max_retries: int = 3
-    base_backoff_ms: float = 50.0
-    multiplier: float = 2.0
-    max_backoff_ms: float = 5_000.0
-    jitter: float = 0.1
-    retry_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.base_backoff_ms < 0 or self.max_backoff_ms < self.base_backoff_ms:
-            raise ValueError("invalid backoff configuration")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
-        if self.retry_budget is not None and self.retry_budget < 0:
-            raise ValueError("retry_budget must be non-negative")
 
     def backoff_ms(self, job_name: str, offset: int, attempt: int) -> float:
         """The (jittered) delay before retry number ``attempt``."""
-        raw = min(self.base_backoff_ms * self.multiplier ** attempt,
-                  self.max_backoff_ms)
-        if self.jitter == 0.0:
-            return raw
+        raw = min(BACKOFF_BASE_MS * BACKOFF_MULTIPLIER ** attempt,
+                  BACKOFF_MAX_MS)
         unit = derive_seed(0, job_name, str(offset), str(attempt)) / 2 ** 64
-        return raw * (1.0 - self.jitter + 2.0 * self.jitter * unit)
+        return raw * (1.0 - BACKOFF_JITTER + 2.0 * BACKOFF_JITTER * unit)
 
 
 @dataclass(frozen=True)
@@ -181,25 +173,20 @@ class FlaggedRecord:
 
 
 class CircuitBreaker:
-    """Opens after N consecutive record failures; degrades to flagging.
+    """Opens after :data:`BREAKER_FAILURE_THRESHOLD` consecutive record
+    failures; degrades to flagging.
 
     States: ``closed`` (normal processing), ``open`` (records bypass the
     processors and reach the sink as :class:`FlaggedRecord`), and
     ``half_open`` (one trial record is processed; success closes the
     breaker, failure re-opens it). The breaker half-opens after
-    ``recovery_records`` pass-throughs — record-count based, matching
-    the pipeline's virtual-time execution model.
+    :data:`BREAKER_RECOVERY_RECORDS` pass-throughs — record-count based,
+    matching the pipeline's virtual-time execution model.
     """
 
     CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 
-    def __init__(self, failure_threshold: int = 5, recovery_records: int = 20):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if recovery_records < 1:
-            raise ValueError("recovery_records must be >= 1")
-        self.failure_threshold = failure_threshold
-        self.recovery_records = recovery_records
+    def __init__(self) -> None:
         self.state = self.CLOSED
         self.consecutive_failures = 0
         self.passthroughs = 0      # since the breaker last opened
@@ -208,7 +195,7 @@ class CircuitBreaker:
     def allow(self) -> bool:
         """Should the next record be processed (vs passed through)?"""
         if self.state == self.OPEN:
-            if self.passthroughs >= self.recovery_records:
+            if self.passthroughs >= BREAKER_RECOVERY_RECORDS:
                 self.state = self.HALF_OPEN
                 return True
             return False
@@ -226,7 +213,7 @@ class CircuitBreaker:
         self.consecutive_failures += 1
         if self.state == self.HALF_OPEN or (
                 self.state == self.CLOSED
-                and self.consecutive_failures >= self.failure_threshold):
+                and self.consecutive_failures >= BREAKER_FAILURE_THRESHOLD):
             self.state = self.OPEN
             self.passthroughs = 0
             self.n_opens += 1
@@ -252,20 +239,20 @@ class CircuitBreaker:
 
 
 class StreamJob:
-    """source topic -> processors -> sink topic.
+    """source topic -> processors -> sink topic, hardened.
 
-    Pass ``retry_policy``, ``dead_letter`` and/or ``circuit_breaker`` to
-    run hardened (see the module docstring); without them the job keeps
-    its original fail-fast semantics — any processor exception
-    propagates to the caller of ``step()``.
+    A record whose processors raise is retried under ``retry_policy``
+    (none: no retries) and then dead-lettered to ``<source>.dlq``; a
+    :class:`PoisonRecord` is dead-lettered at once. With a
+    ``circuit_breaker``, a run of failures degrades the job to flagged
+    pass-through (see the module docstring). ``step()`` never raises a
+    processor's exception.
     """
 
     def __init__(self, broker: Broker, source: str, sink: str,
                  processors: List[Processor], name: Optional[str] = None,
                  retry_policy: Optional[RetryPolicy] = None,
-                 dead_letter: Optional[str] = None,
-                 circuit_breaker: Optional[CircuitBreaker] = None,
-                 metrics: Optional[MetricsRegistry] = None):
+                 circuit_breaker: Optional[CircuitBreaker] = None):
         self.broker = broker
         self.consumer: Consumer = broker.consumer(source, group=name or sink)
         self.sink: Topic = broker.topic(sink)
@@ -273,12 +260,7 @@ class StreamJob:
         self.name = name or f"{source}->{sink}"
         self.retry_policy = retry_policy
         self.circuit_breaker = circuit_breaker
-        self._hardened = (retry_policy is not None or dead_letter is not None
-                          or circuit_breaker is not None)
-        if dead_letter is None and self._hardened:
-            dead_letter = f"{self.name}.dlq"
-        self.dead_letter: Optional[Topic] = (
-            broker.topic(dead_letter) if dead_letter is not None else None)
+        self.dead_letter: Topic = broker.topic(f"{source}.dlq")
         self.n_in = 0
         self.n_out = 0
         self.n_dead = 0
@@ -287,10 +269,10 @@ class StreamJob:
         #: virtual milliseconds spent in backoff (accounting only — the
         #: pipeline never wall-clock sleeps).
         self.backoff_ms_total = 0.0
-        # ``repro.stream.*`` metrics, labelled by job; falls back to the
-        # broker's registry (the no-op null one unless metered), so every
+        # ``repro.stream.*`` metrics, labelled by job, on the broker's
+        # registry (the no-op null one unless metered), so every
         # increment below is an inert call when telemetry is off.
-        self.metrics = metrics if metrics is not None else broker.metrics
+        self.metrics = broker.metrics
         job = self.name
         counter = self.metrics.counter
         self._c_in = counter("repro.stream.records_in", job=job)
@@ -325,11 +307,7 @@ class StreamJob:
             job=self.name, error=type(exc).__name__,
             reason=str(exc), attempts=attempts))
 
-    def _budget_left(self) -> bool:
-        budget = self.retry_policy.retry_budget
-        return budget is None or self.retries_used < budget
-
-    def _process_hardened(self, record: Record) -> None:
+    def _process(self, record: Record) -> None:
         breaker = self.circuit_breaker
         if breaker is not None and not breaker.allow():
             # Open circuit: degrade to pass-through-with-flagging so the
@@ -355,8 +333,7 @@ class StreamJob:
                     breaker.record_success()
                 return
             except Exception as exc:
-                if (policy is None or attempt >= policy.max_retries
-                        or not self._budget_left()):
+                if policy is None or attempt >= policy.max_retries:
                     self._dead_letter(record, exc, attempt + 1)
                     if breaker is not None:
                         opens_before = breaker.n_opens
@@ -389,17 +366,9 @@ class StreamJob:
         """
         records = self.consumer.poll(max_records, until_ts=until_ts)
         self._c_in.inc(len(records))
-        if self._hardened:
-            for record in records:
-                self.n_in += 1
-                self._process_hardened(record)
-            return len(records)
         for record in records:
             self.n_in += 1
-            for value in self._apply_chain(record):
-                self.sink.produce(record.ts, value)
-                self.n_out += 1
-                self._c_out.inc()
+            self._process(record)
         return len(records)
 
     def drain(self) -> int:
@@ -435,9 +404,8 @@ class StreamJob:
             "n_flagged": self.n_flagged,
             "retries_used": self.retries_used,
             "backoff_ms_total": self.backoff_ms_total,
+            "dlq_end": self.dead_letter.end_offset,
         }
-        if self.dead_letter is not None:
-            state["dlq_end"] = self.dead_letter.end_offset
         if self.circuit_breaker is not None:
             state["breaker"] = self.circuit_breaker.state_dict()
         return state
@@ -462,8 +430,7 @@ class StreamJob:
                     f"checkpoint {key} mismatch: {state[key]!r} != {actual!r}")
         self._c_restores.inc()
         self.sink.truncate(state["sink_end"])
-        if self.dead_letter is not None and "dlq_end" in state:
-            self.dead_letter.truncate(state["dlq_end"])
+        self.dead_letter.truncate(state["dlq_end"])
         self.consumer.seek(state["offset"])
         self.n_in = state["n_in"]
         self.n_out = state["n_out"]

@@ -246,12 +246,11 @@ class Consumer(Generic[T]):
     """
 
     def __init__(self, topic: Topic[T], group: str = "default",
-                 from_beginning: bool = True,
                  broker: Optional["Broker"] = None):
         self.topic = topic
         self.group = group
         self.broker = broker
-        self.offset = topic.start_offset if from_beginning else topic.end_offset
+        self.offset = topic.start_offset
         #: records this consumer could never see because a bounded
         #: ``shed_oldest`` topic evicted them first. Sheds are counted
         #: at the topic; this attributes the gap to the reader.
@@ -340,13 +339,11 @@ class Broker:
         return topic
 
     def consumer(self, name: str, group: str = "default",
-                 from_beginning: bool = True,
                  from_committed: bool = False) -> Consumer[Any]:
-        """A consumer of ``name``; with ``from_committed=True`` it
-        resumes from the group's last committed offset (falling back to
-        ``from_beginning`` semantics when the group never committed)."""
-        consumer = Consumer(self.topic(name), group, from_beginning,
-                            broker=self)
+        """A consumer of ``name``, from the topic's oldest retained
+        record; with ``from_committed=True`` it resumes from the group's
+        last committed offset instead, when the group ever committed."""
+        consumer = Consumer(self.topic(name), group, broker=self)
         if from_committed:
             offset = self.committed(name, group)
             if offset is not None:

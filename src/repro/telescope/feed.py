@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 from dataclasses import fields
 from functools import cached_property
-from typing import Callable, Iterable, List, Optional, Sequence, TextIO
+from typing import Callable, Iterable, List, Sequence, TextIO
 
 from repro.attacks.model import Attack
 from repro.telescope.backscatter import BackscatterSimulator, FeedRecord
-from repro.telescope.rsdos import InferredAttack, RSDoSClassifier, RSDoSThresholds
+from repro.telescope.rsdos import InferredAttack, RSDoSClassifier
 from repro.net.ip import ip_to_str, parse_ip, slash24_of
 from repro.util.timeutil import Window
 
@@ -49,13 +49,12 @@ class RSDoSFeed:
 
     @classmethod
     def observe(cls, ground_truth: Iterable[Attack],
-                simulator: BackscatterSimulator,
-                thresholds: Optional[RSDoSThresholds] = None) -> "RSDoSFeed":
+                simulator: BackscatterSimulator) -> "RSDoSFeed":
         """Run the full telescope pipeline over a ground-truth schedule."""
         observed = list(simulator.observe_all(ground_truth))
         # Curated records keep only windows belonging to inferred attacks.
         records: List[FeedRecord] = []
-        inferred = RSDoSClassifier(thresholds).infer(observed, kept=records)
+        inferred = RSDoSClassifier().infer(observed, kept=records)
         return cls(records, inferred)
 
     @classmethod

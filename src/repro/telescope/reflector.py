@@ -39,7 +39,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.attacks.model import Attack
 from repro.net.ports import PORT_DNS, PROTO_UDP
 from repro.telescope.darknet import Darknet
-from repro.telescope.rsdos import InferredAttack, gap_groups
+from repro.telescope.rsdos import InferredAttack, infer_groups
 from repro.util.rng import derive_rng, poisson
 from repro.util.timeutil import FIVE_MINUTES, HOUR, Window
 
@@ -228,20 +228,8 @@ class ReflectorClassifier:
         became a reflection are appended to it, as
         :meth:`RSDoSClassifier.infer` does for its records.
         """
-        by_victim: Dict[int, List[ReflectorObservation]] = {}
-        for obs in observations:
-            by_victim.setdefault(obs.victim_ip, []).append(obs)
-        reflections: List[InferredReflection] = []
-        for victim_ip, windows in by_victim.items():
-            windows.sort(key=lambda o: o.window_ts)
-            for group in gap_groups(windows, self.thresholds.gap_s):
-                reflection = self._finalize(victim_ip, group)
-                if reflection is not None:
-                    reflections.append(reflection)
-                    if kept is not None:
-                        kept.extend(group)
-        reflections.sort(key=lambda r: (r.start, r.victim_ip))
-        return reflections
+        return infer_groups(observations, self.thresholds.gap_s,
+                            self._finalize, kept)
 
     def _finalize(self, victim_ip: int,
                   group: List[ReflectorObservation]
@@ -280,7 +268,6 @@ class ReflectorFeed:
     @classmethod
     def observe(cls, ground_truth: Iterable[Attack],
                 simulator: ReflectorSimulator,
-                thresholds: Optional[ReflectorThresholds] = None,
                 baf_of: Optional[Dict[int, float]] = None) -> "ReflectorFeed":
         """Run the reflector branch over a ground-truth schedule.
 
@@ -291,7 +278,7 @@ class ReflectorFeed:
         # Curated observations keep only windows belonging to inferred
         # reflections (the same curation step the RSDoS feed applies).
         curated: List[ReflectorObservation] = []
-        reflections = ReflectorClassifier(thresholds).infer(
+        reflections = ReflectorClassifier().infer(
             simulator.observe_all(ground_truth), kept=curated)
         if baf_of:
             for r in reflections:

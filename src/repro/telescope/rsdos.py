@@ -10,7 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 from repro.telescope.backscatter import FeedRecord
 from repro.util.timeutil import FIVE_MINUTES, HOUR, Window
@@ -103,15 +112,12 @@ class InferredAttack:
 
 
 W = TypeVar("W")
+A = TypeVar("A")
 
 
 def gap_groups(windows: Sequence[W], gap_s: int) -> Iterator[List[W]]:
     """Runs of one victim's ``windows`` (sorted by ``window_ts``), split
-    wherever two consecutive windows lie more than ``gap_s`` apart.
-
-    The inference walk both telescope branches share: each run is one
-    candidate attack, kept or dropped by the branch's thresholds.
-    """
+    wherever two consecutive windows lie more than ``gap_s`` apart."""
     group: List[W] = []
     for window in windows:
         if group and window.window_ts - group[-1].window_ts > gap_s:
@@ -120,6 +126,34 @@ def gap_groups(windows: Sequence[W], gap_s: int) -> Iterator[List[W]]:
         group.append(window)
     if group:
         yield group
+
+
+def infer_groups(windows: Iterable[W], gap_s: int,
+                 finalize: Callable[[int, List[W]], Optional[A]],
+                 kept: Optional[List[W]] = None) -> List[A]:
+    """The inference walk both telescope branches share.
+
+    Buckets ``windows`` (any order) by victim; each :func:`gap_groups`
+    run of one victim's time-sorted windows is a candidate attack that
+    ``finalize(victim_ip, group)`` keeps (returning the attack) or drops
+    (returning ``None``: the branch's thresholds). Returns the kept
+    attacks sorted by ``(start, victim_ip)``; when ``kept`` is a list,
+    the windows of every kept group are appended to it.
+    """
+    by_victim: Dict[int, List[W]] = {}
+    for window in windows:
+        by_victim.setdefault(window.victim_ip, []).append(window)
+    attacks: List[A] = []
+    for victim_ip, victim_windows in by_victim.items():
+        victim_windows.sort(key=lambda w: w.window_ts)
+        for group in gap_groups(victim_windows, gap_s):
+            attack = finalize(victim_ip, group)
+            if attack is not None:
+                attacks.append(attack)
+                if kept is not None:
+                    kept.extend(group)
+    attacks.sort(key=lambda a: (a.start, a.victim_ip))
+    return attacks
 
 
 class RSDoSClassifier:
@@ -139,20 +173,8 @@ class RSDoSClassifier:
         attack's window contains, since each group is a time-sorted run
         of one victim's 300 s-aligned windows.
         """
-        by_victim: Dict[int, List[FeedRecord]] = {}
-        for record in records:
-            by_victim.setdefault(record.victim_ip, []).append(record)
-        attacks: List[InferredAttack] = []
-        for victim_ip, windows in by_victim.items():
-            windows.sort(key=lambda r: r.window_ts)
-            for group in gap_groups(windows, self.thresholds.gap_s):
-                attack = self._finalize(victim_ip, group)
-                if attack is not None:
-                    attacks.append(attack)
-                    if kept is not None:
-                        kept.extend(group)
-        attacks.sort(key=lambda a: (a.start, a.victim_ip))
-        return attacks
+        return infer_groups(records, self.thresholds.gap_s, self._finalize,
+                            kept)
 
     def _finalize(self, victim_ip: int,
                   group: List[FeedRecord]) -> Optional[InferredAttack]:

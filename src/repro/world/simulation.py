@@ -282,14 +282,12 @@ class World:
     def dense_days_of(self, nsset_id: int) -> FrozenSet[int]:
         return self._dense_days.get(nsset_id, frozenset())
 
-    def is_dense_day(self, nsset_id: int, day: int) -> bool:
-        days = self._dense_days.get(nsset_id)
-        return bool(days) and day in days
-
     # -- load & replies ------------------------------------------------------------
 
     def load_at(self, ns: Nameserver, ts: float) -> LoadBreakdown:
         """Utilization breakdown of one nameserver at one instant."""
+        if ns.anycast is not None:
+            return self.site_load_at(ns.ip, ts, *self._vantage_site[ns.ip])
         index = self._index
         attacks = index.active_on_ip(ns.ip, ts)
         blackout = any(
@@ -306,13 +304,6 @@ class World:
             server_cost += pps * server_frac
             app_pps += pps * app_frac
             direct_bps += pps * bits_pp
-        if ns.anycast is not None:
-            share, site_cap = self._vantage_site[ns.ip]
-            return LoadBreakdown(
-                server_util=server_cost * share / site_cap,
-                link_util=0.0,
-                app_util=app_pps * share / site_cap,
-                blackout=blackout)
         s24 = ns.nsid.slash24
         link_bps = direct_bps
         for attack in index.active_on_s24(s24, ts):
@@ -325,6 +316,33 @@ class World:
             server_util=server_cost / ns.capacity_pps,
             link_util=link_bps / link_cap,
             app_util=app_pps / ns.capacity_pps,
+            blackout=blackout)
+
+    def site_load_at(self, ip: int, ts: float, share: float,
+                     capacity_pps: float) -> LoadBreakdown:
+        """Load of the anycast site that takes ``share`` of the attack
+        traffic aimed at ``ip`` and has ``capacity_pps`` of capacity.
+
+        :meth:`load_at` passes the site the vantage region is routed to;
+        a :class:`repro.core.vantage.VantagePoint` passes its own.
+        """
+        attacks = self._index.active_on_ip(ip, ts)
+        blackout = any(
+            (bw := a.blackout_window()) is not None and bw.contains(int(ts))
+            for a in attacks)
+        server_cost = 0.0
+        app_pps = 0.0
+        for attack in attacks:
+            pps = attack.effective_pps(int(ts))
+            if pps <= 0.0:
+                continue
+            server_frac, app_frac, _ = self._attack_weights[attack.attack_id]
+            server_cost += pps * server_frac
+            app_pps += pps * app_frac
+        return LoadBreakdown(
+            server_util=server_cost * share / capacity_pps,
+            link_util=0.0,
+            app_util=app_pps * share / capacity_pps,
             blackout=blackout)
 
     def set_transport_rng(self, rng: random.Random) -> random.Random:

@@ -14,7 +14,6 @@ from repro.attacks.model import Spoofing
 from repro.attacks.packs import (
     DEFAULT_PACK,
     ScenarioPack,
-    TelescopeSignature,
     UnknownPackError,
     VolumetricPack,
     available_packs,
@@ -119,14 +118,12 @@ class TestVolumetricPack:
         assert pack.observe_darknet(tiny_world) is None
         assert pack.has_counterfactuals is False
         assert pack.counterfactuals(tiny_world, []) is None
-        assert pack.telescope_signature() == TelescopeSignature()
-        assert pack.telescope_signature().reflector_queries is False
+        assert pack.reflector_queries is False
 
 
 class TestAmplificationPack:
     def test_signature_declares_reflector_queries(self):
-        signature = get_pack("amplification").telescope_signature()
-        assert signature.reflector_queries is True
+        assert get_pack("amplification").reflector_queries is True
 
     def test_response_vector_math(self):
         # BAF 32 * 64 B = 2048 B -> 2 fragments of 1024 B.

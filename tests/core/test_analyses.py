@@ -116,20 +116,16 @@ class TestFailureAnalysis:
 
     def test_timeouts_dominate(self, small_study):
         analysis = small_study.failures
-        if analysis.n_failed_queries == 0:
-            pytest.skip("no failures")
-        # Paper: 92% timeout vs 8% servfail.
-        assert analysis.timeout_share_of_failures > 0.5
+        assert analysis.n_failed_queries > 0
+        # Paper §6.3.1 (Figure 7): 92% of failed queries time out, 8%
+        # return SERVFAIL.
+        assert analysis.timeout_share_of_failures >= 0.85
 
     def test_failing_mostly_unicast(self, small_study):
         analysis = small_study.failures
-        if analysis.n_failing_events == 0:
-            pytest.skip("no failing events")
-        # Paper: 99% of failing domains on unicast. The 3-month small
-        # study is dominated by the scripted TransIP campaign, whose
-        # partner NSSets carry a "partial" census label, so the share is
-        # diluted here; the full-scale benchmark checks the strong form.
-        assert analysis.unicast_share_of_failing >= 0.4
+        assert analysis.n_failing_events > 0
+        # Paper §6.3.1: 99% of failing domains are on unicast NSSets.
+        assert analysis.unicast_share_of_failing >= 0.95
 
 
 class TestImpactAnalysis:

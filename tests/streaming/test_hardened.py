@@ -13,7 +13,12 @@ from repro.streaming import (
     RetryPolicy,
     StreamJob,
 )
-from repro.streaming.processors import Processor
+from repro.streaming.processors import (
+    BACKOFF_MAX_MS,
+    BREAKER_FAILURE_THRESHOLD,
+    BREAKER_RECOVERY_RECORDS,
+    Processor,
+)
 
 
 class FlakyProcessor(Processor):
@@ -66,7 +71,7 @@ class TestRetries:
                         retry_policy=RetryPolicy(max_retries=2))
         job.drain()
         assert [r.value for r in broker.topic("out")] == ["a", "c"]
-        letters = [r.value for r in broker.topic("j.dlq")]
+        letters = [r.value for r in broker.topic("in.dlq")]
         assert len(letters) == 1
         letter = letters[0]
         assert isinstance(letter, DeadLetter)
@@ -75,16 +80,6 @@ class TestRetries:
         assert letter.error == "RuntimeError"
         assert "bad" in letter.reason
         assert letter.attempts == 3  # initial try + 2 retries
-
-    def test_retry_budget_caps_total_retries(self):
-        broker = Broker()
-        feed(broker, ["x", "y", "z"])
-        flaky = FlakyProcessor({"x": 9, "y": 9, "z": 9})
-        job = StreamJob(broker, "in", "out", [flaky], name="j",
-                        retry_policy=RetryPolicy(max_retries=5, retry_budget=4))
-        job.drain()
-        assert job.retries_used == 4
-        assert job.n_dead == 3
 
     def test_no_partial_emission_on_retry(self):
         # A chain that emits from its first stage but fails in its
@@ -99,21 +94,16 @@ class TestRetries:
         assert [r.value for r in broker.topic("out")] == ["A"]
 
     def test_backoff_deterministic_and_capped(self):
-        policy = RetryPolicy(base_backoff_ms=100, multiplier=2,
-                             max_backoff_ms=350, jitter=0.1)
+        policy = RetryPolicy()
         a = policy.backoff_ms("job", 7, 1)
         b = policy.backoff_ms("job", 7, 1)
         assert a == b
         assert policy.backoff_ms("job", 7, 0) != policy.backoff_ms("job", 8, 0)
-        # attempt 5 raw = 100 * 32 -> capped at 350, jitter within ±10%.
-        assert 315.0 <= policy.backoff_ms("job", 0, 5) <= 385.0
-
-    def test_unhardened_job_still_raises(self):
-        broker = Broker()
-        feed(broker, ["boom"])
-        job = StreamJob(broker, "in", "out", [FlakyProcessor({"boom": 9})])
-        with pytest.raises(RuntimeError):
-            job.drain()
+        # attempt 0 waits 50 ms, jitter within ±10%.
+        assert 45.0 <= policy.backoff_ms("job", 0, 0) <= 55.0
+        # attempt 7 raw = 50 * 128 -> capped, jitter within ±10%.
+        assert 0.9 * BACKOFF_MAX_MS <= policy.backoff_ms("job", 0, 7) \
+            <= 1.1 * BACKOFF_MAX_MS
 
 
 class TestPoisonRouting:
@@ -122,11 +112,10 @@ class TestPoisonRouting:
         feed(broker, [1, "two", 3])
         job = StreamJob(broker, "in", "out",
                         [FailFastProcessor(int, name="ints")], name="j",
-                        retry_policy=RetryPolicy(max_retries=5),
-                        dead_letter="j.dlq")
+                        retry_policy=RetryPolicy(max_retries=5))
         job.drain()
         assert [r.value for r in broker.topic("out")] == [1, 3]
-        (letter,) = [r.value for r in broker.topic("j.dlq")]
+        (letter,) = [r.value for r in broker.topic("in.dlq")]
         assert letter.error == "PoisonRecord"
         assert "expected int, got str" in letter.reason
         assert letter.attempts == 1
@@ -137,28 +126,30 @@ class TestPoisonRouting:
         feed(broker, [5, -1])
         gate = FailFastProcessor(
             int, check=lambda v: "negative" if v < 0 else None, name="pos")
-        job = StreamJob(broker, "in", "out", [gate], name="j",
-                        dead_letter="j.dlq")
+        job = StreamJob(broker, "in", "out", [gate], name="j")
         job.drain()
-        (letter,) = [r.value for r in broker.topic("j.dlq")]
+        (letter,) = [r.value for r in broker.topic("in.dlq")]
         assert letter.reason == "pos: negative"
 
     def test_poison_does_not_trip_breaker(self):
         broker = Broker()
-        feed(broker, ["s"] * 10)
-        breaker = CircuitBreaker(failure_threshold=2)
+        n = 2 * BREAKER_FAILURE_THRESHOLD
+        feed(broker, ["s"] * n)
+        breaker = CircuitBreaker()
         job = StreamJob(broker, "in", "out",
                         [FailFastProcessor(int)], name="j",
                         circuit_breaker=breaker)
         job.drain()
         assert breaker.state == CircuitBreaker.CLOSED
-        assert job.n_dead == 10
+        assert job.n_dead == n
         assert job.n_flagged == 0
 
 
 class TestCircuitBreaker:
-    def _failing_job(self, broker, n_records, threshold=3, recovery=4,
-                     fail=lambda v: True):
+    THRESHOLD = BREAKER_FAILURE_THRESHOLD
+    RECOVERY = BREAKER_RECOVERY_RECORDS
+
+    def _failing_job(self, broker, n_records, fail=lambda v: True):
         feed(broker, list(range(n_records)))
 
         class Failer(Processor):
@@ -167,42 +158,46 @@ class TestCircuitBreaker:
                     raise RuntimeError("down")
                 yield record.value
 
-        breaker = CircuitBreaker(failure_threshold=threshold,
-                                 recovery_records=recovery)
+        breaker = CircuitBreaker()
         job = StreamJob(broker, "in", "out", [Failer()], name="j",
                         circuit_breaker=breaker)
         return job, breaker
 
     def test_opens_after_threshold_and_flags(self):
         broker = Broker()
-        job, breaker = self._failing_job(broker, 10, threshold=3, recovery=100)
+        n = self.THRESHOLD + self.RECOVERY
+        job, breaker = self._failing_job(broker, n)
         job.drain()
-        # 3 failures open the breaker; the remaining 7 pass through.
+        # THRESHOLD failures open the breaker; the next RECOVERY records
+        # pass through before any half-open trial.
         assert breaker.state == CircuitBreaker.OPEN
-        assert job.n_dead == 3
-        assert job.n_flagged == 7
+        assert job.n_dead == self.THRESHOLD
+        assert job.n_flagged == self.RECOVERY
         flagged = [r.value for r in broker.topic("out")]
         assert all(isinstance(v, FlaggedRecord) for v in flagged)
         assert all(v.reason == "circuit_open" for v in flagged)
-        assert [v.value for v in flagged] == list(range(3, 10))
+        assert [v.value for v in flagged] == list(range(self.THRESHOLD, n))
 
     def test_half_open_recovery_closes_breaker(self):
         broker = Broker()
-        # Fail the first 3 records, then recover.
+        # Fail the first THRESHOLD records, then recover.
+        n = self.THRESHOLD + self.RECOVERY + 5
         job, breaker = self._failing_job(
-            broker, 12, threshold=3, recovery=4, fail=lambda v: v < 3)
+            broker, n, fail=lambda v: v < self.THRESHOLD)
         job.drain()
-        # records 0-2 fail -> open; 3-6 flagged pass-throughs; record 7
-        # is the half-open trial, succeeds, breaker closes; 8-11 normal.
+        # the failures open it; RECOVERY flagged pass-throughs follow;
+        # the next record is the half-open trial, succeeds, and closes
+        # the breaker; the rest process normally.
         assert breaker.state == CircuitBreaker.CLOSED
-        assert job.n_flagged == 4
+        assert job.n_flagged == self.RECOVERY
         processed = [r.value for r in broker.topic("out")
                      if not isinstance(r.value, FlaggedRecord)]
-        assert processed == [7, 8, 9, 10, 11]
+        assert processed == list(range(self.THRESHOLD + self.RECOVERY, n))
 
     def test_half_open_failure_reopens(self):
         broker = Broker()
-        job, breaker = self._failing_job(broker, 10, threshold=2, recovery=3)
+        job, breaker = self._failing_job(
+            broker, self.THRESHOLD + self.RECOVERY + 5)
         job.drain()
         assert breaker.state == CircuitBreaker.OPEN
         assert breaker.n_opens >= 2  # re-opened after failed trial
@@ -240,8 +235,7 @@ class TestCheckpointRestore:
         return StreamJob(
             broker, "in", "out", [flaky], name=name,
             retry_policy=RetryPolicy(max_retries=2),
-            dead_letter=f"{name}.dlq",
-            circuit_breaker=CircuitBreaker(failure_threshold=5))
+            circuit_breaker=CircuitBreaker())
 
     VALUES = ["a", "flaky", "bad", "b", "c", "d", "bad", "e", "f"]
 
@@ -252,7 +246,7 @@ class TestCheckpointRestore:
         self._make_job(ref).drain()
         expected_sink = [(r.ts, r.value) for r in ref.topic("out")]
         expected_dlq = [(r.value.value, r.value.error)
-                        for r in ref.topic("j.dlq")]
+                        for r in ref.topic("in.dlq")]
 
         # Crash run: process 4 records, checkpoint, process 3 more that
         # are never committed, then "crash" and restore a fresh job.
@@ -270,7 +264,7 @@ class TestCheckpointRestore:
 
         assert [(r.ts, r.value) for r in broker.topic("out")] == expected_sink
         assert [(r.value.value, r.value.error)
-                for r in broker.topic("j.dlq")] == expected_dlq
+                for r in broker.topic("in.dlq")] == expected_dlq
         assert recovered.n_in == len(self.VALUES)
 
     def test_checkpoint_counters_round_trip(self):

@@ -58,12 +58,6 @@ class TestConsumer:
         topic.produce(2, "b")
         assert [r.value for r in consumer.poll()] == ["b"]
 
-    def test_from_end(self):
-        topic = Topic("t")
-        topic.produce(1, "a")
-        consumer = Consumer(topic, from_beginning=False)
-        assert consumer.poll() == []
-
     def test_lag(self):
         topic = Topic("t")
         topic.produce(1, "a")

@@ -216,7 +216,7 @@ class TestLazyAttackIndex:
 
         world.replace_attacks(original)
         assert not world.load_at(transip, hit).quiet
-        assert world.is_dense_day(nsset_id, parse_ts("2021-03-01"))
+        assert parse_ts("2021-03-01") in world.dense_days_of(nsset_id)
 
 
 class TestAttackIndex:
