@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.chaos.faults import (
     TransientFault,
-    TruncatedRecord,
     corrupt_attack,
     truncate_attack,
 )

@@ -3,12 +3,31 @@
 Each registered domain is measured once per UTC day at a stable
 per-domain time-of-day (OpenINTEL spreads its crawl over the day), by
 resolving its NS RRset through the agnostic resolver against the world.
+A *dense* day — one on which an attack's impact window touches a member
+address of the domain's NSSet or a member's /24, padded one recovery
+day — sends several queries spread over the day instead of one.
 
-The hot loop fast-paths quiet days — days on which no attack touches any
-of the domain's nameserver addresses or their /24s — by sampling the
-baseline reply directly instead of running the resolver state machine;
-the two paths are statistically identical in quiet conditions (a test
-asserts this) because an unloaded server always answers its first query.
+The hot loop answers three kinds of query:
+
+* **A quiet day.** The baseline reply is sampled directly instead of
+  running the resolver state machine; the two are statistically
+  identical in quiet conditions (a test asserts this) because an
+  unloaded server always answers its first query. A never-answering
+  NSSet records a timeout and draws nothing.
+* **A quiet instant on a dense day.** Outside every busy span of the
+  NSSet (:meth:`World.busy_spans_of`) each member's load is quiet, so
+  when the slowest member's base RTT plus the largest possible jitter
+  fits the first retransmission timer, the resolver's first pick always
+  answers OK. The loop takes exactly the resolver's draws — the server
+  choice and one jitter sample — and records what it would record.
+* **A busy instant** (and any query of a mixed NSSet): the full
+  resolver, transport and capacity model.
+
+A platform built with ``transport=`` (chaos fault injection) keeps every
+dense-day query on the resolver: its transport faults draw once per
+query, so answering a query without it would shift every later draw.
+Keying those faults by ``(ns_ip, qname, ts)`` would let chaos runs take
+the quiet branch too.
 
 Determinism
 -----------
@@ -25,8 +44,10 @@ fills exactly the aggregates a full-range crawl fills for that day.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dns.rcode import ResponseStatus
 from repro.dns.resolver import AgnosticResolver, ResolverConfig
@@ -44,6 +65,10 @@ _NORMAL = 0          # all members are live authoritatives
 _ANSWERING_TARGET = 1  # all members are misconfig targets that answer
 _DEAD = 2            # no member ever answers (private IPs, NAS, lame)
 _MIXED = 3           # anything else: always take the slow path
+
+#: The largest ``expovariate(0.5)`` draw ``random()`` can produce
+#: (``random()`` never exceeds ``1 - 2**-53``): ~73.47 ms of jitter.
+_MAX_JITTER_MS = -math.log(2.0 ** -53) / 0.5
 
 
 class OpenIntelPlatform:
@@ -67,6 +92,9 @@ class OpenIntelPlatform:
         #: the datagram path queries travel; fault injection wraps it
         #: here without the world's ground truth noticing.
         self.transport = transport or world.transport
+        #: an injected transport (chaos) may draw or fault per query, so
+        #: it keeps every dense-day query on the resolver.
+        self._own_transport = transport is None
         self.resolver = AgnosticResolver(self.transport, self.rng, self.config)
         self.store = MeasurementStore()
         #: OpenINTEL sends many query types per domain per day (NS, SOA,
@@ -80,6 +108,10 @@ class OpenIntelPlatform:
         self._seed_prefixes: List[hashlib.blake2b] = []
         self._classes: Dict[int, int] = {}
         self._quiet_rtts: Dict[int, Tuple[float, ...]] = {}
+        #: NSSets whose quiet instants on dense days are answered in
+        #: closed form, and their members' base RTTs.
+        self._quiet_instants: Set[int] = set()
+        self._base_rtts: Dict[int, float] = {}
         self._prepare()
 
     def _prepare(self) -> None:
@@ -118,6 +150,14 @@ class OpenIntelPlatform:
                 continue
             self._classes[nsset_id] = _NORMAL
             self._quiet_rtts[nsset_id] = tuple(ns.base_rtt_ms for ns in members)
+        # A quiet server's reply always beats the resolver's first timer
+        # when the slowest member's base RTT plus the largest jitter does.
+        timeout = self.config.attempt_timeout_ms
+        self._quiet_instants = {
+            nsset_id for nsset_id, rtts in self._quiet_rtts.items()
+            if rtts and max(rtts) + _MAX_JITTER_MS <= timeout}
+        self._base_rtts = {ip: ns.base_rtt_ms for ip, ns
+                           in self.world.nameservers_by_ip.items()}
 
     # -- single measurement -------------------------------------------------------
 
@@ -147,6 +187,10 @@ class OpenIntelPlatform:
         store = self.store
         add = store.add_fast
         dense_days_of = self.world.dense_days_of
+        busy_spans_of = self.world.busy_spans_of
+        quiet_instants = (self._quiet_instants if self._own_transport
+                          else frozenset())
+        base_rtts = self._base_rtts
         deadline = self.config.deadline_ms
 
         # One private stream, reseeded per (domain, day): samples depend
@@ -154,6 +198,7 @@ class OpenIntelPlatform:
         day_rng = random.Random()
         rng_random = day_rng.random
         rng_expo = day_rng.expovariate
+        choice = day_rng.choice
         reseed = day_rng.seed
         from_bytes = int.from_bytes
         resolver = AgnosticResolver(self.transport, day_rng, self.config)
@@ -194,12 +239,28 @@ class OpenIntelPlatform:
                     n_queries = self.dense_oversampling if dense else 1
                     stride = DAY // n_queries
                     ns_ips = record.delegation.nameserver_ips
+                    spans = (busy_spans_of(nsset_id)
+                             if dense and nsset_id in quiet_instants
+                             else None)
                     if stats is not None:
                         stats.domain_days += 1
                         stats.resolver_days += 1
                         stats.queries += n_queries
                     for j in range(n_queries):
                         ts_j = day + (offsets[domain_id] + j * stride) % DAY
+                        if spans is not None \
+                                and not bisect_right(spans, ts_j) & 1:
+                            # A quiet instant: the resolver's first pick
+                            # answers OK before its timer, drawing the
+                            # same server choice and jitter as here.
+                            ns_ip = (ns_ips[0] if len(ns_ips) == 1
+                                     else choice(ns_ips))
+                            rtt = base_rtts[ns_ip] + rng_expo(0.5)
+                            add(nsset_id, ts_j, ResponseStatus.OK, rtt, True)
+                            if stats is not None:
+                                stats.quiet_queries += 1
+                                stats.add_ok(rtt)
+                            continue
                         result = resolver.resolve(record.name, RRType.NS,
                                                   ns_ips, ts_j)
                         add(nsset_id, ts_j, result.status,

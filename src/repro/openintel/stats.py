@@ -23,8 +23,9 @@ class CrawlStats:
     """Counters one crawl accumulates."""
 
     __slots__ = ("domain_days", "fast_path_days", "dead_days",
-                 "resolver_days", "queries", "ok", "timeout", "servfail",
-                 "other", "rtt_bucket_counts", "rtt_sum")
+                 "resolver_days", "queries", "quiet_queries", "ok",
+                 "timeout", "servfail", "other", "rtt_bucket_counts",
+                 "rtt_sum")
 
     def __init__(self) -> None:
         self.domain_days = 0
@@ -32,10 +33,16 @@ class CrawlStats:
         self.fast_path_days = 0
         #: quiet days of never-answering NSSets (synthesized timeouts).
         self.dead_days = 0
-        #: days that ran the full resolver state machine.
+        #: days that took the query path: dense days, and quiet days of
+        #: NSSets with no closed form. Every domain-day is counted once
+        #: as a fast-path, dead or resolver day.
         self.resolver_days = 0
-        #: resolver invocations (dense days send several per domain).
+        #: queries sent on resolver days (dense days send several per
+        #: domain), whether or not they ran the resolver.
         self.queries = 0
+        #: of those, dense-day queries at a quiet instant, answered in
+        #: closed form without the resolver.
+        self.quiet_queries = 0
         self.ok = 0
         self.timeout = 0
         self.servfail = 0
@@ -78,6 +85,7 @@ class CrawlStats:
         counter("repro.crawl.dead_days").inc(self.dead_days)
         counter("repro.crawl.resolver_days").inc(self.resolver_days)
         counter("repro.crawl.queries").inc(self.queries)
+        counter("repro.crawl.quiet_queries").inc(self.quiet_queries)
         counter("repro.crawl.rows").inc(self.rows)
         for status, n in (("ok", self.ok), ("timeout", self.timeout),
                           ("servfail", self.servfail), ("other", self.other)):

@@ -50,6 +50,10 @@ class ReactiveStore:
     def __init__(self) -> None:
         self.probes: List[ReactiveProbe] = []
         self._by_domain: Dict[int, List[ReactiveProbe]] = {}
+        #: (directory, probe count, folded store) of the last
+        #: :func:`reactive_impact_series` fold; ``add`` only appends,
+        #: so the count tells whether the fold is current.
+        self._fold: Optional[Tuple[object, int, MeasurementStore]] = None
 
     def add(self, probe: ReactiveProbe) -> None:
         self.probes.append(probe)
@@ -135,7 +139,13 @@ def reactive_impact_series(store: ReactiveStore, directory, nsset_id: int,
     study) while the in-window 5-minute buckets come from the probes.
     Everything downstream of :class:`ImpactSeries` (mean/peak impact,
     event statistics, Figure 8) then works on reactive data as-is.
+    The probes are folded once per store and directory, and again only
+    after more probes arrive.
     """
-    return _impact_series(measurement_store_from_reactive(store, directory),
-                          baseline_store, nsset_id, window, baseline_kind,
-                          min_bucket_n, baseline_fallback_days)
+    fold = store._fold
+    if fold is None or fold[0] is not directory or fold[1] != len(store):
+        fold = store._fold = (directory, len(store),
+                              measurement_store_from_reactive(store,
+                                                              directory))
+    return _impact_series(fold[2], baseline_store, nsset_id, window,
+                          baseline_kind, min_bucket_n, baseline_fallback_days)

@@ -32,7 +32,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Tuple,
     TypeVar,
 )
 

@@ -68,7 +68,7 @@ UNIFIED_LAYER_HOT_COUNT = 2566
 SECONDARY_POOL = ("nic.ru", "GoDaddy", "Hosting-000", "Hosting-001", "Hosting-002")
 # The World's lazily built views of the attack schedule and the fleet.
 _ATTACK_DERIVED = ("_index", "_attack_weights", "link_capacity",
-                   "_vantage_site", "_dense_days")
+                   "_vantage_site", "_busy_spans", "_dense_days")
 
 
 class AttackIndex:
@@ -82,10 +82,6 @@ class AttackIndex:
         self._s24_starts: Dict[int, List[int]] = {}
         self._ip_maxdur: Dict[int, int] = {}
         self._s24_maxdur: Dict[int, int] = {}
-        #: days (day-start ts) with any impact per ip / per tracked /24,
-        #: padded one day past the impact window for recovery recording.
-        self.ip_days: Set[Tuple[int, int]] = set()
-        self.s24_days: Set[Tuple[int, int]] = set()
         self._frozen = False
 
     def add(self, attack: Attack) -> None:
@@ -95,15 +91,6 @@ class AttackIndex:
         s24 = attack.victim_slash24
         if s24 in self._tracked:
             self._by_s24.setdefault(s24, []).append(attack)
-        window = attack.impact_window
-        first = day_start(window.start)
-        last = day_start(window.end) + DAY  # one-day recovery margin
-        day = first
-        while day <= last:
-            self.ip_days.add((attack.victim_ip, day))
-            if s24 in self._tracked:
-                self.s24_days.add((s24, day))
-            day += DAY
 
     def freeze(self) -> None:
         for table, starts, maxdur in (
@@ -145,6 +132,11 @@ class AttackIndex:
 
     def attacks_on_ip(self, ip: int) -> List[Attack]:
         return list(self._by_ip.get(ip, ()))
+
+    def attacks_near(self, ip: int) -> List[Attack]:
+        """Attacks on ``ip`` or on its /24, when that /24 is tracked."""
+        return (self._by_ip.get(ip, [])
+                + self._by_s24.get(slash24_of(ip), []))
 
 
 class World:
@@ -261,22 +253,44 @@ class World:
         return sites
 
     @cached_property
-    def _dense_days(self) -> Dict[int, FrozenSet[int]]:
-        """nsset_id -> day-start timestamps needing 5-minute recording."""
-        ip_days: Dict[int, Set[int]] = {}
-        for ip, day in self._index.ip_days:
-            ip_days.setdefault(ip, set()).add(day)
-        s24_days: Dict[int, Set[int]] = {}
-        for s24, day in self._index.s24_days:
-            s24_days.setdefault(s24, set()).add(day)
-        dense: Dict[int, FrozenSet[int]] = {}
+    def _busy_spans(self) -> Dict[int, Tuple[int, ...]]:
+        """nsset_id -> the merged impact windows of every attack on a
+        member IP or on a member's tracked /24, flattened to sorted
+        bounds ``(start0, end0, start1, end1, ...)``."""
+        index = self._index
+        spans: Dict[int, Tuple[int, ...]] = {}
         for nsset_id, ips in self.directory.nssets.items():
+            windows = sorted((a.impact_window.start, a.impact_window.end)
+                             for ip in ips for a in index.attacks_near(ip))
+            if not windows:
+                continue
+            bounds = list(windows[0])
+            for start, end in windows[1:]:
+                if start <= bounds[-1]:
+                    bounds[-1] = max(bounds[-1], end)
+                else:
+                    bounds += (start, end)
+            spans[nsset_id] = tuple(bounds)
+        return spans
+
+    def busy_spans_of(self, nsset_id: int) -> Tuple[int, ...]:
+        """The half-open ``[start, end)`` spans in which an attack may
+        load a member of the NSSet, as flattened sorted bounds: ``ts``
+        lies in a span iff ``bisect_right(bounds, ts)`` is odd. Outside
+        every span each member's load is quiet."""
+        return self._busy_spans.get(nsset_id, ())
+
+    @cached_property
+    def _dense_days(self) -> Dict[int, FrozenSet[int]]:
+        """nsset_id -> day-start timestamps needing 5-minute recording:
+        every day a busy span touches, plus one recovery day."""
+        dense: Dict[int, FrozenSet[int]] = {}
+        for nsset_id, bounds in self._busy_spans.items():
             days: Set[int] = set()
-            for ip in ips:
-                days |= ip_days.get(ip, set())
-                days |= s24_days.get(slash24_of(ip), set())
-            if days:
-                dense[nsset_id] = frozenset(days)
+            for i in range(0, len(bounds), 2):
+                last = day_start(bounds[i + 1]) + DAY
+                days.update(range(day_start(bounds[i]), last + 1, DAY))
+            dense[nsset_id] = frozenset(days)
         return dense
 
     def dense_days_of(self, nsset_id: int) -> FrozenSet[int]:

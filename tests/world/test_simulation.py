@@ -182,8 +182,7 @@ class TestLazyAttackIndex:
         assert lazy_loads == [eager.load_at(ns, ts)
                               for ns, ts in self._samples(eager)]
         assert any(not load.quiet for load in lazy_loads)
-        assert lazy._index.ip_days == eager._index.ip_days
-        assert lazy._index.s24_days == eager._index.s24_days
+        assert lazy._busy_spans == eager._busy_spans
         assert lazy._dense_days == eager._dense_days
         # attack ids come from a process-wide counter: compare in order.
         assert [lazy._attack_weights[a.attack_id] for a in lazy.attacks] == \
@@ -217,6 +216,23 @@ class TestLazyAttackIndex:
         world.replace_attacks(original)
         assert not world.load_at(transip, hit).quiet
         assert parse_ts("2021-03-01") in world.dense_days_of(nsset_id)
+
+    def test_replace_attacks_rebuilds_busy_spans(self, tiny_config):
+        from bisect import bisect_right
+
+        world = build_world(tiny_config)
+        transip = world.providers["TransIP"].nameservers[0]
+        hit = parse_ts("2021-03-01 20:00")
+        nsset_id = next(iter(world.directory.nssets_of_ip(transip.ip)))
+        spans = world.busy_spans_of(nsset_id)
+        assert bisect_right(spans, hit) % 2 == 1
+        original = list(world.attacks)
+
+        world.replace_attacks([])
+        assert world.busy_spans_of(nsset_id) == ()
+
+        world.replace_attacks(original)
+        assert world.busy_spans_of(nsset_id) == spans
 
 
 class TestAttackIndex:
