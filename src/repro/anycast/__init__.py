@@ -6,13 +6,12 @@ only ever sees its own catchment site. The census mirrors the MAnycast2
 snapshots the paper uses: a *lower-bound* detector of anycast /24s.
 """
 
-from repro.anycast.deployment import AnycastDeployment, AnycastSite, CatchmentModel
+from repro.anycast.deployment import AnycastDeployment, AnycastSite
 from repro.anycast.census import AnycastCensus, CensusSnapshot
 
 __all__ = [
     "AnycastDeployment",
     "AnycastSite",
-    "CatchmentModel",
     "AnycastCensus",
     "CensusSnapshot",
 ]

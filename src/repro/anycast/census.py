@@ -29,9 +29,6 @@ class CensusSnapshot:
     taken_at: int
     anycast_slash24s: Set[int] = field(default_factory=set)
 
-    def add_ip(self, ip: int) -> None:
-        self.anycast_slash24s.add(slash24_of(ip))
-
     def is_anycast(self, ip: int) -> bool:
         """Is the /24 containing ``ip`` in this snapshot's anycast set?"""
         return slash24_of(ip) in self.anycast_slash24s

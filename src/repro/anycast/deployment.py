@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.util.rng import derive_seed
 
@@ -55,14 +55,6 @@ class AnycastDeployment:
             for s in sites
         )
 
-    @property
-    def n_sites(self) -> int:
-        return len(self.sites)
-
-    @property
-    def total_capacity_pps(self) -> float:
-        return sum(s.capacity_pps for s in self.sites)
-
     def site_for_region(self, region: str) -> AnycastSite:
         """The site a client in ``region`` is routed to: the site of the
         same region if one exists, else the largest-catchment site.
@@ -75,12 +67,6 @@ class AnycastDeployment:
             if site.region == region:
                 return site
         return max(self.sites, key=lambda s: s.catchment_weight)
-
-    def spread_attack(self, attack_pps: float) -> List[Tuple[AnycastSite, float]]:
-        """Split a uniformly-sourced attack across sites by catchment."""
-        if attack_pps < 0:
-            raise ValueError("attack rate must be non-negative")
-        return [(site, attack_pps * site.catchment_weight) for site in self.sites]
 
     def load_at_site(self, site: AnycastSite, attack_pps: float) -> float:
         """Utilization (attack pps / capacity) at one site."""
@@ -110,32 +96,3 @@ class AnycastDeployment:
             ))
         return cls(sites)
 
-
-class CatchmentModel:
-    """Maps client regions to sites for a set of deployments.
-
-    A thin indirection so experiments can swap in alternative catchment
-    policies (e.g. fully random, or weight-proportional) when studying
-    vantage-point effects.
-    """
-
-    def __init__(self, policy: str = "regional"):
-        if policy not in ("regional", "largest", "weighted"):
-            raise ValueError(f"unknown catchment policy: {policy}")
-        self.policy = policy
-
-    def site_for(self, deployment: AnycastDeployment, region: str,
-                 rng: Optional[random.Random] = None) -> AnycastSite:
-        if self.policy == "regional":
-            return deployment.site_for_region(region)
-        if self.policy == "largest":
-            return max(deployment.sites, key=lambda s: s.catchment_weight)
-        if rng is None:
-            raise ValueError("weighted policy requires an rng")
-        x = rng.random()
-        acc = 0.0
-        for site in deployment.sites:
-            acc += site.catchment_weight
-            if x < acc:
-                return site
-        return deployment.sites[-1]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.net.ip import ip_to_str, slash24_of
-from repro.net.ports import PORT_DNS, PROTO_ICMP, PROTO_TCP, PROTO_UDP, validate_port, validate_proto
+from repro.net.ports import PROTO_ICMP, PROTO_TCP, PROTO_UDP, validate_port, validate_proto
 from repro.util.timeutil import Window
 
 _attack_ids = itertools.count(1)
@@ -75,14 +75,6 @@ class AttackVector:
         """The first targeted port (the RSDoS feed field)."""
         return self.ports[0] if self.ports else 0
 
-    @property
-    def targets_dns_port(self) -> bool:
-        return PORT_DNS in self.ports
-
-    @property
-    def bits_per_second(self) -> float:
-        return self.pps * self.packet_bytes * 8
-
     @classmethod
     def tcp_syn(cls, port: int, pps: float,
                 spoofing: Spoofing = Spoofing.RANDOM) -> "AttackVector":
@@ -92,11 +84,6 @@ class AttackVector:
     def udp_flood(cls, port: int, pps: float,
                   spoofing: Spoofing = Spoofing.RANDOM) -> "AttackVector":
         return cls(PROTO_UDP, (port,), pps, spoofing)
-
-    @classmethod
-    def icmp_flood(cls, pps: float,
-                   spoofing: Spoofing = Spoofing.RANDOM) -> "AttackVector":
-        return cls(PROTO_ICMP, (), pps, spoofing)
 
 
 @dataclass(frozen=True)
@@ -218,10 +205,6 @@ class Attack:
         """Telescope-relevant rate: randomly spoofed vectors only."""
         return sum(v.pps for v in self.vectors if v.spoofing.telescope_visible)
 
-    @property
-    def bits_per_second(self) -> float:
-        return sum(v.bits_per_second for v in self.vectors)
-
     def effective_pps(self, ts: int) -> float:
         """Attack load at instant ``ts`` after scrubbing/aftermath.
 
@@ -266,16 +249,6 @@ class Attack:
         if blackout is not None:
             end = max(end, blackout.end)
         return Window(self.window.start, end)
-
-    @property
-    def is_single_port(self) -> bool:
-        ports = {p for v in self.vectors for p in v.ports}
-        protos = {v.proto for v in self.vectors}
-        return len(ports) <= 1 and len(protos) == 1
-
-    @property
-    def targets_dns_port(self) -> bool:
-        return any(v.targets_dns_port for v in self.vectors)
 
     @property
     def is_multi_vector(self) -> bool:

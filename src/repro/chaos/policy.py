@@ -14,7 +14,7 @@ Fault draws come from the injector's own named RNG streams (see
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 __all__ = ["FaultPolicy", "ChaosConfig", "FAULT_KINDS"]
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.util.rng import derive_seed
-from repro.util.timeutil import HOUR, Window
+from repro.util.timeutil import DAY, HOUR, Window
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,10 @@ class EndUserImpact:
 
 
 def simulate_enduser_impact(rng: random.Random, scenario: CacheScenario,
-                            attack: Window, failure_p: float,
-                            lead_s: int = 24 * 3600) -> EndUserImpact:
+                            attack: Window, failure_p: float) -> EndUserImpact:
     """Simulate one resolver cache through ``attack``.
 
-    ``lead_s`` of pre-attack traffic warms the cache; during the attack
+    At least a day of pre-attack traffic warms the cache; during the attack
     a cache miss fails with probability ``failure_p`` (and the stale
     entry is NOT served — the pre-serve-stale behaviour of the study
     period). Deterministic given the rng.
@@ -72,7 +71,7 @@ def simulate_enduser_impact(rng: random.Random, scenario: CacheScenario,
     # phase-lock to multiples of the TTL under high query rates, and a
     # deterministic lead would pin an expiry right at the attack start —
     # the steady-state expiry phase at attack onset is uniform in [0, TTL).
-    lead_s = max(lead_s, int(scenario.ttl_s * (1.0 + rng.random())) + 1)
+    lead_s = max(DAY, int(scenario.ttl_s * (1.0 + rng.random())) + 1)
     ts = float(attack.start - lead_s)
     cache_expiry = -math.inf
     n_queries = 0

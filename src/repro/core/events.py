@@ -11,7 +11,7 @@ Figures 7-13 and Table 6 stratify on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.join import ClassifiedAttack, DatasetJoin
 from repro.core.metrics import ImpactSeries, impact_series
@@ -132,16 +132,3 @@ def events_for_attack(classified: ClassifiedAttack, store: MeasurementStore,
             continue
         out.append(AttackEvent(attack=attack, info=info, series=series))
     return out
-
-
-def failing_events(events: Sequence[AttackEvent]) -> List[AttackEvent]:
-    """Events with at least one resolution failure (the §6.3.1 ~1%)."""
-    return [e for e in events if e.has_failures]
-
-
-def high_impact_events(events: Sequence[AttackEvent],
-                       threshold: float = 10.0) -> List[AttackEvent]:
-    """Events whose Equation-1 impact reaches ``threshold`` (the §6.3.2
-    10-fold population)."""
-    return [e for e in events
-            if e.impact is not None and e.impact >= threshold]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.events import AttackEvent
-from repro.util.stats import LogHistogram, ratio
+from repro.util.stats import ratio
 
 
 @dataclass
@@ -73,11 +73,9 @@ class FailureAnalysis:
         return ratio(self.failing_single_prefix, self.n_failing_events)
 
 
-def analyze_failures(events: Sequence[AttackEvent],
-                     complete_threshold: float = 0.98) -> FailureAnalysis:
+def analyze_failures(events: Sequence[AttackEvent]) -> FailureAnalysis:
     """Aggregate the §6.3.1 failure statistics over the events; an event
-    with failure rate >= ``complete_threshold`` counts as a complete
-    resolution failure."""
+    with failure rate >= 0.98 counts as a complete resolution failure."""
     out = FailureAnalysis()
     for event in events:
         out.n_events += 1
@@ -103,7 +101,7 @@ def analyze_failures(events: Sequence[AttackEvent],
             anycast_label=info.anycast_label,
             single_prefix=info.single_prefix,
             single_asn=info.single_asn))
-        if series.failure_rate >= complete_threshold:
+        if series.failure_rate >= 0.98:
             out.complete_failures += 1
             n_prefix = min(info.n_slash24, 3)
             out.complete_by_prefix_count[n_prefix] = \
@@ -135,12 +133,6 @@ class ImpactAnalysis:
     @property
     def over_100x_share_of_10x(self) -> float:
         return ratio(self.over_100x, self.over_10x)
-
-    def size_histogram(self) -> LogHistogram:
-        hist = LogHistogram()
-        for (size_decade, _), count in self.grid.items():
-            hist.counts[size_decade] = hist.counts.get(size_decade, 0) + count
-        return hist
 
 
 def analyze_impact(events: Sequence[AttackEvent]) -> ImpactAnalysis:

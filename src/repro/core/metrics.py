@@ -121,9 +121,6 @@ class ImpactSeries:
                       if x is not None]
         return max(candidates) if candidates else None
 
-    def max_failure_rate(self) -> float:
-        return max((p.failure_rate for p in self.points if p.n), default=0.0)
-
 
 #: How far past the nominal horizon the degraded-baseline search walks
 #: when every in-horizon day is missing (lost OpenINTEL days).

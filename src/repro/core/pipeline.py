@@ -144,8 +144,11 @@ def _observe_telescope(ctx: RunContext, world: World) -> RSDoSFeed:
 
 def _run_crawl(ctx: RunContext, world: World) -> MeasurementStore:
     injector: Optional["FaultInjector"] = ctx.params.get("injector")
-    transport = (injector.wrap_transport(world.transport)
-                 if injector is not None else None)
+    # Only transport faults need the injected datagram path; a chaos run
+    # without them keeps the crawl's quiet branches.
+    transport = None
+    if injector is not None and not injector.config.transport.is_null:
+        transport = injector.wrap_transport(world.transport)
     platform = OpenIntelPlatform(world, transport=transport,
                                  telemetry=ctx.telemetry)
     if injector is not None:

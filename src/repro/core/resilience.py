@@ -8,7 +8,7 @@ AS diversity, and /24 prefix diversity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.events import AttackEvent
 from repro.util.stats import percentile, ratio
@@ -27,10 +27,6 @@ class GroupStats:
     @property
     def median_impact(self) -> Optional[float]:
         return percentile(self.impacts, 50) if self.impacts else None
-
-    @property
-    def p95_impact(self) -> Optional[float]:
-        return percentile(self.impacts, 95) if self.impacts else None
 
     @property
     def max_impact(self) -> Optional[float]:
@@ -85,12 +81,6 @@ class ResilienceAnalysis:
         """Paper: no anycast NSSet saw a 100-fold increase."""
         stats = self.by_anycast.get("anycast")
         return stats.over_100x if stats else 0
-
-    def unicast_vs_anycast_median(self) -> Tuple[Optional[float], Optional[float]]:
-        unicast = self.by_anycast.get("unicast")
-        anycast = self.by_anycast.get("anycast")
-        return (unicast.median_impact if unicast else None,
-                anycast.median_impact if anycast else None)
 
 
 _ASN_LABELS = {1: "1 ASN", 2: "2 ASNs"}

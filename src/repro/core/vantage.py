@@ -64,18 +64,8 @@ class VantagePoint:
     def transport(self, ns_ip: int, qname: DomainName, qtype: RRType,
                   ts: float) -> ServerReply:
         """Region-bound transport, usable wherever World.transport is."""
-        ns = self.world.nameservers_by_ip.get(ns_ip)
-        if ns is None:
-            return ServerReply.dropped()
-        if ns.is_misconfig_target:
-            if not ns.answers_queries:
-                return ServerReply.dropped()
-            return ServerReply.ok(ns.base_rtt_ms + self._rtt_offset
-                                  + self._rng.expovariate(0.5))
-        load = self.load_at(ns, ts)
-        reply = self.world.capacity_model.sample_reply(
-            self._rng, ns.base_rtt_ms + self._rtt_offset, load)
-        return reply
+        return self.world._reply(ns_ip, ts, self._rng, self._rtt_offset,
+                                 self.load_at)
 
 
 @dataclass

@@ -9,7 +9,7 @@ them are not attacks on authoritative DNS (Tables 4/5).
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Optional, Set, TextIO
+from typing import Iterable, Optional, Set, TextIO
 
 from repro.net.ip import ip_to_str, parse_ip
 
@@ -35,12 +35,6 @@ class OpenResolverScan:
 
     def is_open_resolver(self, ip: int) -> bool:
         return int(ip) in self._ips
-
-    def filter_out(self, ips: Iterable[int]) -> Iterator[int]:
-        """Yield only addresses that are NOT open resolvers."""
-        for ip in ips:
-            if int(ip) not in self._ips:
-                yield int(ip)
 
     def __len__(self) -> int:
         return len(self._ips)

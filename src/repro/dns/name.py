@@ -1,4 +1,4 @@
-"""Domain names: parsing, normalization, hierarchy, and IDN labels.
+"""Domain names: parsing, normalization, and IDN labels.
 
 Names are stored as tuples of lowercase labels in wire order (TLD last
 in presentation, but we keep presentation order and expose helpers).
@@ -66,42 +66,14 @@ class DomainName:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("DomainName is immutable")
 
-    # -- hierarchy ---------------------------------------------------------
-
-    @property
-    def is_root(self) -> bool:
-        return not self.labels
-
     @property
     def tld(self) -> Optional[str]:
         return self.labels[-1] if self.labels else None
-
-    @property
-    def parent(self) -> "DomainName":
-        if self.is_root:
-            raise ValueError("the root has no parent")
-        return DomainName(self.labels[1:])
-
-    def registered_domain(self, n_public_labels: int = 1) -> "DomainName":
-        """The registrable domain assuming the public suffix spans the
-        last ``n_public_labels`` labels (1 for .com/.nl/.ru, 2 for .co.uk).
-
-        The synthetic world uses single-label TLDs, so the default covers
-        it; the parameter exists for callers with deeper suffixes.
-        """
-        need = n_public_labels + 1
-        if len(self.labels) < need:
-            raise ValueError(f"{self} has no registrable domain below suffix")
-        return DomainName(self.labels[-need:])
 
     # -- rendering / identity ---------------------------------------------
 
     def to_text(self) -> str:
         return ".".join(self.labels) if self.labels else "."
-
-    @property
-    def depth(self) -> int:
-        return len(self.labels)
 
     def __str__(self) -> str:
         return self.to_text()

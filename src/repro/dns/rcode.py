@@ -40,28 +40,5 @@ class ResponseStatus(enum.Enum):
     REFUSED = "refused"
     NETWORK_ERROR = "network_error"
 
-    @property
-    def is_failure(self) -> bool:
-        return self not in (ResponseStatus.OK, ResponseStatus.NXDOMAIN)
-
-    @property
-    def is_answer(self) -> bool:
-        """True when an authoritative response (of any rcode) arrived."""
-        return self in (ResponseStatus.OK, ResponseStatus.SERVFAIL,
-                        ResponseStatus.NXDOMAIN, ResponseStatus.REFUSED)
-
-    @classmethod
-    def from_rcode(cls, rcode: Rcode) -> "ResponseStatus":
-        mapping = {
-            Rcode.NOERROR: cls.OK,
-            Rcode.SERVFAIL: cls.SERVFAIL,
-            Rcode.NXDOMAIN: cls.NXDOMAIN,
-            Rcode.REFUSED: cls.REFUSED,
-        }
-        try:
-            return mapping[rcode]
-        except KeyError:
-            raise ValueError(f"no measurement status for rcode {rcode!r}") from None
-
     def __str__(self) -> str:
         return self.name

@@ -16,7 +16,7 @@ and accounting of the *total* elapsed resolution time across attempts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.dns.name import DomainName
 from repro.dns.rcode import Rcode, ResponseStatus
@@ -89,22 +89,6 @@ class ResolutionResult:
     @property
     def n_attempts(self) -> int:
         return len(self.attempts)
-
-    @property
-    def answering_ns(self) -> Optional[int]:
-        """IP of the server that produced the terminal answer, if any."""
-        for outcome in reversed(self.attempts):
-            if outcome.reply.answered:
-                return outcome.ns_ip
-        return None
-
-    @property
-    def servers_tried(self) -> Tuple[int, ...]:
-        seen: List[int] = []
-        for outcome in self.attempts:
-            if outcome.ns_ip not in seen:
-                seen.append(outcome.ns_ip)
-        return tuple(seen)
 
 
 class AgnosticResolver:

@@ -41,16 +41,5 @@ class Delegation:
         )
         return cls(DomainName(domain), pairs)
 
-    @property
-    def nameserver_hosts(self) -> Tuple[DomainName, ...]:
-        return tuple(host for host, _ in self.ns_addrs)
-
-    def addresses_of(self, host) -> Tuple[int, ...]:
-        host = DomainName(host)
-        for h, addrs in self.ns_addrs:
-            if h == host:
-                return addrs
-        raise KeyError(f"{host} is not a nameserver of {self.domain}")
-
     def __len__(self) -> int:
         return len(self.ns_addrs)

@@ -18,7 +18,7 @@ pipeline has always emitted — and opens on the owner's
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.executor import Executor, RunContext
 from repro.engine.graph import PhaseGraph

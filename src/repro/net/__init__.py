@@ -8,7 +8,6 @@ offering friendly parsing and formatting at the edges.
 
 from repro.net.ip import (
     IPV4_SPACE,
-    IPv4Address,
     IPv4Prefix,
     ip_to_str,
     parse_ip,
@@ -30,7 +29,6 @@ from repro.net.ports import (
 
 __all__ = [
     "IPV4_SPACE",
-    "IPv4Address",
     "IPv4Prefix",
     "ip_to_str",
     "parse_ip",

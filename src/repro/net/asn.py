@@ -49,13 +49,6 @@ class AS:
         if prefix not in self.prefixes:
             self.prefixes.append(prefix)
 
-    def originates(self, ip) -> bool:
-        return any(prefix.contains_ip(ip) for prefix in self.prefixes)
-
-    @property
-    def address_count(self) -> int:
-        return sum(p.num_addresses for p in self.prefixes)
-
     def __str__(self) -> str:
         return f"AS{self.number} ({self.org.name})"
 

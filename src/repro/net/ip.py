@@ -1,18 +1,18 @@
-"""Int-backed IPv4 address and prefix types.
+"""Int-backed IPv4 addresses and the prefix type.
 
-Addresses are stored as plain 32-bit unsigned integers; the classes here
-are thin, hashable wrappers with parsing and formatting. Hot paths (the
-telescope, the join) work directly on ints via the module-level helpers.
+Addresses are stored as plain 32-bit unsigned integers, parsed and
+formatted by the module-level helpers; ``IPv4Prefix`` is a thin,
+hashable wrapper over a (network, length) pair.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple, Union
+from typing import Tuple, Union
 
 IPV4_BITS = 32
 IPV4_SPACE = 1 << IPV4_BITS  # 2**32
 
-IPLike = Union[int, str, "IPv4Address"]
+IPLike = Union[int, str]
 
 
 def parse_ip(text: str) -> int:
@@ -40,9 +40,7 @@ def ip_to_str(value: int) -> str:
 
 
 def coerce_ip(value: IPLike) -> int:
-    """Accept an int, a dotted-quad string, or an IPv4Address; return int."""
-    if isinstance(value, IPv4Address):
-        return value.value
+    """Accept an int or a dotted-quad string; return int."""
     if isinstance(value, int):
         if not 0 <= value < IPV4_SPACE:
             raise ValueError(f"IPv4 int out of range: {value}")
@@ -70,10 +68,6 @@ def slash24_of(ip: int) -> int:
     return ip & 0xFFFFFF00
 
 
-def slash16_of(ip: int) -> int:
-    return ip & 0xFFFF0000
-
-
 def parse_prefix(text: str) -> Tuple[int, int]:
     """Parse ``a.b.c.d/len`` into a canonical (network, length) pair."""
     if "/" not in text:
@@ -84,56 +78,6 @@ def parse_prefix(text: str) -> Tuple[int, int]:
     length = int(len_part)
     base = network_of(parse_ip(ip_part), length)
     return base, length
-
-
-class IPv4Address:
-    """A hashable, totally-ordered IPv4 address."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: IPLike):
-        object.__setattr__(self, "value", coerce_ip(value))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("IPv4Address is immutable")
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __str__(self) -> str:
-        return ip_to_str(self.value)
-
-    def __repr__(self) -> str:
-        return f"IPv4Address({ip_to_str(self.value)!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IPv4Address):
-            return self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __lt__(self, other: "IPv4Address") -> bool:
-        return self.value < int(other)
-
-    def __le__(self, other: "IPv4Address") -> bool:
-        return self.value <= int(other)
-
-    def __gt__(self, other: "IPv4Address") -> bool:
-        return self.value > int(other)
-
-    def __ge__(self, other: "IPv4Address") -> bool:
-        return self.value >= int(other)
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    @property
-    def slash24(self) -> "IPv4Prefix":
-        return IPv4Prefix(slash24_of(self.value), 24)
-
-    def in_prefix(self, prefix: "IPv4Prefix") -> bool:
-        return prefix.contains_ip(self.value)
 
 
 class IPv4Prefix:
@@ -161,11 +105,6 @@ class IPv4Prefix:
         base, length = parse_prefix(text)
         return cls(base, length)
 
-    @classmethod
-    def containing(cls, ip: IPLike, length: int) -> "IPv4Prefix":
-        """The /length prefix containing ``ip`` (host bits stripped)."""
-        return cls(network_of(coerce_ip(ip), length), length)
-
     @property
     def mask(self) -> int:
         return mask_of(self.length)
@@ -184,21 +123,6 @@ class IPv4Prefix:
 
     def contains_ip(self, ip: IPLike) -> bool:
         return (coerce_ip(ip) & self.mask) == self.network
-
-    def contains_prefix(self, other: "IPv4Prefix") -> bool:
-        return other.length >= self.length and self.contains_ip(other.network)
-
-    def addresses(self) -> Iterator[int]:
-        """Iterate every address int in the prefix (careful with short
-        prefixes: a /9 has 8M addresses)."""
-        return iter(range(self.first, self.last + 1))
-
-    def subnets(self, new_length: int) -> Iterator["IPv4Prefix"]:
-        if new_length < self.length or new_length > IPV4_BITS:
-            raise ValueError("new_length must be within [length, 32]")
-        step = 1 << (IPV4_BITS - new_length)
-        for base in range(self.first, self.last + 1, step):
-            yield IPv4Prefix(base, new_length)
 
     def random_ip(self, rng) -> int:
         """A uniformly random address inside the prefix."""

@@ -150,17 +150,3 @@ class PrefixTrie(Generic[V]):
     def items(self) -> Iterator[Tuple[Tuple[int, int], V]]:
         """All (prefix, value) pairs in the trie, in address order."""
         return self._walk(self._root, 0, 0)
-
-    def remove(self, prefix) -> bool:
-        """Remove the value at ``prefix``; returns True if it existed.
-
-        Leaves structural nodes in place (fine for our workloads, which
-        build once and query many times).
-        """
-        node = self._find(*self._key(prefix))
-        if node is None or not node.has_value:
-            return False
-        node.has_value = False
-        node.value = None
-        self._size -= 1
-        return True

@@ -23,11 +23,13 @@ The hot loop answers three kinds of query:
 * **A busy instant** (and any query of a mixed NSSet): the full
   resolver, transport and capacity model.
 
-A platform built with ``transport=`` (chaos fault injection) keeps every
-dense-day query on the resolver: its transport faults draw once per
+A platform built with ``transport=`` keeps every dense-day query on the
+resolver: an injected transport (chaos transport faults) draws once per
 query, so answering a query without it would shift every later draw.
-Keying those faults by ``(ns_ip, qname, ts)`` would let chaos runs take
-the quiet branch too.
+The study passes one only when the chaos policy has transport faults,
+so a chaos run whose faults all lie elsewhere (feed, store, ingest)
+takes the same quiet branches as a clean run. Keying transport faults by
+``(ns_ip, qname, ts)`` would let those runs take the quiet branch too.
 
 Determinism
 -----------
@@ -70,15 +72,20 @@ _MIXED = 3           # anything else: always take the slow path
 #: (``random()`` never exceeds ``1 - 2**-53``): ~73.47 ms of jitter.
 _MAX_JITTER_MS = -math.log(2.0 ** -53) / 0.5
 
+#: OpenINTEL sends many query types per domain per day (NS, SOA, A,
+#: AAAA, MX, ...), all of which exercise the same NSSet and feed the
+#: paper's RTT aggregates. The crawl replays that multiplicity only on
+#: *dense* (attack-window) days, where it matters for the
+#: >=5-measured-domains event threshold; on quiet days one query per day
+#: is statistically sufficient for the baselines.
+DENSE_OVERSAMPLING = 6
+
 
 class OpenIntelPlatform:
     """Drives the daily crawl and fills a :class:`MeasurementStore`."""
 
     def __init__(self, world: World, config: Optional[ResolverConfig] = None,
-                 dense_oversampling: int = 6, transport=None,
-                 telemetry: Optional[RunTelemetry] = None):
-        if dense_oversampling < 1:
-            raise ValueError("dense_oversampling must be >= 1")
+                 transport=None, telemetry: Optional[RunTelemetry] = None):
         self.telemetry = telemetry or NULL_TELEMETRY
         #: crawl counters collected when telemetry is enabled (``None``
         #: otherwise, so the hot loop pays a single identity check).
@@ -97,13 +104,6 @@ class OpenIntelPlatform:
         self._own_transport = transport is None
         self.resolver = AgnosticResolver(self.transport, self.rng, self.config)
         self.store = MeasurementStore()
-        #: OpenINTEL sends many query types per domain per day (NS, SOA,
-        #: A, AAAA, MX, ...), all of which exercise the same NSSet and
-        #: feed the paper's RTT aggregates. We replay that multiplicity
-        #: only on *dense* (attack-window) days, where it matters for
-        #: the >=5-measured-domains event threshold; on quiet days one
-        #: query per day is statistically sufficient for the baselines.
-        self.dense_oversampling = dense_oversampling
         self._offsets: List[int] = []
         self._seed_prefixes: List[hashlib.blake2b] = []
         self._classes: Dict[int, int] = {}
@@ -236,7 +236,7 @@ class OpenIntelPlatform:
                             stats.fast_path_days += 1
                             stats.add_ok(rtt)
                         continue
-                    n_queries = self.dense_oversampling if dense else 1
+                    n_queries = DENSE_OVERSAMPLING if dense else 1
                     stride = DAY // n_queries
                     ns_ips = record.delegation.nameserver_ips
                     spans = (busy_spans_of(nsset_id)

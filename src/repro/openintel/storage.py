@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.dns.rcode import ResponseStatus
 from repro.util.timeutil import DAY, FIVE_MINUTES, day_start, window_start
@@ -82,10 +82,6 @@ class Aggregate:
     @property
     def failure_rate(self) -> float:
         return self.errors / self.n if self.n else 0.0
-
-    @property
-    def timeout_rate(self) -> float:
-        return self.timeout_n / self.n if self.n else 0.0
 
     @property
     def avg_rtt(self) -> Optional[float]:
@@ -226,9 +222,6 @@ class MeasurementStore:
         """The §4.1 baseline: average RTT on the *day before* ``ts``."""
         return self.day_avg_rtt(nsset_id, day_start(ts) - DAY)
 
-    def bucket_aggregate(self, nsset_id: int, ts: int) -> Optional[Aggregate]:
-        return self.buckets.get((nsset_id, window_start(ts)))
-
     def buckets_in(self, nsset_id: int, start: int, end: int
                    ) -> Iterator[Tuple[int, Aggregate]]:
         """(bucket_ts, aggregate) pairs for a NSSet within [start, end)."""
@@ -239,37 +232,7 @@ class MeasurementStore:
                 yield ts, agg
             ts += FIVE_MINUTES
 
-    def domains_measured(self, nsset_id: int, start: int, end: int) -> int:
-        """Total measurements of a NSSet's domains within a window."""
-        return sum(agg.n for _, agg in self.buckets_in(nsset_id, start, end))
-
-    def daily_series(self, nsset_id: int, start: int, end: int
-                     ) -> List[Tuple[int, Aggregate]]:
-        out = []
-        day = day_start(start)
-        while day < end:
-            agg = self.daily.get((nsset_id, day))
-            if agg is not None:
-                out.append((day, agg))
-            day += DAY
-        return out
-
-    def days_present(self, nsset_id: int, start: int, end: int) -> List[int]:
-        """Days in [start, end) for which this NSSet has a daily aggregate."""
-        out = []
-        day = day_start(start)
-        while day < end:
-            if (nsset_id, day) in self.daily:
-                out.append(day)
-            day += DAY
-        return out
-
     # -- maintenance -----------------------------------------------------------
-
-    def remove_day(self, nsset_id: int, day: int) -> bool:
-        """Drop one NSSet-day aggregate (chaos: a lost OpenINTEL day);
-        returns whether it existed."""
-        return self.daily.pop((nsset_id, day_start(day)), None) is not None
 
     def merge(self, other: "MeasurementStore") -> None:
         """Fold another store's aggregates into this one.

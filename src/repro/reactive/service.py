@@ -371,9 +371,6 @@ class ReactiveReport:
                      f"{int(p.answered)},{p.rtt_ms!r}\n".encode())
         return h.hexdigest()
 
-    def degraded_campaigns(self) -> List[Campaign]:
-        return [c for c in self.campaigns if c.degraded]
-
     def summary(self) -> str:
         """Deterministic run summary — byte-identical between a chaos
         run and a clean one (kills/restores live in

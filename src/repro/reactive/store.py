@@ -99,9 +99,7 @@ class ReactiveStore:
 REACTIVE_TIMEOUT_RTT_MS = 5_000.0
 
 
-def measurement_store_from_reactive(store: ReactiveStore, directory,
-                                    timeout_rtt_ms: float =
-                                    REACTIVE_TIMEOUT_RTT_MS
+def measurement_store_from_reactive(store: ReactiveStore, directory
                                     ) -> MeasurementStore:
     """Fold reactive probes into a :class:`MeasurementStore`.
 
@@ -120,7 +118,7 @@ def measurement_store_from_reactive(store: ReactiveStore, directory,
                          probe.rtt_ms, True)
         else:
             out.add_fast(nsset_id, probe.ts, ResponseStatus.TIMEOUT,
-                         timeout_rtt_ms, True)
+                         REACTIVE_TIMEOUT_RTT_MS, True)
     return out
 
 

@@ -29,16 +29,12 @@ __all__ = ["fast_transport", "synthetic_triggers"]
 
 def synthetic_triggers(world: World, n: int, *, seed: int = 0,
                        start_ts: Optional[int] = None,
-                       burst_max: int = 12,
-                       gap_max_s: int = 2 * HOUR,
-                       duration_min_s: int = 10 * MINUTE,
-                       duration_max_s: int = 2 * HOUR,
                        invalid_share: float = 0.0) -> List[InferredAttack]:
     """``n`` bursty attack triggers against the world's nameservers.
 
-    Triggers arrive in waves of up to ``burst_max`` simultaneous
-    attacks, with up to ``gap_max_s`` of quiet between waves — the
-    overload shape admission control exists for. ``invalid_share`` > 0
+    Triggers arrive in waves of up to 12 simultaneous attacks lasting
+    10 minutes to 2 hours, with up to 2 hours of quiet between waves —
+    the overload shape admission control exists for. ``invalid_share`` > 0
     damages that share of records (negative packet counts, inverted
     windows) so the validation job's dead-letter path sees traffic too.
     Returned sorted by ``(start, victim_ip)``; deterministic in
@@ -48,10 +44,6 @@ def synthetic_triggers(world: World, n: int, *, seed: int = 0,
         raise ValueError("n must be non-negative")
     if not 0.0 <= invalid_share <= 1.0:
         raise ValueError("invalid_share must be within [0, 1]")
-    if burst_max < 1 or gap_max_s < 0:
-        raise ValueError("invalid burst/gap configuration")
-    if not 0 < duration_min_s <= duration_max_s:
-        raise ValueError("invalid duration range")
     ns_ips = sorted(world.directory.nameserver_ips())
     if not ns_ips:
         raise ValueError("world has no nameservers to attack")
@@ -61,11 +53,11 @@ def synthetic_triggers(world: World, n: int, *, seed: int = 0,
     attacks: List[InferredAttack] = []
     wave_ts = int(start_ts)
     while len(attacks) < n:
-        burst = min(rng.randint(1, burst_max), n - len(attacks))
+        burst = min(rng.randint(1, 12), n - len(attacks))
         for _ in range(burst):
             victim = rng.choice(ns_ips)
             start = wave_ts + rng.randrange(0, FIVE_MINUTES)
-            duration = rng.randint(duration_min_s, duration_max_s)
+            duration = rng.randint(10 * MINUTE, 2 * HOUR)
             attack = InferredAttack(
                 victim_ip=victim,
                 start=start,
@@ -81,7 +73,7 @@ def synthetic_triggers(world: World, n: int, *, seed: int = 0,
             if invalid_share > 0.0 and rng.random() < invalid_share:
                 attack = _damage(attack, rng)
             attacks.append(attack)
-        wave_ts += FIVE_MINUTES + rng.randrange(0, gap_max_s + 1)
+        wave_ts += FIVE_MINUTES + rng.randrange(0, 2 * HOUR + 1)
     attacks.sort(key=lambda a: (a.start, a.victim_ip))
     return attacks
 
@@ -98,15 +90,14 @@ def _damage(attack: InferredAttack, rng) -> InferredAttack:
     return attack
 
 
-def fast_transport(seed: int = 0, loss: float = 0.1,
-                   base_rtt_ms: float = 5.0, spread_ms: float = 120.0):
+def fast_transport(seed: int = 0, loss: float = 0.1):
     """A pure, hash-derived reply sampler for soak/bench scale.
 
     Every reply is a function of ``(ns_ip, qname, ts)`` alone: the same
     probe replayed after a worker kill observes the same reply, which
     is what makes recovered probe stores bit-identical. ``loss`` is the
     unconditional drop share; answered probes get an RTT spread over
-    ``[base_rtt_ms, base_rtt_ms + spread_ms)``.
+    [5, 125) ms.
     """
     if not 0.0 <= loss <= 1.0:
         raise ValueError("loss must be within [0, 1]")
@@ -119,6 +110,6 @@ def fast_transport(seed: int = 0, loss: float = 0.1,
         # Reuse the draw's upper range as the RTT unit so one hash
         # covers both decisions.
         rtt_unit = (unit - loss) / (1.0 - loss) if loss < 1.0 else 0.0
-        return ServerReply.ok(round(base_rtt_ms + rtt_unit * spread_ms, 3))
+        return ServerReply.ok(round(5.0 + rtt_unit * 120.0, 3))
 
     return transport

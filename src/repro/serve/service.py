@@ -33,7 +33,7 @@ is accounted exactly once in ``repro.serve.queries{endpoint,outcome}``
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 

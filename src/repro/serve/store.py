@@ -294,12 +294,6 @@ class ShardedStudyStore:
 
     # -- reading --------------------------------------------------------------
 
-    def has_day(self, day: int, phase: str) -> bool:
-        if ((phase, day)) in self._loaded:
-            return True
-        keys = self.day_keys().get(day)
-        return keys is not None and self.cache.store.has(keys[phase])
-
     def load_day(self, day: int, phase: str):
         """The day's ``phase`` artifact, or ``None`` when the shard is
         cold (not yet built, or evicted by gc). Warm partitions are

@@ -18,6 +18,10 @@ from repro.topology.internet import TELESCOPE_SLASH9, TELESCOPE_SLASH10
 TELESCOPE_COVERAGE = (TELESCOPE_SLASH9.num_addresses
                       + TELESCOPE_SLASH10.num_addresses) / IPV4_SPACE
 
+#: The paper's extrapolation constant (footnote 2): telescope counts
+#: times 341.33 estimate the global ones.
+EXTRAPOLATION = 341.33
+
 
 class Darknet:
     """The telescope's address space and sampling helpers."""
@@ -33,12 +37,6 @@ class Darknet:
     def coverage(self) -> float:
         """Fraction of IPv4 space observed."""
         return self.n_addresses / IPV4_SPACE
-
-    @property
-    def extrapolation_factor(self) -> float:
-        """Multiply telescope-observed counts by this for global
-        estimates (the paper's x341)."""
-        return 1.0 / self.coverage
 
     @property
     def n_slash16s(self) -> int:

@@ -16,17 +16,14 @@ from typing import Callable, Iterable, List, Sequence, TextIO
 
 from repro.attacks.model import Attack
 from repro.telescope.backscatter import BackscatterSimulator, FeedRecord
+from repro.telescope.darknet import EXTRAPOLATION
 from repro.telescope.rsdos import InferredAttack, RSDoSClassifier
-from repro.net.ip import ip_to_str, parse_ip, slash24_of
-from repro.util.timeutil import Window
-
-#: The paper's extrapolation constant (telescope covers 1/341.33).
-EXTRAPOLATION = 341.33
+from repro.net.ip import ip_to_str, parse_ip
 
 
-def ppm_to_victim_pps(ppm: float, extrapolation: float = EXTRAPOLATION) -> float:
+def ppm_to_victim_pps(ppm: float) -> float:
     """Footnote 2 of the paper: telescope ppm -> global victim pps."""
-    return ppm * extrapolation / 60.0
+    return ppm * EXTRAPOLATION / 60.0
 
 
 class RSDoSFeed:
@@ -80,21 +77,6 @@ class RSDoSFeed:
 
     def victims(self) -> List[int]:
         return sorted({a.victim_ip for a in self.attacks})
-
-    def victim_slash24s(self) -> List[int]:
-        return sorted({slash24_of(a.victim_ip) for a in self.attacks})
-
-    def attacks_on(self, victim_ip: int) -> List[InferredAttack]:
-        return [a for a in self.attacks if a.victim_ip == victim_ip]
-
-    def records_of(self, attack: InferredAttack) -> List[FeedRecord]:
-        return [r for r in self.records
-                if r.victim_ip == attack.victim_ip
-                and attack.window.contains(r.window_ts)]
-
-    def in_window(self, window: Window) -> List[InferredAttack]:
-        return [a for a in self.attacks
-                if a.start < window.end and window.start < a.end]
 
     # -- serialization (CSV, CAIDA-flavoured) --------------------------------------
 

@@ -22,6 +22,7 @@ from typing import (
 )
 
 from repro.telescope.backscatter import FeedRecord
+from repro.telescope.darknet import EXTRAPOLATION
 from repro.util.timeutil import FIVE_MINUTES, HOUR, Window
 
 
@@ -102,13 +103,13 @@ class InferredAttack:
     def duration_s(self) -> int:
         return self.end - self.start
 
-    def inferred_victim_pps(self, extrapolation: float = 341.33) -> float:
+    def inferred_victim_pps(self) -> float:
         """The paper's footnote-2 extrapolation: ppm x 341 / 60."""
-        return self.max_ppm * extrapolation / 60.0
+        return self.max_ppm * EXTRAPOLATION / 60.0
 
-    def inferred_attacker_ips(self, extrapolation: float = 341.33) -> float:
+    def inferred_attacker_ips(self) -> float:
         """Unique darknet sources scaled to the full IPv4 space."""
-        return self.n_unique_sources * extrapolation
+        return self.n_unique_sources * EXTRAPOLATION
 
 
 W = TypeVar("W")

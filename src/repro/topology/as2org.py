@@ -8,18 +8,17 @@ can group sibling ASes under one name.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List, Optional, TextIO, Tuple
+from typing import Dict, Iterator, TextIO, Tuple
 
 from repro.net.asn import Organization
 from repro.topology.internet import InternetTopology
 
 
 class AS2Org:
-    """ASN → Organization mapping with org-level grouping helpers."""
+    """ASN → Organization mapping."""
 
     def __init__(self) -> None:
         self._by_asn: Dict[int, Organization] = {}
-        self._orgs: Dict[str, Organization] = {}
 
     @classmethod
     def from_topology(cls, internet: InternetTopology) -> "AS2Org":
@@ -32,25 +31,11 @@ class AS2Org:
         if asn <= 0:
             raise ValueError(f"invalid ASN: {asn}")
         self._by_asn[asn] = org
-        self._orgs.setdefault(org.org_id, org)
-
-    def org_of(self, asn: int) -> Optional[Organization]:
-        return self._by_asn.get(asn)
 
     def name_of(self, asn: int) -> str:
         """Company name for an ASN, with a stable fallback for unknowns."""
         org = self._by_asn.get(asn)
         return org.name if org else f"AS{asn}"
-
-    def siblings(self, asn: int) -> List[int]:
-        """All ASNs operated by the same organization."""
-        org = self._by_asn.get(asn)
-        if org is None:
-            return [asn]
-        return sorted(n for n, o in self._by_asn.items() if o.org_id == org.org_id)
-
-    def organizations(self) -> List[Organization]:
-        return list(self._orgs.values())
 
     def items(self) -> Iterator[Tuple[int, Organization]]:
         return iter(sorted(self._by_asn.items()))

@@ -79,10 +79,6 @@ class GeneratedTopology:
     analog_as: Dict[str, AS] = field(default_factory=dict)
     filler_as: List[AS] = field(default_factory=list)
 
-    def as_of(self, org_name: str) -> AS:
-        """The (first) AS of a named analog organization."""
-        return self.analog_as[org_name]
-
 
 def generate_topology(rng: random.Random,
                       config: Optional[TopologyConfig] = None) -> GeneratedTopology:

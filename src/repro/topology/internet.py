@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.net.asn import AS, Organization
-from repro.net.ip import IPV4_SPACE, IPv4Prefix, ip_to_str
+from repro.net.ip import IPV4_SPACE, IPv4Prefix
 from repro.net.prefix_trie import PrefixTrie
 
 # The UCSD telescope announces a /9 and a /10; we reserve an analogous
@@ -86,9 +86,6 @@ class InternetTopology:
         self._orgs[org_id] = org
         return org
 
-    def orgs(self) -> List[Organization]:
-        return list(self._orgs.values())
-
     # -- ASes ---------------------------------------------------------------
 
     def add_as(self, org: Organization, number: Optional[int] = None,
@@ -103,9 +100,6 @@ class InternetTopology:
         asys = AS(number=number, org=org, country=country)
         self._ases[number] = asys
         return asys
-
-    def get_as(self, number: int) -> AS:
-        return self._ases[number]
 
     def ases(self) -> List[AS]:
         return list(self._ases.values())
@@ -159,14 +153,6 @@ class InternetTopology:
         """Origin ASN of the longest-matching announced prefix."""
         return self._routes.lookup(ip)
 
-    def origin_as(self, ip) -> Optional[AS]:
-        asn = self.origin_asn(ip)
-        return self._ases.get(asn) if asn is not None else None
-
-    def origin_org(self, ip) -> Optional[Organization]:
-        asys = self.origin_as(ip)
-        return asys.org if asys else None
-
     def routes(self) -> Iterator[Tuple[IPv4Prefix, int]]:
         for (network, length), asn in self._routes.items():
             yield IPv4Prefix(network, length), asn
@@ -174,12 +160,3 @@ class InternetTopology:
     def route_trie(self) -> PrefixTrie[int]:
         """A copy of the routing table: prefix -> origin ASN."""
         return self._routes.copy()
-
-    @property
-    def n_routes(self) -> int:
-        return len(self._routes)
-
-    def describe(self) -> str:
-        return (f"InternetTopology: {len(self._orgs)} orgs, "
-                f"{len(self._ases)} ASes, {self.n_routes} routes, "
-                f"cursor at {ip_to_str(self._alloc_cursor)}")

@@ -8,7 +8,7 @@ mirrors CAIDA's ``prefix<TAB>length<TAB>asn`` files).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, TextIO, Tuple
+from typing import Iterator, Optional, TextIO, Tuple
 
 from repro.net.ip import IPv4Prefix, ip_to_str, parse_ip
 from repro.net.prefix_trie import PrefixTrie
@@ -27,13 +27,6 @@ class Prefix2AS:
         dataset._trie = internet.route_trie()
         return dataset
 
-    @classmethod
-    def from_entries(cls, entries: Iterable[Tuple[IPv4Prefix, int]]) -> "Prefix2AS":
-        dataset = cls()
-        for prefix, asn in entries:
-            dataset.add(prefix, asn)
-        return dataset
-
     def add(self, prefix: IPv4Prefix, asn: int) -> None:
         if asn <= 0:
             raise ValueError(f"invalid ASN: {asn}")
@@ -42,14 +35,6 @@ class Prefix2AS:
     def lookup(self, ip) -> Optional[int]:
         """Origin ASN for an address, or None if unrouted."""
         return self._trie.lookup(ip)
-
-    def lookup_prefix(self, ip) -> Optional[Tuple[IPv4Prefix, int]]:
-        """(matched prefix, ASN) for an address, or None."""
-        match = self._trie.longest_match(ip)
-        if match is None:
-            return None
-        (network, length), asn = match
-        return IPv4Prefix(network, length), asn
 
     def __len__(self) -> int:
         return len(self._trie)

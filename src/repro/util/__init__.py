@@ -23,9 +23,7 @@ from repro.util.timeutil import (
     window_start,
 )
 from repro.util.stats import (
-    RunningStats,
     Histogram,
-    LogHistogram,
     pearson,
     percentile,
     ratio,
@@ -48,9 +46,7 @@ __all__ = [
     "month_key",
     "parse_ts",
     "window_start",
-    "RunningStats",
     "Histogram",
-    "LogHistogram",
     "pearson",
     "percentile",
     "ratio",

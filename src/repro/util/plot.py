@@ -117,20 +117,3 @@ def ascii_series(points: Sequence[Tuple[float, float]],
         lines.append(f"{label.rjust(8)} |{row}")
     lines.append(" " * 8 + " +" + "-" * width)
     return "\n".join(lines)
-
-
-def ascii_histogram(labels: Sequence[str], counts: Sequence[int],
-                    width: int = 40, title: Optional[str] = None) -> str:
-    """Horizontal bar chart (one bar per label)."""
-    if len(labels) != len(counts):
-        raise ValueError("labels and counts must have equal length")
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    peak = max(counts, default=0)
-    label_width = max((len(l) for l in labels), default=1)
-    for label, count in zip(labels, counts):
-        bar = "#" * (0 if peak == 0 else max(1 if count else 0,
-                                             int(width * count / peak)))
-        lines.append(f"{label.rjust(label_width)} |{bar} {count}")
-    return "\n".join(lines)

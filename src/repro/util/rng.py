@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Dict, Iterable, List, Sequence, TypeVar
+from typing import Dict, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -137,37 +137,3 @@ def weighted_choice(rng: random.Random, items: Sequence[T], weights: Sequence[fl
         if x < acc:
             return item
     return items[-1]
-
-
-def zipf_weights(n: int, alpha: float = 1.0) -> List[float]:
-    """Weights of a Zipf-like distribution over ranks ``1..n``.
-
-    Used to size hosting providers: a few giants, a long tail, as in the
-    real DNS hosting market.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    return [1.0 / ((rank + 1) ** alpha) for rank in range(n)]
-
-
-def sample_unique(rng: random.Random, population: int, k: int) -> Iterable[int]:
-    """Sample ``k`` distinct integers from ``range(population)``.
-
-    Falls back to rejection sampling when ``k`` is small relative to the
-    population, which is the common case when spoofing source addresses
-    out of the 2^32 IPv4 space.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k > population:
-        raise ValueError("cannot sample more unique values than the population")
-    if population <= 0:
-        return []
-    if k * 20 < population:
-        seen = set()
-        while len(seen) < k:
-            seen.add(rng.randrange(population))
-        return seen
-    return rng.sample(range(population), k)

@@ -1,67 +1,16 @@
 """Summary statistics used across the analysis pipeline.
 
-Implements exactly what the paper needs — running means per 5-minute
-bucket, Pearson correlation for the intensity/duration analyses (§6.4,
-§6.5), percentiles, and linear/logarithmic histograms for the figures —
-without dragging numpy into the hot per-query paths.
+Implements exactly what the paper needs — Pearson and Spearman
+correlation for the intensity/duration analyses (§6.4, §6.5),
+percentiles, and the histogram behind the bimodal intensity/duration
+modes — without dragging numpy into the hot per-query paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-
-class RunningStats:
-    """Streaming count/mean/min/max/variance (Welford's algorithm)."""
-
-    __slots__ = ("n", "mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, x: float) -> None:
-        x = float(x)
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self._m2 += delta * (x - self.mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-
-    def merge(self, other: "RunningStats") -> None:
-        """Fold another accumulator into this one (parallel Welford merge)."""
-        if other.n == 0:
-            return
-        if self.n == 0:
-            self.n, self.mean, self._m2 = other.n, other.mean, other._m2
-            self.min, self.max = other.min, other.max
-            return
-        delta = other.mean - self.mean
-        total = self.n + other.n
-        self.mean += delta * other.n / total
-        self._m2 += other._m2 + delta * delta * self.n * other.n / total
-        self.n = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / self.n if self.n > 0 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def __len__(self) -> int:
-        return self.n
+from typing import Iterable, List, Sequence, Tuple
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -163,41 +112,6 @@ class Histogram:
         width = (self.hi - self.lo) / self.bins
         return [(self.lo + i * width, self.lo + (i + 1) * width) for i in range(self.bins)]
 
-    def modes(self, top: int = 2) -> List[float]:
-        """Centers of the ``top`` most populated bins (used for the
-        bimodal intensity/duration findings)."""
-        edges = self.bin_edges()
-        ranked = sorted(range(self.bins), key=lambda i: self.counts[i], reverse=True)
-        return [(edges[i][0] + edges[i][1]) / 2 for i in ranked[:top] if self.counts[i] > 0]
-
-
-@dataclass
-class LogHistogram:
-    """Histogram over orders of magnitude (base-10 by default).
-
-    The paper's figures bucket NSSets by hosted-domain magnitude
-    (10^2..10^7) and RTT impact by decade; this mirrors that binning.
-    """
-
-    base: float = 10.0
-    counts: Dict[int, int] = field(default_factory=dict)
-
-    def add(self, x: float, weight: int = 1) -> None:
-        if x <= 0:
-            raise ValueError("log histogram requires positive values")
-        decade = int(math.floor(math.log(x, self.base)))
-        self.counts[decade] = self.counts.get(decade, 0) + weight
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def items(self) -> List[Tuple[int, int]]:
-        return sorted(self.counts.items())
-
-    def share(self, decade: int) -> float:
-        return ratio(self.counts.get(decade, 0), self.total)
-
 
 def bimodal_modes(values: Iterable[float], bins: int = 40) -> List[float]:
     """Detect up to two separated modes of a positive-valued sample.
@@ -245,42 +159,8 @@ def _smooth(counts: Sequence[int]) -> List[float]:
     return out
 
 
-def gini(values: Sequence[float]) -> float:
-    """Gini coefficient of a non-negative sample (market concentration of
-    hosting providers; used in world-generation sanity tests)."""
-    data = sorted(v for v in values if v >= 0)
-    n = len(data)
-    total = sum(data)
-    if n == 0 or total == 0:
-        return 0.0
-    cum = 0.0
-    for i, v in enumerate(data, start=1):
-        cum += i * v
-    return (2 * cum) / (n * total) - (n + 1) / n
-
-
-def describe(values: Sequence[float]) -> Dict[str, float]:
-    """Compact summary dict used by reports and tests."""
-    if not values:
-        return {"n": 0, "mean": 0.0, "min": 0.0, "max": 0.0, "p50": 0.0, "p95": 0.0}
-    return {
-        "n": float(len(values)),
-        "mean": sum(values) / len(values),
-        "min": float(min(values)),
-        "max": float(max(values)),
-        "p50": percentile(values, 50),
-        "p95": percentile(values, 95),
-    }
-
-
 def median(values: Sequence[float]) -> float:
     return percentile(values, 50)
-
-
-def mean(values: Sequence[float]) -> float:
-    if not values:
-        return 0.0
-    return sum(values) / len(values)
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -91,17 +91,3 @@ class Table:
         if self.caption:
             lines.append(self.caption)
         return "\n".join(lines)
-
-    def print(self) -> None:  # pragma: no cover - console convenience
-        print()
-        print(self.render())
-        print()
-
-
-def paper_vs_measured(title: str, rows: Sequence[Sequence[Any]],
-                      caption: Optional[str] = None) -> str:
-    """Render the standard three-column paper-vs-measured comparison."""
-    table = Table(["metric", "paper", "measured"], title=title, caption=caption)
-    for row in rows:
-        table.add_row(row)
-    return table.render()

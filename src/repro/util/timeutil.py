@@ -55,10 +55,6 @@ def month_key(ts: int) -> Tuple[int, int]:
     return tm.tm_year, tm.tm_mon
 
 
-def format_month(key: Tuple[int, int]) -> str:
-    return f"{key[0]:04d}-{key[1]:02d}"
-
-
 def iter_windows(start: int, end: int, width: int = FIVE_MINUTES) -> Iterator[int]:
     """Yield window start times covering ``[start, end)``."""
     ts = window_start(start, width)

@@ -54,12 +54,6 @@ class LoadBreakdown:
         return (not self.blackout and self.server_util == 0.0
                 and self.link_util == 0.0)
 
-    def combined_drop(self, headroom: float) -> float:
-        """Probability a query/response datagram pair is lost."""
-        p_link = overload_drop(self.link_util, headroom)
-        p_server = overload_drop(self.server_util, headroom)
-        return 1.0 - (1.0 - p_link) * (1.0 - p_server)
-
 
 def overload_drop(util: float, headroom: float) -> float:
     """Drop probability at utilization ``util`` given ``headroom``.
@@ -70,17 +64,6 @@ def overload_drop(util: float, headroom: float) -> float:
     if util <= headroom:
         return 0.0
     return 1.0 - headroom / util
-
-
-def response_fraction(link_util: float, headroom: float = 0.8) -> float:
-    """Fraction of attack packets the victim's responses survive for.
-
-    Backscatter (SYN-ACKs, RSTs, ICMP) is small and cheap to emit; what
-    suppresses it is the inbound uplink dropping the attack packets
-    themselves. This is the §6.5 effect where a devastating attack can
-    *shrink* the telescope's view of itself.
-    """
-    return 1.0 - overload_drop(link_util, headroom)
 
 
 def queue_delay_ms(util: float) -> float:

@@ -142,9 +142,6 @@ class DomainDirectory:
     def domains_of_nsset(self, nsset_id: int) -> Set[int]:
         return self.by_nsset.get(nsset_id, set())
 
-    def nsset_sizes(self) -> Dict[int, int]:
-        return {nsset_id: len(ids) for nsset_id, ids in self.by_nsset.items()}
-
 
 # ---------------------------------------------------------------------------
 # Population generation

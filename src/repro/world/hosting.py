@@ -112,11 +112,6 @@ class Nameserver:
     def is_anycast(self) -> bool:
         return self.anycast is not None
 
-    def vantage_site(self, region: str):
-        if self.anycast is None:
-            return None
-        return self.anycast.site_for_region(region)
-
 
 @dataclass
 class HostingProvider:

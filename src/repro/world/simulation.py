@@ -377,17 +377,25 @@ class World:
     def transport(self, ns_ip: int, qname: DomainName, qtype: RRType,
                   ts: float) -> ServerReply:
         """Deliver one query datagram; the Transport for resolvers."""
+        return self._reply(ns_ip, ts, self._rng_transport, 0.0, self.load_at)
+
+    def _reply(self, ns_ip: int, ts: float, rng: random.Random,
+               rtt_offset: float, load_at) -> ServerReply:
+        """The reply rule every transport shares: a lame delegation or a
+        silent misconfig target drops the query, an answering misconfig
+        target replies after its RTT plus jitter, and a live server's
+        reply is sampled from ``load_at(ns, ts)``. ``rtt_offset`` is the
+        extra propagation RTT of a vantage outside the world's region."""
         ns = self.nameservers_by_ip.get(ns_ip)
         if ns is None:
             return ServerReply.dropped()  # lame delegation
+        base_rtt_ms = ns.base_rtt_ms + rtt_offset
         if ns.is_misconfig_target:
             if not ns.answers_queries:
                 return ServerReply.dropped()
-            return ServerReply.ok(ns.base_rtt_ms
-                                  + self._rng_transport.expovariate(0.5))
-        load = self.load_at(ns, ts)
-        return self.capacity_model.sample_reply(
-            self._rng_transport, ns.base_rtt_ms, load)
+            return ServerReply.ok(base_rtt_ms + rng.expovariate(0.5))
+        return self.capacity_model.sample_reply(rng, base_rtt_ms,
+                                                load_at(ns, ts))
 
     # -- convenience ------------------------------------------------------------
 
@@ -396,10 +404,6 @@ class World:
 
     def attacks_on_ip(self, ip: int) -> List[Attack]:
         return self._index.attacks_on_ip(ip)
-
-    def provider_of_ip(self, ip: int) -> Optional[HostingProvider]:
-        ns = self.nameservers_by_ip.get(ip)
-        return self.providers.get(ns.provider_name) if ns else None
 
     def anycast_ips(self) -> Set[int]:
         return {ip for ip, ns in self.nameservers_by_ip.items()

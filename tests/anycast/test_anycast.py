@@ -1,13 +1,12 @@
 """Tests for anycast deployments and the quarterly census."""
 
 import io
-import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.anycast.census import CENSUS_DATES, AnycastCensus, CensusSnapshot
-from repro.anycast.deployment import AnycastDeployment, AnycastSite, CatchmentModel
+from repro.anycast.deployment import AnycastDeployment, AnycastSite
 from repro.net.ip import parse_ip, slash24_of
 from repro.util.timeutil import parse_ts
 
@@ -28,13 +27,12 @@ class TestAnycastDeployment:
             AnycastDeployment([])
 
     def test_spread_attack_conserves_rate(self):
+        # Every site's load times its capacity is its catchment's share
+        # of the attack; the shares add back up to the whole attack.
         deployment = make_deployment(5)
-        spread = deployment.spread_attack(1_000_000.0)
-        assert sum(rate for _, rate in spread) == pytest.approx(1_000_000.0)
-
-    def test_spread_rejects_negative(self):
-        with pytest.raises(ValueError):
-            make_deployment().spread_attack(-1)
+        absorbed = sum(deployment.load_at_site(site, 1_000_000.0)
+                       * site.capacity_pps for site in deployment.sites)
+        assert absorbed == pytest.approx(1_000_000.0)
 
     def test_site_for_region_prefers_local(self):
         sites = [AnycastSite("s0", "eu-west", 1.0, 1000.0),
@@ -58,10 +56,7 @@ class TestAnycastDeployment:
 
     @given(st.integers(min_value=1, max_value=40))
     def test_build_site_count(self, n):
-        assert make_deployment(n).n_sites == n
-
-    def test_total_capacity(self):
-        assert make_deployment(4, 100.0).total_capacity_pps == 400.0
+        assert len(make_deployment(n).sites) == n
 
     def test_build_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -70,36 +65,10 @@ class TestAnycastDeployment:
             AnycastDeployment.build(1, 4, 100.0, skew=1.5)
 
 
-class TestCatchmentModel:
-    def test_regional_policy(self):
-        model = CatchmentModel("regional")
-        deployment = make_deployment(4)
-        site = model.site_for(deployment, deployment.sites[1].region)
-        assert site.region == deployment.sites[1].region
-
-    def test_largest_policy(self):
-        model = CatchmentModel("largest")
-        deployment = make_deployment(4)
-        site = model.site_for(deployment, "anywhere")
-        assert site.catchment_weight == max(
-            s.catchment_weight for s in deployment.sites)
-
-    def test_weighted_policy_needs_rng(self):
-        model = CatchmentModel("weighted")
-        with pytest.raises(ValueError):
-            model.site_for(make_deployment(), "x")
-        site = model.site_for(make_deployment(), "x", random.Random(1))
-        assert site is not None
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            CatchmentModel("bogus")
-
-
 class TestCensusSnapshot:
     def test_slash24_matching(self):
-        snap = CensusSnapshot(taken_at=0)
-        snap.add_ip(parse_ip("192.0.2.77"))
+        snap = CensusSnapshot(taken_at=0, anycast_slash24s={
+            slash24_of(parse_ip("192.0.2.77"))})
         assert snap.is_anycast(parse_ip("192.0.2.1"))
         assert not snap.is_anycast(parse_ip("192.0.3.1"))
 

@@ -29,10 +29,10 @@ class TestAttackVector:
     def test_udp_flood_large_packets(self):
         v = AttackVector.udp_flood(53, 1000.0)
         assert v.packet_bytes == 1400
-        assert v.targets_dns_port
+        assert v.ports == (PORT_DNS,)
 
     def test_icmp_no_ports(self):
-        v = AttackVector.icmp_flood(500.0)
+        v = AttackVector(PROTO_ICMP, (), 500.0)
         assert v.ports == ()
         assert v.first_port == 0
 
@@ -47,10 +47,6 @@ class TestAttackVector:
     def test_rejects_bad_port(self):
         with pytest.raises(ValueError):
             AttackVector(PROTO_UDP, (70000,), 100.0)
-
-    def test_bits_per_second(self):
-        v = AttackVector.udp_flood(53, 1000.0)
-        assert v.bits_per_second == 1000.0 * 1400 * 8
 
     def test_spoofing_visibility(self):
         assert Spoofing.RANDOM.telescope_visible
@@ -125,18 +121,6 @@ class TestAttackRates:
 
 
 class TestAttackClassification:
-    def test_single_port(self):
-        assert simple_attack().is_single_port
-        multi = Attack(victim_ip=1, window=Window(0, 10),
-                       vectors=[AttackVector(PROTO_UDP, (53, 80), 10.0)])
-        assert not multi.is_single_port
-
-    def test_multi_proto_not_single_port(self):
-        attack = Attack(victim_ip=1, window=Window(0, 10),
-                        vectors=[AttackVector.udp_flood(53, 10.0),
-                                 AttackVector.tcp_syn(53, 10.0)])
-        assert not attack.is_single_port
-
     def test_multi_vector(self):
         assert not simple_attack().is_multi_vector
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.events import extract_events, failing_events, high_impact_events
+from repro.core.events import extract_events
 from repro.core.join import AttackClass, join_datasets
 from repro.core.nsset import NSSetMetadata
 from repro.net.ip import parse_ip, slash24_of
@@ -126,16 +126,6 @@ class TestEvents:
         assert 0.05 < big.failure_rate < 0.45
         # Paper Figure 2: a massive RTT impairment.
         assert big.max_impact is None or big.max_impact > 5
-
-    def test_failing_events_subset(self, tiny_study):
-        failing = failing_events(tiny_study.events)
-        assert all(e.has_failures for e in failing)
-        assert len(failing) <= len(tiny_study.events)
-
-    def test_high_impact_subset(self, tiny_study):
-        high = high_impact_events(tiny_study.events, threshold=10.0)
-        for event in high:
-            assert event.max_impact >= 10.0
 
     def test_event_accessors(self, tiny_study):
         event = tiny_study.events[0]

@@ -95,10 +95,6 @@ class TestImpactSeries:
         assert series.n_servfails == 0
         assert series.failure_rate == pytest.approx(2 / 15)
 
-    def test_max_failure_rate(self):
-        series = self._series()
-        assert series.max_failure_rate() == pytest.approx(0.2)
-
     def test_no_baseline_means_no_impact(self):
         store = MeasurementStore()
         store.add_fast(1, 100, ResponseStatus.OK, 20.0, True)

@@ -21,10 +21,6 @@ class TestOpenResolverScan:
         scan.add("1.1.1.1")
         assert parse_ip("1.1.1.1") in scan
 
-    def test_filter_out(self):
-        scan = OpenResolverScan([1, 2])
-        assert list(scan.filter_out([1, 2, 3, 4])) == [3, 4]
-
     def test_from_world(self, tiny_world):
         scan = OpenResolverScan.from_world(tiny_world)
         assert parse_ip("8.8.8.8") in scan

@@ -18,7 +18,7 @@ class TestConstruction:
 
     def test_root(self):
         root = DomainName("")
-        assert root.is_root
+        assert root.labels == ()
         assert root.to_text() == "."
 
     def test_from_labels(self):
@@ -69,25 +69,6 @@ class TestHierarchy:
         assert DomainName("www.example.com").tld == "com"
         assert DomainName("").tld is None
 
-    def test_parent(self):
-        assert DomainName("www.example.com").parent == DomainName("example.com")
-
-    def test_root_has_no_parent(self):
-        with pytest.raises(ValueError):
-            _ = DomainName("").parent
-
-    def test_registered_domain(self):
-        assert DomainName("a.b.example.com").registered_domain() == \
-            DomainName("example.com")
-
-    def test_registered_domain_two_label_suffix(self):
-        assert DomainName("www.example.co.uk").registered_domain(2) == \
-            DomainName("example.co.uk")
-
-    def test_registered_domain_too_shallow(self):
-        with pytest.raises(ValueError):
-            DomainName("com").registered_domain()
-
 
 class TestIdentity:
     def test_eq_string(self):
@@ -111,4 +92,4 @@ class TestIdentity:
 
     def test_len_and_depth(self):
         name = DomainName("a.b.c")
-        assert len(name) == name.depth == 3
+        assert len(name) == 3

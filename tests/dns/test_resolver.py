@@ -34,7 +34,7 @@ class TestHappyPath:
         assert result.status is ResponseStatus.OK
         assert result.rtt_ms == pytest.approx(20.0)
         assert result.n_attempts == 1
-        assert result.answering_ns == NS_A
+        assert result.attempts[0].ns_ip == NS_A
 
     def test_random_selection_covers_all_servers(self):
         counts = {NS_A: 0, NS_B: 0, NS_C: 0}
@@ -90,7 +90,7 @@ class TestRetryBehaviour:
                                   [NS_A, NS_B], when=0)
         assert result.status is ResponseStatus.TIMEOUT
         assert result.rtt_ms <= 15000.0
-        assert result.answering_ns is None
+        assert not any(o.reply.answered for o in result.attempts)
 
     def test_exponential_backoff(self):
         times = []
@@ -297,14 +297,14 @@ class TestRetransmissionEdgeCases:
 
 
 class TestResolutionResult:
-    def test_servers_tried_unique_in_order(self):
+    def test_attempts_end_at_the_answering_server(self):
         replies = {NS_A: ServerReply.dropped(), NS_B: ServerReply.dropped(),
                    NS_C: ServerReply.ok(10.0)}
         resolver = make_resolver(scripted(replies), seed=5)
         result = resolver.resolve("example.com", RRType.NS,
                                   [NS_A, NS_B, NS_C], when=0)
-        tried = result.servers_tried
-        assert len(tried) == len(set(tried))
+        assert result.attempts[-1].ns_ip == NS_C
+        assert {o.ns_ip for o in result.attempts[:-1]} <= {NS_A, NS_B}
 
     def test_qname_normalized(self):
         resolver = make_resolver(scripted({NS_A: ServerReply.ok(1.0)}))

@@ -12,6 +12,8 @@ import math
 import pytest
 
 from repro import ChaosConfig, WorldConfig, run_study
+from repro.chaos import FaultPolicy
+from repro.obs import RunTelemetry
 from repro.streaming import DeadLetter
 
 # Two months / 1500 domains: big enough for a dozen events, small
@@ -140,3 +142,24 @@ class TestChaosDeterminism:
         assert a.chaos.events == b.chaos.events
         assert len(a.events) == len(b.events)
         assert a.report() == b.report()
+
+
+class TestChaosWithoutTransportFaults:
+    """Only transport faults need the injected datagram path: a chaos
+    run whose faults all lie elsewhere crawls through the same quiet
+    branches as a clean run."""
+
+    @staticmethod
+    def _crawl_counters(chaos=None):
+        telemetry = RunTelemetry.create()
+        run_study(WorldConfig.tiny(), chaos=chaos, telemetry=telemetry)
+        return telemetry.snapshot()["metrics"]["counters"]
+
+    def test_store_faults_keep_the_quiet_queries(self):
+        clean = self._crawl_counters()
+        chaos = self._crawl_counters(
+            ChaosConfig(seed=1, store=FaultPolicy(drop_p=0.05)))
+        assert clean["repro.crawl.quiet_queries"] > 0
+        assert (chaos["repro.crawl.quiet_queries"]
+                == clean["repro.crawl.quiet_queries"])
+        assert chaos["repro.crawl.queries"] == clean["repro.crawl.queries"]

@@ -46,18 +46,6 @@ class TestAS:
         asys.announce(prefix)
         assert asys.prefixes == [prefix]
 
-    def test_originates(self):
-        asys = self._make()
-        asys.announce(IPv4Prefix.parse("10.0.0.0/8"))
-        assert asys.originates("10.1.2.3")
-        assert not asys.originates("11.0.0.0")
-
-    def test_address_count(self):
-        asys = self._make()
-        asys.announce(IPv4Prefix.parse("10.0.0.0/24"))
-        asys.announce(IPv4Prefix.parse("10.0.1.0/24"))
-        assert asys.address_count == 512
-
     def test_equality_by_number(self):
         assert self._make(1) == AS(number=1, org=Organization("o2", "Other"))
         assert self._make(1) != self._make(2)

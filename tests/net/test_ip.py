@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.net.ip import (
     IPV4_SPACE,
-    IPv4Address,
     IPv4Prefix,
     coerce_ip,
     ip_to_str,
@@ -13,7 +12,6 @@ from repro.net.ip import (
     network_of,
     parse_ip,
     parse_prefix,
-    slash16_of,
     slash24_of,
 )
 
@@ -54,9 +52,6 @@ class TestCoerce:
     def test_from_str(self):
         assert coerce_ip("1.2.3.4") == 0x01020304
 
-    def test_from_address(self):
-        assert coerce_ip(IPv4Address("1.2.3.4")) == 0x01020304
-
     def test_rejects_out_of_range_int(self):
         with pytest.raises(ValueError):
             coerce_ip(IPV4_SPACE)
@@ -77,39 +72,6 @@ class TestMasks:
         assert slash24_of(ip) == network_of(ip, 24)
         assert slash24_of(ip) <= ip
 
-    @given(IP_INTS)
-    def test_slash16(self, ip):
-        assert slash16_of(ip) == network_of(ip, 16)
-
-
-class TestIPv4Address:
-    def test_equality_and_hash(self):
-        a = IPv4Address("10.0.0.1")
-        b = IPv4Address(parse_ip("10.0.0.1"))
-        assert a == b
-        assert hash(a) == hash(b)
-
-    def test_equality_with_int(self):
-        assert IPv4Address("0.0.0.5") == 5
-
-    def test_ordering(self):
-        assert IPv4Address("1.0.0.0") < IPv4Address("2.0.0.0")
-        assert IPv4Address("2.0.0.0") >= IPv4Address("1.0.0.0")
-
-    def test_str(self):
-        assert str(IPv4Address("192.0.2.1")) == "192.0.2.1"
-
-    def test_immutable(self):
-        addr = IPv4Address("1.2.3.4")
-        with pytest.raises(AttributeError):
-            addr.value = 5
-
-    def test_slash24_property(self):
-        assert str(IPv4Address("10.1.2.3").slash24) == "10.1.2.0/24"
-
-    def test_in_prefix(self):
-        assert IPv4Address("10.1.2.3").in_prefix(IPv4Prefix.parse("10.0.0.0/8"))
-
 
 class TestIPv4Prefix:
     def test_parse(self):
@@ -121,20 +83,10 @@ class TestIPv4Prefix:
         with pytest.raises(ValueError):
             IPv4Prefix(parse_ip("192.0.2.1"), 24)
 
-    def test_containing_strips_host_bits(self):
-        prefix = IPv4Prefix.containing("192.0.2.77", 24)
-        assert str(prefix) == "192.0.2.0/24"
-
     def test_contains_ip(self):
         prefix = IPv4Prefix.parse("10.0.0.0/8")
         assert prefix.contains_ip("10.255.255.255")
         assert not prefix.contains_ip("11.0.0.0")
-
-    def test_contains_prefix(self):
-        outer = IPv4Prefix.parse("10.0.0.0/8")
-        inner = IPv4Prefix.parse("10.1.0.0/16")
-        assert outer.contains_prefix(inner)
-        assert not inner.contains_prefix(outer)
 
     def test_contains_operator(self):
         assert "10.0.0.1" in IPv4Prefix.parse("10.0.0.0/24")
@@ -143,18 +95,6 @@ class TestIPv4Prefix:
         prefix = IPv4Prefix.parse("192.0.2.0/30")
         assert prefix.first == parse_ip("192.0.2.0")
         assert prefix.last == parse_ip("192.0.2.3")
-
-    def test_subnets(self):
-        subs = list(IPv4Prefix.parse("10.0.0.0/23").subnets(24))
-        assert [str(s) for s in subs] == ["10.0.0.0/24", "10.0.1.0/24"]
-
-    def test_subnets_rejects_shorter(self):
-        with pytest.raises(ValueError):
-            list(IPv4Prefix.parse("10.0.0.0/24").subnets(23))
-
-    def test_addresses_iteration(self):
-        addrs = list(IPv4Prefix.parse("192.0.2.0/30").addresses())
-        assert len(addrs) == 4
 
     def test_random_ip_inside(self, rng):
         prefix = IPv4Prefix.parse("10.20.30.0/24")
@@ -177,7 +117,7 @@ class TestIPv4Prefix:
 
     @given(IP_INTS, st.integers(min_value=0, max_value=32))
     def test_containing_always_contains(self, ip, length):
-        prefix = IPv4Prefix.containing(ip, length)
+        prefix = IPv4Prefix(network_of(ip, length), length)
         assert prefix.contains_ip(ip)
 
 

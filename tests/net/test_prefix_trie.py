@@ -64,25 +64,6 @@ class TestBasics:
         assert len(trie) == 2
 
 
-class TestRemove:
-    def test_remove_existing(self):
-        trie = PrefixTrie()
-        trie.insert("10.0.0.0/8", 1)
-        assert trie.remove("10.0.0.0/8")
-        assert trie.lookup("10.0.0.1") is None
-        assert len(trie) == 0
-
-    def test_remove_missing(self):
-        assert not PrefixTrie().remove("10.0.0.0/8")
-
-    def test_remove_keeps_others(self):
-        trie = PrefixTrie()
-        trie.insert("10.0.0.0/8", "outer")
-        trie.insert("10.1.0.0/16", "inner")
-        trie.remove("10.1.0.0/16")
-        assert trie.lookup("10.1.2.3") == "outer"
-
-
 class TestCoveredAndItems:
     def test_covered(self):
         trie = PrefixTrie()

@@ -10,7 +10,8 @@ from repro.dns.rcode import ResponseStatus
 from repro.dns.resolver import AgnosticResolver, ResolverConfig
 from repro.net.ip import parse_ip
 from repro.obs import RunTelemetry
-from repro.openintel.platform import _MAX_JITTER_MS, OpenIntelPlatform
+from repro.openintel.platform import (_MAX_JITTER_MS, DENSE_OVERSAMPLING,
+                                      OpenIntelPlatform)
 from repro.util.timeutil import DAY, Window, day_start, parse_ts
 from repro.world import WorldConfig, build_world
 
@@ -78,7 +79,8 @@ class TestCrawl:
                       and d.secondary_provider is None)
         start = parse_ts("2021-03-01 19:00")
         end = parse_ts("2021-03-02 01:00")
-        measured = store.domains_measured(record.nsset_id, start, end)
+        measured = sum(agg.n for _, agg
+                       in store.buckets_in(record.nsset_id, start, end))
         assert measured >= 5
 
     def test_transip_march_timeouts_near_paper(self, tiny_world, store):
@@ -124,10 +126,6 @@ class TestCrawl:
         # Per-(domain, day) streams mean the crawl does not consume
         # the world's shared RNG state: same world, same store.
         assert OpenIntelPlatform(tiny_world).run() == store
-
-    def test_rejects_bad_oversampling(self, tiny_world):
-        with pytest.raises(ValueError):
-            OpenIntelPlatform(tiny_world, dense_oversampling=0)
 
     def test_deterministic(self, tiny_world, tiny_config):
         from repro.world import build_world
@@ -217,10 +215,10 @@ class TestQuietInstants:
                       if d.nsset_id in platform._quiet_instants
                       and pick(world, d))
         day = day_start(world.timeline.start) + 10 * DAY
-        stride = DAY // platform.dense_oversampling
+        stride = DAY // DENSE_OVERSAMPLING
         offset = platform._offsets[record.domain_id]
         instants = sorted(day + (offset + j * stride) % DAY
-                          for j in range(platform.dense_oversampling))
+                          for j in range(DENSE_OVERSAMPLING))
         attack = attack_of(world, record, instants)
         reference_world = build_world(WorldConfig.tiny())
         reference_world.replace_attacks([dataclasses.replace(attack)])
@@ -289,7 +287,7 @@ class TestQuietInstants:
                         for ip in ips) > 200 - _MAX_JITTER_MS}
         days = {day_start(world.timeline.start) + i * DAY
                 for i in range(world.timeline.n_days)}
-        expected = {(d.domain_id, day): platform.dense_oversampling
+        expected = {(d.domain_id, day): DENSE_OVERSAMPLING
                     for d in directory.domains if d.nsset_id in slow
                     for day in world.dense_days_of(d.nsset_id) & days}
         assert expected

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.ip import IPV4_SPACE, IPv4Prefix
-from repro.telescope.darknet import TELESCOPE_COVERAGE, Darknet
+from repro.telescope.darknet import EXTRAPOLATION, TELESCOPE_COVERAGE, Darknet
 
 
 class TestCoverage:
     def test_paper_ratio(self):
         # /9 + /10 = 1/341.33 of IPv4 space (paper footnote 2).
         darknet = Darknet()
-        assert darknet.extrapolation_factor == pytest.approx(341.33, abs=0.01)
+        assert 1 / darknet.coverage == pytest.approx(341.33, abs=0.01)
+        assert EXTRAPOLATION == pytest.approx(1 / darknet.coverage, abs=0.01)
         assert TELESCOPE_COVERAGE == pytest.approx(1 / 341.33, rel=1e-4)
 
     def test_address_count(self):
@@ -30,7 +31,7 @@ class TestCoverage:
     def test_custom_prefixes(self):
         darknet = Darknet(prefixes=(IPv4Prefix.parse("198.18.0.0/16"),))
         assert darknet.n_addresses == 65536
-        assert darknet.extrapolation_factor == pytest.approx(65536.0)
+        assert 1 / darknet.coverage == pytest.approx(65536.0)
 
 
 class TestMembershipAndSampling:

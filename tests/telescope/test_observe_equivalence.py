@@ -21,7 +21,7 @@ from repro.attacks.model import (Attack, AttackVector, ImpairmentProfile,
                                  Spoofing)
 from repro.core.pipeline import _link_util_fn
 from repro.net.ip import IPV4_SPACE
-from repro.net.ports import PORT_DNS, PORT_HTTP, PROTO_UDP
+from repro.net.ports import PORT_DNS, PORT_HTTP, PROTO_ICMP, PROTO_UDP
 from repro.telescope import backscatter
 from repro.telescope.backscatter import BackscatterSimulator, FeedRecord
 from repro.telescope.darknet import Darknet
@@ -124,7 +124,7 @@ def _hand_built_attacks():
                         AttackVector(PROTO_UDP, (53,), 5e4, Spoofing.REFLECTED)],
                impairment=scrub, response_ratio=0.7, spoof_pool_size=500_000),
         Attack(victim_ip=victim + 1, window=Window(HOUR, 2 * HOUR),
-               vectors=[AttackVector.icmp_flood(3_000.0)],
+               vectors=[AttackVector(PROTO_ICMP, (), 3_000.0)],
                impairment=ImpairmentProfile(scrub_delay_s=0,
                                             scrub_efficiency=1.0)),
         Attack(victim_ip=victim + 2, window=Window(7, 8),

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.ip import IPv4Prefix, parse_ip
+from repro.net.ip import IPv4Prefix, network_of, parse_ip
 from repro.topology.generator import ANALOG_ORGS, TopologyConfig, generate_topology
 from repro.topology.internet import (
     TELESCOPE_SLASH9,
@@ -14,6 +14,10 @@ from repro.topology.internet import (
     InternetTopology,
     ReservedSpace,
 )
+
+
+def _contains(outer, inner):
+    return inner.length >= outer.length and outer.contains_ip(inner.network)
 
 
 class TestReservedSpace:
@@ -44,10 +48,10 @@ class TestReservedSpace:
         # The range-overlap test against its definition: CIDR blocks
         # overlap exactly when one contains the other.
         base = min(max(edge + offset, 0), 2 ** 32 - 1)
-        prefix = IPv4Prefix.containing(base, length)
+        prefix = IPv4Prefix(network_of(base, length), length)
         reserved = ReservedSpace()
         assert reserved.covers(prefix) == any(
-            r.contains_prefix(prefix) or prefix.contains_prefix(r)
+            _contains(r, prefix) or _contains(prefix, r)
             for r in reserved.prefixes)
 
 
@@ -68,7 +72,7 @@ class TestInternetTopology:
         prefixes = [internet.allocate(asys, 22) for _ in range(50)]
         for i, a in enumerate(prefixes):
             for b in prefixes[i + 1:]:
-                assert not a.contains_prefix(b) and not b.contains_prefix(a)
+                assert not _contains(a, b) and not _contains(b, a)
 
     def test_allocations_avoid_reserved(self):
         internet, asys = self._topology()
@@ -105,11 +109,6 @@ class TestInternetTopology:
         assert internet.origin_asn(parse_ip("100.1.2.3")) == other.number
         assert internet.origin_asn(parse_ip("100.2.2.3")) == asys.number
 
-    def test_origin_org(self):
-        internet, asys = self._topology()
-        prefix = internet.allocate(asys, 24)
-        assert internet.origin_org(prefix.network).name == "Acme"
-
     def test_duplicate_asn_rejected(self):
         internet, asys = self._topology()
         with pytest.raises(ValueError):
@@ -132,7 +131,6 @@ class TestInternetTopology:
         internet, asys = self._topology()
         internet.allocate(asys, 20)
         internet.allocate(asys, 24)
-        assert internet.n_routes == 2
         assert len(list(internet.routes())) == 2
 
 

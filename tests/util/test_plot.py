@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.plot import ascii_histogram, ascii_scatter, ascii_series
+from repro.util.plot import ascii_scatter, ascii_series
 
 
 class TestScatter:
@@ -55,23 +55,3 @@ class TestSeries:
     def test_axis_labels(self):
         text = ascii_series([(0, 1.0), (10, 100.0)], log_y=True)
         assert "1e+2" in text
-
-
-class TestHistogram:
-    def test_bars_scale(self):
-        text = ascii_histogram(["a", "b"], [10, 5], width=20)
-        lines = text.splitlines()
-        assert lines[0].count("#") == 20
-        assert lines[1].count("#") == 10
-
-    def test_zero_counts(self):
-        text = ascii_histogram(["a", "b"], [0, 0])
-        assert "#" not in text
-
-    def test_counts_printed(self):
-        text = ascii_histogram(["x"], [7])
-        assert "7" in text
-
-    def test_mismatch(self):
-        with pytest.raises(ValueError):
-            ascii_histogram(["a"], [1, 2])

@@ -11,9 +11,7 @@ from repro.util.rng import (
     derive_seed,
     poisson,
     seed_prefix,
-    sample_unique,
     weighted_choice,
-    zipf_weights,
 )
 
 
@@ -145,45 +143,3 @@ class TestWeightedChoice:
     def test_rejects_zero_total(self, rng):
         with pytest.raises(ValueError):
             weighted_choice(rng, ["a"], [0.0])
-
-
-class TestZipfWeights:
-    def test_length(self):
-        assert len(zipf_weights(10)) == 10
-
-    def test_monotone_decreasing(self):
-        weights = zipf_weights(20, alpha=1.2)
-        assert all(a >= b for a, b in zip(weights, weights[1:]))
-
-    def test_alpha_zero_uniform(self):
-        assert zipf_weights(5, alpha=0.0) == [1.0] * 5
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            zipf_weights(0)
-        with pytest.raises(ValueError):
-            zipf_weights(5, alpha=-1)
-
-
-class TestSampleUnique:
-    @given(st.integers(min_value=0, max_value=200),
-           st.integers(min_value=1, max_value=500))
-    def test_unique_and_in_range(self, k, population):
-        if k > population:
-            return
-        rng = random.Random(9)
-        values = list(sample_unique(rng, population, k))
-        assert len(values) == len(set(values)) == k
-        assert all(0 <= v < population for v in values)
-
-    def test_rejects_oversample(self, rng):
-        with pytest.raises(ValueError):
-            sample_unique(rng, 5, 6)
-
-    def test_rejects_negative(self, rng):
-        with pytest.raises(ValueError):
-            sample_unique(rng, 5, -1)
-
-    def test_large_population_small_k(self, rng):
-        values = list(sample_unique(rng, 2 ** 32, 1000))
-        assert len(set(values)) == 1000

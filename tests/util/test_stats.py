@@ -8,12 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.util.stats import (
     Histogram,
-    LogHistogram,
-    RunningStats,
     bimodal_modes,
-    describe,
-    gini,
-    mean,
     median,
     pearson,
     percentile,
@@ -22,52 +17,6 @@ from repro.util.stats import (
 )
 
 FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-class TestRunningStats:
-    def test_empty(self):
-        stats = RunningStats()
-        assert stats.n == 0
-        assert stats.variance == 0.0
-
-    def test_single_value(self):
-        stats = RunningStats()
-        stats.add(5.0)
-        assert stats.mean == 5.0
-        assert stats.min == stats.max == 5.0
-
-    @given(st.lists(FLOATS, min_size=1, max_size=200))
-    def test_matches_batch_computation(self, values):
-        stats = RunningStats()
-        for v in values:
-            stats.add(v)
-        assert stats.n == len(values)
-        assert stats.mean == pytest.approx(sum(values) / len(values), abs=1e-6, rel=1e-6)
-        assert stats.min == min(values)
-        assert stats.max == max(values)
-
-    @given(st.lists(FLOATS, min_size=1, max_size=100),
-           st.lists(FLOATS, min_size=1, max_size=100))
-    def test_merge_equals_combined(self, a, b):
-        left = RunningStats()
-        for v in a:
-            left.add(v)
-        right = RunningStats()
-        for v in b:
-            right.add(v)
-        left.merge(right)
-        combined = RunningStats()
-        for v in a + b:
-            combined.add(v)
-        assert left.n == combined.n
-        assert left.mean == pytest.approx(combined.mean, abs=1e-6, rel=1e-6)
-        assert left.variance == pytest.approx(combined.variance, abs=1e-3, rel=1e-3)
-
-    def test_merge_empty_is_noop(self):
-        stats = RunningStats()
-        stats.add(1.0)
-        stats.merge(RunningStats())
-        assert stats.n == 1
 
 
 class TestPearson:
@@ -149,9 +98,6 @@ class TestRatioAndMean:
     def test_ratio_zero_denominator(self):
         assert ratio(1, 0) == 0.0
 
-    def test_mean_empty(self):
-        assert mean([]) == 0.0
-
 
 class TestHistogram:
     def test_basic_binning(self):
@@ -199,41 +145,12 @@ class TestHistogram:
             hist.add(v)
         assert hist.total == len(values)
 
-    def test_modes(self):
-        hist = Histogram(0, 10, 10)
-        for _ in range(5):
-            hist.add(2.5)
-        for _ in range(3):
-            hist.add(7.5)
-        modes = hist.modes(2)
-        assert modes[0] == pytest.approx(2.5)
-        assert modes[1] == pytest.approx(7.5)
-
     @given(st.lists(st.floats(min_value=0, max_value=9.99), max_size=100))
     def test_total_conserved(self, values):
         hist = Histogram(0, 10, 7)
         for v in values:
             hist.add(v)
         assert hist.total == len(values)
-
-
-class TestLogHistogram:
-    def test_decades(self):
-        hist = LogHistogram()
-        hist.add(5)       # decade 0
-        hist.add(50)      # decade 1
-        hist.add(5000)    # decade 3
-        assert dict(hist.items()) == {0: 1, 1: 1, 3: 1}
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            LogHistogram().add(0)
-
-    def test_share(self):
-        hist = LogHistogram()
-        hist.add(5)
-        hist.add(50)
-        assert hist.share(0) == 0.5
 
 
 class TestBimodalModes:
@@ -258,25 +175,3 @@ class TestBimodalModes:
 
     def test_constant(self):
         assert bimodal_modes([5.0] * 10) == [5.0]
-
-
-class TestGini:
-    def test_equal_distribution(self):
-        assert gini([1, 1, 1, 1]) == pytest.approx(0.0)
-
-    def test_total_concentration(self):
-        assert gini([0, 0, 0, 100]) == pytest.approx(0.75)
-
-    def test_empty(self):
-        assert gini([]) == 0.0
-
-
-class TestDescribe:
-    def test_empty(self):
-        assert describe([])["n"] == 0
-
-    def test_fields(self):
-        stats = describe([1.0, 2.0, 3.0])
-        assert stats["n"] == 3
-        assert stats["mean"] == 2.0
-        assert stats["p50"] == 2.0

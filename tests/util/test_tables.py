@@ -8,7 +8,6 @@ from repro.util.tables import (
     format_count,
     format_pct,
     format_si,
-    paper_vs_measured,
 )
 
 
@@ -80,11 +79,3 @@ class TestTable:
         table = Table(["a"], caption="the caption")
         table.add_row(["x"])
         assert table.render().endswith("the caption")
-
-
-class TestPaperVsMeasured:
-    def test_three_columns(self):
-        rendered = paper_vs_measured("cmp", [["metric", "1", "2"]])
-        assert "paper" in rendered
-        assert "measured" in rendered
-        assert "metric" in rendered

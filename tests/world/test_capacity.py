@@ -12,7 +12,6 @@ from repro.world.capacity import (
     LoadBreakdown,
     overload_drop,
     queue_delay_ms,
-    response_fraction,
 )
 
 UTIL = st.floats(min_value=0, max_value=1000)
@@ -39,16 +38,6 @@ class TestOverloadDrop:
         assert overload_drop(lo, 0.8) <= overload_drop(hi, 0.8)
 
 
-class TestResponseFraction:
-    def test_complements_drop(self):
-        assert response_fraction(0.5) == 1.0
-        assert response_fraction(4.0) == pytest.approx(0.2)
-
-    @given(UTIL)
-    def test_bounded(self, util):
-        assert 0.0 < response_fraction(util) <= 1.0
-
-
 class TestQueueDelay:
     def test_negligible_at_low_load(self):
         assert queue_delay_ms(0.0) == 0.0
@@ -66,15 +55,6 @@ class TestLoadBreakdown:
         assert LoadBreakdown().quiet
         assert not LoadBreakdown(server_util=0.1).quiet
         assert not LoadBreakdown(blackout=True).quiet
-
-    def test_combined_drop_stacks(self):
-        load = LoadBreakdown(server_util=2.0, link_util=2.0)
-        p_each = overload_drop(2.0, 0.8)
-        expected = 1 - (1 - p_each) ** 2
-        assert load.combined_drop(0.8) == pytest.approx(expected)
-
-    def test_combined_drop_zero_when_healthy(self):
-        assert LoadBreakdown(server_util=0.5, link_util=0.5).combined_drop(0.8) == 0.0
 
 
 class TestServerCost:

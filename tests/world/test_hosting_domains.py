@@ -70,7 +70,7 @@ class TestBuildProvider:
     def test_mega_anycast_shape(self, providers):
         cloudflare = next(p for p in providers if p.name == "Cloudflare")
         assert all(ns.anycast is not None for ns in cloudflare.nameservers)
-        assert cloudflare.nameservers[0].anycast.n_sites == 30
+        assert len(cloudflare.nameservers[0].anycast.sites) == 30
 
     def test_partial_anycast_mixed(self, providers):
         ovh = next(p for p in providers if p.name == "OVH")
@@ -209,5 +209,5 @@ class TestBuildPopulation:
             directory.add(record.name, providers[0], record.delegation)
 
     def test_nsset_sizes(self, directory):
-        sizes = directory.nsset_sizes()
-        assert sum(sizes.values()) == len(directory)
+        assert sum(len(directory.domains_of_nsset(nsset_id))
+                   for nsset_id, _ in directory.nssets.items()) == len(directory)
