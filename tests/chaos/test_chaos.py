@@ -199,9 +199,12 @@ class TestStoreFaults:
     def test_corrupt_buckets_fail_validation(self):
         store = self._filled_store()
         config = ChaosConfig(seed=6, store=FaultPolicy(corrupt_p=0.5))
-        FaultInjector(config).corrupt_store(store)
+        injector = FaultInjector(config)
+        injector.corrupt_store(store)
         invalid = [agg for agg in store.buckets.values() if not agg.is_valid]
         assert invalid
+        # Every fired corruption is detected, each on its own bucket.
+        assert len(invalid) == injector.counts[("store", "corrupt")]
         # Degradation contract: consumers skip invalid aggregates, so
         # the impact path never divides by a corrupt column (covered in
         # the metrics tests); here we only require detection.
