@@ -51,7 +51,8 @@ SCHEMA_VERSIONS: Dict[str, int] = {
     "telescope": 3,
     # v2: columnar store layout (column arrays instead of row dicts).
     # v3: packed columns behind a JSON header line.
-    "crawl": 3,
+    # v4: the unread rtt_min/rtt_max columns went.
+    "crawl": 4,
     "join": 1,
     "events": 1,
     # serve-layer domain->NSSet catalog (attack-independent).

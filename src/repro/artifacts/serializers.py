@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 _FEED_SCHEMA = "repro.artifacts.feed/v2"
-_STORE_SCHEMA = "repro.artifacts.store/v3"
+_STORE_SCHEMA = "repro.artifacts.store/v4"
 _JOIN_SCHEMA = "repro.artifacts.join/v1"
 _EVENTS_SCHEMA = "repro.artifacts.events/v1"
 
@@ -231,8 +231,7 @@ def loads_feed(data: bytes) -> RSDoSFeed:
 
 #: Aggregate columns, in ``Aggregate.state()`` order.
 _AGG_LAYOUT = [("n", "q"), ("ok_n", "q"), ("rtt_sum", "d"),
-               ("rtt_min", "d"), ("rtt_max", "d"), ("timeout_n", "q"),
-               ("servfail_n", "q"), ("other_err_n", "q")]
+               ("timeout_n", "q"), ("servfail_n", "q"), ("other_err_n", "q")]
 #: a table's rows sorted by their (nsset_id, ts) key.
 _TABLE_LAYOUT = [("nsset_id", "q"), ("ts", "q"), *_AGG_LAYOUT]
 _STORE_TABLES = {"daily": _TABLE_LAYOUT, "buckets": _TABLE_LAYOUT}
@@ -250,8 +249,8 @@ def _table_columns(name: str, table: Dict
 
 def _aggregate(*state) -> Aggregate:
     agg = Aggregate()
-    (agg.n, agg.ok_n, agg.rtt_sum, agg.rtt_min, agg.rtt_max, agg.timeout_n,
-     agg.servfail_n, agg.other_err_n) = state
+    (agg.n, agg.ok_n, agg.rtt_sum, agg.timeout_n, agg.servfail_n,
+     agg.other_err_n) = state
     return agg
 
 

@@ -296,10 +296,6 @@ class Campaign:
         self.attacks.append(attack)
 
     @property
-    def victims(self) -> Tuple[int, ...]:
-        return tuple(sorted({a.victim_ip for a in self.attacks}))
-
-    @property
     def window(self) -> Window:
         if not self.attacks:
             raise ValueError("empty campaign has no window")

@@ -97,7 +97,6 @@ class FaultInjector:
         #: dead letters captured by :meth:`harden_feed` (value objects).
         self.dead_letters: List[Any] = []
         self.feed_job: Optional[StreamJob] = None
-        self.feed_broker: Optional[Broker] = None
 
     # -- fault firing ---------------------------------------------------------
 
@@ -260,7 +259,6 @@ class FaultInjector:
             retry_policy=RetryPolicy(max_retries=3),
             circuit_breaker=CircuitBreaker())
         job.drain()
-        self.feed_broker = broker
         self.feed_job = job
         self.dead_letters = [r.value for r in job.dead_letter]
         survivors: List[InferredAttack] = []

@@ -33,8 +33,6 @@ class CorrelationAnalysis:
     #: duration modes in seconds (paper: ~15 min and ~1 h).
     duration_modes: List[float] = field(default_factory=list)
     duration_pearson: float = 0.0
-    #: mean duration of high-impact (>=10x) events.
-    high_impact_mean_duration_s: float = 0.0
     #: the longest event with impact >= 10x (the Contabo outlier).
     longest_high_impact: Optional[Tuple[str, int, float]] = None
 
@@ -52,7 +50,6 @@ def analyze_correlation(events: Sequence[AttackEvent]) -> CorrelationAnalysis:
     impacts: List[float] = []
     attackers: List[float] = []
     durations: List[float] = []
-    high_durations: List[float] = []
     longest: Optional[Tuple[str, int, float]] = None
     for event in events:
         # The window-mean is the stable per-event statistic at reduced
@@ -65,10 +62,9 @@ def analyze_correlation(events: Sequence[AttackEvent]) -> CorrelationAnalysis:
         impacts.append(math.log10(impact))
         attackers.append(math.log10(max(event.attack.n_unique_sources, 1)))
         durations.append(float(event.duration_s))
-        if impact >= 10.0:
-            high_durations.append(float(event.duration_s))
-            if longest is None or event.duration_s > longest[1]:
-                longest = (event.company, event.duration_s, impact)
+        if impact >= 10.0 and (longest is None
+                               or event.duration_s > longest[1]):
+            longest = (event.company, event.duration_s, impact)
     if len(impacts) >= 2:
         out.intensity_pearson = pearson(intensities, impacts)
         out.intensity_spearman = spearman(intensities, impacts)
@@ -80,8 +76,6 @@ def analyze_correlation(events: Sequence[AttackEvent]) -> CorrelationAnalysis:
          if event.intensity_ppm > 0])
     out.duration_modes = bimodal_modes(
         [float(e.duration_s) for e in events if e.duration_s > 0])
-    if high_durations:
-        out.high_impact_mean_duration_s = sum(high_durations) / len(high_durations)
     out.longest_high_impact = longest
     return out
 

@@ -81,7 +81,6 @@ class AttackDelta:
 
     attack_id: int
     victim_ip: int
-    provider: Optional[str]
     baseline_impact: float
     #: layer name -> counterfactual Equation-1 impact.
     impacts: Dict[str, float] = field(default_factory=dict)
@@ -180,7 +179,6 @@ def evaluate_defenses(world, events=None,
         row = AttackDelta(
             attack_id=attack.attack_id,
             victim_ip=attack.victim_ip,
-            provider=ns.provider_name,
             baseline_impact=_impact_of(world, ns, attack, None))
         for layer in layers:
             row.impacts[layer.name] = _impact_of(world, ns, attack, layer)

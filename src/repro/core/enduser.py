@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.util.rng import derive_seed
 from repro.util.timeutil import DAY, HOUR, Window
@@ -42,12 +42,8 @@ class CacheScenario:
 class EndUserImpact:
     """User-visible outcome of one attack under one cache scenario."""
 
-    scenario: CacheScenario
     n_queries: int
     n_failed: int
-    #: seconds after attack start until the first user-visible failure
-    #: (None if the cache carried users through the whole attack).
-    first_failure_after_s: Optional[int]
 
     @property
     def failure_share(self) -> float:
@@ -76,7 +72,6 @@ def simulate_enduser_impact(rng: random.Random, scenario: CacheScenario,
     cache_expiry = -math.inf
     n_queries = 0
     n_failed = 0
-    first_failure: Optional[int] = None
     while ts < attack.end:
         ts += rng.expovariate(rate_s)
         if ts >= attack.end:
@@ -92,13 +87,9 @@ def simulate_enduser_impact(rng: random.Random, scenario: CacheScenario,
             n_queries += 1
             if refresh_fails:
                 n_failed += 1
-                if first_failure is None:
-                    first_failure = int(ts) - attack.start
         if not refresh_fails:
             cache_expiry = ts + scenario.ttl_s
-    return EndUserImpact(scenario=scenario, n_queries=n_queries,
-                         n_failed=n_failed,
-                         first_failure_after_s=first_failure)
+    return EndUserImpact(n_queries=n_queries, n_failed=n_failed)
 
 
 def analytic_failure_share(scenario: CacheScenario, attack_s: int,

@@ -443,11 +443,6 @@ class Study:
 
         return analyze_visibility(self.world.attacks, self.feed)
 
-    @classmethod
-    def analysis_graph(cls) -> PhaseGraph:
-        """The validated DAG of the declared ``analysis.*`` nodes."""
-        return analysis_graph(cls)
-
     def report(self) -> str:
         """The full textual study report."""
         from repro.core.report import render_report

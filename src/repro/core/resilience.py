@@ -22,7 +22,6 @@ class GroupStats:
     n_events: int = 0
     impacts: List[float] = field(default_factory=list)
     n_failing: int = 0
-    n_complete_failures: int = 0
 
     @property
     def median_impact(self) -> Optional[float]:
@@ -54,8 +53,6 @@ class GroupStats:
             self.impacts.append(event.mean_impact)
         if event.has_failures:
             self.n_failing += 1
-            if event.failure_rate >= 0.98:
-                self.n_complete_failures += 1
 
 
 @dataclass

@@ -74,7 +74,6 @@ class VantageObservation:
 
     region: str
     answered_share: float
-    mean_rtt_ms: Optional[float]
     n_probes: int
 
 
@@ -127,17 +126,12 @@ class MultiVantageProber:
         qname = DomainName("probe.invalid")
         result = CatchmentDisagreement(ns_ip=ns_ip, ts=ts)
         for vantage in self.vantages:
-            answered = 0
-            rtts: List[float] = []
-            for _ in range(n_probes):
-                reply = vantage.transport(ns_ip, qname, RRType.NS, ts)
-                if reply.answered:
-                    answered += 1
-                    rtts.append(reply.rtt_ms)
+            answered = sum(
+                vantage.transport(ns_ip, qname, RRType.NS, ts).answered
+                for _ in range(n_probes))
             result.observations.append(VantageObservation(
                 region=vantage.region,
                 answered_share=answered / n_probes,
-                mean_rtt_ms=sum(rtts) / len(rtts) if rtts else None,
                 n_probes=n_probes))
         return result
 

@@ -13,7 +13,6 @@ from repro.dns.rr import RRType
 from repro.dns.zone import Delegation
 from repro.dns.resolver import (
     AgnosticResolver,
-    QueryOutcome,
     ResolutionResult,
     ResolverConfig,
     Transport,
@@ -27,7 +26,6 @@ __all__ = [
     "RRType",
     "Delegation",
     "AgnosticResolver",
-    "QueryOutcome",
     "ResolutionResult",
     "ResolverConfig",
     "Transport",

@@ -15,8 +15,8 @@ and accounting of the *total* elapsed resolution time across attempts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from repro.dns.name import DomainName
 from repro.dns.rcode import Rcode, ResponseStatus
@@ -62,33 +62,17 @@ class ResolverConfig:
             object.__setattr__(self, "max_timeout_ms", float(self.deadline_ms))
 
 
-@dataclass(frozen=True)
-class QueryOutcome:
-    """One attempt: which server, what happened, how long it took."""
-
-    ns_ip: int
-    reply: ServerReply
-    elapsed_ms: float
-
-
 @dataclass
 class ResolutionResult:
-    """The end-to-end outcome of resolving one (qname, qtype).
+    """The end-to-end outcome of resolving one query.
 
     ``rtt_ms`` is the total wall-clock the client spent, including
     timeouts burned on unresponsive servers — this matches OpenINTEL's
     recorded round-trip-to-complete-the-query.
     """
 
-    qname: DomainName
-    qtype: RRType
     status: ResponseStatus
     rtt_ms: float
-    attempts: List[QueryOutcome] = field(default_factory=list)
-
-    @property
-    def n_attempts(self) -> int:
-        return len(self.attempts)
 
 
 class AgnosticResolver:
@@ -132,11 +116,10 @@ class AgnosticResolver:
         """
         qname = DomainName(qname)
         if not servers:
-            return ResolutionResult(qname, qtype, ResponseStatus.NETWORK_ERROR, 0.0)
+            return ResolutionResult(ResponseStatus.NETWORK_ERROR, 0.0)
         cfg = self.config
         elapsed = 0.0
         timeout = cfg.attempt_timeout_ms
-        attempts: List[QueryOutcome] = []
         last: Optional[int] = None
         servfails = 0
         for _ in range(cfg.max_attempts):
@@ -148,7 +131,6 @@ class AgnosticResolver:
             else:
                 # Dropped, or the response arrived after the timer fired:
                 # the client burns the full timeout either way.
-                reply = ServerReply.dropped() if not reply.answered else reply
                 cost = timeout
             remaining = cfg.deadline_ms - elapsed
             if cost > remaining:
@@ -156,28 +138,23 @@ class AgnosticResolver:
                 # SERVFAIL along the way, that is the resolver's verdict
                 # (unbound reports SERVFAIL, not timeout, in this case).
                 elapsed = cfg.deadline_ms
-                attempts.append(QueryOutcome(ns_ip, ServerReply.dropped(), remaining))
                 status = (ResponseStatus.SERVFAIL if servfails
                           else ResponseStatus.TIMEOUT)
-                return ResolutionResult(qname, qtype, status, elapsed, attempts)
+                return ResolutionResult(status, elapsed)
             elapsed += cost
-            attempts.append(QueryOutcome(ns_ip, reply, cost))
             if reply.answered and reply.rtt_ms <= timeout:
                 if reply.rcode == Rcode.NOERROR:
-                    return ResolutionResult(qname, qtype, ResponseStatus.OK,
-                                            elapsed, attempts)
+                    return ResolutionResult(ResponseStatus.OK, elapsed)
                 if reply.rcode == Rcode.NXDOMAIN:
-                    return ResolutionResult(qname, qtype, ResponseStatus.NXDOMAIN,
-                                            elapsed, attempts)
+                    return ResolutionResult(ResponseStatus.NXDOMAIN, elapsed)
                 if reply.rcode == Rcode.SERVFAIL:
                     servfails += 1
                     if cfg.servfail_is_terminal:
-                        return ResolutionResult(qname, qtype, ResponseStatus.SERVFAIL,
-                                                elapsed, attempts)
+                        return ResolutionResult(ResponseStatus.SERVFAIL, elapsed)
                     # Otherwise fall through and try another server.
                 elif reply.rcode == Rcode.REFUSED:
                     servfails += 1
             else:
                 timeout = min(timeout * 2, cfg.max_timeout_ms)
         status = ResponseStatus.SERVFAIL if servfails else ResponseStatus.TIMEOUT
-        return ResolutionResult(qname, qtype, status, elapsed, attempts)
+        return ResolutionResult(status, elapsed)

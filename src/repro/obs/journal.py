@@ -121,11 +121,6 @@ class RunJournal:
                   started_at_utc=self.started_at_utc,
                   anchor_monotonic=self._anchor)
 
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has been called (emits become no-ops)."""
-        return self._fp is None
-
     def emit(self, type: str, **fields) -> None:
         """Append one record (envelope + ``fields``) and flush it.
 
@@ -201,7 +196,6 @@ class NullJournal:
     """The default, disabled journal: every method is a no-op."""
 
     enabled = False
-    closed = True
     run_id = ""
     path = ""
 

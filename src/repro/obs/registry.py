@@ -100,10 +100,6 @@ class Gauge:
         """Add ``n`` to the gauge."""
         self.value += n
 
-    def dec(self, n: float = 1.0) -> None:
-        """Subtract ``n`` from the gauge."""
-        self.value -= n
-
 
 class Histogram:
     """A fixed-bucket histogram with ``value <= bound`` bucket edges.
@@ -349,10 +345,6 @@ class _BufferedGauge(Gauge):
         self.value += n
         self.touched = True
 
-    def dec(self, n: float = 1.0) -> None:
-        self.value -= n
-        self.touched = True
-
 
 class BufferedRegistry(MetricsRegistry):
     """A staging registry whose updates only land on ``flush()``.
@@ -447,9 +439,6 @@ class _NullGauge(Gauge):
         pass
 
     def inc(self, n: float = 1.0) -> None:
-        pass
-
-    def dec(self, n: float = 1.0) -> None:
         pass
 
 

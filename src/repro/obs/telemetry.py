@@ -84,11 +84,6 @@ class RunTelemetry:
         """An enabled telemetry bundle (fresh registry + tracer)."""
         return cls(clock=clock)
 
-    @classmethod
-    def disabled(cls) -> "RunTelemetry":
-        """The shared no-op bundle (see :data:`NULL_TELEMETRY`)."""
-        return NULL_TELEMETRY
-
     @property
     def enabled(self) -> bool:
         """Whether anything is actually recorded."""

@@ -7,13 +7,11 @@ aggregates per NSSet at daily granularity everywhere and at 5-minute
 granularity around attacks — the exact inputs of the paper's analysis.
 """
 
-from repro.openintel.records import Measurement
 from repro.openintel.stats import CrawlStats
 from repro.openintel.storage import Aggregate, MeasurementStore
 from repro.openintel.platform import OpenIntelPlatform
 
 __all__ = [
-    "Measurement",
     "Aggregate",
     "MeasurementStore",
     "OpenIntelPlatform",

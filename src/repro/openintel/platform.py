@@ -55,7 +55,6 @@ from repro.dns.rcode import ResponseStatus
 from repro.dns.resolver import AgnosticResolver, ResolverConfig
 from repro.dns.rr import RRType
 from repro.obs import NULL_TELEMETRY, RunTelemetry
-from repro.openintel.records import Measurement
 from repro.openintel.stats import CrawlStats
 from repro.openintel.storage import MeasurementStore
 from repro.util.rng import derive_seed, seed_prefix
@@ -95,14 +94,12 @@ class OpenIntelPlatform:
             CrawlStats() if self.telemetry.enabled else None)
         self.world = world
         self.config = config or world.config.resolver
-        self.rng = world.rngs.stream("openintel")
         #: the datagram path queries travel; fault injection wraps it
         #: here without the world's ground truth noticing.
         self.transport = transport or world.transport
         #: an injected transport (chaos) may draw or fault per query, so
         #: it keeps every dense-day query on the resolver.
         self._own_transport = transport is None
-        self.resolver = AgnosticResolver(self.transport, self.rng, self.config)
         self.store = MeasurementStore()
         self._offsets: List[int] = []
         self._seed_prefixes: List[hashlib.blake2b] = []
@@ -158,17 +155,6 @@ class OpenIntelPlatform:
             if rtts and max(rtts) + _MAX_JITTER_MS <= timeout}
         self._base_rtts = {ip: ns.base_rtt_ms for ip, ns
                            in self.world.nameservers_by_ip.items()}
-
-    # -- single measurement -------------------------------------------------------
-
-    def measure_domain(self, domain_id: int, ts: int) -> Measurement:
-        """Resolve one domain at one instant (always the full resolver)."""
-        record = self.world.directory[domain_id]
-        result = self.resolver.resolve(
-            record.name, RRType.NS, record.delegation.nameserver_ips, ts)
-        return Measurement(ts=ts, domain_id=domain_id,
-                           nsset_id=record.nsset_id, status=result.status,
-                           rtt_ms=result.rtt_ms, n_attempts=result.n_attempts)
 
     # -- the crawl ---------------------------------------------------------------
 

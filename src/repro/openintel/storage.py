@@ -1,8 +1,14 @@
 """Aggregated measurement storage.
 
 The paper aggregates OpenINTEL per NSSet in 5-minute intervals (the
-RSDoS granularity): domain count, average/min/max RTT, and error counts
-(§4.1). Keeping raw per-query rows for 17 months x the namespace is what
+RSDoS granularity) and reads domain counts, average RTTs and error
+counts from them (§4.1). An :class:`Aggregate` keeps exactly that
+count/sum/error tuple. It keeps no minimum or maximum RTT: the impact
+metric is a ratio of average RTTs, so nothing reads an extreme, and a
+count or a sum can be drawn for a whole (NSSet, interval) at once where
+a per-row extreme cannot.
+
+Keeping raw per-query rows for 17 months x the namespace is what
 the authors used Spark for; this store instead aggregates on ingest —
 daily everywhere (for the day-before baselines) and at 5-minute
 granularity on *dense* days (days on which an attack touches the NSSet),
@@ -22,16 +28,14 @@ from repro.util.timeutil import DAY, FIVE_MINUTES, day_start, window_start
 class Aggregate:
     """Per-(NSSet, interval) statistics: the §4.1 tuple."""
 
-    __slots__ = ("n", "ok_n", "rtt_sum", "rtt_min", "rtt_max",
-                 "timeout_n", "servfail_n", "other_err_n")
+    __slots__ = ("n", "ok_n", "rtt_sum", "timeout_n", "servfail_n",
+                 "other_err_n")
 
     def __init__(self) -> None:
         self.n = 0
         self.ok_n = 0
         #: running sum of OK RTTs.
         self.rtt_sum = 0.0
-        self.rtt_min = float("inf")
-        self.rtt_max = 0.0
         self.timeout_n = 0
         self.servfail_n = 0
         self.other_err_n = 0
@@ -41,10 +45,6 @@ class Aggregate:
         if status is ResponseStatus.OK:
             self.ok_n += 1
             self.rtt_sum += rtt_ms
-            if rtt_ms < self.rtt_min:
-                self.rtt_min = rtt_ms
-            if rtt_ms > self.rtt_max:
-                self.rtt_max = rtt_ms
         elif status is ResponseStatus.TIMEOUT:
             self.timeout_n += 1
         elif status is ResponseStatus.SERVFAIL:
@@ -56,8 +56,6 @@ class Aggregate:
         self.n += other.n
         self.ok_n += other.ok_n
         self.rtt_sum += other.rtt_sum
-        self.rtt_min = min(self.rtt_min, other.rtt_min)
-        self.rtt_max = max(self.rtt_max, other.rtt_max)
         self.timeout_n += other.timeout_n
         self.servfail_n += other.servfail_n
         self.other_err_n += other.other_err_n
@@ -68,8 +66,6 @@ class Aggregate:
         dup.n = self.n
         dup.ok_n = self.ok_n
         dup.rtt_sum = self.rtt_sum
-        dup.rtt_min = self.rtt_min
-        dup.rtt_max = self.rtt_max
         dup.timeout_n = self.timeout_n
         dup.servfail_n = self.servfail_n
         dup.other_err_n = self.other_err_n
@@ -102,19 +98,12 @@ class Aggregate:
         if self.ok_n + self.timeout_n + self.servfail_n + self.other_err_n \
                 != self.n:
             return False
-        if not math.isfinite(self.rtt_sum):
-            return False
-        if self.ok_n and (not math.isfinite(self.rtt_min)
-                          or not math.isfinite(self.rtt_max)
-                          or self.rtt_min > self.rtt_max):
-            return False
-        return True
+        return math.isfinite(self.rtt_sum)
 
     def state(self) -> Tuple:
         """The aggregate's observable columns, for exact comparison."""
-        return (self.n, self.ok_n, self.rtt_sum, self.rtt_min,
-                self.rtt_max, self.timeout_n, self.servfail_n,
-                self.other_err_n)
+        return (self.n, self.ok_n, self.rtt_sum, self.timeout_n,
+                self.servfail_n, self.other_err_n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Aggregate):

@@ -361,8 +361,5 @@ class Broker:
         """The group's last committed offset (``None`` if never)."""
         return self._committed.get((topic, group))
 
-    def topics(self) -> List[str]:
-        return sorted(self._topics)
-
     def __contains__(self, name: str) -> bool:
         return name in self._topics

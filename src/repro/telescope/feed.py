@@ -75,9 +75,6 @@ class RSDoSFeed:
     def __len__(self) -> int:
         return len(self.attacks)
 
-    def victims(self) -> List[int]:
-        return sorted({a.victim_ip for a in self.attacks})
-
     # -- serialization (CSV, CAIDA-flavoured) --------------------------------------
 
     _RECORD_FIELDS = [f.name for f in fields(FeedRecord)]

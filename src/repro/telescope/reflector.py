@@ -288,9 +288,6 @@ class ReflectorFeed:
     def __len__(self) -> int:
         return len(self.reflections)
 
-    def victims(self) -> List[int]:
-        return sorted({r.victim_ip for r in self.reflections})
-
     def inferred_attacks(self) -> List[InferredAttack]:
         """The reflections projected into the join's record type."""
         return [r.to_inferred() for r in self.reflections]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.asn import AS, Organization
 from repro.net.ip import IPV4_SPACE, IPv4Prefix
@@ -152,10 +152,6 @@ class InternetTopology:
     def origin_asn(self, ip) -> Optional[int]:
         """Origin ASN of the longest-matching announced prefix."""
         return self._routes.lookup(ip)
-
-    def routes(self) -> Iterator[Tuple[IPv4Prefix, int]]:
-        for (network, length), asn in self._routes.items():
-            yield IPv4Prefix(network, length), asn
 
     def route_trie(self) -> PrefixTrie[int]:
         """A copy of the routing table: prefix -> origin ASN."""

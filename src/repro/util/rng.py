@@ -88,13 +88,6 @@ class RngStreams:
             self._streams[key] = rng
         return rng
 
-    def fork(self, *names: str) -> "RngStreams":
-        """Return a child family rooted at a seed derived from ``names``.
-
-        Useful for handing a subsystem its own namespace of streams.
-        """
-        return RngStreams(derive_seed(self.root_seed, "fork", *names))
-
     def spawn_seed(self, *names: str) -> int:
         """Derive a raw integer seed (for APIs that take seeds, not RNGs)."""
         return derive_seed(self.root_seed, "seed", *names)

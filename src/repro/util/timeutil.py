@@ -86,17 +86,6 @@ class Window:
     def contains(self, ts: int) -> bool:
         return self.start <= ts < self.end
 
-    def overlaps(self, other: "Window") -> bool:
-        return self.start < other.end and other.start < self.end
-
-    def intersect(self, other: "Window") -> "Window":
-        """The overlap of two windows; zero-length at ``self.start`` if disjoint."""
-        start = max(self.start, other.start)
-        end = min(self.end, other.end)
-        if end < start:
-            return Window(self.start, self.start)
-        return Window(start, end)
-
     def expand(self, before: int = 0, after: int = 0) -> "Window":
         return Window(self.start - before, self.end + after)
 
@@ -128,10 +117,6 @@ class Timeline:
     def window(self) -> Window:
         return Window(self.start, self.end)
 
-    @property
-    def n_days(self) -> int:
-        return (self.end - self.start) // DAY
-
     def days(self) -> Iterator[int]:
         return iter_days(self.start, self.end)
 
@@ -143,9 +128,6 @@ class Timeline:
             if not seen or seen[-1] != key:
                 seen.append(key)
                 yield key
-
-    def clamp(self, ts: int) -> int:
-        return min(max(ts, self.start), self.end)
 
     def __contains__(self, ts: int) -> bool:
         return self.start <= ts < self.end

@@ -130,9 +130,6 @@ class AttackIndex:
         return self._active(attacks, self._s24_starts[s24],
                             self._s24_maxdur[s24], int(ts))
 
-    def attacks_on_ip(self, ip: int) -> List[Attack]:
-        return list(self._by_ip.get(ip, ()))
-
     def attacks_near(self, ip: int) -> List[Attack]:
         """Attacks on ``ip`` or on its /24, when that /24 is tracked."""
         return (self._by_ip.get(ip, [])
@@ -401,9 +398,6 @@ class World:
 
     def nameserver_ips(self) -> Set[int]:
         return set(self.nameservers_by_ip)
-
-    def attacks_on_ip(self, ip: int) -> List[Attack]:
-        return self._index.attacks_on_ip(ip)
 
     def anycast_ips(self) -> Set[int]:
         return {ip for ip, ns in self.nameservers_by_ip.items()

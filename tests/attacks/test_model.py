@@ -178,12 +178,6 @@ class TestCampaign:
         campaign.add(attack)
         assert attack.campaign_id == campaign.campaign_id
 
-    def test_victims_sorted_unique(self):
-        a1 = simple_attack()
-        a2 = simple_attack()
-        campaign = Campaign("t", attacks=[a1, a2])
-        assert campaign.victims == (a1.victim_ip,)
-
     def test_window_spans_attacks(self):
         a1 = simple_attack(start=1000, duration=100)
         a2 = simple_attack(start=2000, duration=100)

@@ -113,7 +113,7 @@ class TestEvaluateDefenses:
         assert report.neutralized_share("layered") == 0.0
 
     def test_attack_delta_accessors(self):
-        row = AttackDelta(attack_id=1, victim_ip=2, provider="p",
+        row = AttackDelta(attack_id=1, victim_ip=2,
                           baseline_impact=50.0,
                           impacts={"layered": 1.0, "filtering": 20.0})
         assert row.delta("layered") == 49.0

@@ -20,21 +20,31 @@ def make_resolver(transport, seed=1, **config_kwargs):
 
 
 def scripted(replies):
-    """Transport answering per-server from a dict of reply factories."""
+    """Transport answering per-server from a dict of reply factories;
+    ``transport.queried`` lists the servers it was sent to, in order."""
     def transport(ns_ip, qname, qtype, ts):
+        transport.queried.append(ns_ip)
         entry = replies[ns_ip]
         return entry() if callable(entry) else entry
+    transport.queried = []
     return transport
+
+
+def resolve_logged(resolver, servers):
+    """Resolve once; the result and the servers this resolution queried."""
+    queried = resolver.transport.queried
+    queried.clear()
+    result = resolver.resolve("example.com", RRType.NS, servers, when=0)
+    return result, list(queried)
 
 
 class TestHappyPath:
     def test_single_healthy_server(self):
         resolver = make_resolver(scripted({NS_A: ServerReply.ok(20.0)}))
-        result = resolver.resolve("example.com", RRType.NS, [NS_A], when=0)
+        result, queried = resolve_logged(resolver, [NS_A])
         assert result.status is ResponseStatus.OK
         assert result.rtt_ms == pytest.approx(20.0)
-        assert result.n_attempts == 1
-        assert result.attempts[0].ns_ip == NS_A
+        assert queried == [NS_A]
 
     def test_random_selection_covers_all_servers(self):
         counts = {NS_A: 0, NS_B: 0, NS_C: 0}
@@ -64,10 +74,9 @@ class TestRetryBehaviour:
         # observe a 2-attempt resolution.
         saw_retry = False
         for _ in range(50):
-            result = resolver.resolve("example.com", RRType.NS,
-                                      [NS_A, NS_B], when=0)
+            result, queried = resolve_logged(resolver, [NS_A, NS_B])
             assert result.status is ResponseStatus.OK
-            if result.n_attempts == 2:
+            if len(queried) == 2:
                 saw_retry = True
                 # Total time = one burned timeout + the answer RTT.
                 assert result.rtt_ms == pytest.approx(1500.0 + 15.0)
@@ -77,9 +86,7 @@ class TestRetryBehaviour:
         replies = {NS_A: ServerReply.dropped(), NS_B: ServerReply.ok(10.0)}
         resolver = make_resolver(scripted(replies), seed=7)
         for _ in range(30):
-            result = resolver.resolve("example.com", RRType.NS,
-                                      [NS_A, NS_B], when=0)
-            ips = [o.ns_ip for o in result.attempts]
+            _, ips = resolve_logged(resolver, [NS_A, NS_B])
             for prev, nxt in zip(ips, ips[1:]):
                 assert prev != nxt
 
@@ -90,7 +97,6 @@ class TestRetryBehaviour:
                                   [NS_A, NS_B], when=0)
         assert result.status is ResponseStatus.TIMEOUT
         assert result.rtt_ms <= 15000.0
-        assert not any(o.reply.answered for o in result.attempts)
 
     def test_exponential_backoff(self):
         times = []
@@ -111,18 +117,17 @@ class TestRetryBehaviour:
         replies = {NS_A: ServerReply.ok(2000.0), NS_B: ServerReply.ok(10.0)}
         resolver = make_resolver(scripted(replies), seed=2)
         for _ in range(30):
-            result = resolver.resolve("example.com", RRType.NS,
-                                      [NS_A, NS_B], when=0)
+            result, queried = resolve_logged(resolver, [NS_A, NS_B])
             assert result.status is ResponseStatus.OK
             # Whenever NS_A was tried first, the client burned 1500 ms.
-            if result.n_attempts > 1:
+            if len(queried) > 1:
                 assert result.rtt_ms >= 1500.0
 
     def test_max_attempts_respected(self):
         resolver = make_resolver(scripted({NS_A: ServerReply.dropped()}),
                                  max_attempts=3, deadline_ms=100000.0)
-        result = resolver.resolve("example.com", RRType.NS, [NS_A], when=0)
-        assert result.n_attempts == 3
+        _, queried = resolve_logged(resolver, [NS_A])
+        assert queried == [NS_A] * 3
 
 
 class TestServfail:
@@ -144,9 +149,9 @@ class TestServfail:
     def test_terminal_servfail_config(self):
         resolver = make_resolver(scripted({NS_A: ServerReply.servfail(5.0)}),
                                  servfail_is_terminal=True)
-        result = resolver.resolve("example.com", RRType.NS, [NS_A], when=0)
+        result, queried = resolve_logged(resolver, [NS_A])
         assert result.status is ResponseStatus.SERVFAIL
-        assert result.n_attempts == 1
+        assert queried == [NS_A]
 
 
 class TestTimeAccounting:
@@ -255,12 +260,11 @@ class TestRetransmissionEdgeCases:
         resolver = make_resolver(scripted({NS_A: ServerReply.dropped(),
                                            NS_B: ServerReply.dropped()}),
                                  deadline_ms=2000.0)
-        result = resolver.resolve("example.com", RRType.NS,
-                                  [NS_A, NS_B], when=0)
+        result, queried = resolve_logged(resolver, [NS_A, NS_B])
         assert result.status is ResponseStatus.TIMEOUT
         assert result.rtt_ms == pytest.approx(2000.0)
-        # The final truncated attempt is recorded as a drop.
-        assert not result.attempts[-1].reply.answered
+        # The second datagram went out; its timer was cut short.
+        assert len(queried) == 2
 
     def test_servfail_seen_before_deadline_expiry_wins_verdict(self):
         # One server SERVFAILs fast, the other is dead: when the budget
@@ -293,7 +297,7 @@ class TestRetransmissionEdgeCases:
         resolver = make_resolver(transport)
         result = resolver.resolve("example.com", RRType.NS, [NS_A], when=0)
         assert result.status is ResponseStatus.OK
-        assert result.n_attempts == 3
+        assert calls["n"] == 3
 
 
 class TestResolutionResult:
@@ -301,12 +305,17 @@ class TestResolutionResult:
         replies = {NS_A: ServerReply.dropped(), NS_B: ServerReply.dropped(),
                    NS_C: ServerReply.ok(10.0)}
         resolver = make_resolver(scripted(replies), seed=5)
-        result = resolver.resolve("example.com", RRType.NS,
-                                  [NS_A, NS_B, NS_C], when=0)
-        assert result.attempts[-1].ns_ip == NS_C
-        assert {o.ns_ip for o in result.attempts[:-1]} <= {NS_A, NS_B}
+        _, queried = resolve_logged(resolver, [NS_A, NS_B, NS_C])
+        assert queried[-1] == NS_C
+        assert set(queried[:-1]) <= {NS_A, NS_B}
 
     def test_qname_normalized(self):
-        resolver = make_resolver(scripted({NS_A: ServerReply.ok(1.0)}))
-        result = resolver.resolve("EXAMPLE.com", RRType.NS, [NS_A], when=0)
-        assert result.qname == DomainName("example.com")
+        sent = []
+
+        def transport(ns_ip, qname, qtype, ts):
+            sent.append(qname)
+            return ServerReply.ok(1.0)
+
+        resolver = make_resolver(transport)
+        resolver.resolve("EXAMPLE.com", RRType.NS, [NS_A], when=0)
+        assert sent == [DomainName("example.com")]

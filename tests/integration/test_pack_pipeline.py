@@ -62,7 +62,8 @@ class TestAmplificationPipeline:
 
     def test_reflections_join_as_curated_feed_records(self, study):
         """The second curated feed reaches the unmodified join."""
-        reflector_victims = set(study.reflector_feed.victims())
+        reflector_victims = {r.victim_ip
+                             for r in study.reflector_feed.reflections}
         joined_victims = {c.victim_ip for c in study.join.classified}
         assert reflector_victims & joined_victims
 

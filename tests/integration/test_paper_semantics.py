@@ -48,7 +48,7 @@ class TestAftermathSemantics:
         not the telescope-visible attack."""
         transip = tiny_world.providers["TransIP"]
         ip = transip.nameservers[0].ip
-        attacks = tiny_world.attacks_on_ip(ip)
+        attacks = [a for a in tiny_world.attacks if a.victim_ip == ip]
         for attack in attacks:
             if attack.impairment.aftermath_s:
                 aftermath_day = (attack.window.end
@@ -111,5 +111,5 @@ class TestAnalysisPurity:
             a.victim_ip for a in tiny_study.world.attacks
             if a.telescope_visible}
         only_invisible = invisible_victims - visible_victims
-        feed_victims = set(tiny_study.feed.victims())
+        feed_victims = {a.victim_ip for a in tiny_study.feed.attacks}
         assert not (feed_victims & only_invisible)

@@ -1,6 +1,7 @@
 """Tests for the daily crawl platform."""
 
 import dataclasses
+import random
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.attacks.model import Attack, AttackVector
 from repro.dns.rcode import ResponseStatus
 from repro.dns.resolver import AgnosticResolver, ResolverConfig
+from repro.dns.rr import RRType
 from repro.net.ip import parse_ip
 from repro.obs import RunTelemetry
 from repro.openintel.platform import (_MAX_JITTER_MS, DENSE_OVERSAMPLING,
@@ -30,7 +32,7 @@ def store(platform):
 
 class TestCrawl:
     def test_every_domain_measured_daily(self, tiny_world, store):
-        n_days = tiny_world.timeline.n_days
+        n_days = len(list(tiny_world.timeline.days()))
         # At least one measurement per domain per day (dense days add more).
         assert store.n_measurements >= len(tiny_world.directory) * n_days
 
@@ -100,12 +102,14 @@ class TestCrawl:
     def test_fast_path_matches_slow_path_statistically(self, tiny_world):
         # On a quiet day the fast path must be distributionally identical
         # to running the resolver: mean RTT within a fraction of a ms.
-        platform = OpenIntelPlatform(tiny_world)
+        resolver = AgnosticResolver(tiny_world.transport, random.Random(7),
+                                    tiny_world.config.resolver)
         record = next(d for d in tiny_world.directory.domains
                       if d.provider_name == "Euskaltel" and not d.misconfig
                       and d.secondary_provider is None)
         quiet_ts = parse_ts("2021-03-25 12:00")
-        slow = [platform.measure_domain(record.domain_id, quiet_ts)
+        slow = [resolver.resolve(record.name, RRType.NS,
+                                 record.delegation.nameserver_ips, quiet_ts)
                 for _ in range(400)]
         assert all(m.status is ResponseStatus.OK for m in slow)
         slow_mean = sum(m.rtt_ms for m in slow) / len(slow)
@@ -285,8 +289,7 @@ class TestQuietInstants:
                 if all(ip in world.nameservers_by_ip for ip in ips)
                 and max(world.nameservers_by_ip[ip].base_rtt_ms
                         for ip in ips) > 200 - _MAX_JITTER_MS}
-        days = {day_start(world.timeline.start) + i * DAY
-                for i in range(world.timeline.n_days)}
+        days = set(world.timeline.days())
         expected = {(d.domain_id, day): DENSE_OVERSAMPLING
                     for d in directory.domains if d.nsset_id in slow
                     for day in world.dense_days_of(d.nsset_id) & days}

@@ -1,9 +1,7 @@
-"""Tests for measurement records and aggregate storage."""
+"""Tests for aggregate storage."""
 
-import pytest
 
 from repro.dns.rcode import ResponseStatus
-from repro.openintel.records import Measurement
 from repro.openintel.storage import Aggregate, MeasurementStore
 from repro.util.timeutil import DAY, FIVE_MINUTES, window_start
 
@@ -13,19 +11,6 @@ def _bucket(store, nsset_id, ts):
     return store.buckets.get((nsset_id, window_start(ts)))
 
 
-class TestMeasurement:
-    def test_ok_property(self):
-        m = Measurement(0, 1, 2, ResponseStatus.OK, 10.0)
-        assert m.ok
-        assert not Measurement(0, 1, 2, ResponseStatus.TIMEOUT, 10.0).ok
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Measurement(0, 1, 2, ResponseStatus.OK, -1.0)
-        with pytest.raises(ValueError):
-            Measurement(0, 1, 2, ResponseStatus.OK, 1.0, n_attempts=0)
-
-
 class TestAggregate:
     def test_ok_statistics(self):
         agg = Aggregate()
@@ -33,8 +18,6 @@ class TestAggregate:
         agg.add(ResponseStatus.OK, 30.0)
         assert agg.n == 2
         assert agg.avg_rtt == 20.0
-        assert agg.rtt_min == 10.0
-        assert agg.rtt_max == 30.0
         assert agg.failure_rate == 0.0
 
     def test_error_counting(self):

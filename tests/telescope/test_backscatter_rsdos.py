@@ -211,7 +211,7 @@ class TestRSDoSFeed:
     def test_observe_pipeline(self):
         feed = self._feed([visible_attack()])
         assert len(feed) == 1
-        assert feed.victims() == [VICTIM]
+        assert [a.victim_ip for a in feed.attacks] == [VICTIM]
         assert feed.records  # curated window records kept
 
     def test_records_belong_to_attacks(self):

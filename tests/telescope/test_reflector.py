@@ -165,7 +165,8 @@ class TestFeedAndValidation:
 
     def test_recovers_the_seeded_schedule(self, schedule, feed):
         assert len(feed) == len(schedule)
-        assert feed.victims() == sorted(a.victim_ip for a in schedule)
+        assert sorted({r.victim_ip for r in feed.reflections}) == \
+            sorted(a.victim_ip for a in schedule)
         pairs = match_reflections(schedule, feed.reflections)
         assert len(pairs) == len(schedule)
         for truth, inferred in pairs:

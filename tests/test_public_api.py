@@ -85,9 +85,57 @@ UNCALLED_ON_PURPOSE = {
     "dataset_bundle_load",
 }
 
+#: Public class members no caller outside tests reads, each kept for the
+#: reason given.
+MEMBERS_UNREAD_ON_PURPOSE = {
+    "BackscatterSimulator.materialize_packets":
+        "reference implementation a test compares the fast path against",
+    "BackscatterSimulator.window_jitter":
+        "reference implementation a test compares the fast path against",
+    "Darknet.expected_hits":
+        "reference implementation a test compares the sampler against",
+    "Darknet.expected_unique_slash16":
+        "reference implementation a test compares the sampler against",
+    "Darknet.expected_unique_addresses":
+        "reference implementation a test compares the sampler against",
+    "FakeClock.advance": "test double",
+    "WorldConfig.tiny": "user entry point documented in README/docs",
+    "WorldConfig.small": "user entry point documented in README/docs",
+    "WorldConfig.paper_scale": "user entry point documented in README/docs",
+    "DatasetBundle.feed_records":
+        "payload of the exempt ``dataset_bundle_load`` reader",
+    "Consumer.missed": "kept to report a fault",
+    "DeadLetter.attempts": "kept to report a fault",
+    "Topic.n_trimmed": "kept to report a fault",
+    "RejectedRecord.record": "kept to report a fault",
+    "TopicFull.policy": "kept to report a fault",
+    "Campaign.shed_at": "kept to report a fault",
+    "HostingProvider.partners":
+        "persisted by reflection into the world golden's dump",
+    "InferredAttack.max_slash16":
+        "persisted by reflection into the feed artifact's columns",
+}
+
 #: Where a caller may live: the package itself, its benchmarks, the
 #: study benchmark and the examples.
 CALLER_DIRS = ("src", "benchmarks", "studybench", "examples")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def sources():
+    """Every file under ``CALLER_DIRS``, parsed once: path -> (tree,
+    lines)."""
+    parsed = {}
+    for directory in CALLER_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            text = path.read_text()
+            parsed[path] = (ast.parse(text), text.splitlines())
+    return parsed
+
+
+def _is_package(path):
+    return ROOT / "src" / "repro" in path.parents
 
 
 def _declaration_lines(tree):
@@ -103,24 +151,42 @@ def _declaration_lines(tree):
     return lines
 
 
-class TestEveryPublicNameHasACaller:
-    """A public function, class or ``__all__`` name of ``repro`` that
-    only its own unit test reaches is dead code: delete both."""
+def _members(cls):
+    """``(name, definition or None)`` for a class's members: methods
+    and properties (with their definition), then fields, which have no
+    body: annotated fields, ``__slots__`` entries and the attributes
+    ``__init__`` sets on ``self``."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+            if node.name == "__init__":
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Attribute) \
+                            and isinstance(sub.ctx, ast.Store) \
+                            and isinstance(sub.value, ast.Name) \
+                            and sub.value.id == "self":
+                        yield sub.attr, None
+        elif isinstance(node, ast.AnnAssign) \
+                and isinstance(node.target, ast.Name):
+            yield node.target.id, None
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__"
+                for t in node.targets):
+            for element in ast.walk(node.value):
+                if isinstance(element, ast.Constant):
+                    yield element.value, None
 
-    def test_public_names_are_referenced_outside_tests(self):
-        root = Path(__file__).resolve().parents[1]
-        sources = {}
-        for directory in CALLER_DIRS:
-            for path in sorted((root / directory).rglob("*.py")):
-                text = path.read_text()
-                tree = ast.parse(text)
-                sources[path] = (tree, text.splitlines(),
-                                 _declaration_lines(tree))
+
+class TestEveryPublicNameHasACaller:
+    """A public name or class member of ``repro`` that only its own unit
+    test reaches is dead code: delete both."""
+
+    def test_public_names_are_referenced_outside_tests(self, sources):
         # (name, the span of its definition or None for an ``__all__``
         # entry): a reference inside the name's own body does not count.
         public = set()
-        for path, (tree, _, _) in sources.items():
-            if root / "src" / "repro" not in path.parents:
+        for path, (tree, _) in sources.items():
+            if not _is_package(path):
                 continue
             for node in tree.body:
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
@@ -133,12 +199,15 @@ class TestEveryPublicNameHasACaller:
                     public.update((element.value, None)
                                   for element in node.value.elts)
 
-        # word -> every (file, line) outside a declaration it appears on
+        # public name -> every (file, line) outside a declaration it
+        # appears on
+        names = {name for name, _ in public}
         seen = {}
-        for path, (_, lines, declared) in sources.items():
+        for path, (tree, lines) in sources.items():
+            declared = _declaration_lines(tree)
             for lineno, line in enumerate(lines, start=1):
                 if lineno not in declared:
-                    for word in set(re.findall(r"\w+", line)):
+                    for word in names.intersection(re.findall(r"\w+", line)):
                         seen.setdefault(word, []).append((path, lineno))
 
         def referenced(name, span):
@@ -153,3 +222,46 @@ class TestEveryPublicNameHasACaller:
             f"public names only tests reach: {uncalled}; delete them "
             f"with their tests, or exempt a reference in "
             f"UNCALLED_ON_PURPOSE with its reason")
+
+    def test_public_members_are_read_outside_tests(self, sources):
+        """A method is reached by an attribute naming it outside its own
+        body; a field only by a read: an attribute load or a string
+        constant (``getattr``, a serializer's column table). The scan
+        goes by name, so a member shares its fate with every same-named
+        member of another class."""
+        # attribute -> every (file, line) it appears on; the names some
+        # attribute load or string constant reads; the package's classes.
+        uses, reads, classes = {}, set(), []
+        for path, (tree, _) in sources.items():
+            package = _is_package(path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    uses.setdefault(node.attr, []).append((path, node.lineno))
+                    if isinstance(node.ctx, ast.Load):
+                        reads.add(node.attr)
+                elif isinstance(node, ast.Constant):
+                    if isinstance(node.value, str):
+                        reads.add(node.value)
+                elif package and isinstance(node, ast.ClassDef):
+                    classes.append((path, node))
+
+        unread = set()
+        for path, cls in classes:
+            for name, body in _members(cls):
+                if name.startswith("_"):
+                    continue
+                if body is None:
+                    reached = name in reads
+                else:
+                    reached = any(
+                        not (where == path and body.lineno <= lineno
+                             <= body.end_lineno)
+                        for where, lineno in uses.get(name, ()))
+                qualified = f"{cls.name}.{name}"
+                if not reached \
+                        and qualified not in MEMBERS_UNREAD_ON_PURPOSE:
+                    unread.add(qualified)
+        assert not unread, (
+            f"class members only tests read: {sorted(unread)}; delete "
+            f"them with their tests, or exempt one in "
+            f"MEMBERS_UNREAD_ON_PURPOSE with its reason")

@@ -30,8 +30,10 @@ class TestPrefix2AS:
 
     def test_len_matches_routes(self, gen):
         dataset = Prefix2AS.from_topology(gen.internet)
-        assert len(dataset) == len(list(gen.internet.routes()))
-        assert list(dataset.entries()) == list(gen.internet.routes())
+        routes = gen.internet.route_trie().items()
+        assert list(dataset.entries()) == [(IPv4Prefix(*prefix), asn)
+                                           for prefix, asn in routes]
+        assert len(dataset) == len(gen.internet.route_trie())
 
     def test_is_a_snapshot(self):
         gen = generate_topology(random.Random(5), TopologyConfig(n_filler_orgs=4))
@@ -39,7 +41,7 @@ class TestPrefix2AS:
         asys = gen.internet.add_as(gen.internet.add_org("Late", "NL"))
         late = gen.internet.allocate(asys, 24)
         assert dataset.lookup(late.network) is None
-        assert len(dataset) == len(list(gen.internet.routes())) - 1
+        assert len(dataset) == len(gen.internet.route_trie()) - 1
 
     def test_rejects_bad_asn(self):
         with pytest.raises(ValueError):

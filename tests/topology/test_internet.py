@@ -131,7 +131,7 @@ class TestInternetTopology:
         internet, asys = self._topology()
         internet.allocate(asys, 20)
         internet.allocate(asys, 24)
-        assert len(list(internet.routes())) == 2
+        assert len(list(internet.route_trie().items())) == 2
 
 
 class TestGenerateTopology:

@@ -96,18 +96,6 @@ class TestWindow:
         with pytest.raises(ValueError):
             Window(200, 100)
 
-    def test_overlaps(self):
-        assert Window(0, 100).overlaps(Window(50, 150))
-        assert not Window(0, 100).overlaps(Window(100, 200))
-
-    def test_intersect(self):
-        inter = Window(0, 100).intersect(Window(50, 150))
-        assert (inter.start, inter.end) == (50, 100)
-
-    def test_intersect_disjoint_is_empty(self):
-        inter = Window(0, 100).intersect(Window(200, 300))
-        assert inter.duration == 0
-
     def test_expand(self):
         w = Window(1000, 2000).expand(before=100, after=200)
         assert (w.start, w.end) == (900, 2200)
@@ -115,12 +103,6 @@ class TestWindow:
     def test_buckets(self):
         w = Window(100, 700)
         assert list(w.buckets()) == [0, 300, 600]
-
-    @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
-    def test_overlap_symmetry(self, a, b):
-        w1 = Window(a, a + 500)
-        w2 = Window(b, b + 700)
-        assert w1.overlaps(w2) == w2.overlaps(w1)
 
 
 class TestMonthKey:
@@ -138,7 +120,7 @@ class TestTimeline:
 
     def test_paper_window_days(self):
         # Nov 2020 .. Mar 2022 inclusive: 516 days.
-        assert Timeline().n_days == 516
+        assert len(list(Timeline().days())) == 516
 
     def test_months_in_order(self):
         months = list(Timeline().months())
@@ -150,11 +132,6 @@ class TestTimeline:
         timeline = Timeline()
         assert parse_ts("2021-06-15") in timeline
         assert parse_ts("2022-04-01") not in timeline
-
-    def test_clamp(self):
-        timeline = Timeline()
-        assert timeline.clamp(0) == timeline.start
-        assert timeline.clamp(2 ** 40) == timeline.end
 
     def test_rejects_inverted(self):
         with pytest.raises(ValueError):

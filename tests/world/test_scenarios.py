@@ -71,7 +71,7 @@ class TestTransipCampaigns:
     def test_three_victims_each(self, campaigns, tiny_world):
         transip_ips = set(tiny_world.providers["TransIP"].ns_ips)
         for campaign in campaigns:
-            assert set(campaign.victims) == transip_ips
+            assert {a.victim_ip for a in campaign.attacks} == transip_ips
 
 
 class TestRussiaCampaigns:

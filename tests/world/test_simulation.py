@@ -210,7 +210,7 @@ class TestLazyAttackIndex:
 
         world.replace_attacks([])
         assert world.load_at(transip, hit).quiet
-        assert world.attacks_on_ip(transip.ip) == []
+        assert world.attacks == []
         assert world.dense_days_of(nsset_id) == frozenset()
 
         world.replace_attacks(original)

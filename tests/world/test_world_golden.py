@@ -82,7 +82,8 @@ def world_dump(world) -> dict:
         "nameservers": _canon(world.nameservers_by_ip),
         "domains": _canon(world.directory.domains),
         "nssets": _canon(list(world.directory.nssets.items())),
-        "routes": _canon(list(world.internet.routes())),
+        "routes": _canon([(IPv4Prefix(*prefix), asn) for prefix, asn
+                          in world.internet.route_trie().items()]),
         "prefix2as": _canon(list(world.prefix2as.entries())),
         "as2org": _canon(list(world.as2org.items())),
         "census": _canon(world.census.snapshots),
