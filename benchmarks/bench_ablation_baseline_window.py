@@ -8,7 +8,7 @@ horizon correlates strongly across choices.
 
 import math
 
-from repro.core.events import events_for_attack
+from repro.core.events import EVENT_MIN_DOMAINS, events_for_attack
 from repro.util.stats import pearson
 from repro.util.tables import Table
 
@@ -19,8 +19,7 @@ def regenerate(study):
         per_kind = {}
         for kind in impacts:
             events = events_for_attack(classified, study.store,
-                                       study.metadata,
-                                       study.config.event_min_domains,
+                                       study.metadata, EVENT_MIN_DOMAINS,
                                        baseline_kind=kind)
             per_kind[kind] = {e.nsset_id: e.impact for e in events
                               if e.impact is not None}

@@ -20,6 +20,8 @@ from repro.util.timeutil import parse_ts
 
 CENSUS_DATES = ("2021-01-01", "2021-04-01", "2021-07-01", "2021-10-01",
                 "2022-01-01")
+#: chance that one snapshot detects one anycast /24.
+CENSUS_RECALL = 0.92
 
 
 @dataclass
@@ -86,26 +88,23 @@ class AnycastCensus:
     # -- construction from ground truth --------------------------------------
 
     @classmethod
-    def observe_world(cls, seed: int, anycast_ips: Iterable[int],
-                      recall: float = 0.9,
-                      dates: Iterable[str] = CENSUS_DATES) -> "AnycastCensus":
+    def observe_world(cls, seed: int,
+                      anycast_ips: Iterable[int]) -> "AnycastCensus":
         """Simulate the census observing the world's true anycast IPs.
 
         Each snapshot independently detects each anycast /24 with
-        probability ``recall`` — the lower-bound character the paper
-        relies on. False positives are not modeled (MAnycast2's
+        probability ``CENSUS_RECALL`` — the lower-bound character the
+        paper relies on. False positives are not modeled (MAnycast2's
         methodology errs toward missing, not inventing, anycast).
         """
-        if not 0 < recall <= 1:
-            raise ValueError("recall must be within (0, 1]")
         slash24s = sorted({slash24_of(ip) for ip in anycast_ips})
         census = cls()
-        for date in dates:
+        for date in CENSUS_DATES:
             ts = parse_ts(date)
             rng = random.Random(derive_seed(seed, "census", date))
             snap = CensusSnapshot(taken_at=ts)
             for s24 in slash24s:
-                if rng.random() < recall:
+                if rng.random() < CENSUS_RECALL:
                     snap.anycast_slash24s.add(s24)
             census.add_snapshot(snap)
         return census

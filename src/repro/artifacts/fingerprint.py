@@ -4,10 +4,13 @@ A phase's cache key is a sha256 over everything its output can depend
 on, and *nothing* else:
 
 - the canonicalized :class:`~repro.world.config.WorldConfig` — every
-  knob, including the nested :class:`~repro.dns.resolver.ResolverConfig`
-  and :class:`~repro.attacks.generator.AttackScheduleConfig` (the
-  world and both measurement systems are pure functions of it plus the
-  seed it carries);
+  field, including the scenario pack's parameter dataclass (the world
+  and both measurement systems are pure functions of it plus the seed
+  it carries). The model's calibration values are module constants, not
+  fields: changing one changes code, not keys, so it needs a
+  :data:`SCHEMA_VERSIONS` bump for each phase whose output moves (the
+  phase-output golden fails until it gets one). Version 2.0.0 dropped
+  those constants from the config, so every key changed once;
 - whether scripted scenarios were installed into the world;
 - the phase name and its serializer's schema version (bumping a
   version in :data:`SCHEMA_VERSIONS` invalidates exactly that phase's

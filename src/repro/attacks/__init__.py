@@ -17,7 +17,6 @@ from repro.attacks.model import (
 )
 from repro.attacks.generator import (
     AttackMix,
-    AttackScheduleConfig,
     HotTarget,
     TargetCatalog,
     generate_schedule,
@@ -41,7 +40,6 @@ __all__ = [
     "ImpairmentProfile",
     "Spoofing",
     "AttackMix",
-    "AttackScheduleConfig",
     "HotTarget",
     "TargetCatalog",
     "generate_schedule",

@@ -119,42 +119,27 @@ class TargetCatalog:
             raise ValueError("nameserver weights must be positive")
 
 
-@dataclass(frozen=True)
-class AttackScheduleConfig:
-    """Shape of the generated 17-month schedule."""
-
-    attacks_per_month: int = 2000
-    dns_attack_fraction: float = 0.012      # paper: 0.57%..2.12%, avg 1.21%
-    scale: float = 1.0                      # multiplier on hot-target counts
-    #: share of DNS attacks that hit every nameserver of the deployment.
-    campaign_fraction: float = 0.22
-    invisible_fraction: float = 0.12        # reflected/unspoofed only
-    multi_vector_fraction: float = 0.10     # visible + invisible extra vector
-    colocated_fraction: float = 0.04        # hits a non-NS IP in an NS /24
-    high_intensity_fraction: float = 0.30   # bimodal mixture weight
-    mid_intensity_fraction: float = 0.10    # between the two modes
-    heavy_tail_fraction: float = 0.03       # very large attacks
-    long_duration_fraction: float = 0.04    # multi-hour background noise
-
-    def __post_init__(self) -> None:
-        for name in ("dns_attack_fraction", "invisible_fraction",
-                     "multi_vector_fraction", "colocated_fraction",
-                     "high_intensity_fraction", "mid_intensity_fraction",
-                     "heavy_tail_fraction", "long_duration_fraction",
-                     "campaign_fraction"):
-            value = getattr(self, name)
-            if not 0 <= value <= 1:
-                raise ValueError(f"{name} must be within [0, 1]")
-        if self.attacks_per_month < 0:
-            raise ValueError("attacks_per_month must be non-negative")
+# Shape of the generated schedule (paper §6).
+#: share of all attacks aimed at a nameserver (paper: 0.57%..2.12%,
+#: avg 1.21%, Table 3).
+DNS_ATTACK_FRACTION = 0.0075
+#: share of DNS attacks that hit every nameserver of the deployment.
+CAMPAIGN_FRACTION = 0.22
+INVISIBLE_FRACTION = 0.12        # reflected/unspoofed only
+MULTI_VECTOR_FRACTION = 0.10     # visible + invisible extra vector
+COLOCATED_FRACTION = 0.04        # hits a non-NS IP in an NS /24
+HIGH_INTENSITY_FRACTION = 0.30   # bimodal mixture weight
+MID_INTENSITY_FRACTION = 0.10    # between the two modes
+HEAVY_TAIL_FRACTION = 0.03       # very large attacks
+LONG_DURATION_FRACTION = 0.04    # multi-hour background noise
 
 
-def sample_duration(rng: random.Random, cfg: AttackScheduleConfig) -> int:
+def sample_duration(rng: random.Random) -> int:
     """Bimodal attack duration: modes at ~15 min and ~1 h (Figure 10)."""
     roll = rng.random()
-    if roll < cfg.long_duration_fraction:
+    if roll < LONG_DURATION_FRACTION:
         return int(rng.uniform(2 * HOUR, 20 * HOUR))
-    if roll < cfg.long_duration_fraction + 0.48:
+    if roll < LONG_DURATION_FRACTION + 0.48:
         mode = 15 * MINUTE
     else:
         mode = 1 * HOUR
@@ -162,29 +147,29 @@ def sample_duration(rng: random.Random, cfg: AttackScheduleConfig) -> int:
     return max(5 * MINUTE, min(int(value), 24 * HOUR))
 
 
-def sample_intensity(rng: random.Random, cfg: AttackScheduleConfig) -> float:
+def sample_intensity(rng: random.Random) -> float:
     """Bimodal victim-response pps (the §6.4 50/6000 ppm modes), with a
     mid-range component and a heavy tail of very large attacks."""
     roll = rng.random()
-    if roll < cfg.heavy_tail_fraction:
+    if roll < HEAVY_TAIL_FRACTION:
         return rng.lognormvariate(math.log(HIGH_MODE_PPS * 10), 0.7)
-    if roll < cfg.heavy_tail_fraction + cfg.high_intensity_fraction:
+    if roll < HEAVY_TAIL_FRACTION + HIGH_INTENSITY_FRACTION:
         return rng.lognormvariate(math.log(HIGH_MODE_PPS), 0.9)
-    if roll < (cfg.heavy_tail_fraction + cfg.high_intensity_fraction
-               + cfg.mid_intensity_fraction):
+    if roll < (HEAVY_TAIL_FRACTION + HIGH_INTENSITY_FRACTION
+               + MID_INTENSITY_FRACTION):
         return rng.lognormvariate(math.log(4_000.0), 0.7)
     return rng.lognormvariate(math.log(LOW_MODE_PPS), 0.8)
 
 
 def _build_vectors(rng: random.Random, mix: AttackMix, pps: float,
-                   cfg: AttackScheduleConfig, visible: bool) -> List[AttackVector]:
+                   visible: bool) -> List[AttackVector]:
     proto = mix.pick_proto(rng)
     ports = mix.pick_ports(rng, proto)
     spoofing = Spoofing.RANDOM if visible else rng.choice(
         (Spoofing.REFLECTED, Spoofing.UNSPOOFED))
     packet_bytes = 60 if proto == PROTO_TCP else 1400
     vectors = [AttackVector(proto, ports, pps, spoofing, packet_bytes)]
-    if visible and rng.random() < cfg.multi_vector_fraction:
+    if visible and rng.random() < MULTI_VECTOR_FRACTION:
         # Extra invisible vector the telescope under-counts (§6.4).
         extra_pps = pps * rng.uniform(0.5, 3.0)
         extra_proto = PROTO_UDP if proto == PROTO_TCP else PROTO_TCP
@@ -195,69 +180,68 @@ def _build_vectors(rng: random.Random, mix: AttackMix, pps: float,
 
 
 def generate_schedule(rng: random.Random, timeline: Timeline,
-                      catalog: TargetCatalog,
-                      config: Optional[AttackScheduleConfig] = None,
-                      mix: Optional[AttackMix] = None) -> List[Attack]:
-    """Generate the background attack schedule over the timeline.
+                      catalog: TargetCatalog, attacks_per_month: int,
+                      scale: float) -> List[Attack]:
+    """Generate the background attack schedule over the timeline:
+    ``attacks_per_month`` on average, plus each hot target's paper-scale
+    count times ``scale``.
 
     Scripted case-study campaigns (TransIP, mil.ru, ...) are added on
     top of this by :mod:`repro.world.scenarios`.
     """
-    config = config or AttackScheduleConfig()
-    dns_mix = mix or AttackMix()
+    dns_mix = AttackMix()
     ns_ips = list(catalog.ns_ip_weights)
     ns_weights = [catalog.ns_ip_weights[ip] for ip in ns_ips]
     attacks: List[Attack] = []
 
     month_bounds = _month_bounds(timeline)
     for (year, month), (m_start, m_end) in month_bounds.items():
-        n = config.attacks_per_month
+        n = attacks_per_month
         n = max(0, int(rng.gauss(n, n * 0.18))) if n else 0
         for _ in range(n):
             start = rng.randrange(m_start, m_end)
-            duration = sample_duration(rng, config)
-            pps = sample_intensity(rng, config)
-            visible = rng.random() >= config.invisible_fraction
-            if ns_ips and rng.random() < config.dns_attack_fraction:
+            duration = sample_duration(rng)
+            pps = sample_intensity(rng)
+            visible = rng.random() >= INVISIBLE_FRACTION
+            if ns_ips and rng.random() < DNS_ATTACK_FRACTION:
                 victim = weighted_choice(rng, ns_ips, ns_weights)
-                vectors = _build_vectors(rng, dns_mix, pps, config, visible)
+                vectors = _build_vectors(rng, dns_mix, pps, visible)
                 group = catalog.ns_groups.get(victim, ())
-                if len(group) > 1 and rng.random() < config.campaign_fraction:
+                if len(group) > 1 and rng.random() < CAMPAIGN_FRACTION:
                     window = Window(start, start + duration)
                     for ip in group:
                         attacks.append(Attack(victim_ip=ip, window=window,
                                               vectors=list(vectors)))
                     continue
-            elif ns_ips and rng.random() < config.colocated_fraction:
+            elif ns_ips and rng.random() < COLOCATED_FRACTION:
                 # A co-tenant of a nameserver /24: stresses the shared
                 # link but is not itself DNS infrastructure.
                 base = slash24_of(rng.choice(ns_ips))
                 victim = base | rng.randrange(1, 255)
                 if victim in catalog.ns_ip_weights:
                     victim = base | 254
-                vectors = _build_vectors(rng, GENERIC_MIX, pps, config, visible)
+                vectors = _build_vectors(rng, GENERIC_MIX, pps, visible)
             else:
                 victim = rng.choice(catalog.other_ips) if catalog.other_ips else 1 << 24
-                vectors = _build_vectors(rng, GENERIC_MIX, pps, config, visible)
+                vectors = _build_vectors(rng, GENERIC_MIX, pps, visible)
             attacks.append(Attack(
                 victim_ip=victim,
                 window=Window(start, start + duration),
                 vectors=vectors,
             ))
 
-    attacks.extend(_hot_target_attacks(rng, timeline, catalog, config, month_bounds))
+    attacks.extend(_hot_target_attacks(rng, catalog, scale, month_bounds))
     attacks.sort(key=lambda a: (a.window.start, a.victim_ip))
     return attacks
 
 
-def _hot_target_attacks(rng: random.Random, timeline: Timeline,
-                        catalog: TargetCatalog, config: AttackScheduleConfig,
-                        month_bounds: Dict[Tuple[int, int], Tuple[int, int]]
+def _hot_target_attacks(rng: random.Random, catalog: TargetCatalog,
+                        scale: float, month_bounds: Dict[Tuple[int, int], Tuple[int, int]]
                         ) -> List[Attack]:
     """Frequent low-impact attacks against hot targets (Table 5)."""
     out: List[Attack] = []
     for hot in catalog.hot_targets:
-        n = max(1, int(round(hot.n_attacks * config.scale)))
+        n = max(1, int(round(hot.n_attacks * scale)))
         if hot.months:
             eligible = [month_bounds[m] for m in hot.months if m in month_bounds]
         else:
@@ -267,11 +251,11 @@ def _hot_target_attacks(rng: random.Random, timeline: Timeline,
         for _ in range(n):
             m_start, m_end = rng.choice(eligible)
             start = rng.randrange(m_start, m_end)
-            duration = sample_duration(rng, config)
+            duration = sample_duration(rng)
             # Hot targets are mostly hit by the low mode: heavily
             # provisioned anycast services shrug these off (Table 5).
             pps = rng.lognormvariate(math.log(LOW_MODE_PPS * 4), 0.9)
-            vectors = _build_vectors(rng, GENERIC_MIX, pps, config, visible=True)
+            vectors = _build_vectors(rng, GENERIC_MIX, pps, visible=True)
             out.append(Attack(hot.ip, Window(start, start + duration), vectors))
     return out
 

@@ -157,8 +157,9 @@ class ScenarioPack:
 @dataclass(frozen=True)
 class VolumetricParams:
     """The volumetric pack has no knobs of its own — the background
-    generator is configured by ``WorldConfig.schedule`` — but carries a
-    params type so every pack fingerprints uniformly."""
+    generator's are ``WorldConfig.attacks_per_month`` and the constants
+    of :mod:`repro.attacks.generator` — but carries a params type so
+    every pack fingerprints uniformly."""
 
 
 class VolumetricPack(ScenarioPack):

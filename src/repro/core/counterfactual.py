@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.world.capacity import overload_drop
+from repro.world.capacity import HEADROOM, overload_drop
 from repro.world.scenarios import expected_retry_burn_s
 
 __all__ = ["MitigationLayer", "DEFAULT_LAYERS", "AttackDelta",
@@ -151,7 +151,7 @@ def _impact_of(world, ns, attack, layer: Optional[MitigationLayer]) -> float:
     if layer is not None:
         cost *= 1.0 - layer.filter_efficiency
         capacity *= layer.effective_capacity_factor
-    drop = min(_MAX_DROP, overload_drop(cost / capacity, model.headroom))
+    drop = min(_MAX_DROP, overload_drop(cost / capacity, HEADROOM))
     burn_s = expected_retry_burn_s(drop)
     return 1.0 + burn_s * 1000.0 / ns.base_rtt_ms
 

@@ -88,8 +88,14 @@ class AttackEvent:
                 f"fail={self.failure_rate:.1%}, impact={impact})")
 
 
+#: minimum measured domains for an attack event (paper §6.3's noise
+#: threshold).
+EVENT_MIN_DOMAINS = 5
+
+
 def extract_events(join: DatasetJoin, store: MeasurementStore,
-                   metadata: NSSetMetadata, min_domains: int = 5,
+                   metadata: NSSetMetadata,
+                   min_domains: int = EVENT_MIN_DOMAINS,
                    baseline_kind: str = "day") -> List[AttackEvent]:
     """Extract all qualifying attack events from a join result.
 
@@ -110,7 +116,7 @@ EVENT_MIN_BUCKET_N = 3
 
 
 def events_for_attack(classified: ClassifiedAttack, store: MeasurementStore,
-                      metadata: NSSetMetadata, min_domains: int = 5,
+                      metadata: NSSetMetadata, min_domains: int,
                       baseline_kind: str = "day") -> List[AttackEvent]:
     """Events of a single classified attack across its NSSets.
 

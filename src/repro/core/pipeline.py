@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # avoid a core <-> chaos/artifacts import cycle at runtime
     from repro.chaos.policy import ChaosConfig
 
 from repro.core.correlation import CorrelationAnalysis, analyze_correlation
-from repro.core.events import AttackEvent, extract_events
+from repro.core.events import EVENT_MIN_DOMAINS, AttackEvent, extract_events
 from repro.core.impact import (
     FailureAnalysis,
     ImpactAnalysis,
@@ -137,7 +137,6 @@ def _observe_telescope(ctx: RunContext, world: World) -> RSDoSFeed:
     simulator = BackscatterSimulator(
         darknet, rng,
         link_util_fn=_link_util_fn(world),
-        headroom=ctx.params["config"].headroom,
         jitter_seed=ctx.params.get("telescope_jitter_seed"))
     return RSDoSFeed.observe(attacks, simulator)
 
@@ -204,8 +203,7 @@ def _build_metadata(ctx: RunContext, world: World) -> NSSetMetadata:
 def _extract_events(ctx: RunContext, join: DatasetJoin,
                     store: MeasurementStore,
                     metadata: NSSetMetadata) -> List[AttackEvent]:
-    return extract_events(join, store, metadata,
-                          min_domains=ctx.params["config"].event_min_domains)
+    return extract_events(join, store, metadata, EVENT_MIN_DOMAINS)
 
 
 def _run_counterfactuals(ctx: RunContext, world: World, events):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from repro.core.correlation import duration_impact_buckets
+from repro.core.events import EVENT_MIN_DOMAINS
 from repro.core.resilience import complete_failure_prefix_shares
 from repro.core.topasn import top_attacked_asns, top_attacked_ips
 from repro.net.ports import PORT_DNS, PORT_HTTP, PORT_HTTPS, PROTO_ICMP, PROTO_TCP, PROTO_UDP
@@ -46,7 +47,7 @@ def _header(study: "Study") -> str:
         f"attacks    : {format_count(len(study.feed.attacks))} inferred "
         f"(of {format_count(len(study.world.attacks))} ground truth)",
         f"events     : {format_count(len(study.events))} "
-        f"(NSSets with >= {config.event_min_domains} measured domains)",
+        f"(NSSets with >= {EVENT_MIN_DOMAINS} measured domains)",
         f"measurements: {format_count(study.store.n_measurements)}",
     ]
     # Chaos/degradation flags appear only when they apply, so a clean

@@ -74,7 +74,6 @@ class VantageObservation:
 
     region: str
     answered_share: float
-    n_probes: int
 
 
 @dataclass
@@ -131,8 +130,7 @@ class MultiVantageProber:
                 for _ in range(n_probes))
             result.observations.append(VantageObservation(
                 region=vantage.region,
-                answered_share=answered / n_probes,
-                n_probes=n_probes))
+                answered_share=answered / n_probes))
         return result
 
     def survey_attack(self, attack, n_probes: int = 20

@@ -93,7 +93,7 @@ class OpenIntelPlatform:
         self.stats: Optional[CrawlStats] = (
             CrawlStats() if self.telemetry.enabled else None)
         self.world = world
-        self.config = config or world.config.resolver
+        self.config = config or ResolverConfig()
         #: the datagram path queries travel; fault injection wraps it
         #: here without the world's ground truth noticing.
         self.transport = transport or world.transport

@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 from repro.artifacts import PhaseCache, dumps_catalog, loads_catalog
 from repro.artifacts.fingerprint import (attacks_starting_on, catalog_key,
                                          day_keys, events_crawl_cover)
-from repro.core.events import extract_events
+from repro.core.events import EVENT_MIN_DOMAINS, extract_events
 from repro.core.nsset import NSSetMetadata
 from repro.core.pipeline import STUDY_GRAPH
 from repro.engine import Executor, RunContext
@@ -284,9 +284,8 @@ class ShardedStudyStore:
                 part = self.load_day(day, "crawl")
                 if part is not None:
                     merged.merge(part)
-            events = extract_events(
-                join, merged, self.metadata(),
-                min_domains=self.config.event_min_domains)
+            events = extract_events(join, merged, self.metadata(),
+                                    EVENT_MIN_DOMAINS)
             self.cache.save("events", plan.keys["events"], events)
             self._loaded[("events", plan.day)] = events
             self._trim_loaded()

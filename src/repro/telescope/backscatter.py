@@ -22,7 +22,7 @@ from repro.net.ip import IPV4_SPACE
 from repro.telescope.darknet import Darknet
 from repro.util.rng import derive_rng, poisson, seed_prefix
 from repro.util.timeutil import FIVE_MINUTES
-from repro.world.capacity import overload_drop
+from repro.world.capacity import HEADROOM, overload_drop
 
 # A callable the world provides: inbound-link utilization of the victim
 # at an instant (0.0 for victims we model no link for).
@@ -50,12 +50,10 @@ class BackscatterSimulator:
 
     def __init__(self, darknet: Darknet, rng: random.Random,
                  link_util_fn: Optional[LinkUtilFn] = None,
-                 headroom: float = 0.8,
                  jitter_seed: Optional[int] = None):
         self.darknet = darknet
         self.rng = rng
         self.link_util_fn = link_util_fn or (lambda ip, ts: 0.0)
-        self.headroom = headroom
         #: root of the per-(victim, window) max_ppm jitter streams. The
         #: jitter must not ride the shared ``rng``: an inline draw per
         #: emitted window couples a window's jitter to how many windows
@@ -101,7 +99,7 @@ class BackscatterSimulator:
         else:
             scrub_from, scrubbed_pps = end, full_pps
         response_ratio = attack.response_ratio
-        headroom = self.headroom
+        headroom = HEADROOM
         coverage = self.darknet.coverage
         blocks = self.darknet.n_slash16s
         pool = attack.spoof_pool_size or IPV4_SPACE
@@ -183,7 +181,7 @@ class BackscatterSimulator:
         for ts in range(attack.window.start, attack.window.end):
             spoofed_pps = attack.effective_spoofed_pps(ts)
             link_util = self.link_util_fn(attack.victim_ip, ts)
-            respond = (1.0 - overload_drop(link_util, self.headroom)) \
+            respond = (1.0 - overload_drop(link_util, HEADROOM)) \
                 * attack.response_ratio
             expected = spoofed_pps * respond * self.darknet.coverage
             for _ in range(poisson(self.rng, expected)):

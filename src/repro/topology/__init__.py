@@ -8,14 +8,13 @@ datasets are derived from it with the same lookup semantics.
 """
 
 from repro.topology.internet import InternetTopology, ReservedSpace
-from repro.topology.generator import TopologyConfig, generate_topology
+from repro.topology.generator import generate_topology
 from repro.topology.prefix2as import Prefix2AS
 from repro.topology.as2org import AS2Org
 
 __all__ = [
     "InternetTopology",
     "ReservedSpace",
-    "TopologyConfig",
     "generate_topology",
     "Prefix2AS",
     "AS2Org",

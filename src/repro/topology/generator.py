@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.net.asn import AS
 from repro.topology.internet import InternetTopology
@@ -54,21 +54,12 @@ _COUNTRIES = ("US", "DE", "NL", "FR", "GB", "RU", "BR", "JP", "IN", "CN",
 _ORG_KINDS = ("hosting", "isp", "enterprise", "cloud", "cdn")
 
 
-@dataclass(frozen=True)
-class TopologyConfig:
-    """Knobs for the synthetic topology size."""
-
-    n_filler_orgs: int = 400
-    prefixes_per_filler: int = 2
-    filler_prefix_length: int = 20
-    multi_as_org_fraction: float = 0.05
-    include_analogs: bool = True
-
-    def __post_init__(self) -> None:
-        if self.n_filler_orgs < 0:
-            raise ValueError("n_filler_orgs must be non-negative")
-        if not 0 <= self.multi_as_org_fraction <= 1:
-            raise ValueError("multi_as_org_fraction must be within [0, 1]")
+# Size of the generated filler: organizations, each with this many
+# prefixes of this length per AS, and the share of them running two ASes.
+N_FILLER_ORGS = 400
+PREFIXES_PER_FILLER = 2
+FILLER_PREFIX_LENGTH = 20
+MULTI_AS_ORG_FRACTION = 0.05
 
 
 @dataclass
@@ -80,37 +71,34 @@ class GeneratedTopology:
     filler_as: List[AS] = field(default_factory=list)
 
 
-def generate_topology(rng: random.Random,
-                      config: Optional[TopologyConfig] = None) -> GeneratedTopology:
+def generate_topology(rng: random.Random) -> GeneratedTopology:
     """Build the synthetic Internet.
 
     Analog orgs get their real ASNs plus a couple of address blocks;
     filler orgs get sequential ASNs from 60000 upward so they can never
     collide with the analog set.
     """
-    config = config or TopologyConfig()
     internet = InternetTopology()
     out = GeneratedTopology(internet=internet)
 
-    if config.include_analogs:
-        for name, asn, country in ANALOG_ORGS:
-            org = internet.add_org(name, country=country)
-            asys = internet.add_as(org, number=asn, country=country)
-            # Named players are substantial networks: a /16 plus a /20.
-            internet.allocate(asys, 16)
-            internet.allocate(asys, 20)
-            out.analog_as[name] = asys
+    for name, asn, country in ANALOG_ORGS:
+        org = internet.add_org(name, country=country)
+        asys = internet.add_as(org, number=asn, country=country)
+        # Named players are substantial networks: a /16 plus a /20.
+        internet.allocate(asys, 16)
+        internet.allocate(asys, 20)
+        out.analog_as[name] = asys
 
     next_asn = 60000
-    for i in range(config.n_filler_orgs):
+    for i in range(N_FILLER_ORGS):
         kind = _ORG_KINDS[i % len(_ORG_KINDS)]
         country = rng.choice(_COUNTRIES)
         org = internet.add_org(f"{kind.title()}-{i:04d}", country=country)
-        n_as = 2 if rng.random() < config.multi_as_org_fraction else 1
+        n_as = 2 if rng.random() < MULTI_AS_ORG_FRACTION else 1
         for _ in range(n_as):
             asys = internet.add_as(org, number=next_asn, country=country)
             next_asn += 1
-            for _ in range(config.prefixes_per_filler):
-                internet.allocate(asys, config.filler_prefix_length)
+            for _ in range(PREFIXES_PER_FILLER):
+                internet.allocate(asys, FILLER_PREFIX_LENGTH)
             out.filler_as.append(asys)
     return out

@@ -15,12 +15,12 @@ discusses:
   resources (*packet*-bound), weighted by how expensive they are to
   dispose of: UDP floods to port 53 are parsed by the DNS software
   itself (application-aware attacks, §6.3.1, weight
-  ``app_layer_factor``); TCP SYNs to port 53 burn SYN-queue state
+  ``APP_LAYER_FACTOR``); TCP SYNs to port 53 burn SYN-queue state
   (weight 1); packets to other ports are discarded cheaply in the
-  kernel (weight ``other_port_factor``).
+  kernel (weight ``OTHER_PORT_FACTOR``).
 
-Drop probability follows the classic overload form ``1 - headroom/u``
-above the headroom threshold: a server at twice its capacity answers
+Drop probability follows the classic overload form ``1 - HEADROOM/u``
+above the ``HEADROOM`` threshold: a server at twice its capacity answers
 ~40% of queries, at 10x ~8%. Sub-saturation queueing adds an M/M/1-style
 delay that only matters near saturation. SERVFAIL is a distinct mode:
 an application-overloaded (but link-healthy) server answers quickly with
@@ -34,6 +34,19 @@ from dataclasses import dataclass
 
 from repro.dns.server import ServerReply
 from repro.net.ports import PORT_DNS, PROTO_UDP
+
+#: servers and links keep answering cleanly below this utilization.
+HEADROOM = 0.8
+#: capacity-cost multiplier of UDP port-53 (application-layer) attack
+#: packets relative to generic volumetric packets.
+APP_LAYER_FACTOR = 4.0
+#: capacity-cost multiplier of non-DNS-port packets at the server (the
+#: kernel discards them cheaply; the link still carries them).
+OTHER_PORT_FACTOR = 0.5
+#: probability weight of the SERVFAIL (application exhaustion) mode,
+#: calibrated so SERVFAIL stays the minority failure signature (paper
+#: §6.3.1: 92% timeout / 8% SERVFAIL).
+SERVFAIL_WEIGHT = 0.12
 
 # Sub-saturation service time that stretches as the queue builds.
 _SERVICE_MS = 2.0
@@ -75,21 +88,6 @@ def queue_delay_ms(util: float) -> float:
 class CapacityModel:
     """Samples per-query server replies from a load breakdown."""
 
-    def __init__(self, headroom: float = 0.8, app_layer_factor: float = 4.0,
-                 other_port_factor: float = 0.5, servfail_weight: float = 0.10):
-        if not 0 < headroom <= 1:
-            raise ValueError("headroom must be within (0, 1]")
-        if app_layer_factor < 1:
-            raise ValueError("app_layer_factor must be >= 1")
-        if not 0 <= other_port_factor <= 1:
-            raise ValueError("other_port_factor must be within [0, 1]")
-        if not 0 <= servfail_weight <= 1:
-            raise ValueError("servfail_weight must be within [0, 1]")
-        self.headroom = headroom
-        self.app_layer_factor = app_layer_factor
-        self.other_port_factor = other_port_factor
-        self.servfail_weight = servfail_weight
-
     # -- load weighting --------------------------------------------------------
 
     def server_cost_pps(self, pps: float, ports, proto: int) -> float:
@@ -101,9 +99,9 @@ class CapacityModel:
         """
         if PORT_DNS in ports:
             if proto == PROTO_UDP:
-                return pps * self.app_layer_factor
+                return pps * APP_LAYER_FACTOR
             return pps
-        return pps * self.other_port_factor
+        return pps * OTHER_PORT_FACTOR
 
     def is_app_layer(self, ports, proto: int) -> bool:
         """Does a vector reach the DNS application itself?"""
@@ -127,22 +125,22 @@ class CapacityModel:
         rtt = base_rtt_ms + rng.expovariate(1.0 / 2.0)  # ~2ms network jitter
         if load.quiet:
             return ServerReply.ok(rtt)
-        p_link = overload_drop(load.link_util, self.headroom)
+        p_link = overload_drop(load.link_util, HEADROOM)
         if p_link > 0 and rng.random() < p_link:
             return ServerReply.dropped()
         survival = 1.0 - p_link
         eff_server = load.server_util * survival
         eff_app = load.app_util * survival
-        p_drop = overload_drop(eff_server, self.headroom)
+        p_drop = overload_drop(eff_server, HEADROOM)
         # SERVFAIL: application-layer floods exhaust the DNS software
         # directly (full weight); any severe server overload also makes
         # it occasionally answer with SERVFAIL (e.g. failed internal
         # lookups) at a reduced weight.
-        app_component = ((eff_app - self.headroom) / eff_app
-                         if eff_app > self.headroom else 0.0)
-        server_component = (0.1 * (eff_server - self.headroom) / eff_server
-                            if eff_server > self.headroom else 0.0)
-        p_servfail = self.servfail_weight * max(app_component, server_component)
+        app_component = ((eff_app - HEADROOM) / eff_app
+                         if eff_app > HEADROOM else 0.0)
+        server_component = (0.1 * (eff_server - HEADROOM) / eff_server
+                            if eff_server > HEADROOM else 0.0)
+        p_servfail = SERVFAIL_WEIGHT * max(app_component, server_component)
         roll = rng.random()
         if roll < p_servfail:
             return ServerReply.servfail(rtt + queue_delay_ms(eff_server))

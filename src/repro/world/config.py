@@ -9,21 +9,21 @@ factor. ``WorldConfig.paper_scale()`` documents the mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
-from repro.attacks.generator import AttackScheduleConfig
 from repro.attacks.packs import DEFAULT_PACK, validate_pack_name
-from repro.dns.resolver import ResolverConfig
 from repro.util.timeutil import Timeline
 
 # Total RSDoS attacks the paper observed over the 17 months (Table 1);
-# used to derive the hot-target scale factor.
+# used to derive the hot-target scale factor (see ``build_world``).
 PAPER_TOTAL_ATTACKS = 4_039_485
 
 
 @dataclass(frozen=True)
 class WorldConfig:
-    """Every knob of the simulated study world."""
+    """Every knob of the simulated study world. The model's calibration
+    values are constants of the modules that read them (see
+    ``docs/calibration.md``)."""
 
     seed: int = 42
 
@@ -33,27 +33,13 @@ class WorldConfig:
 
     # -- domain population ------------------------------------------------------
     n_domains: int = 20_000
-    #: fraction of domains whose NS records point at public resolvers or
-    #: other nonsense (the Table 5 misconfiguration phenomenon).
-    misconfig_fraction: float = 0.004
-    #: fraction of domains adding a secondary provider (multi-AS NSSets).
-    multi_provider_fraction: float = 0.06
     #: tiny self-hosted deployments (1-20 domains each).
     n_selfhosted_providers: int = 220
     #: generated mid-market hosting providers on top of the analogs.
     n_filler_providers: int = 45
-    #: Zipf skew of the provider size distribution.
-    provider_zipf_alpha: float = 1.05
-    #: share of TransIP-hosted domains under .nl (paper: ~two-thirds).
-    transip_nl_share: float = 0.66
-    #: fraction of TransIP domains whose web content is hosted third-party
-    #: (paper §5.1.1: ~27%).
-    transip_third_party_web: float = 0.27
 
     # -- attack schedule ---------------------------------------------------------
     attacks_per_month: int = 2_000
-    dns_attack_fraction: float = 0.0075
-    schedule: AttackScheduleConfig = field(default=None)  # type: ignore[assignment]
 
     # -- scenario pack -----------------------------------------------------------
     #: the attack-class plugin driving extra world/schedule/telescope
@@ -66,54 +52,10 @@ class WorldConfig:
     #: config field.
     pack_params: object = None
 
-    # -- measurement ---------------------------------------------------------------
-    vantage_region: str = "eu-west"  # OpenINTEL probes from the Netherlands
-    resolver: ResolverConfig = field(default_factory=ResolverConfig)
-    #: minimum measured domains for an attack event (paper §6.3).
-    event_min_domains: int = 5
-
-    # -- capacity model ---------------------------------------------------------
-    #: servers keep answering cleanly below this utilization.
-    headroom: float = 0.8
-    #: capacity-cost multiplier of UDP port-53 (application-layer) attack
-    #: packets relative to generic volumetric packets.
-    app_layer_factor: float = 4.0
-    #: capacity-cost multiplier of non-DNS-port packets at the server
-    #: (the kernel discards them cheaply; the link still carries them).
-    other_port_factor: float = 0.5
-    #: probability weight of the SERVFAIL (application exhaustion) mode,
-    #: calibrated so SERVFAIL stays the minority failure signature
-    #: (paper §6.3.1: 92% timeout / 8% SERVFAIL).
-    servfail_weight: float = 0.12
-
-    # -- census -------------------------------------------------------------------
-    census_recall: float = 0.92
-
     def __post_init__(self) -> None:
         if self.n_domains <= 0:
             raise ValueError("n_domains must be positive")
-        for name in ("misconfig_fraction", "multi_provider_fraction",
-                     "transip_nl_share", "transip_third_party_web",
-                     "dns_attack_fraction", "servfail_weight"):
-            value = getattr(self, name)
-            if not 0 <= value <= 1:
-                raise ValueError(f"{name} must be within [0, 1]")
-        if not 0 < self.headroom <= 1:
-            raise ValueError("headroom must be within (0, 1]")
         validate_pack_name(self.scenario_pack)
-        if self.schedule is None:
-            # Hot-target counts in Table 5 are 17-month totals; the
-            # generator spreads a count of ``paper_count x scale`` over
-            # the configured timeline. Matching the paper's *per-month*
-            # hot-target rate therefore needs the volume ratio times the
-            # fraction of the 17-month window this world covers.
-            n_months = max(1, len(list(self.timeline.months())))
-            paper_monthly = PAPER_TOTAL_ATTACKS / 17.0
-            object.__setattr__(self, "schedule", AttackScheduleConfig(
-                attacks_per_month=self.attacks_per_month,
-                dns_attack_fraction=self.dns_attack_fraction,
-                scale=(self.attacks_per_month / paper_monthly) * (n_months / 17.0),
-            ))
 
     @property
     def timeline(self) -> Timeline:
@@ -122,17 +64,6 @@ class WorldConfig:
     def paper_scale(self) -> float:
         """Approximate count scale factor vs the paper (attacks axis)."""
         return (self.attacks_per_month * 17) / PAPER_TOTAL_ATTACKS
-
-    def scaled(self, factor: float) -> "WorldConfig":
-        """A copy with domain and attack volumes scaled by ``factor``."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return replace(
-            self,
-            n_domains=max(1000, int(self.n_domains * factor)),
-            attacks_per_month=max(50, int(self.attacks_per_month * factor)),
-            schedule=None,  # re-derived in __post_init__
-        )
 
     @classmethod
     def tiny(cls, seed: int = 42) -> "WorldConfig":

@@ -25,6 +25,14 @@ TLD_MIX: Tuple[Tuple[str, float], ...] = (
     ("it", 0.03), ("at", 0.02), ("es", 0.02), ("se", 0.02),
     ("pl", 0.02), ("io", 0.02), ("biz", 0.02),
 )
+#: share of domains whose NS records point at public resolvers or other
+#: nonsense (the Table 5 misconfiguration phenomenon).
+MISCONFIG_FRACTION = 0.004
+#: share of domains adding a secondary provider (multi-AS NSSets).
+MULTI_PROVIDER_FRACTION = 0.06
+#: share of TransIP domains whose web content is hosted third-party
+#: (paper §5.1.1: ~27%).
+TRANSIP_THIRD_PARTY_WEB = 0.27
 
 
 @dataclass
@@ -182,9 +190,7 @@ def _delegation_for(provider: HostingProvider,
 
 def build_population(rng: random.Random, providers: Sequence[HostingProvider],
                      n_domains: int, misconfig_targets: Sequence[MisconfigTarget],
-                     misconfig_fraction: float, multi_provider_fraction: float,
-                     secondary_pool: Sequence[str],
-                     transip_third_party_web: float = 0.27) -> DomainDirectory:
+                     secondary_pool: Sequence[str]) -> DomainDirectory:
     """Generate the registered-domain population.
 
     ``secondary_pool`` names the providers offering secondary-NS service
@@ -211,7 +217,7 @@ def build_population(rng: random.Random, providers: Sequence[HostingProvider],
             tld = tld_picker.pick(rng)
         name = DomainName(f"dom{i:07d}.{tld}")
 
-        if mis_picker is not None and rng.random() < misconfig_fraction:
+        if mis_picker is not None and rng.random() < MISCONFIG_FRACTION:
             target = mis_picker.pick(rng)
             delegation = Delegation.build(
                 name, {DomainName(f"ns.{target.label}.example"): (target.ip,)})
@@ -219,12 +225,12 @@ def build_population(rng: random.Random, providers: Sequence[HostingProvider],
             continue
 
         partner = None
-        if secondaries and rng.random() < multi_provider_fraction:
+        if secondaries and rng.random() < MULTI_PROVIDER_FRACTION:
             candidates = [s for s in secondaries if s.name != provider.name]
             if candidates:
                 partner = rng.choice(candidates)
         third_party = (provider.name == "TransIP"
-                       and rng.random() < transip_third_party_web)
+                       and rng.random() < TRANSIP_THIRD_PARTY_WEB)
         key = (provider.name, partner.name if partner else None)
         ns_addrs = pair_ns_addrs.get(key)
         if ns_addrs is None:

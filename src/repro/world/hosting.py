@@ -36,6 +36,8 @@ _COUNTRY_RTT_MS: Dict[str, float] = {
 }
 _DEFAULT_RTT_MS = 70.0
 _ANYCAST_RTT_MS = 12.0  # nearest-site RTT from the vantage
+#: Zipf skew of the filler providers' size distribution.
+PROVIDER_ZIPF_ALPHA = 1.05
 
 
 class ProfileKind(enum.Enum):
@@ -268,14 +270,14 @@ def build_analog_providers(gen: GeneratedTopology, rng: random.Random
 
 
 def build_filler_providers(gen: GeneratedTopology, rng: random.Random,
-                           n: int, zipf_alpha: float) -> List[HostingProvider]:
+                           n: int) -> List[HostingProvider]:
     """Mid-market providers with a rank-dependent profile mix: higher
     ranks anycast, the tail single-prefix unicast."""
     providers = []
     filler_as = [a for a in gen.filler_as]
     for rank in range(n):
         asys = filler_as[rank % len(filler_as)]
-        share = 1.0 / ((rank + 3) ** zipf_alpha)
+        share = 1.0 / ((rank + 3) ** PROVIDER_ZIPF_ALPHA)
         if rank < max(2, n // 10):
             profile = DeploymentProfile(
                 ProfileKind.LARGE_ANYCAST, n_nameservers=4, n_prefixes=4,

@@ -34,7 +34,8 @@ from repro.net.ports import PORT_DNS, PORT_HTTP, PROTO_UDP
 from repro.util.timeutil import HOUR, MINUTE, Window, parse_ts
 from repro.world.domains import _delegation_for
 from repro.world.hosting import DeploymentProfile, ProfileKind, build_provider
-from repro.world.simulation import World
+from repro.world.capacity import HEADROOM
+from repro.world.simulation import VANTAGE_REGION, World
 
 # Victim-response packet rates from Table 2 after the paper's own
 # extrapolation (telescope ppm x 341 / 60).
@@ -133,7 +134,7 @@ def drop_for_impact(target_impact: float, baseline_ms: float) -> float:
     return (lo + hi) / 2
 
 
-def rate_for_drop(p_target: float, capacity_pps: float, headroom: float = 0.8,
+def rate_for_drop(p_target: float, capacity_pps: float,
                   cost_factor: float = 4.0) -> float:
     """Attack rate producing per-attempt drop probability ``p_target``
     at the server stage (``cost_factor`` = capacity cost per packet)."""
@@ -141,7 +142,7 @@ def rate_for_drop(p_target: float, capacity_pps: float, headroom: float = 0.8,
         raise ValueError("p_target must be within [0, 1)")
     if p_target == 0:
         return 0.0
-    utilization = headroom / (1.0 - p_target)
+    utilization = HEADROOM / (1.0 - p_target)
     return utilization * capacity_pps / cost_factor
 
 
@@ -326,13 +327,11 @@ def table6_campaigns(world: World) -> List[Campaign]:
             if p_target <= 0:
                 continue
             if ns.anycast is not None:
-                site = ns.anycast.site_for_region(world.config.vantage_region)
+                site = ns.anycast.site_for_region(VANTAGE_REGION)
                 capacity = site.capacity_pps / max(site.catchment_weight, 1e-9)
             else:
                 capacity = ns.capacity_pps
-            rate = rate_for_drop(p_target, capacity,
-                                 headroom=world.config.headroom,
-                                 cost_factor=cost_factor)
+            rate = rate_for_drop(p_target, capacity, cost_factor=cost_factor)
             campaign.add(Attack(
                 victim_ip=ns.ip,
                 # Two hours: long enough for the daily crawl to clear the

@@ -28,12 +28,12 @@ from repro.dns.rr import RRType
 from repro.dns.server import NameserverId, ServerReply
 from repro.net.ip import IPv4Prefix, ip_to_str, parse_ip, slash24_of
 from repro.topology.as2org import AS2Org
-from repro.topology.generator import TopologyConfig, generate_topology
+from repro.topology.generator import generate_topology
 from repro.topology.prefix2as import Prefix2AS
 from repro.util.rng import RngStreams
 from repro.util.timeutil import DAY, Timeline, day_start
 from repro.world.capacity import CapacityModel, LoadBreakdown
-from repro.world.config import WorldConfig
+from repro.world.config import PAPER_TOTAL_ATTACKS, WorldConfig
 from repro.world.domains import (
     DomainDirectory,
     MisconfigTarget,
@@ -66,6 +66,9 @@ SPECIAL_TARGETS = (
 UNIFIED_LAYER_HOT_COUNT = 2566
 # Providers offering secondary-NS service (multi-AS NSSets, Figure 12).
 SECONDARY_POOL = ("nic.ru", "GoDaddy", "Hosting-000", "Hosting-001", "Hosting-002")
+# The region OpenINTEL probes from (the Netherlands): an anycast
+# nameserver answers it from the site this region is routed to.
+VANTAGE_REGION = "eu-west"
 # The World's lazily built views of the attack schedule and the fleet.
 _ATTACK_DERIVED = ("_index", "_attack_weights", "link_capacity",
                    "_vantage_site", "_busy_spans", "_dense_days")
@@ -147,11 +150,7 @@ class World:
         self.nameservers_by_ip: Dict[int, Nameserver] = {}
         self.directory = DomainDirectory()
         self.attacks: List[Attack] = []
-        self.capacity_model = CapacityModel(
-            headroom=config.headroom,
-            app_layer_factor=config.app_layer_factor,
-            other_port_factor=config.other_port_factor,
-            servfail_weight=config.servfail_weight)
+        self.capacity_model = CapacityModel()
         self.census: Optional[AnycastCensus] = None
         self.prefix2as: Optional[Prefix2AS] = None
         self.as2org: Optional[AS2Org] = None
@@ -241,11 +240,10 @@ class World:
     def _vantage_site(self) -> Dict[int, Tuple[float, float]]:
         """Anycast ip -> (catchment share, capacity) of the site the
         vantage region is routed to."""
-        region = self.config.vantage_region
         sites: Dict[int, Tuple[float, float]] = {}
         for ns in self.nameservers_by_ip.values():
             if ns.anycast is not None:
-                site = ns.anycast.site_for_region(region)
+                site = ns.anycast.site_for_region(VANTAGE_REGION)
                 sites[ns.ip] = (site.catchment_weight, site.capacity_pps)
         return sites
 
@@ -423,14 +421,14 @@ def build_world(config: Optional[WorldConfig] = None,
     world = World(config)
     world.pack = pack
     rng_topo = world.rngs.stream("topology")
-    gen = generate_topology(rng_topo, TopologyConfig())
+    gen = generate_topology(rng_topo)
     world.internet = gen.internet
 
     rng_prov = world.rngs.stream("providers")
     for provider in build_analog_providers(gen, rng_prov):
         world.add_provider(provider)
     for provider in build_filler_providers(
-            gen, rng_prov, config.n_filler_providers, config.provider_zipf_alpha):
+            gen, rng_prov, config.n_filler_providers):
         world.add_provider(provider)
     for provider in build_selfhosted_providers(
             gen, rng_prov, config.n_selfhosted_providers):
@@ -442,8 +440,7 @@ def build_world(config: Optional[WorldConfig] = None,
     # population exists; it only needs the nameserver addresses).
     world.census = AnycastCensus.observe_world(
         seed=world.rngs.spawn_seed("census"),
-        anycast_ips=world.anycast_ips(),
-        recall=config.census_recall)
+        anycast_ips=world.anycast_ips())
     world.open_resolver_ips = {
         parse_ip(ip) for ip, label, _, answers, _, _ in SPECIAL_TARGETS
         if answers and "DNS" in label}
@@ -451,9 +448,7 @@ def build_world(config: Optional[WorldConfig] = None,
     rng_pop = world.rngs.stream("population")
     world.directory = build_population(
         rng_pop, list(world.providers.values()), config.n_domains,
-        misconfig_targets, config.misconfig_fraction,
-        config.multi_provider_fraction, SECONDARY_POOL,
-        config.transip_third_party_web)
+        misconfig_targets, SECONDARY_POOL)
     _ensure_misconfig_coverage(world, misconfig_targets, rng_pop)
 
     if install_scenarios:
@@ -471,8 +466,16 @@ def build_world(config: Optional[WorldConfig] = None,
 
     rng_attacks = world.rngs.stream("attacks")
     catalog = _build_target_catalog(world, gen, hot_targets, rng_attacks)
+    # Hot-target counts in Table 5 are 17-month totals; the generator
+    # spreads a count of ``paper_count x scale`` over the configured
+    # timeline. Matching the paper's *per-month* hot-target rate
+    # therefore needs the volume ratio times the fraction of the
+    # 17-month window this world covers.
+    n_months = max(1, len(list(world.timeline.months())))
+    paper_monthly = PAPER_TOTAL_ATTACKS / 17.0
+    scale = (config.attacks_per_month / paper_monthly) * (n_months / 17.0)
     world.attacks = generate_schedule(
-        rng_attacks, world.timeline, catalog, config.schedule)
+        rng_attacks, world.timeline, catalog, config.attacks_per_month, scale)
 
     if install_scenarios:
         from repro.world import scenarios

@@ -5,6 +5,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.anycast import census as census_module
 from repro.anycast.census import CENSUS_DATES, AnycastCensus, CensusSnapshot
 from repro.anycast.deployment import AnycastDeployment, AnycastSite
 from repro.net.ip import parse_ip, slash24_of
@@ -74,10 +75,13 @@ class TestCensusSnapshot:
 
 
 class TestAnycastCensus:
-    def _census(self, recall=1.0):
-        ips = [parse_ip("192.0.2.1"), parse_ip("198.51.100.1")]
-        return AnycastCensus.observe_world(seed=5, anycast_ips=ips,
-                                           recall=recall)
+    IPS = (parse_ip("192.0.2.1"), parse_ip("198.51.100.1"))
+
+    def _census(self):
+        """Every snapshot detects both /24s (recall 1)."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(census_module, "CENSUS_RECALL", 1.0)
+            return AnycastCensus.observe_world(seed=5, anycast_ips=self.IPS)
 
     def test_quarterly_snapshots(self):
         census = self._census()
@@ -94,25 +98,20 @@ class TestAnycastCensus:
         assert census.snapshot_for(ts).taken_at == parse_ts("2021-07-01")
 
     def test_perfect_recall_detects_all(self):
-        census = self._census(recall=1.0)
+        census = self._census()
         assert census.is_anycast(parse_ip("192.0.2.200"), parse_ts("2021-02-01"))
 
     def test_lower_bound_character(self):
         # With imperfect recall some snapshot misses some /24 — the
         # census is a lower bound, never an over-approximation.
         ips = [parse_ip(f"198.18.{i}.1") for i in range(120)]
-        census = AnycastCensus.observe_world(seed=5, anycast_ips=ips,
-                                             recall=0.7)
+        census = AnycastCensus.observe_world(seed=5, anycast_ips=ips)
         detected = sum(len(s) for s in census.snapshots)
         total = len(CENSUS_DATES) * len(ips)
         assert detected < total
         for snap in census.snapshots:
             for s24 in snap.anycast_slash24s:
                 assert s24 in {slash24_of(ip) for ip in ips}
-
-    def test_rejects_bad_recall(self):
-        with pytest.raises(ValueError):
-            AnycastCensus.observe_world(1, [], recall=0.0)
 
     def test_label_nsset(self):
         census = self._census()
@@ -144,7 +143,7 @@ class TestAnycastCensus:
             AnycastCensus.load(io.StringIO('{"nope": 1}\n'))
 
     def test_deterministic(self):
-        a = self._census(recall=0.8)
-        b = self._census(recall=0.8)
+        a = AnycastCensus.observe_world(seed=5, anycast_ips=self.IPS)
+        b = AnycastCensus.observe_world(seed=5, anycast_ips=self.IPS)
         for snap_a, snap_b in zip(a.snapshots, b.snapshots):
             assert snap_a.anycast_slash24s == snap_b.anycast_slash24s

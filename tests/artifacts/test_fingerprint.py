@@ -1,5 +1,6 @@
 """Tests for deterministic phase fingerprints and key chaining."""
 
+import dataclasses
 import json
 
 import pytest
@@ -9,15 +10,14 @@ from repro.artifacts.fingerprint import (PHASES, canonical_config,
                                          config_fingerprint, phase_key,
                                          study_keys)
 from repro.world.config import WorldConfig
-from repro.dns.resolver import ResolverConfig
 
 
 class TestCanonicalConfig:
     def test_is_valid_json_with_class_names(self):
         doc = json.loads(canonical_config(WorldConfig.tiny()))
         assert doc["config"]["__class__"] == "WorldConfig"
-        assert doc["config"]["resolver"]["__class__"] == "ResolverConfig"
-        assert doc["config"]["schedule"]["__class__"] == "AttackScheduleConfig"
+        assert set(doc["config"]) == {"__class__"} | {
+            f.name for f in dataclasses.fields(WorldConfig)}
         assert doc["install_scenarios"] is True
 
     def test_identical_configs_canonicalize_identically(self):
@@ -37,14 +37,6 @@ class TestConfigFingerprint:
     def test_seed_changes_fingerprint(self):
         assert config_fingerprint(WorldConfig.tiny(seed=1)) != \
             config_fingerprint(WorldConfig.tiny(seed=2))
-
-    def test_nested_resolver_knob_changes_fingerprint(self):
-        import dataclasses
-
-        base = WorldConfig.tiny()
-        tweaked = dataclasses.replace(
-            base, resolver=ResolverConfig(max_attempts=3))
-        assert config_fingerprint(base) != config_fingerprint(tweaked)
 
     def test_install_scenarios_changes_fingerprint(self):
         cfg = WorldConfig.tiny()
@@ -96,15 +88,11 @@ class TestScenarioPackFingerprint:
     """Pack identity + params are part of every fingerprint."""
 
     def test_pack_name_changes_config_fingerprint(self):
-        import dataclasses
-
         base = WorldConfig.tiny()
         amplified = dataclasses.replace(base, scenario_pack="amplification")
         assert config_fingerprint(base) != config_fingerprint(amplified)
 
     def test_pack_params_change_config_fingerprint(self):
-        import dataclasses
-
         from repro.attacks.amplification import AmplificationParams
 
         a = dataclasses.replace(WorldConfig.tiny(),
@@ -114,8 +102,6 @@ class TestScenarioPackFingerprint:
         assert config_fingerprint(a) != config_fingerprint(b)
 
     def test_pack_selection_invalidates_every_phase_key(self):
-        import dataclasses
-
         base = study_keys(WorldConfig.tiny())
         packed = study_keys(dataclasses.replace(
             WorldConfig.tiny(), scenario_pack="defense"))

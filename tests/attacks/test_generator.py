@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+from repro.attacks import generator
 from repro.attacks.generator import (
     HIGH_MODE_PPS,
     LOW_MODE_PPS,
     AttackMix,
-    AttackScheduleConfig,
     HotTarget,
     TargetCatalog,
     generate_schedule,
@@ -42,16 +42,18 @@ def catalog():
 
 @pytest.fixture(scope="module")
 def schedule(timeline, catalog):
-    config = AttackScheduleConfig(attacks_per_month=800,
-                                  dns_attack_fraction=0.05, scale=0.01)
-    return generate_schedule(random.Random(42), timeline, catalog, config)
+    """Three months at 800 attacks, with a DNS share (5%) dense enough
+    to hold campaigns on a 30-nameserver catalog."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generator, "DNS_ATTACK_FRACTION", 0.05)
+        return generate_schedule(random.Random(42), timeline, catalog,
+                                 800, 0.01)
 
 
 class TestSampling:
     def test_duration_bimodal(self):
         rng = random.Random(1)
-        config = AttackScheduleConfig()
-        durations = [sample_duration(rng, config) for _ in range(4000)]
+        durations = [sample_duration(rng) for _ in range(4000)]
         near_15m = sum(1 for d in durations if 10 * MINUTE <= d <= 25 * MINUTE)
         near_1h = sum(1 for d in durations if 45 * MINUTE <= d <= 90 * MINUTE)
         assert near_15m > 800
@@ -59,15 +61,13 @@ class TestSampling:
 
     def test_duration_bounds(self):
         rng = random.Random(2)
-        config = AttackScheduleConfig()
         for _ in range(1000):
-            d = sample_duration(rng, config)
+            d = sample_duration(rng)
             assert 5 * MINUTE <= d <= 24 * HOUR
 
     def test_intensity_bimodal(self):
         rng = random.Random(3)
-        config = AttackScheduleConfig()
-        rates = [sample_intensity(rng, config) for _ in range(4000)]
+        rates = [sample_intensity(rng) for _ in range(4000)]
         low = sum(1 for r in rates if r < LOW_MODE_PPS * 5)
         high = sum(1 for r in rates if r > HIGH_MODE_PPS / 5)
         assert low > 1200
@@ -75,8 +75,7 @@ class TestSampling:
 
     def test_intensity_positive(self):
         rng = random.Random(4)
-        config = AttackScheduleConfig()
-        assert all(sample_intensity(rng, config) > 0 for _ in range(500))
+        assert all(sample_intensity(rng) > 0 for _ in range(500))
 
 
 class TestAttackMix:
@@ -150,9 +149,8 @@ class TestGenerateSchedule:
             hot_targets=[HotTarget(ip=0x08080404, n_attacks=2000,
                                    label="feb-only",
                                    months=((2021, 2),))])
-        schedule = generate_schedule(
-            random.Random(1), timeline, restricted,
-            AttackScheduleConfig(attacks_per_month=0, scale=0.01))
+        schedule = generate_schedule(random.Random(1), timeline, restricted,
+                                     0, 0.01)
         assert schedule
         for attack in schedule:
             from repro.util.timeutil import month_key
@@ -161,31 +159,21 @@ class TestGenerateSchedule:
     def test_invisible_fraction(self, schedule):
         invisible = sum(1 for a in schedule if not a.telescope_visible)
         share = invisible / len(schedule)
-        assert 0.06 < share < 0.20     # configured 0.12
+        assert 0.06 < share < 0.20     # INVISIBLE_FRACTION is 0.12
 
     def test_deterministic(self, timeline, catalog):
-        config = AttackScheduleConfig(attacks_per_month=100, scale=0.001)
-        a = generate_schedule(random.Random(9), timeline, catalog, config)
-        b = generate_schedule(random.Random(9), timeline, catalog, config)
+        a = generate_schedule(random.Random(9), timeline, catalog, 100, 0.001)
+        b = generate_schedule(random.Random(9), timeline, catalog, 100, 0.001)
         assert [(x.victim_ip, x.window.start) for x in a] == \
             [(x.victim_ip, x.window.start) for x in b]
 
     def test_zero_attacks(self, timeline, catalog):
-        config = AttackScheduleConfig(attacks_per_month=0, scale=0.0001)
         schedule = generate_schedule(random.Random(1), timeline,
-                                     TargetCatalog(), config)
+                                     TargetCatalog(), 0, 0.0001)
         assert schedule == []
 
 
 class TestConfigValidation:
-    def test_rejects_bad_fractions(self):
-        with pytest.raises(ValueError):
-            AttackScheduleConfig(dns_attack_fraction=1.5)
-        with pytest.raises(ValueError):
-            AttackScheduleConfig(campaign_fraction=-0.1)
-        with pytest.raises(ValueError):
-            AttackScheduleConfig(attacks_per_month=-1)
-
     def test_catalog_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             TargetCatalog(ns_ip_weights={1: 0.0})

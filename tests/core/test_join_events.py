@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.events import extract_events
+from repro.core.events import EVENT_MIN_DOMAINS, extract_events
 from repro.core.join import AttackClass, join_datasets
 from repro.core.nsset import NSSetMetadata
 from repro.net.ip import parse_ip, slash24_of
@@ -106,7 +106,7 @@ class TestNSSetMetadata:
 class TestEvents:
     def test_min_domains_threshold(self, tiny_study):
         for event in tiny_study.events:
-            assert event.n_measured >= tiny_study.config.event_min_domains
+            assert event.n_measured >= EVENT_MIN_DOMAINS
 
     def test_higher_threshold_fewer_events(self, tiny_study):
         stricter = extract_events(tiny_study.join, tiny_study.store,

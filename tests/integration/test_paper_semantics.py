@@ -7,7 +7,7 @@ shape the measurement, and what the analyses may and may not consume.
 
 import pytest
 
-from repro.core.events import extract_events
+from repro.core.events import EVENT_MIN_DOMAINS
 from repro.util.timeutil import DAY, parse_ts
 
 
@@ -39,7 +39,7 @@ class TestEventSemantics:
         # An NSSet with fewer than 5 hosted domains can never be an
         # event, no matter how many measurements oversampling yields.
         for event in tiny_study.events:
-            assert event.info.n_domains >= tiny_study.config.event_min_domains
+            assert event.info.n_domains >= EVENT_MIN_DOMAINS
 
 
 class TestAftermathSemantics:

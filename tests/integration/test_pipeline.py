@@ -22,26 +22,11 @@ class TestWorldConfig:
         expected = 2000 * 17 / PAPER_TOTAL_ATTACKS
         assert config.paper_scale() == pytest.approx(expected)
 
-    def test_schedule_derived(self):
-        config = WorldConfig()
-        assert config.schedule.attacks_per_month == config.attacks_per_month
-        assert config.schedule.dns_attack_fraction == config.dns_attack_fraction
-
-    def test_scaled(self):
-        config = WorldConfig().scaled(0.5)
-        assert config.n_domains == 10_000
-        assert config.attacks_per_month == 1_000
-        assert config.schedule.attacks_per_month == 1_000
-
-    def test_scaled_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            WorldConfig().scaled(0)
-
     @pytest.mark.parametrize("kwargs", [
         {"n_domains": 0},
-        {"misconfig_fraction": 2.0},
-        {"headroom": 0.0},
-        {"dns_attack_fraction": -0.1},
+        {"n_domains": -1},
+        {"scenario_pack": "slowloris"},
+        {"scenario_pack": ""},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -103,7 +103,7 @@ class TestCrawl:
         # On a quiet day the fast path must be distributionally identical
         # to running the resolver: mean RTT within a fraction of a ms.
         resolver = AgnosticResolver(tiny_world.transport, random.Random(7),
-                                    tiny_world.config.resolver)
+                                    ResolverConfig())
         record = next(d for d in tiny_world.directory.domains
                       if d.provider_name == "Euskaltel" and not d.misconfig
                       and d.secondary_provider is None)

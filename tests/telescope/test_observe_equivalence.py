@@ -29,15 +29,14 @@ from repro.telescope.feed import RSDoSFeed
 from repro.telescope.rsdos import RSDoSClassifier
 from repro.util.rng import RngStreams, derive_seed, poisson
 from repro.util.timeutil import DAY, FIVE_MINUTES, HOUR, Window
-from repro.world.capacity import overload_drop
+from repro.world.capacity import HEADROOM, overload_drop
 
 
 def _study_simulator(world, jitter_seed=None):
     """A simulator set up as the study's telescope phase sets it up."""
     return BackscatterSimulator(
         Darknet(), RngStreams(world.config.seed).stream("telescope"),
-        link_util_fn=_link_util_fn(world), headroom=world.config.headroom,
-        jitter_seed=jitter_seed)
+        link_util_fn=_link_util_fn(world), jitter_seed=jitter_seed)
 
 
 def _assert_jitter_is_reference(sim, attacks):
@@ -92,7 +91,7 @@ def reference_observe_attack(sim, attack, sample=poisson):
         if spoofed_pps <= 0:
             continue
         link_util = sim.link_util_fn(attack.victim_ip, mid)
-        respond = (1.0 - overload_drop(link_util, sim.headroom)) \
+        respond = (1.0 - overload_drop(link_util, HEADROOM)) \
             * attack.response_ratio
         expected = darknet.expected_hits(spoofed_pps * respond * seconds)
         n_packets = sample(sim.rng, expected)
@@ -171,7 +170,7 @@ class TestObserveAttackIsReference:
 
         def make():
             return BackscatterSimulator(Darknet(), random.Random(5),
-                                        link_util_fn=link_util, headroom=0.8)
+                                        link_util_fn=link_util)
 
         assert self._assert_same(monkeypatch, make(), make(),
                                  _hand_built_attacks())

@@ -265,3 +265,106 @@ class TestEveryPublicNameHasACaller:
             f"class members only tests read: {sorted(unread)}; delete "
             f"them with their tests, or exempt one in "
             f"MEMBERS_UNREAD_ON_PURPOSE with its reason")
+
+
+CONFIG_MODULE = ROOT / "src" / "repro" / "world" / "config.py"
+
+
+def _is_config_call(node):
+    """A ``WorldConfig(...)`` or ``dataclasses.replace(...)`` call."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id in ("WorldConfig", "replace")
+    return isinstance(func, ast.Attribute) and (
+        func.attr == "WorldConfig"
+        or (func.attr == "replace" and isinstance(func.value, ast.Name)
+            and func.value.id == "dataclasses"))
+
+
+def _bindings(tree):
+    """Name -> every expression bound to it in one file: assignments
+    (to a name or an attribute), keyword arguments and parameter
+    defaults."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                and node.value is not None:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                if isinstance(target, (ast.Name, ast.Attribute)):
+                    name = getattr(target, "id", None) or target.attr
+                    out.setdefault(name, []).append(node.value)
+        elif isinstance(node, ast.keyword) and node.arg:
+            out.setdefault(node.arg, []).append(node.value)
+        elif isinstance(node, ast.arguments):
+            positional = node.posonlyargs + node.args
+            pairs = list(zip(positional[len(positional)
+                                        - len(node.defaults):],
+                             node.defaults))
+            pairs += zip(node.kwonlyargs, node.kw_defaults)
+            for arg, default in pairs:
+                if default is not None:
+                    out.setdefault(arg.arg, []).append(default)
+    return out
+
+
+def _mapping_keys(expr, bindings, followed):
+    """The string keys of the dict literals (``{...}`` or
+    ``dict(...)``) an unpacked ``**expr`` can hold, following a name or
+    attribute to whatever the same file binds to it."""
+    if isinstance(expr, ast.Dict):
+        for key, value in zip(expr.keys, expr.values):
+            if key is None:
+                yield from _mapping_keys(value, bindings, followed)
+            elif isinstance(key, ast.Constant) and isinstance(key.value, str):
+                yield key.value
+    elif isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) \
+            and expr.func.id == "dict":
+        for keyword in expr.keywords:
+            if keyword.arg:
+                yield keyword.arg
+            else:
+                yield from _mapping_keys(keyword.value, bindings, followed)
+    elif isinstance(expr, (ast.Name, ast.Attribute)):
+        name = getattr(expr, "id", None) or expr.attr
+        if name not in followed:
+            followed.add(name)
+            for value in bindings.get(name, ()):
+                yield from _mapping_keys(value, bindings, followed)
+
+
+def test_world_config_fields_are_set_outside_tests(sources):
+    """A ``WorldConfig`` field nobody outside tests sets is one value in
+    use: it belongs in a constant of the module that reads it. A field
+    is set by a keyword of a ``WorldConfig(...)`` or
+    ``dataclasses.replace(...)`` call, or by a string key of a dict
+    literal unpacked into one with ``**``. A keyword passed to another
+    callee, or a string constant elsewhere, does not set it. Calls are
+    matched by name, so a ``replace`` of another dataclass counts."""
+    tree, _ = sources[CONFIG_MODULE]
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "WorldConfig")
+    fields = {node.target.id for node in cls.body
+              if isinstance(node, ast.AnnAssign)}
+
+    set_fields = set()
+    for path, (tree, _) in sources.items():
+        if path == CONFIG_MODULE:
+            continue
+        bindings = None
+        for node in filter(_is_config_call, ast.walk(tree)):
+            for keyword in node.keywords:
+                if keyword.arg:
+                    set_fields.add(keyword.arg)
+                    continue
+                if bindings is None:
+                    bindings = _bindings(tree)
+                set_fields.update(_mapping_keys(keyword.value, bindings,
+                                                set()))
+    unset = sorted(fields - set_fields)
+    assert not unset, (
+        f"WorldConfig fields no caller outside tests sets: {unset}; make "
+        f"each a constant of the module that reads it")

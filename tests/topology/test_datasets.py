@@ -8,13 +8,13 @@ import pytest
 from repro.net.asn import Organization
 from repro.net.ip import IPv4Prefix, parse_ip
 from repro.topology.as2org import AS2Org
-from repro.topology.generator import TopologyConfig, generate_topology
+from repro.topology.generator import generate_topology
 from repro.topology.prefix2as import Prefix2AS
 
 
 @pytest.fixture(scope="module")
 def gen():
-    return generate_topology(random.Random(2), TopologyConfig(n_filler_orgs=10))
+    return generate_topology(random.Random(2))
 
 
 class TestPrefix2AS:
@@ -36,7 +36,7 @@ class TestPrefix2AS:
         assert len(dataset) == len(gen.internet.route_trie())
 
     def test_is_a_snapshot(self):
-        gen = generate_topology(random.Random(5), TopologyConfig(n_filler_orgs=4))
+        gen = generate_topology(random.Random(5))
         dataset = Prefix2AS.from_topology(gen.internet)
         asys = gen.internet.add_as(gen.internet.add_org("Late", "NL"))
         late = gen.internet.allocate(asys, 24)

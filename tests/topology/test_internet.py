@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.ip import IPv4Prefix, network_of, parse_ip
-from repro.topology.generator import ANALOG_ORGS, TopologyConfig, generate_topology
+from repro.topology.generator import ANALOG_ORGS, N_FILLER_ORGS, generate_topology
 from repro.topology.internet import (
     TELESCOPE_SLASH9,
     TELESCOPE_SLASH10,
@@ -136,7 +136,7 @@ class TestInternetTopology:
 
 class TestGenerateTopology:
     def test_analog_orgs_present(self):
-        gen = generate_topology(random.Random(1), TopologyConfig(n_filler_orgs=5))
+        gen = generate_topology(random.Random(1))
         for name, asn, country in ANALOG_ORGS:
             asys = gen.analog_as[name]
             assert asys.number == asn
@@ -144,24 +144,13 @@ class TestGenerateTopology:
             assert asys.prefixes  # has address space
 
     def test_filler_count(self):
-        gen = generate_topology(random.Random(1), TopologyConfig(n_filler_orgs=20))
-        assert len(gen.filler_as) >= 20
+        gen = generate_topology(random.Random(1))
+        assert len(gen.filler_as) >= N_FILLER_ORGS
 
     def test_deterministic(self):
-        a = generate_topology(random.Random(9), TopologyConfig(n_filler_orgs=10))
-        b = generate_topology(random.Random(9), TopologyConfig(n_filler_orgs=10))
+        a = generate_topology(random.Random(9))
+        b = generate_topology(random.Random(9))
         assert [x.number for x in a.filler_as] == [x.number for x in b.filler_as]
         assert ([str(p) for x in a.filler_as for p in x.prefixes]
                 == [str(p) for x in b.filler_as for p in x.prefixes])
 
-    def test_no_analogs_config(self):
-        gen = generate_topology(random.Random(1),
-                                TopologyConfig(n_filler_orgs=3,
-                                               include_analogs=False))
-        assert not gen.analog_as
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TopologyConfig(n_filler_orgs=-1)
-        with pytest.raises(ValueError):
-            TopologyConfig(multi_as_org_fraction=2.0)

@@ -1,12 +1,14 @@
 """Tests for providers, deployment profiles, and the domain population."""
 
 import random
+from math import exp, lgamma, log
 
 import pytest
 
 from repro.net.ip import slash24_of
-from repro.topology.generator import TopologyConfig, generate_topology
+from repro.topology.generator import generate_topology
 from repro.world.domains import (
+    MISCONFIG_FRACTION,
     DomainDirectory,
     MisconfigTarget,
     NSSetRegistry,
@@ -24,14 +26,14 @@ from repro.world.hosting import (
 
 @pytest.fixture(scope="module")
 def gen():
-    return generate_topology(random.Random(4), TopologyConfig(n_filler_orgs=12))
+    return generate_topology(random.Random(4))
 
 
 @pytest.fixture(scope="module")
 def providers(gen):
     rng = random.Random(5)
     out = build_analog_providers(gen, rng)
-    out += build_filler_providers(gen, rng, 10, 1.05)
+    out += build_filler_providers(gen, rng, 10)
     out += build_selfhosted_providers(gen, rng, 15)
     return out
 
@@ -138,13 +140,30 @@ class TestNSSetRegistry:
         assert len(registry) == 2
 
 
+def _binomial_window(n, p, tail):
+    """The smallest ``(lo, hi)`` with at most ``tail`` of Binomial(n, p)
+    below ``lo`` and at most ``tail`` above ``hi``."""
+    def pmf(k):
+        return exp(lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
+                   + k * log(p) + (n - k) * log(1 - p))
+
+    lo, below = 0, pmf(0)
+    while below <= tail:
+        lo += 1
+        below += pmf(lo)
+    hi, above = n, pmf(n)
+    while above <= tail:
+        hi -= 1
+        above += pmf(hi)
+    return lo, hi
+
+
 class TestBuildPopulation:
     @pytest.fixture(scope="class")
     def directory(self, providers):
         targets = [MisconfigTarget(ip=0x08080808, label="google-dns", weight=1.0)]
         return build_population(
             random.Random(6), providers, 3000, targets,
-            misconfig_fraction=0.01, multi_provider_fraction=0.08,
             secondary_pool=("nic.ru", "GoDaddy"))
 
     def test_population_size(self, directory):
@@ -163,7 +182,8 @@ class TestBuildPopulation:
 
     def test_misconfig_fraction(self, directory):
         misconfig = [d for d in directory.domains if d.misconfig]
-        assert 10 < len(misconfig) < 70  # ~1% of 3000
+        lo, hi = _binomial_window(3000, MISCONFIG_FRACTION, tail=1e-5)
+        assert lo <= len(misconfig) <= hi
         for record in misconfig:
             assert record.delegation.nameserver_ips == (0x08080808,)
 
