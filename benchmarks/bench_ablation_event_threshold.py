@@ -8,7 +8,7 @@ events; higher thresholds progressively discard small-deployment events
 """
 
 from repro.core.events import extract_events
-from repro.util.tables import Table, format_pct
+from repro.util.tables import Table
 
 
 def regenerate(study):

@@ -7,9 +7,7 @@ joining against only the nameservers *successfully measured during* the
 attack loses exactly the hard-hit (unreachable) nameservers.
 """
 
-from repro.core.join import join_datasets
 from repro.util.tables import Table
-from repro.util.timeutil import Window
 
 
 def regenerate(study):

@@ -9,7 +9,7 @@ instead of latency — the paper's impact metric would not exist.
 
 import random
 
-from repro.dns.resolver import AgnosticResolver, ResolverConfig
+from repro.dns.resolver import AgnosticResolver
 from repro.dns.rr import RRType
 from repro.dns.server import ServerReply
 from repro.util.tables import Table, format_pct
@@ -29,9 +29,8 @@ def lossy_transport(rng):
 
 def run_resolver(max_attempts: int):
     rng = random.Random(99)
-    resolver = AgnosticResolver(
-        lossy_transport(rng), random.Random(7),
-        ResolverConfig(max_attempts=max_attempts))
+    resolver = AgnosticResolver(lossy_transport(rng), random.Random(7),
+                                max_attempts=max_attempts)
     ok_rtts = []
     failures = 0
     for _ in range(N):

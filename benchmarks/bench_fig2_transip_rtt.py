@@ -8,7 +8,7 @@ impairments whose window matched the telescope window.
 from repro.core.metrics import impact_series
 from repro.util.plot import ascii_series
 from repro.util.tables import Table
-from repro.util.timeutil import Window, format_ts, parse_ts
+from repro.util.timeutil import Window, parse_ts
 
 DEC_ATTACK = Window(parse_ts("2020-11-30 22:00"), parse_ts("2020-12-01 00:00"))
 DEC_AFTERMATH = Window(parse_ts("2020-12-01 01:00"), parse_ts("2020-12-01 07:00"))

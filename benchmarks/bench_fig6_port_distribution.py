@@ -10,7 +10,6 @@ from repro.core.ports import analyze_ports, analyze_successful_ports
 from repro.net.ports import (
     PORT_DNS,
     PORT_HTTP,
-    PORT_HTTPS,
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,

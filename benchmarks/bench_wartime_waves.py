@@ -11,7 +11,7 @@ the §4.3 visibility split.
 import dataclasses
 
 from repro import WorldConfig, run_study
-from repro.attacks.wartime import WartimeParams
+from repro.attacks.wartime import REFLECTED_SHARE, WartimeParams
 from repro.util.tables import Table, format_pct
 from repro.util.timeutil import format_ts
 
@@ -44,7 +44,7 @@ def test_wartime_waves(benchmark, emit, emit_json):
                        f"{wave.spoofed_visible} ({format_pct(share)})"])
     table.caption = (f"{analysis.n_attacks} wave attacks total; "
                      f"reflected share configured at "
-                     f"{WartimeParams().reflected_share:.0%}")
+                     f"{REFLECTED_SHARE:.0%}")
     emit("wartime_waves", table.render())
 
     visible = sum(w.spoofed_visible for w in analysis.waves)

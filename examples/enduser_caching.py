@@ -13,7 +13,7 @@ Run:  python examples/enduser_caching.py
 
 from repro.core.enduser import CacheScenario, caching_grid, simulate_enduser_impact
 from repro.util.tables import Table, format_pct
-from repro.util.timeutil import HOUR, Window, parse_ts
+from repro.util.timeutil import Window, parse_ts
 
 import random
 

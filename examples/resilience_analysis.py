@@ -30,7 +30,7 @@ def mechanism_demo():
 
     unicast_util = attack_pps / capacity
     table.add_row(["unicast, 1 server", f"{unicast_util:.1f}x capacity",
-                   format_pct(overload_drop(unicast_util, 0.8))])
+                   format_pct(overload_drop(unicast_util))])
 
     deployment = AnycastDeployment.build(seed=3, n_sites=12,
                                          per_site_capacity_pps=capacity)
@@ -38,14 +38,14 @@ def mechanism_demo():
                 for site in deployment.sites)
     table.add_row(["anycast, 12 sites (worst catchment)",
                    f"{worst:.2f}x capacity",
-                   format_pct(overload_drop(worst, 0.8))])
+                   format_pct(overload_drop(worst))])
 
     big = AnycastDeployment.build(seed=3, n_sites=30,
                                   per_site_capacity_pps=capacity)
     worst_big = max(big.load_at_site(site, attack_pps) for site in big.sites)
     table.add_row(["anycast, 30 sites (worst catchment)",
                    f"{worst_big:.2f}x capacity",
-                   format_pct(overload_drop(worst_big, 0.8))])
+                   format_pct(overload_drop(worst_big))])
     return table
 
 

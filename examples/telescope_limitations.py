@@ -97,7 +97,7 @@ def main() -> int:
           "on a 5-site anycast deployment with skewed catchments:")
     for site in deployment.sites:
         util = deployment.load_at_site(site, attack_pps)
-        drop = overload_drop(util, 0.8)
+        drop = overload_drop(util)
         verdict = "DROWNED" if drop > 0.5 else ("strained" if drop > 0
                                                 else "healthy")
         print(f"  {site.region:10s} catchment {site.catchment_weight:5.1%} "

@@ -18,7 +18,7 @@ from repro import WorldConfig, run_study
 from repro.core.metrics import impact_series
 from repro.telescope.feed import ppm_to_victim_pps
 from repro.util.tables import Table, format_bps, format_count, format_si
-from repro.util.timeutil import HOUR, Window, format_ts, parse_ts
+from repro.util.timeutil import Window, format_ts, parse_ts
 
 DEC_WINDOW = Window(parse_ts("2020-11-30 20:00"), parse_ts("2020-12-01 12:00"))
 MAR_WINDOW = Window(parse_ts("2021-03-01 18:00"), parse_ts("2021-03-02 04:00"))

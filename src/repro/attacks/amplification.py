@@ -45,40 +45,34 @@ QUERY_BYTES = 64
 FRAGMENT_BYTES = 1400
 
 
+#: amplifier-list size per attack (open resolvers the attacker sprays;
+#: the paper-adjacent harvests run 10^3-10^5).
+N_AMPLIFIERS = 6_000
+#: mean bandwidth amplification factor (DNS ``ANY`` ~ 28-64).
+MEAN_BAF = 32.0
+#: lognormal sigma of the per-attack BAF draw.
+BAF_SIGMA = 0.35
+#: attacker-side query rate sprayed over the list.
+QUERY_PPS = 25_000.0
+#: fraction of list entries that are stale and fall inside the darknet
+#: (the telescope's only view of the attack).
+LIST_DARKNET_SHARE = 0.0035
+#: query type sent to the amplifiers.
+QTYPE = "ANY"
+#: attack duration in seconds.
+DURATION_S = 1_800
+
+
 @dataclass(frozen=True)
 class AmplificationParams:
     """Knobs of the amplification pack (all fingerprinted)."""
 
     #: reflection attacks to schedule across the timeline.
     n_attacks: int = 6
-    #: amplifier-list size per attack (open resolvers the attacker
-    #: sprays; the paper-adjacent harvests run 10^3-10^5).
-    n_amplifiers: int = 6_000
-    #: mean bandwidth amplification factor (DNS ``ANY`` ~ 28-64).
-    mean_baf: float = 32.0
-    #: lognormal sigma of the per-attack BAF draw.
-    baf_sigma: float = 0.35
-    #: attacker-side query rate sprayed over the list.
-    query_pps: float = 25_000.0
-    #: fraction of list entries that are stale and fall inside the
-    #: darknet (the telescope's only view of the attack).
-    list_darknet_share: float = 0.0035
-    #: query type sent to the amplifiers.
-    qtype: str = "ANY"
-    #: attack duration in seconds.
-    duration_s: int = 1_800
 
     def __post_init__(self) -> None:
         if self.n_attacks < 0:
             raise ValueError("n_attacks must be non-negative")
-        if self.n_amplifiers <= 0 or self.query_pps <= 0:
-            raise ValueError("amplifier population and rate must be positive")
-        if self.mean_baf < 1.0:
-            raise ValueError("mean_baf must be at least 1")
-        if not 0 <= self.list_darknet_share <= 1:
-            raise ValueError("list_darknet_share must be within [0, 1]")
-        if self.duration_s < MINUTE:
-            raise ValueError("duration_s must be at least one minute")
 
 
 @dataclass
@@ -119,20 +113,20 @@ class AmplificationPack(ScenarioPack):
         if not victims:
             return []
         window = world.timeline.window
-        span = window.duration - p.duration_s
+        span = window.duration - DURATION_S
         attacks: List[Attack] = []
         for _ in range(p.n_attacks):
             victim = rng.choice(victims)
             start = window.start + rng.randrange(max(1, span // MINUTE)) * MINUTE
-            baf = max(2.0, p.mean_baf * math.exp(rng.gauss(0.0, p.baf_sigma)))
-            query_pps = p.query_pps * (0.75 + rng.random() * 0.5)
+            baf = max(2.0, MEAN_BAF * math.exp(rng.gauss(0.0, BAF_SIGMA)))
+            query_pps = QUERY_PPS * (0.75 + rng.random() * 0.5)
             profile = AmplificationProfile(
-                n_amplifiers=p.n_amplifiers, mean_baf=baf,
+                n_amplifiers=N_AMPLIFIERS, mean_baf=baf,
                 query_pps=query_pps,
-                list_darknet_share=p.list_darknet_share, qtype=p.qtype)
+                list_darknet_share=LIST_DARKNET_SHARE, qtype=QTYPE)
             attacks.append(Attack(
                 victim_ip=victim,
-                window=Window(start, start + p.duration_s),
+                window=Window(start, start + DURATION_S),
                 vectors=[self._response_vector(query_pps, baf)],
                 amplification=profile))
         return attacks

@@ -16,33 +16,12 @@ every default-path artifact stay byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.attacks.packs import ScenarioPack, register_pack
-from repro.core.counterfactual import (
-    DEFAULT_LAYERS,
-    DefenseReport,
-    MitigationLayer,
-    evaluate_defenses,
-)
+from repro.core.counterfactual import DefenseReport, evaluate_defenses
 
-__all__ = ["DefenseParams", "DefensePack"]
-
-
-@dataclass(frozen=True)
-class DefenseParams:
-    """Knobs of the defense pack (all fingerprinted)."""
-
-    #: the mitigation stack to evaluate.
-    layers: Tuple[MitigationLayer, ...] = field(default=DEFAULT_LAYERS)
-    #: restrict the evaluation to attacks the pipeline surfaced as
-    #: events (the measured population) instead of all ground truth.
-    events_only: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.layers:
-            raise ValueError("need at least one mitigation layer")
+__all__ = ["DefensePack"]
 
 
 @register_pack
@@ -54,19 +33,12 @@ class DefensePack(ScenarioPack):
                    "anycast scale-out) as per-attack impact-delta "
                    "counterfactuals")
 
-    @classmethod
-    def default_params(cls):
-        return DefenseParams()
-
     @property
     def has_counterfactuals(self) -> bool:
         return True
 
     def counterfactuals(self, world, events) -> DefenseReport:
-        p: DefenseParams = self.params
-        return evaluate_defenses(
-            world, events=events if p.events_only else None,
-            layers=p.layers)
+        return evaluate_defenses(world)
 
     def analyze(self, study) -> Optional[DefenseReport]:
         return study.counterfactuals

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.attacks.model import Attack, AttackVector, Spoofing
 from repro.net.ip import slash24_of
@@ -93,7 +93,6 @@ class HotTarget:
     ip: int
     n_attacks: int
     label: str = ""
-    months: Optional[Tuple[Tuple[int, int], ...]] = None  # restrict to months
 
 
 @dataclass
@@ -240,14 +239,11 @@ def _hot_target_attacks(rng: random.Random, catalog: TargetCatalog,
                         ) -> List[Attack]:
     """Frequent low-impact attacks against hot targets (Table 5)."""
     out: List[Attack] = []
+    eligible = list(month_bounds.values())
+    if not eligible:
+        return out
     for hot in catalog.hot_targets:
         n = max(1, int(round(hot.n_attacks * scale)))
-        if hot.months:
-            eligible = [month_bounds[m] for m in hot.months if m in month_bounds]
-        else:
-            eligible = list(month_bounds.values())
-        if not eligible:
-            continue
         for _ in range(n):
             m_start, m_end = rng.choice(eligible)
             start = rng.randrange(m_start, m_end)

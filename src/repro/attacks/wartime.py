@@ -12,7 +12,7 @@ picks up the scripted mil.ru/RZD providers too, when scenarios are
 installed.
 
 Attacks mix spoofing classes the way the paper's §2.1 taxonomy does:
-a ``reflected_share`` of each wave's floods are spoofed-as-victim
+a ``REFLECTED_SHARE`` of each wave's floods are spoofed-as-victim
 (telescope-invisible), exercising the visibility-limitations analysis
 at campaign scale.
 
@@ -36,39 +36,31 @@ __all__ = ["WartimeParams", "WartimePack", "WartimeWave", "WartimeAnalysis"]
 SECTORS = ("gov", "bank", "media", "transport", "energy")
 
 
+#: organizations of this country code are wave targets.
+TARGET_COUNTRY = "RU"
+#: extra sector organizations/providers installed into the world.
+N_EXTRA_ORGS = 4
+#: number of correlated attack waves.
+N_WAVES = 3
+#: length of one wave in days.
+WAVE_DAYS = 2
+#: quiet days between waves.
+GAP_DAYS = 9
+#: peak flood rate per victim nameserver (pps).
+INTENSITY_PPS = 60_000.0
+#: share of each wave's floods that are reflected (spoofed-as-victim,
+#: telescope-invisible) rather than randomly spoofed.
+REFLECTED_SHARE = 0.4
+
+
 @dataclass(frozen=True)
 class WartimeParams:
     """Knobs of the wartime pack (all fingerprinted)."""
 
-    #: organizations of this country code are wave targets.
-    target_country: str = "RU"
-    #: extra sector organizations/providers installed into the world.
-    n_extra_orgs: int = 4
-    #: number of correlated attack waves.
-    n_waves: int = 3
-    #: length of one wave in days.
-    wave_days: int = 2
-    #: quiet days between waves.
-    gap_days: int = 9
-    #: peak flood rate per victim nameserver (pps).
-    intensity_pps: float = 60_000.0
-    #: share of each wave's floods that are reflected (spoofed-as-
-    #: victim, telescope-invisible) rather than randomly spoofed.
-    reflected_share: float = 0.4
     #: first wave starts this many days into the timeline; ``None``
     #: centers the campaign on the timeline's final quarter (the
     #: February-2022 flavour of the paper window).
     start_day: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.n_extra_orgs < 0 or self.n_waves < 1:
-            raise ValueError("need at least one wave")
-        if self.wave_days < 1 or self.gap_days < 0:
-            raise ValueError("invalid wave spacing")
-        if self.intensity_pps <= 0:
-            raise ValueError("intensity must be positive")
-        if not 0 <= self.reflected_share <= 1:
-            raise ValueError("reflected_share must be within [0, 1]")
 
 
 @dataclass
@@ -117,23 +109,22 @@ class WartimePack(ScenarioPack):
         from repro.world.hosting import (DeploymentProfile, ProfileKind,
                                          build_provider)
 
-        p: WartimeParams = self.params
         rng = world.rngs.stream("pack:wartime", "install")
         internet = world.internet
-        cc = p.target_country.lower()
-        for i in range(p.n_extra_orgs):
+        cc = TARGET_COUNTRY.lower()
+        for i in range(N_EXTRA_ORGS):
             sector = SECTORS[i % len(SECTORS)]
             org = internet.add_org(
-                f"{p.target_country} {sector} #{i + 1}",
-                country=p.target_country)
+                f"{TARGET_COUNTRY} {sector} #{i + 1}",
+                country=TARGET_COUNTRY)
             asys = internet.add_as(org, number=210_000 + i,
-                                   country=p.target_country)
+                                   country=TARGET_COUNTRY)
             profile = DeploymentProfile(
                 ProfileKind.SELF_HOSTED,
                 n_nameservers=2 + (i % 2), n_prefixes=1,
                 server_capacity_pps=float(rng.choice((20_000, 30_000, 50_000))),
                 link_bps=1e9)
-            name = f"{p.target_country}-{sector}-{i + 1}"
+            name = f"{TARGET_COUNTRY}-{sector}-{i + 1}"
             provider = build_provider(
                 internet, rng, name, org, [asys], profile, weight=0.0,
                 ns_domain=f"{sector}{i + 1}.{cc}")
@@ -145,41 +136,42 @@ class WartimePack(ScenarioPack):
     # -- schedule ------------------------------------------------------------
 
     def _target_providers(self, world) -> List:
-        p: WartimeParams = self.params
         return [prov for name, prov in sorted(world.providers.items())
                 if prov.org is not None
-                and prov.org.country == p.target_country]
+                and prov.org.country == TARGET_COUNTRY]
+
+    def _wave_starts(self, timeline) -> List[int]:
+        """Each wave's first instant: ``start_day`` days into the
+        timeline, or the campaign centered on its final quarter."""
+        first = self.params.start_day
+        if first is None:
+            n_days = max(1, timeline.window.duration // DAY)
+            campaign_days = N_WAVES * WAVE_DAYS + (N_WAVES - 1) * GAP_DAYS
+            first = max(0, int(n_days * 0.75) - campaign_days // 2)
+        return [timeline.window.start
+                + (first + wave * (WAVE_DAYS + GAP_DAYS)) * DAY
+                for wave in range(N_WAVES)]
 
     def generate_attacks(self, world) -> List[Attack]:
-        p: WartimeParams = self.params
         rng = world.rngs.stream("pack:wartime", "schedule")
         providers = self._target_providers(world)
         if not providers:
             return []
         timeline = world.timeline
-        n_days = max(1, timeline.window.duration // DAY)
-        campaign_days = p.n_waves * p.wave_days \
-            + (p.n_waves - 1) * p.gap_days
-        if p.start_day is not None:
-            first = p.start_day
-        else:
-            first = max(0, int(n_days * 0.75) - campaign_days // 2)
         attacks: List[Attack] = []
-        for wave in range(p.n_waves):
-            day0 = first + wave * (p.wave_days + p.gap_days)
-            wave_start = timeline.window.start + day0 * DAY
+        for wave, wave_start in enumerate(self._wave_starts(timeline)):
             for provider in providers:
                 # Waves escalate: later waves hit harder and longer.
                 scale = 1.0 + 0.35 * wave
-                offset = rng.randrange(0, p.wave_days * DAY - 8 * HOUR, MINUTE)
+                offset = rng.randrange(0, WAVE_DAYS * DAY - 8 * HOUR, MINUTE)
                 duration = rng.randrange(2 * HOUR, 8 * HOUR, MINUTE)
                 start = wave_start + offset
                 end = start + int(duration * scale)
                 if not (start in timeline and end <= timeline.end):
                     continue
-                reflected = rng.random() < p.reflected_share
+                reflected = rng.random() < REFLECTED_SHARE
                 for ns in provider.nameservers:
-                    rate = p.intensity_pps * scale \
+                    rate = INTENSITY_PPS * scale \
                         * (0.8 + rng.random() * 0.4)
                     if reflected:
                         vectors = [AttackVector(
@@ -197,25 +189,11 @@ class WartimePack(ScenarioPack):
     # -- analysis ------------------------------------------------------------
 
     def _wave_windows(self, world) -> List[Window]:
-        p: WartimeParams = self.params
-        timeline = world.timeline
-        n_days = max(1, timeline.window.duration // DAY)
-        campaign_days = p.n_waves * p.wave_days \
-            + (p.n_waves - 1) * p.gap_days
-        if p.start_day is not None:
-            first = p.start_day
-        else:
-            first = max(0, int(n_days * 0.75) - campaign_days // 2)
-        out = []
-        for wave in range(p.n_waves):
-            day0 = first + wave * (p.wave_days + p.gap_days)
-            start = timeline.window.start + day0 * DAY
-            # Escalating durations can spill past the nominal wave days.
-            out.append(Window(start, start + (p.wave_days + 1) * DAY))
-        return out
+        # Escalating durations can spill past the nominal wave days.
+        return [Window(start, start + (WAVE_DAYS + 1) * DAY)
+                for start in self._wave_starts(world.timeline)]
 
     def analyze(self, study) -> WartimeAnalysis:
-        p: WartimeParams = self.params
         providers = self._target_providers(study.world)
         target_ips = {ns.ip for prov in providers
                       for ns in prov.nameservers}
@@ -233,7 +211,7 @@ class WartimePack(ScenarioPack):
                 n_orgs=len({ip_org[a.victim_ip] for a in hits}),
                 spoofed_visible=sum(1 for a in hits
                                     if a.telescope_visible)))
-        return WartimeAnalysis(target_country=p.target_country, waves=waves)
+        return WartimeAnalysis(target_country=TARGET_COUNTRY, waves=waves)
 
     def report_section(self, study) -> Optional[str]:
         analysis = self.analyze(study)

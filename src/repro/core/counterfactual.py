@@ -26,9 +26,9 @@ A mitigation layer composes three orthogonal levers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.world.capacity import HEADROOM, overload_drop
+from repro.world.capacity import overload_drop
 from repro.world.scenarios import expected_retry_burn_s
 
 __all__ = ["MitigationLayer", "DEFAULT_LAYERS", "AttackDelta",
@@ -151,36 +151,24 @@ def _impact_of(world, ns, attack, layer: Optional[MitigationLayer]) -> float:
     if layer is not None:
         cost *= 1.0 - layer.filter_efficiency
         capacity *= layer.effective_capacity_factor
-    drop = min(_MAX_DROP, overload_drop(cost / capacity, HEADROOM))
+    drop = min(_MAX_DROP, overload_drop(cost / capacity))
     burn_s = expected_retry_burn_s(drop)
     return 1.0 + burn_s * 1000.0 / ns.base_rtt_ms
 
 
-def evaluate_defenses(world, events=None,
-                      layers: Sequence[MitigationLayer] = DEFAULT_LAYERS
-                      ) -> DefenseReport:
-    """Evaluate the mitigation stack against the world's schedule.
-
-    With ``events`` the evaluation restricts to attacks the pipeline
-    actually surfaced as events (the measured population); without, it
-    covers every ground-truth attack on a modelled nameserver.
-    """
-    layers = tuple(layers)
-    victim_ids = None
-    if events is not None:
-        victim_ids = {e.attack.victim_ip for e in events}
+def evaluate_defenses(world) -> DefenseReport:
+    """Evaluate the ``DEFAULT_LAYERS`` stack against every ground-truth
+    attack on a modelled (unicast, non-misconfigured) nameserver."""
     rows: List[AttackDelta] = []
     for attack in world.attacks:
         ns = world.nameservers_by_ip.get(attack.victim_ip)
         if ns is None or ns.is_misconfig_target or ns.anycast is not None:
             continue
-        if victim_ids is not None and attack.victim_ip not in victim_ids:
-            continue
         row = AttackDelta(
             attack_id=attack.attack_id,
             victim_ip=attack.victim_ip,
             baseline_impact=_impact_of(world, ns, attack, None))
-        for layer in layers:
+        for layer in DEFAULT_LAYERS:
             row.impacts[layer.name] = _impact_of(world, ns, attack, layer)
         rows.append(row)
-    return DefenseReport(layers=layers, rows=rows)
+    return DefenseReport(layers=DEFAULT_LAYERS, rows=rows)

@@ -95,8 +95,7 @@ EVENT_MIN_DOMAINS = 5
 
 def extract_events(join: DatasetJoin, store: MeasurementStore,
                    metadata: NSSetMetadata,
-                   min_domains: int = EVENT_MIN_DOMAINS,
-                   baseline_kind: str = "day") -> List[AttackEvent]:
+                   min_domains: int = EVENT_MIN_DOMAINS) -> List[AttackEvent]:
     """Extract all qualifying attack events from a join result.
 
     Only direct nameserver attacks qualify (§6.1 focuses on those), and
@@ -106,7 +105,7 @@ def extract_events(join: DatasetJoin, store: MeasurementStore,
     events: List[AttackEvent] = []
     for classified in join.dns_direct_attacks:
         events.extend(events_for_attack(
-            classified, store, metadata, min_domains, baseline_kind))
+            classified, store, metadata, min_domains))
     return events
 
 

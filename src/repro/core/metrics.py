@@ -129,9 +129,7 @@ BASELINE_FALLBACK_DAYS = 7
 
 def impact_series(store: MeasurementStore, nsset_id: int, window: Window,
                   baseline_kind: str = "day",
-                  min_bucket_n: int = 1,
-                  baseline_fallback_days: int = BASELINE_FALLBACK_DAYS
-                  ) -> ImpactSeries:
+                  min_bucket_n: int = 1) -> ImpactSeries:
     """Build the impact series of a NSSet over ``window``.
 
     ``baseline_kind`` selects the §4.1 baseline: ``day`` (default),
@@ -140,23 +138,22 @@ def impact_series(store: MeasurementStore, nsset_id: int, window: Window,
 
     Degrades instead of failing on impaired data: a missing baseline
     day falls back to the nearest prior clean day (up to
-    ``baseline_fallback_days`` further back) and corrupt 5-minute
+    ``BASELINE_FALLBACK_DAYS`` further back) and corrupt 5-minute
     buckets are skipped; either path sets ``series.degraded``.
     """
     return _impact_series(store, store, nsset_id, window, baseline_kind,
-                          min_bucket_n, baseline_fallback_days)
+                          min_bucket_n)
 
 
 def _impact_series(bucket_store: MeasurementStore,
                    baseline_store: MeasurementStore, nsset_id: int,
-                   window: Window, baseline_kind: str, min_bucket_n: int,
-                   baseline_fallback_days: int) -> ImpactSeries:
+                   window: Window, baseline_kind: str,
+                   min_bucket_n: int) -> ImpactSeries:
     """The series of ``bucket_store``'s 5-minute aggregates of a NSSet
     over ``window``, against the §4.1 baseline read from
     ``baseline_store``."""
     baseline, fell_back = compute_baseline_degraded(
-        baseline_store, nsset_id, window.start, baseline_kind,
-        baseline_fallback_days)
+        baseline_store, nsset_id, window.start, baseline_kind)
     series = ImpactSeries(nsset_id=nsset_id, window=window,
                           baseline_rtt=baseline, min_bucket_n=min_bucket_n,
                           degraded=fell_back)
@@ -195,8 +192,7 @@ def compute_baseline(store: MeasurementStore, nsset_id: int, ts: int,
 
 
 def compute_baseline_degraded(store: MeasurementStore, nsset_id: int, ts: int,
-                              kind: str = "day",
-                              max_fallback_days: int = BASELINE_FALLBACK_DAYS
+                              kind: str = "day"
                               ) -> Tuple[Optional[float], bool]:
     """The baseline plus a degradation flag.
 
@@ -214,7 +210,7 @@ def compute_baseline_degraded(store: MeasurementStore, nsset_id: int, ts: int,
         return baseline, False
     horizon = {"day": 1, "week": 7, "month": 30}[kind]
     day0 = day_start(ts)
-    for back in range(horizon + 1, horizon + max_fallback_days + 1):
+    for back in range(horizon + 1, horizon + BASELINE_FALLBACK_DAYS + 1):
         avg = _clean_day_avg(store, nsset_id, day0 - back * DAY)
         if avg is not None:
             return avg, True

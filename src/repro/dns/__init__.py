@@ -14,7 +14,6 @@ from repro.dns.zone import Delegation
 from repro.dns.resolver import (
     AgnosticResolver,
     ResolutionResult,
-    ResolverConfig,
     Transport,
 )
 from repro.dns.server import NameserverId
@@ -27,7 +26,6 @@ __all__ = [
     "Delegation",
     "AgnosticResolver",
     "ResolutionResult",
-    "ResolverConfig",
     "Transport",
     "NameserverId",
 ]

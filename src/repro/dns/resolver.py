@@ -29,37 +29,16 @@ from repro.dns.server import ServerReply
 Transport = Callable[[int, DomainName, RRType, float], ServerReply]
 
 
-@dataclass(frozen=True)
-class ResolverConfig:
-    """Retransmission policy.
-
-    ``attempt_timeout_ms`` doubles after each timeout up to
-    ``max_timeout_ms`` (unbound-style exponential backoff);
-    ``max_attempts`` bounds the total datagrams sent before the client
-    gives up and reports TIMEOUT. ``deadline_ms`` is the overall client
-    budget (OpenINTEL's workers cap resolution time).
-    """
-
-    attempt_timeout_ms: float = 1500.0
-    max_timeout_ms: float = 6000.0
-    max_attempts: int = 6
-    deadline_ms: float = 15000.0
-    servfail_is_terminal: bool = False
-
-    def __post_init__(self) -> None:
-        if self.attempt_timeout_ms <= 0 or self.max_timeout_ms < self.attempt_timeout_ms:
-            raise ValueError("invalid timeout configuration")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive")
-        # A single attempt may never overrun the overall client budget:
-        # clamp the retransmission timers into the deadline, so the
-        # first timer firing cannot blow past what the worker allows.
-        if self.attempt_timeout_ms > self.deadline_ms:
-            object.__setattr__(self, "attempt_timeout_ms", float(self.deadline_ms))
-        if self.max_timeout_ms > self.deadline_ms:
-            object.__setattr__(self, "max_timeout_ms", float(self.deadline_ms))
+# OpenINTEL's one retransmission ladder (unbound-style): the first
+# attempt's timer doubles after each timeout up to ``MAX_TIMEOUT_MS``,
+# and ``DEADLINE_MS`` is the overall client budget (the workers cap
+# resolution time). The timers fit the budget, so one timer firing
+# never overruns it.
+ATTEMPT_TIMEOUT_MS = 1500.0
+MAX_TIMEOUT_MS = 6000.0
+DEADLINE_MS = 15000.0
+#: datagrams sent before the client gives up and reports TIMEOUT.
+MAX_ATTEMPTS = 6
 
 
 @dataclass
@@ -86,14 +65,17 @@ class AgnosticResolver:
     rng:
         ``random.Random`` used for server selection (seeded per
         measurement platform for reproducibility).
-    config:
-        Retransmission policy.
+    max_attempts:
+        Datagrams sent before giving up (at least one).
     """
 
-    def __init__(self, transport: Transport, rng, config: Optional[ResolverConfig] = None):
+    def __init__(self, transport: Transport, rng,
+                 max_attempts: int = MAX_ATTEMPTS):
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
         self.transport = transport
         self.rng = rng
-        self.config = config or ResolverConfig()
+        self.max_attempts = max_attempts
 
     def _pick(self, servers: Sequence[int], last: Optional[int]) -> int:
         """Uniform random pick, avoiding the immediately-previous server
@@ -117,12 +99,11 @@ class AgnosticResolver:
         qname = DomainName(qname)
         if not servers:
             return ResolutionResult(ResponseStatus.NETWORK_ERROR, 0.0)
-        cfg = self.config
         elapsed = 0.0
-        timeout = cfg.attempt_timeout_ms
+        timeout = ATTEMPT_TIMEOUT_MS
         last: Optional[int] = None
         servfails = 0
-        for _ in range(cfg.max_attempts):
+        for _ in range(self.max_attempts):
             ns_ip = self._pick(servers, last)
             last = ns_ip
             reply = self.transport(ns_ip, qname, qtype, when + elapsed / 1000.0)
@@ -132,12 +113,12 @@ class AgnosticResolver:
                 # Dropped, or the response arrived after the timer fired:
                 # the client burns the full timeout either way.
                 cost = timeout
-            remaining = cfg.deadline_ms - elapsed
+            remaining = DEADLINE_MS - elapsed
             if cost > remaining:
                 # Deadline exhausted. If an authoritative answered with
                 # SERVFAIL along the way, that is the resolver's verdict
                 # (unbound reports SERVFAIL, not timeout, in this case).
-                elapsed = cfg.deadline_ms
+                elapsed = DEADLINE_MS
                 status = (ResponseStatus.SERVFAIL if servfails
                           else ResponseStatus.TIMEOUT)
                 return ResolutionResult(status, elapsed)
@@ -147,14 +128,9 @@ class AgnosticResolver:
                     return ResolutionResult(ResponseStatus.OK, elapsed)
                 if reply.rcode == Rcode.NXDOMAIN:
                     return ResolutionResult(ResponseStatus.NXDOMAIN, elapsed)
-                if reply.rcode == Rcode.SERVFAIL:
-                    servfails += 1
-                    if cfg.servfail_is_terminal:
-                        return ResolutionResult(ResponseStatus.SERVFAIL, elapsed)
-                    # Otherwise fall through and try another server.
-                elif reply.rcode == Rcode.REFUSED:
-                    servfails += 1
+                if reply.rcode in (Rcode.SERVFAIL, Rcode.REFUSED):
+                    servfails += 1  # and try another server
             else:
-                timeout = min(timeout * 2, cfg.max_timeout_ms)
+                timeout = min(timeout * 2, MAX_TIMEOUT_MS)
         status = ResponseStatus.SERVFAIL if servfails else ResponseStatus.TIMEOUT
         return ResolutionResult(status, elapsed)

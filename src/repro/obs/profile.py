@@ -33,9 +33,8 @@ registry, so stdout and every study artifact stay byte-identical
 (asserted in tests and byte-diffed in CI).
 
 ``tracemalloc`` costs real time (every allocation is traced); CPU and
-RSS cost almost nothing. ``PhaseProfiler(..., trace_allocations=False)``
-keeps the cheap collectors only. RSS collection degrades gracefully to
-absent when the platform lacks the ``resource`` module (non-POSIX).
+RSS cost almost nothing. RSS collection degrades gracefully to absent
+when the platform lacks the ``resource`` module (non-POSIX).
 """
 
 from __future__ import annotations
@@ -83,19 +82,17 @@ class PhaseProfiler:
     :meth:`close` (``run_study`` does, in a ``finally``) to stop it.
     """
 
-    def __init__(self, registry: MetricsRegistry,
-                 trace_allocations: bool = True):
+    def __init__(self, registry: MetricsRegistry):
         self.registry = registry
-        self.trace_allocations = trace_allocations
         self._started_tracing = False
-        if trace_allocations and not tracemalloc.is_tracing():
+        if not tracemalloc.is_tracing():
             tracemalloc.start()
             self._started_tracing = True
 
     @contextmanager
     def measure(self, phase: str) -> Iterator[None]:
         """Profile the ``with`` block as phase ``phase``."""
-        tracing = self.trace_allocations and tracemalloc.is_tracing()
+        tracing = tracemalloc.is_tracing()
         if tracing:
             alloc0 = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()

@@ -52,7 +52,7 @@ from bisect import bisect_right
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dns.rcode import ResponseStatus
-from repro.dns.resolver import AgnosticResolver, ResolverConfig
+from repro.dns.resolver import ATTEMPT_TIMEOUT_MS, DEADLINE_MS, AgnosticResolver
 from repro.dns.rr import RRType
 from repro.obs import NULL_TELEMETRY, RunTelemetry
 from repro.openintel.stats import CrawlStats
@@ -83,8 +83,8 @@ DENSE_OVERSAMPLING = 6
 class OpenIntelPlatform:
     """Drives the daily crawl and fills a :class:`MeasurementStore`."""
 
-    def __init__(self, world: World, config: Optional[ResolverConfig] = None,
-                 transport=None, telemetry: Optional[RunTelemetry] = None):
+    def __init__(self, world: World, transport=None,
+                 telemetry: Optional[RunTelemetry] = None):
         self.telemetry = telemetry or NULL_TELEMETRY
         #: crawl counters collected when telemetry is enabled (``None``
         #: otherwise, so the hot loop pays a single identity check).
@@ -93,7 +93,6 @@ class OpenIntelPlatform:
         self.stats: Optional[CrawlStats] = (
             CrawlStats() if self.telemetry.enabled else None)
         self.world = world
-        self.config = config or ResolverConfig()
         #: the datagram path queries travel; fault injection wraps it
         #: here without the world's ground truth noticing.
         self.transport = transport or world.transport
@@ -149,10 +148,9 @@ class OpenIntelPlatform:
             self._quiet_rtts[nsset_id] = tuple(ns.base_rtt_ms for ns in members)
         # A quiet server's reply always beats the resolver's first timer
         # when the slowest member's base RTT plus the largest jitter does.
-        timeout = self.config.attempt_timeout_ms
         self._quiet_instants = {
             nsset_id for nsset_id, rtts in self._quiet_rtts.items()
-            if rtts and max(rtts) + _MAX_JITTER_MS <= timeout}
+            if rtts and max(rtts) + _MAX_JITTER_MS <= ATTEMPT_TIMEOUT_MS}
         self._base_rtts = {ip: ns.base_rtt_ms for ip, ns
                            in self.world.nameservers_by_ip.items()}
 
@@ -177,7 +175,7 @@ class OpenIntelPlatform:
         quiet_instants = (self._quiet_instants if self._own_transport
                           else frozenset())
         base_rtts = self._base_rtts
-        deadline = self.config.deadline_ms
+        deadline = DEADLINE_MS
 
         # One private stream, reseeded per (domain, day): samples depend
         # only on the work unit's key, never on crawl order or window.
@@ -187,7 +185,7 @@ class OpenIntelPlatform:
         choice = day_rng.choice
         reseed = day_rng.seed
         from_bytes = int.from_bytes
-        resolver = AgnosticResolver(self.transport, day_rng, self.config)
+        resolver = AgnosticResolver(self.transport, day_rng)
         restore = self.world.set_transport_rng(day_rng)
         stats = self.stats
         try:

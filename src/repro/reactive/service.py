@@ -13,7 +13,7 @@ checkpoint, exactly-once.
 Exactly-once recovery
 ---------------------
 
-The worker checkpoints at tick boundaries (every ``checkpoint_every``
+The worker checkpoints at tick boundaries (every :data:`CHECKPOINT_EVERY`
 ticks); a tick fires every probe it lays out, so nothing is pending
 there. A checkpoint is
 
@@ -107,6 +107,10 @@ TRIGGER_SLA_S = 10 * MINUTE
 SHED_AFTER_S = 30 * MINUTE
 #: The smallest per-window allocation a throttled campaign is granted.
 MIN_ALLOCATION = 1
+#: Ticks between worker checkpoints.
+CHECKPOINT_EVERY = 6
+#: Worker restores one run allows before it gives up.
+MAX_RESTORES = 10_000
 
 
 class WorkerKilled(Exception):
@@ -157,25 +161,20 @@ class CampaignWorker:
        gauges;
     6. consults the chaos crash hook — dying *here* leaves the tick
        uncommitted — then commits the tick and, every
-       ``checkpoint_every`` ticks, checkpoints.
+       :data:`CHECKPOINT_EVERY` ticks, checkpoints.
     """
 
     def __init__(self, broker: Broker, world: World, *,
                  probes_per_window: int, post_attack_s: int,
-                 probe_budget: Optional[int],
-                 checkpoint_every: int, transport, seed: int,
+                 probe_budget: Optional[int], transport,
                  crash_hook: Optional[Callable[[int], bool]] = None,
                  on_checkpoint: Optional[Callable[[Dict], None]] = None,
                  journal=NULL_JOURNAL):
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         self.broker = broker
         self.world = world
         self.transport = transport
-        self.seed = seed
         self.probes_per_window = probes_per_window
         self.post_attack_s = post_attack_s
-        self.checkpoint_every = checkpoint_every
         self.crash_hook = crash_hook
         self.on_checkpoint = on_checkpoint or (lambda state: None)
         self.journal = journal
@@ -256,7 +255,8 @@ class CampaignWorker:
                 self.world, record.value, record.ts,
                 probes_per_window=self.probes_per_window,
                 trigger_sla_s=TRIGGER_SLA_S,
-                post_attack_s=self.post_attack_s, seed=self.seed)
+                post_attack_s=self.post_attack_s,
+                seed=self.world.config.seed)
             if campaign is None:
                 self.n_no_domains += 1
                 continue
@@ -277,7 +277,7 @@ class CampaignWorker:
             raise WorkerKilled(w)
         self.now_window = tick_end
         self.ticks += 1
-        if self.ticks % self.checkpoint_every == 0:
+        if self.ticks % CHECKPOINT_EVERY == 0:
             self.checkpoint_now()
         return True
 
@@ -405,9 +405,12 @@ class ReactiveService:
     One service instance runs one feed (a fresh broker per
     :meth:`run`). Overload knobs: ``feed_capacity`` + ``backpressure``
     bound the trigger topic; ``probe_budget`` caps concurrent
-    domain-probes per window. The trigger SLO, the shed deadline and
-    the throttle floor are the fixed :data:`TRIGGER_SLA_S`,
-    :data:`SHED_AFTER_S` and :data:`MIN_ALLOCATION`.
+    domain-probes per window. The trigger SLO, the shed deadline, the
+    throttle floor, the checkpoint spacing and the restore cap are the
+    fixed :data:`TRIGGER_SLA_S`, :data:`SHED_AFTER_S`,
+    :data:`MIN_ALLOCATION`, :data:`CHECKPOINT_EVERY` and
+    :data:`MAX_RESTORES`. Probes draw from streams seeded by the
+    world's seed.
     """
 
     def __init__(self, world: World, *, probes_per_window: int = 50,
@@ -415,8 +418,6 @@ class ReactiveService:
                  probe_budget: Optional[int] = None,
                  feed_capacity: Optional[int] = None,
                  backpressure: str = "block",
-                 checkpoint_every: int = 6,
-                 seed: Optional[int] = None,
                  transport=None,
                  telemetry: Optional[RunTelemetry] = None):
         self.world = world
@@ -425,9 +426,8 @@ class ReactiveService:
         self.probe_budget = probe_budget
         self.feed_capacity = feed_capacity
         self.backpressure = backpressure
-        self.checkpoint_every = checkpoint_every
-        self.seed = seed if seed is not None else world.config.seed
-        self.transport = transport or replay_transport(world, self.seed)
+        self.transport = transport or replay_transport(world,
+                                                       world.config.seed)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.registry = self.telemetry.registry
         self._c_kills = self.registry.counter("repro.reactive.worker_kills")
@@ -437,7 +437,6 @@ class ReactiveService:
         self._worker: Optional[CampaignWorker] = None
         self._checkpoint: Optional[Dict] = None
         self._crash_hook: Optional[Callable[[int], bool]] = None
-        self._max_restores = 0
         self.n_kills = 0
         self.n_restores = 0
         self.n_checkpoints = 0
@@ -455,8 +454,7 @@ class ReactiveService:
             probes_per_window=self.probes_per_window,
             post_attack_s=self.post_attack_s,
             probe_budget=self.probe_budget,
-            checkpoint_every=self.checkpoint_every,
-            transport=self.transport, seed=self.seed,
+            transport=self.transport,
             crash_hook=self._crash_hook,
             on_checkpoint=self._on_checkpoint,
             journal=journal)
@@ -473,10 +471,10 @@ class ReactiveService:
                      incarnation=self.n_restores, tick_ts=tick_ts)
         self.n_kills += 1
         self._c_kills.inc()
-        if self.n_restores >= self._max_restores:
+        if self.n_restores >= MAX_RESTORES:
             raise RuntimeError(
                 f"worker killed {self.n_kills} times; restore cap "
-                f"({self._max_restores}) exhausted")
+                f"({MAX_RESTORES}) exhausted")
         self.n_restores += 1
         self._c_restores.inc()
         self._worker = self._new_worker()
@@ -504,8 +502,7 @@ class ReactiveService:
 
     def run(self, feed: Union[RSDoSFeed, Iterable[InferredAttack]], *,
             window: Optional[Window] = None,
-            injector: Optional[FaultInjector] = None,
-            max_restores: int = 10_000) -> ReactiveReport:
+            injector: Optional[FaultInjector] = None) -> ReactiveReport:
         """Replay the feed through the full pipeline and return the
         exact report. Pass a chaos ``injector`` with an armed ``worker``
         surface to exercise kill/restore recovery."""
@@ -517,7 +514,6 @@ class ReactiveService:
         self._broker = Broker(metrics=self.registry)
         self._crash_hook = (injector.worker_crash_hook()
                             if injector is not None else None)
-        self._max_restores = max_restores
         self.n_kills = self.n_restores = self.n_checkpoints = 0
         trigger_topic = self._broker.topic(
             TRIGGER_TOPIC, capacity=self.feed_capacity,

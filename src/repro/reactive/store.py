@@ -15,11 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.metrics import (
-    BASELINE_FALLBACK_DAYS,
-    ImpactSeries,
-    _impact_series,
-)
+from repro.core.metrics import ImpactSeries, _impact_series
 from repro.dns.rcode import ResponseStatus
 from repro.openintel.storage import MeasurementStore
 from repro.util.timeutil import Window, window_start
@@ -124,15 +120,11 @@ def measurement_store_from_reactive(store: ReactiveStore, directory
 
 def reactive_impact_series(store: ReactiveStore, directory, nsset_id: int,
                            window: Window,
-                           baseline_store: MeasurementStore,
-                           baseline_kind: str = "day",
-                           min_bucket_n: int = 1,
-                           baseline_fallback_days: int =
-                           BASELINE_FALLBACK_DAYS) -> ImpactSeries:
+                           baseline_store: MeasurementStore) -> ImpactSeries:
     """The §5 RTT-impact series of a NSSet, measured by reactive probes.
 
     The reactive platform only probes *during* attacks, so it holds no
-    quiet-day history of its own — the §4.1 baseline comes from
+    quiet-day history of its own — the §4.1 day-before baseline comes from
     ``baseline_store`` (normally the OpenINTEL crawl store of the same
     study) while the in-window 5-minute buckets come from the probes.
     Everything downstream of :class:`ImpactSeries` (mean/peak impact,
@@ -145,5 +137,5 @@ def reactive_impact_series(store: ReactiveStore, directory, nsset_id: int,
         fold = store._fold = (directory, len(store),
                               measurement_store_from_reactive(store,
                                                               directory))
-    return _impact_series(fold[2], baseline_store, nsset_id, window,
-                          baseline_kind, min_bucket_n, baseline_fallback_days)
+    # The day-before baseline; every bucket qualifies.
+    return _impact_series(fold[2], baseline_store, nsset_id, window, "day", 1)

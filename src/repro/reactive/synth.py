@@ -16,7 +16,7 @@ and cheap enough to probe millions of times in a soak.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.dns.server import ServerReply
 from repro.telescope.rsdos import InferredAttack
@@ -26,15 +26,18 @@ from repro.world.simulation import World
 
 __all__ = ["fast_transport", "synthetic_triggers"]
 
+#: The unconditional drop share of :func:`fast_transport`.
+FAST_LOSS = 0.1
+
 
 def synthetic_triggers(world: World, n: int, *, seed: int = 0,
-                       start_ts: Optional[int] = None,
                        invalid_share: float = 0.0) -> List[InferredAttack]:
     """``n`` bursty attack triggers against the world's nameservers.
 
-    Triggers arrive in waves of up to 12 simultaneous attacks lasting
-    10 minutes to 2 hours, with up to 2 hours of quiet between waves —
-    the overload shape admission control exists for. ``invalid_share`` > 0
+    From the world's first day, triggers arrive in waves of up to 12
+    simultaneous attacks lasting 10 minutes to 2 hours, with up to 2
+    hours of quiet between waves — the overload shape admission control
+    exists for. ``invalid_share`` > 0
     damages that share of records (negative packet counts, inverted
     windows) so the validation job's dead-letter path sees traffic too.
     Returned sorted by ``(start, victim_ip)``; deterministic in
@@ -48,10 +51,8 @@ def synthetic_triggers(world: World, n: int, *, seed: int = 0,
     if not ns_ips:
         raise ValueError("world has no nameservers to attack")
     rng = derive_rng(seed, "reactive.synth")
-    if start_ts is None:
-        start_ts = parse_ts(world.config.start)
     attacks: List[InferredAttack] = []
-    wave_ts = int(start_ts)
+    wave_ts = parse_ts(world.config.start)
     while len(attacks) < n:
         burst = min(rng.randint(1, 12), n - len(attacks))
         for _ in range(burst):
@@ -90,19 +91,17 @@ def _damage(attack: InferredAttack, rng) -> InferredAttack:
     return attack
 
 
-def fast_transport(seed: int = 0, loss: float = 0.1):
+def fast_transport(seed: int = 0):
     """A pure, hash-derived reply sampler for soak/bench scale.
 
     Every reply is a function of ``(ns_ip, qname, ts)`` alone: the same
     probe replayed after a worker kill observes the same reply, which
-    is what makes recovered probe stores bit-identical. ``loss`` is the
-    unconditional drop share; answered probes get an RTT spread over
-    [5, 125) ms.
+    is what makes recovered probe stores bit-identical. A
+    :data:`FAST_LOSS` share of probes is dropped; answered probes get
+    an RTT spread over [5, 125) ms.
     """
-    if not 0.0 <= loss <= 1.0:
-        raise ValueError("loss must be within [0, 1]")
-
     def transport(ns_ip, qname, qtype, ts) -> ServerReply:
+        loss = FAST_LOSS
         unit = derive_seed(seed, "reactive.fast", str(ns_ip), str(qname),
                            str(int(ts))) / 2 ** 64
         if unit < loss:

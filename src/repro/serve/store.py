@@ -55,6 +55,9 @@ SERVE_PHASES = ("telescope", "crawl", "join", "events")
 #: Pipeline-graph partitions (built through the executor; events
 #: partitions are assembled outside the graph from cached neighbours).
 _PIPELINE_PHASES = ("telescope", "crawl", "join")
+#: Warm partitions a store keeps in memory; the oldest loaded goes
+#: first.
+LOADED_CAP = 64
 
 
 def scale_attacks_on_day(attacks, day: int, factor: float) -> List:
@@ -134,8 +137,7 @@ class ShardedStudyStore:
     def __init__(self, config: WorldConfig, cache,
                  install_scenarios: bool = True,
                  telemetry: Optional[RunTelemetry] = None,
-                 edit: Optional[Callable[[List], List]] = None,
-                 loaded_cap: int = 64):
+                 edit: Optional[Callable[[List], List]] = None):
         self.config = config
         self.install_scenarios = install_scenarios
         self.telemetry = telemetry or NULL_TELEMETRY
@@ -144,9 +146,8 @@ class ShardedStudyStore:
         self._world: Optional[World] = None
         self._metadata: Optional[NSSetMetadata] = None
         self._day_keys: Optional[Dict[int, Dict[str, str]]] = None
-        #: warm (phase, day) -> artifact, LRU-capped.
+        #: warm (phase, day) -> artifact, capped at ``LOADED_CAP``.
         self._loaded: Dict[Tuple[str, int], object] = {}
-        self._loaded_cap = loaded_cap
         self._maintenance = False
 
     # -- inputs ---------------------------------------------------------------
@@ -296,7 +297,7 @@ class ShardedStudyStore:
     def load_day(self, day: int, phase: str):
         """The day's ``phase`` artifact, or ``None`` when the shard is
         cold (not yet built, or evicted by gc). Warm partitions are
-        kept in a small in-process LRU."""
+        kept in memory, at most ``LOADED_CAP`` of them."""
         cached = self._loaded.get((phase, day))
         if cached is not None:
             return cached
@@ -313,7 +314,7 @@ class ShardedStudyStore:
         return artifact
 
     def _trim_loaded(self) -> None:
-        while len(self._loaded) > self._loaded_cap:
+        while len(self._loaded) > LOADED_CAP:
             self._loaded.pop(next(iter(self._loaded)))
 
     # -- the catalog ----------------------------------------------------------

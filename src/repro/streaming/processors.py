@@ -168,7 +168,6 @@ class FlaggedRecord:
     skipped the job's processors (including validation)."""
 
     value: Any
-    reason: str = "circuit_open"
 
 
 class CircuitBreaker:

@@ -12,7 +12,6 @@ from repro.telescope.backscatter import BackscatterSimulator
 from repro.telescope.rsdos import (
     InferredAttack,
     RSDoSClassifier,
-    RSDoSThresholds,
     attack_problem,
 )
 from repro.telescope.feed import FeedRecord, RSDoSFeed, ppm_to_victim_pps
@@ -22,7 +21,6 @@ from repro.telescope.reflector import (
     ReflectorFeed,
     ReflectorObservation,
     ReflectorSimulator,
-    ReflectorThresholds,
     match_reflections,
 )
 
@@ -32,13 +30,11 @@ __all__ = [
     "BackscatterSimulator",
     "InferredAttack",
     "RSDoSClassifier",
-    "RSDoSThresholds",
     "attack_problem",
     "FeedRecord",
     "RSDoSFeed",
     "ppm_to_victim_pps",
     "ReflectorObservation",
-    "ReflectorThresholds",
     "InferredReflection",
     "ReflectorSimulator",
     "ReflectorClassifier",

@@ -181,7 +181,7 @@ class BackscatterSimulator:
         for ts in range(attack.window.start, attack.window.end):
             spoofed_pps = attack.effective_spoofed_pps(ts)
             link_util = self.link_util_fn(attack.victim_ip, ts)
-            respond = (1.0 - overload_drop(link_util, HEADROOM)) \
+            respond = (1.0 - overload_drop(link_util)) \
                 * attack.response_ratio
             expected = spoofed_pps * respond * self.darknet.coverage
             for _ in range(poisson(self.rng, expected)):

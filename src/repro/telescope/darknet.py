@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.net.ip import IPV4_SPACE, IPv4Prefix
 from repro.topology.internet import TELESCOPE_SLASH9, TELESCOPE_SLASH10
@@ -22,15 +22,16 @@ TELESCOPE_COVERAGE = (TELESCOPE_SLASH9.num_addresses
 #: times 341.33 estimate the global ones.
 EXTRAPOLATION = 341.33
 
+#: The announced darknet prefixes.
+TELESCOPE_PREFIXES: Tuple[IPv4Prefix, ...] = (TELESCOPE_SLASH9,
+                                              TELESCOPE_SLASH10)
+
 
 class Darknet:
     """The telescope's address space and sampling helpers."""
 
-    def __init__(self, prefixes: Sequence[IPv4Prefix] = (TELESCOPE_SLASH9,
-                                                         TELESCOPE_SLASH10)):
-        if not prefixes:
-            raise ValueError("a darknet needs at least one prefix")
-        self.prefixes: Tuple[IPv4Prefix, ...] = tuple(prefixes)
+    def __init__(self):
+        self.prefixes = TELESCOPE_PREFIXES
         self.n_addresses = sum(p.num_addresses for p in self.prefixes)
 
     @property

@@ -18,7 +18,6 @@ backscatter branch     reflector branch
 =====================  ==========================
 FeedRecord             :class:`ReflectorObservation`
 RSDoSClassifier        :class:`ReflectorClassifier`
-RSDoSThresholds        :class:`ReflectorThresholds`
 InferredAttack         :class:`InferredReflection`
 RSDoSFeed              :class:`ReflectorFeed`
 =====================  ==========================
@@ -39,11 +38,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.attacks.model import Attack
 from repro.net.ports import PORT_DNS, PROTO_UDP
 from repro.telescope.darknet import Darknet
-from repro.telescope.rsdos import InferredAttack, infer_groups
+from repro.telescope.rsdos import GAP_S, InferredAttack, infer_groups
 from repro.util.rng import derive_rng, poisson
-from repro.util.timeutil import FIVE_MINUTES, HOUR, Window
+from repro.util.timeutil import FIVE_MINUTES, Window
 
-__all__ = ["ReflectorObservation", "ReflectorThresholds",
+__all__ = ["ReflectorObservation",
            "InferredReflection", "ReflectorSimulator",
            "ReflectorClassifier", "ReflectorFeed", "match_reflections"]
 
@@ -65,28 +64,15 @@ class ReflectorObservation:
             raise ValueError("query count must be non-negative")
 
 
-@dataclass(frozen=True)
-class ReflectorThresholds:
-    """Noise rejection for reflector-query inference.
-
-    A real spray revisits its list: demand at least ``min_queries``
-    queries spread over ``min_windows`` windows and ``min_dark_targets``
-    distinct darknet addresses (a single-target stream is a scanner,
-    not a reflection attack). Bursts separated by more than ``gap_s``
-    of silence split into distinct attacks, matching the RSDoS gap.
-    """
-
-    min_queries: int = 20
-    min_windows: int = 2
-    min_dark_targets: int = 3
-    gap_s: int = 1 * HOUR
-
-    def __post_init__(self) -> None:
-        if self.min_queries < 1 or self.min_windows < 1 \
-                or self.min_dark_targets < 1:
-            raise ValueError("invalid thresholds")
-        if self.gap_s < FIVE_MINUTES:
-            raise ValueError("gap must be at least one window")
+# Noise rejection for reflector-query inference. A real spray revisits
+# its list: demand at least ``MIN_QUERIES`` queries spread over
+# ``MIN_WINDOWS`` windows and ``MIN_DARK_TARGETS`` distinct darknet
+# addresses (a single-target stream is a scanner, not a reflection
+# attack). Bursts separated by more than the RSDoS branch's ``GAP_S`` of
+# silence split into distinct attacks.
+MIN_QUERIES = 20
+MIN_WINDOWS = 2
+MIN_DARK_TARGETS = 3
 
 
 @dataclass
@@ -215,9 +201,6 @@ class ReflectorSimulator:
 class ReflectorClassifier:
     """Groups reflector observations into inferred reflections."""
 
-    def __init__(self, thresholds: Optional[ReflectorThresholds] = None):
-        self.thresholds = thresholds or ReflectorThresholds()
-
     def infer(self, observations: Iterable[ReflectorObservation],
               kept: Optional[List[ReflectorObservation]] = None
               ) -> List[InferredReflection]:
@@ -228,19 +211,17 @@ class ReflectorClassifier:
         became a reflection are appended to it, as
         :meth:`RSDoSClassifier.infer` does for its records.
         """
-        return infer_groups(observations, self.thresholds.gap_s,
-                            self._finalize, kept)
+        return infer_groups(observations, GAP_S, self._finalize, kept)
 
     def _finalize(self, victim_ip: int,
                   group: List[ReflectorObservation]
                   ) -> Optional[InferredReflection]:
-        th = self.thresholds
         n_queries = sum(o.n_queries for o in group)
-        if n_queries < th.min_queries:
+        if n_queries < MIN_QUERIES:
             return None
-        if len(group) < th.min_windows:
+        if len(group) < MIN_WINDOWS:
             return None
-        if max(o.n_dark_targets for o in group) < th.min_dark_targets:
+        if max(o.n_dark_targets for o in group) < MIN_DARK_TARGETS:
             return None
         return InferredReflection(
             victim_ip=victim_ip,

@@ -26,28 +26,16 @@ from repro.telescope.darknet import EXTRAPOLATION
 from repro.util.timeutil import FIVE_MINUTES, HOUR, Window
 
 
-@dataclass(frozen=True)
-class RSDoSThresholds:
-    """Noise-rejection thresholds for attack inference.
-
-    Defaults follow the flavor of Moore et al. / CAIDA's curation:
-    at least 25 backscatter packets, at least 60 seconds of activity,
-    and breadth across at least 2 darknet /16s (a single-/16 stream is
-    more likely scanning or misconfiguration than uniform spoofing).
-    Windows separated by more than ``gap_s`` of silence split into
-    distinct attacks (Jonker et al. use about an hour).
-    """
-
-    min_packets: int = 25
-    min_duration_s: int = 60
-    min_slash16: int = 2
-    gap_s: int = 1 * HOUR
-
-    def __post_init__(self) -> None:
-        if self.min_packets < 1 or self.min_duration_s < 0 or self.min_slash16 < 1:
-            raise ValueError("invalid thresholds")
-        if self.gap_s < FIVE_MINUTES:
-            raise ValueError("gap must be at least one window")
+# Noise-rejection thresholds for attack inference, after Moore et al. /
+# CAIDA's RSDoS curation: at least 25 backscatter packets, at least 60
+# seconds of activity, and breadth across at least 2 darknet /16s (a
+# single-/16 stream is more likely scanning or misconfiguration than
+# uniform spoofing). Windows separated by more than ``GAP_S`` of silence
+# split into distinct attacks (Jonker et al. use about an hour).
+MIN_PACKETS = 25
+MIN_DURATION_S = 60
+MIN_SLASH16 = 2
+GAP_S = 1 * HOUR
 
 
 def attack_problem(obj: object) -> Optional[str]:
@@ -160,9 +148,6 @@ def infer_groups(windows: Iterable[W], gap_s: int,
 class RSDoSClassifier:
     """Groups window records into inferred attacks."""
 
-    def __init__(self, thresholds: Optional[RSDoSThresholds] = None):
-        self.thresholds = thresholds or RSDoSThresholds()
-
     def infer(self, records: Iterable[FeedRecord],
               kept: Optional[List[FeedRecord]] = None
               ) -> List[InferredAttack]:
@@ -174,20 +159,18 @@ class RSDoSClassifier:
         attack's window contains, since each group is a time-sorted run
         of one victim's 300 s-aligned windows.
         """
-        return infer_groups(records, self.thresholds.gap_s, self._finalize,
-                            kept)
+        return infer_groups(records, GAP_S, self._finalize, kept)
 
     def _finalize(self, victim_ip: int,
                   group: List[FeedRecord]) -> Optional[InferredAttack]:
-        th = self.thresholds
         n_packets = sum(o.n_packets for o in group)
-        if n_packets < th.min_packets:
+        if n_packets < MIN_PACKETS:
             return None
-        if max(o.n_slash16 for o in group) < th.min_slash16:
+        if max(o.n_slash16 for o in group) < MIN_SLASH16:
             return None
         start = group[0].window_ts
         end = group[-1].window_ts + FIVE_MINUTES
-        if end - start < th.min_duration_s:
+        if end - start < MIN_DURATION_S:
             return None
         # First port/proto: from the earliest window (the feed's "first
         # observed port").

@@ -7,14 +7,13 @@ case studies and Tables 4-6 are directly comparable), and the two
 datasets are derived from it with the same lookup semantics.
 """
 
-from repro.topology.internet import InternetTopology, ReservedSpace
+from repro.topology.internet import InternetTopology
 from repro.topology.generator import generate_topology
 from repro.topology.prefix2as import Prefix2AS
 from repro.topology.as2org import AS2Org
 
 __all__ = [
     "InternetTopology",
-    "ReservedSpace",
     "generate_topology",
     "Prefix2AS",
     "AS2Org",

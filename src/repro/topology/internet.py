@@ -8,8 +8,6 @@ longest-prefix match, as with RouteViews-derived data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.asn import AS, Organization
@@ -24,37 +22,29 @@ TELESCOPE_SLASH9 = IPv4Prefix.parse("44.0.0.0/9")
 TELESCOPE_SLASH10 = IPv4Prefix.parse("44.128.0.0/10")
 
 
-@dataclass(frozen=True)
-class ReservedSpace:
-    """Address ranges the allocator must never hand out."""
+#: Address ranges the allocator must never hand out.
+RESERVED_PREFIXES: Tuple[IPv4Prefix, ...] = (
+    IPv4Prefix.parse("0.0.0.0/8"),       # "this network"
+    IPv4Prefix.parse("10.0.0.0/8"),      # RFC 1918
+    IPv4Prefix.parse("127.0.0.0/8"),     # loopback
+    IPv4Prefix.parse("169.254.0.0/16"),  # link local
+    IPv4Prefix.parse("172.16.0.0/12"),   # RFC 1918
+    IPv4Prefix.parse("192.168.0.0/16"),  # RFC 1918
+    IPv4Prefix.parse("224.0.0.0/3"),     # multicast + class E
+    TELESCOPE_SLASH9,                    # darknet
+    TELESCOPE_SLASH10,                   # darknet
+)
+_RESERVED_RANGES = tuple((r.first, r.last) for r in RESERVED_PREFIXES)
 
-    prefixes: Tuple[IPv4Prefix, ...] = (
-        IPv4Prefix.parse("0.0.0.0/8"),       # "this network"
-        IPv4Prefix.parse("10.0.0.0/8"),      # RFC 1918
-        IPv4Prefix.parse("127.0.0.0/8"),     # loopback
-        IPv4Prefix.parse("169.254.0.0/16"),  # link local
-        IPv4Prefix.parse("172.16.0.0/12"),   # RFC 1918
-        IPv4Prefix.parse("192.168.0.0/16"),  # RFC 1918
-        IPv4Prefix.parse("224.0.0.0/3"),     # multicast + class E
-        TELESCOPE_SLASH9,                    # darknet
-        TELESCOPE_SLASH10,                   # darknet
-    )
 
-    @cached_property
-    def _ranges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple((r.first, r.last) for r in self.prefixes)
-
-    def covers(self, prefix: IPv4Prefix) -> bool:
-        """Does ``prefix`` overlap reserved space? Two CIDR blocks
-        overlap exactly when one contains the other."""
-        first, last = prefix.first, prefix.last
-        for r_first, r_last in self._ranges:
-            if first <= r_last and r_first <= last:
-                return True
-        return False
-
-    def contains_ip(self, ip: int) -> bool:
-        return any(r.contains_ip(ip) for r in self.prefixes)
+def overlaps_reserved(prefix: IPv4Prefix) -> bool:
+    """Does ``prefix`` overlap reserved space? Two CIDR blocks overlap
+    exactly when one contains the other."""
+    first, last = prefix.first, prefix.last
+    for r_first, r_last in _RESERVED_RANGES:
+        if first <= r_last and r_first <= last:
+            return True
+    return False
 
 
 class AllocationError(RuntimeError):
@@ -64,8 +54,7 @@ class AllocationError(RuntimeError):
 class InternetTopology:
     """Registry of organizations, ASes, and announced prefixes."""
 
-    def __init__(self, reserved: Optional[ReservedSpace] = None):
-        self.reserved = reserved or ReservedSpace()
+    def __init__(self):
         self._orgs: Dict[str, Organization] = {}
         self._ases: Dict[int, AS] = {}
         self._routes: PrefixTrie[int] = PrefixTrie()  # prefix -> ASN
@@ -112,7 +101,7 @@ class InternetTopology:
     def announce(self, asys: AS, prefix: IPv4Prefix) -> None:
         """Announce ``prefix`` from ``asys``; rejects overlaps with
         reserved space or an existing different-origin announcement."""
-        if self.reserved.covers(prefix):
+        if overlaps_reserved(prefix):
             raise AllocationError(f"{prefix} overlaps reserved space")
         existing = self._routes.exact((prefix.network, prefix.length))
         if existing is not None and existing != asys.number:
@@ -137,7 +126,7 @@ class InternetTopology:
             if base + step > IPV4_SPACE:
                 raise AllocationError("address space exhausted")
             prefix = IPv4Prefix(base, length)
-            is_free = (not self.reserved.covers(prefix)
+            is_free = (not overlaps_reserved(prefix)
                        and self._routes.lookup(base) is None
                        and next(iter(self._routes.covered(prefix)), None) is None)
             if is_free:

@@ -113,7 +113,11 @@ class Histogram:
         return [(self.lo + i * width, self.lo + (i + 1) * width) for i in range(self.bins)]
 
 
-def bimodal_modes(values: Iterable[float], bins: int = 40) -> List[float]:
+#: Log-space histogram bins :func:`bimodal_modes` smooths and scans.
+MODE_BINS = 40
+
+
+def bimodal_modes(values: Iterable[float]) -> List[float]:
     """Detect up to two separated modes of a positive-valued sample.
 
     Bins in log space (attack durations/intensities span decades) and
@@ -126,7 +130,7 @@ def bimodal_modes(values: Iterable[float], bins: int = 40) -> List[float]:
     hi = math.log10(max(data))
     if hi - lo < 1e-9:
         return [data[0]]
-    hist = Histogram(lo, hi + 1e-9, bins)
+    hist = Histogram(lo, hi + 1e-9, MODE_BINS)
     for v in data:
         hist.add(math.log10(v))
     # Local maxima in the smoothed histogram.
@@ -140,7 +144,7 @@ def bimodal_modes(values: Iterable[float], bins: int = 40) -> List[float]:
     ]
     maxima.sort(key=lambda i: smoothed[i], reverse=True)
     picked: List[int] = []
-    min_separation = max(3, bins // 5)
+    min_separation = max(3, MODE_BINS // 5)
     for i in maxima:
         if all(abs(i - j) >= min_separation for j in picked):
             picked.append(i)

@@ -68,15 +68,16 @@ class LoadBreakdown:
                 and self.link_util == 0.0)
 
 
-def overload_drop(util: float, headroom: float) -> float:
-    """Drop probability at utilization ``util`` given ``headroom``.
+def overload_drop(util: float) -> float:
+    """Drop probability at utilization ``util``.
 
-    Zero below the headroom threshold, then ``1 - headroom/util``: the
-    resource serves ``headroom`` worth of traffic and sheds the rest.
+    Zero below the ``HEADROOM`` threshold, then ``1 - HEADROOM/util``:
+    the resource serves ``HEADROOM`` worth of traffic and sheds the
+    rest.
     """
-    if util <= headroom:
+    if util <= HEADROOM:
         return 0.0
-    return 1.0 - headroom / util
+    return 1.0 - HEADROOM / util
 
 
 def queue_delay_ms(util: float) -> float:
@@ -125,13 +126,13 @@ class CapacityModel:
         rtt = base_rtt_ms + rng.expovariate(1.0 / 2.0)  # ~2ms network jitter
         if load.quiet:
             return ServerReply.ok(rtt)
-        p_link = overload_drop(load.link_util, HEADROOM)
+        p_link = overload_drop(load.link_util)
         if p_link > 0 and rng.random() < p_link:
             return ServerReply.dropped()
         survival = 1.0 - p_link
         eff_server = load.server_util * survival
         eff_app = load.app_util * survival
-        p_drop = overload_drop(eff_server, HEADROOM)
+        p_drop = overload_drop(eff_server)
         # SERVFAIL: application-layer floods exhaust the DNS software
         # directly (full weight); any severe server overload also makes
         # it occasionally answer with SERVFAIL (e.g. failed internal

@@ -12,8 +12,6 @@ import multiprocessing
 import os
 import threading
 
-import pytest
-
 from repro.artifacts.store import ArtifactStore
 
 KEYS = [f"{i:02x}" * 32 for i in range(24)]

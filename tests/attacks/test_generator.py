@@ -142,20 +142,6 @@ class TestGenerateSchedule:
         # 1000 * scale 0.01 = 10 expected.
         assert 5 <= len(hot) <= 20
 
-    def test_hot_target_month_restriction(self, timeline, catalog):
-        restricted = TargetCatalog(
-            ns_ip_weights=dict(catalog.ns_ip_weights),
-            other_ips=list(catalog.other_ips),
-            hot_targets=[HotTarget(ip=0x08080404, n_attacks=2000,
-                                   label="feb-only",
-                                   months=((2021, 2),))])
-        schedule = generate_schedule(random.Random(1), timeline, restricted,
-                                     0, 0.01)
-        assert schedule
-        for attack in schedule:
-            from repro.util.timeutil import month_key
-            assert month_key(attack.window.start) == (2021, 2)
-
     def test_invisible_fraction(self, schedule):
         invisible = sum(1 for a in schedule if not a.telescope_visible)
         share = invisible / len(schedule)

@@ -9,8 +9,8 @@ from repro.attacks.model import (
     ImpairmentProfile,
     Spoofing,
 )
-from repro.net.ports import PORT_DNS, PORT_HTTP, PROTO_ICMP, PROTO_TCP, PROTO_UDP
-from repro.util.timeutil import HOUR, Window
+from repro.net.ports import PORT_DNS, PROTO_ICMP, PROTO_TCP, PROTO_UDP
+from repro.util.timeutil import Window
 
 
 def simple_attack(pps=1000.0, start=10_000, duration=3600, **kwargs):

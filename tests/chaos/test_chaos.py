@@ -1,6 +1,5 @@
 """Tests for fault policies and the seeded injector."""
 
-import math
 import random
 
 import pytest

@@ -3,22 +3,19 @@
 import pytest
 
 from repro.core.correlation import (
-    analyze_correlation,
     attack_duration_modes,
     attack_intensity_modes,
     duration_impact_buckets,
 )
-from repro.core.impact import analyze_failures, analyze_impact, top_companies_by_impact
 from repro.core.longitudinal import (
     affected_domains_by_month,
     dataset_totals,
-    monthly_summary,
 )
-from repro.core.ports import analyze_ports, analyze_successful_ports
-from repro.core.resilience import analyze_resilience, complete_failure_prefix_shares
+from repro.core.ports import analyze_successful_ports
+from repro.core.resilience import complete_failure_prefix_shares
 from repro.core.topasn import top_attacked_asns, top_attacked_ips
 from repro.net.ip import parse_ip
-from repro.net.ports import PORT_DNS, PORT_HTTP, PROTO_ICMP, PROTO_TCP, PROTO_UDP
+from repro.net.ports import PORT_DNS, PROTO_ICMP, PROTO_TCP, PROTO_UDP
 
 
 class TestMonthlySummary:

@@ -86,14 +86,6 @@ class TestEvaluateDefenses:
             assert not ns.is_misconfig_target
             assert set(row.impacts) == {l.name for l in report.layers}
 
-    def test_events_filter_restricts_rows(self, tiny_world, tiny_study):
-        full = evaluate_defenses(tiny_world)
-        filtered = evaluate_defenses(tiny_world, events=tiny_study.events)
-        assert filtered.n_attacks <= full.n_attacks
-        victims = {e.attack.victim_ip for e in tiny_study.events}
-        for row in filtered.rows:
-            assert row.victim_ip in victims
-
     def test_report_statistics(self, report):
         harmful = report.harmful_rows()
         for row in harmful:

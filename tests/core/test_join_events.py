@@ -4,9 +4,7 @@ import pytest
 
 from repro.core.events import EVENT_MIN_DOMAINS, extract_events
 from repro.core.join import AttackClass, join_datasets
-from repro.core.nsset import NSSetMetadata
 from repro.net.ip import parse_ip, slash24_of
-from repro.util.timeutil import parse_ts
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.metrics import (
-    ImpactSeries,
     compute_baseline,
     impact_on_rtt,
     impact_series,

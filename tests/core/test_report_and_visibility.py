@@ -1,7 +1,5 @@
 """Tests for report rendering internals and the Study visibility view."""
 
-import pytest
-
 from repro.core import report as report_module
 from repro.core.visibility import VisibilityReport
 

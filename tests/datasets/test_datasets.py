@@ -2,8 +2,6 @@
 
 import io
 
-import pytest
-
 from repro.datasets.io import dataset_bundle_dump, dataset_bundle_load
 from repro.datasets.openresolvers import OpenResolverScan
 from repro.net.ip import parse_ip

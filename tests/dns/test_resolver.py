@@ -7,16 +7,31 @@ import pytest
 
 from repro.dns.name import DomainName
 from repro.dns.rcode import ResponseStatus
-from repro.dns.resolver import AgnosticResolver, ResolverConfig
+from repro.dns import resolver as resolver_module
+from repro.dns.resolver import (
+    ATTEMPT_TIMEOUT_MS,
+    DEADLINE_MS,
+    MAX_TIMEOUT_MS,
+    AgnosticResolver,
+)
 from repro.dns.rr import RRType
 from repro.dns.server import ServerReply
 
 NS_A, NS_B, NS_C = 0x0A000001, 0x0A000002, 0x0A000003
 
 
-def make_resolver(transport, seed=1, **config_kwargs):
-    return AgnosticResolver(transport, random.Random(seed),
-                            ResolverConfig(**config_kwargs))
+def make_resolver(transport, seed=1, **kwargs):
+    return AgnosticResolver(transport, random.Random(seed), **kwargs)
+
+
+@pytest.fixture
+def timers(monkeypatch):
+    """Sets the ladder's module constants for one test:
+    ``timers(deadline_ms=1000.0)``."""
+    def set_timers(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(resolver_module, name.upper(), value)
+    return set_timers
 
 
 def scripted(replies):
@@ -123,9 +138,10 @@ class TestRetryBehaviour:
             if len(queried) > 1:
                 assert result.rtt_ms >= 1500.0
 
-    def test_max_attempts_respected(self):
+    def test_max_attempts_respected(self, timers):
+        timers(deadline_ms=100000.0)
         resolver = make_resolver(scripted({NS_A: ServerReply.dropped()}),
-                                 max_attempts=3, deadline_ms=100000.0)
+                                 max_attempts=3)
         _, queried = resolve_logged(resolver, [NS_A])
         assert queried == [NS_A] * 3
 
@@ -145,13 +161,6 @@ class TestServfail:
         result = resolver.resolve("example.com", RRType.NS,
                                   [NS_A, NS_B], when=0)
         assert result.status is ResponseStatus.SERVFAIL
-
-    def test_terminal_servfail_config(self):
-        resolver = make_resolver(scripted({NS_A: ServerReply.servfail(5.0)}),
-                                 servfail_is_terminal=True)
-        result, queried = resolve_logged(resolver, [NS_A])
-        assert result.status is ResponseStatus.SERVFAIL
-        assert queried == [NS_A]
 
 
 class TestTimeAccounting:
@@ -183,96 +192,74 @@ class TestTimeAccounting:
 
 
 class TestConfigValidation:
-    def test_rejects_bad_timeouts(self):
-        with pytest.raises(ValueError):
-            ResolverConfig(attempt_timeout_ms=0)
-        with pytest.raises(ValueError):
-            ResolverConfig(attempt_timeout_ms=100, max_timeout_ms=50)
-
     def test_rejects_bad_attempts(self):
         with pytest.raises(ValueError):
-            ResolverConfig(max_attempts=0)
-
-    def test_rejects_bad_deadline(self):
-        with pytest.raises(ValueError):
-            ResolverConfig(deadline_ms=0)
+            make_resolver(scripted({}), max_attempts=0)
 
 
 class TestDeadlineClamping:
-    """The attempt timers must never be allowed to overrun the overall
-    client budget (the bug: a deadline below the default 1500 ms attempt
-    timeout let one timer firing blow past the deadline)."""
-
-    def test_attempt_timeout_clamped_to_deadline(self):
-        config = ResolverConfig(deadline_ms=1000.0, attempt_timeout_ms=1500.0)
-        assert config.attempt_timeout_ms == 1000.0
-        assert config.max_timeout_ms == 1000.0
-
-    def test_max_timeout_clamped_to_deadline(self):
-        config = ResolverConfig(deadline_ms=4000.0)
-        assert config.attempt_timeout_ms == 1500.0  # already within budget
-        assert config.max_timeout_ms == 4000.0
+    """The attempt timers must never overrun the overall client budget:
+    a timer firing past the deadline is cut to it."""
 
     def test_no_clamp_when_within_budget(self):
-        config = ResolverConfig()
-        assert config.attempt_timeout_ms == 1500.0
-        assert config.max_timeout_ms == 6000.0
+        # The ladder's timers fit its budget, so none needs cutting.
+        assert 0 < ATTEMPT_TIMEOUT_MS <= MAX_TIMEOUT_MS <= DEADLINE_MS
 
-    def test_resolve_never_exceeds_tight_deadline(self):
+    def test_resolve_never_exceeds_tight_deadline(self, timers):
+        timers(deadline_ms=1000.0)
         resolver = make_resolver(scripted({NS_A: ServerReply.dropped(),
-                                           NS_B: ServerReply.dropped()}),
-                                 deadline_ms=1000.0)
+                                           NS_B: ServerReply.dropped()}))
         result = resolver.resolve("example.com", RRType.NS,
                                   [NS_A, NS_B], when=0)
         assert result.status is ResponseStatus.TIMEOUT
         assert result.rtt_ms <= 1000.0
 
-    def test_slow_answer_within_clamped_timer_still_wins(self):
-        # 800 ms answer fits the clamped 1000 ms timer; without the
-        # clamp a 1500 ms timer would also accept it, but a dropped
-        # first attempt would have burned 1500 of the 1000 ms budget.
-        resolver = make_resolver(scripted({NS_A: ServerReply.ok(800.0)}),
-                                 deadline_ms=1000.0)
+    def test_slow_answer_within_clamped_timer_still_wins(self, timers):
+        # An 800 ms answer fits both the 1500 ms timer and the 1000 ms
+        # budget.
+        timers(deadline_ms=1000.0)
+        resolver = make_resolver(scripted({NS_A: ServerReply.ok(800.0)}))
         result = resolver.resolve("example.com", RRType.NS, [NS_A], when=0)
         assert result.status is ResponseStatus.OK
         assert result.rtt_ms == pytest.approx(800.0)
 
 
 class TestRetransmissionEdgeCases:
-    def test_backoff_caps_at_max_timeout(self):
+    def test_backoff_caps_at_max_timeout(self, timers):
         times = []
 
         def transport(ns_ip, qname, qtype, ts):
             times.append(ts)
             return ServerReply.dropped()
 
-        resolver = make_resolver(transport, max_timeout_ms=3000.0,
-                                 deadline_ms=100000.0, max_attempts=6)
+        timers(max_timeout_ms=3000.0, deadline_ms=100000.0)
+        resolver = make_resolver(transport, max_attempts=6)
         resolver.resolve("example.com", RRType.NS, [NS_A, NS_B], when=0)
         deltas = [round(b - a, 1) for a, b in zip(times, times[1:])]
         # 1.5 doubles once to 3.0 then stays capped there.
         assert deltas == [1.5, 3.0, 3.0, 3.0, 3.0]
 
-    def test_deadline_expiry_mid_attempt_truncates_elapsed(self):
+    def test_deadline_expiry_mid_attempt_truncates_elapsed(self, timers):
         # Deadline 2000 ms: the first burned timeout costs 1500, the
         # second timer (3000 ms) overruns the remaining 500 — the client
         # gives up at exactly the deadline, not at 4500.
+        timers(deadline_ms=2000.0)
         resolver = make_resolver(scripted({NS_A: ServerReply.dropped(),
-                                           NS_B: ServerReply.dropped()}),
-                                 deadline_ms=2000.0)
+                                           NS_B: ServerReply.dropped()}))
         result, queried = resolve_logged(resolver, [NS_A, NS_B])
         assert result.status is ResponseStatus.TIMEOUT
         assert result.rtt_ms == pytest.approx(2000.0)
         # The second datagram went out; its timer was cut short.
         assert len(queried) == 2
 
-    def test_servfail_seen_before_deadline_expiry_wins_verdict(self):
+    def test_servfail_seen_before_deadline_expiry_wins_verdict(self, timers):
         # One server SERVFAILs fast, the other is dead: when the budget
         # runs out the resolver reports SERVFAIL (unbound's verdict),
         # not TIMEOUT.
+        timers(deadline_ms=3000.0)
         resolver = make_resolver(scripted({NS_A: ServerReply.servfail(5.0),
                                            NS_B: ServerReply.dropped()}),
-                                 seed=6, deadline_ms=3000.0)
+                                 seed=6)
         result = resolver.resolve("example.com", RRType.NS,
                                   [NS_A, NS_B], when=0)
         assert result.status is ResponseStatus.SERVFAIL

@@ -12,9 +12,9 @@ import os
 
 import pytest
 
-from repro import WorldConfig, run_study
+from repro import run_study
 from repro.attacks.amplification import AmplificationParams
-from repro.attacks.wartime import WartimeParams
+from repro.attacks.wartime import N_WAVES, WartimeParams
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -82,7 +82,7 @@ class TestWartimePipeline:
 
     def test_waves_reach_the_schedule_and_events(self, study):
         analysis = study.pack_analysis()
-        assert len(analysis.waves) == WartimeParams().n_waves
+        assert len(analysis.waves) == N_WAVES
         assert analysis.n_attacks > 0
         for wave in analysis.waves:
             assert wave.n_attacks > 0

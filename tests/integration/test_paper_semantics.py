@@ -5,10 +5,8 @@ silently: which events the §6.3 threshold admits, how aftermath windows
 shape the measurement, and what the analyses may and may not consume.
 """
 
-import pytest
-
 from repro.core.events import EVENT_MIN_DOMAINS
-from repro.util.timeutil import DAY, parse_ts
+from repro.util.timeutil import DAY
 
 
 class TestEventSemantics:

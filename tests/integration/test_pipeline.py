@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import Study, WorldConfig, build_world, run_study
+from repro import Study, WorldConfig, run_study
 from repro.world.config import PAPER_TOTAL_ATTACKS
 
 

@@ -22,7 +22,7 @@ from repro.reactive import (
     fast_transport,
     synthetic_triggers,
 )
-from repro.util.timeutil import FIVE_MINUTES, HOUR, MINUTE
+from repro.util.timeutil import HOUR, MINUTE
 
 # CI scales the soak down via the environment; the default is the
 # full production-rate run.
@@ -36,8 +36,7 @@ def soak_service(world, **overrides):
     kwargs = dict(probes_per_window=PROBES_PER_WINDOW,
                   post_attack_s=HOUR,
                   probe_budget=PROBE_BUDGET,
-                  transport=fast_transport(seed=2),
-                  checkpoint_every=4)
+                  transport=fast_transport(seed=2))
     kwargs.update(overrides)
     return ReactiveService(world, **kwargs)
 

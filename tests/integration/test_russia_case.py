@@ -9,7 +9,7 @@ platform which probes every nameserver.
 import pytest
 
 from repro import ReactiveService, WorldConfig, run_study
-from repro.util.timeutil import DAY, HOUR, Window, day_start, parse_ts
+from repro.util.timeutil import DAY, HOUR, Window, parse_ts
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ import pytest
 from repro import WorldConfig, run_study
 from repro.core.metrics import impact_series
 from repro.telescope.feed import ppm_to_victim_pps
-from repro.util.timeutil import HOUR, Window, parse_ts
+from repro.util.timeutil import Window, parse_ts
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.ip import IPV4_SPACE, IPv4Prefix, network_of

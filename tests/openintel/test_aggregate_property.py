@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dns.rcode import ResponseStatus
 from repro.openintel.storage import Aggregate, MeasurementStore
-from repro.util.timeutil import DAY, FIVE_MINUTES
+from repro.util.timeutil import DAY
 
 STATUS = st.sampled_from([ResponseStatus.OK, ResponseStatus.TIMEOUT,
                           ResponseStatus.SERVFAIL,

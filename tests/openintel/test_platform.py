@@ -7,11 +7,13 @@ from collections import Counter
 import pytest
 
 from repro.attacks.model import Attack, AttackVector
+from repro.dns import resolver as resolver_module
 from repro.dns.rcode import ResponseStatus
-from repro.dns.resolver import AgnosticResolver, ResolverConfig
+from repro.dns.resolver import AgnosticResolver
 from repro.dns.rr import RRType
 from repro.net.ip import parse_ip
 from repro.obs import RunTelemetry
+from repro.openintel import platform as platform_module
 from repro.openintel.platform import (_MAX_JITTER_MS, DENSE_OVERSAMPLING,
                                       OpenIntelPlatform)
 from repro.util.timeutil import DAY, Window, day_start, parse_ts
@@ -102,8 +104,7 @@ class TestCrawl:
     def test_fast_path_matches_slow_path_statistically(self, tiny_world):
         # On a quiet day the fast path must be distributionally identical
         # to running the resolver: mean RTT within a fraction of a ms.
-        resolver = AgnosticResolver(tiny_world.transport, random.Random(7),
-                                    ResolverConfig())
+        resolver = AgnosticResolver(tiny_world.transport, random.Random(7))
         record = next(d for d in tiny_world.directory.domains
                       if d.provider_name == "Euskaltel" and not d.misconfig
                       and d.secondary_provider is None)
@@ -271,15 +272,14 @@ class TestQuietInstants:
     def test_slow_nssets_keep_resolver_under_short_timer(self, monkeypatch):
         # 200 ms - 73.47 ms of the largest jitter: an NSSet whose slowest
         # member's base RTT exceeds ~126.5 ms may miss the first timer.
-        config = ResolverConfig(attempt_timeout_ms=200)
+        for module in (resolver_module, platform_module):
+            monkeypatch.setattr(module, "ATTEMPT_TIMEOUT_MS", 200.0)
         world = build_world(WorldConfig.tiny(seed=1))
         reference_world = build_world(WorldConfig.tiny(seed=1))
         reference = OpenIntelPlatform(
-            reference_world, config=config,
-            transport=reference_world.transport).run()
+            reference_world, transport=reference_world.transport).run()
         calls = _record_resolves(monkeypatch)
-        platform = OpenIntelPlatform(world, config=config,
-                                     telemetry=RunTelemetry.create())
+        platform = OpenIntelPlatform(world, telemetry=RunTelemetry.create())
         store = platform.run()
         assert _store_state(store) == _store_state(reference)
         assert platform.stats.quiet_queries > 0

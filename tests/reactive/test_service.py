@@ -5,10 +5,11 @@ import pytest
 from repro.chaos.injector import FaultInjector
 from repro.chaos.policy import ChaosConfig, FaultPolicy
 from repro.obs import RunTelemetry
+from repro.reactive import service as service_module
+from repro.reactive import synth as synth_module
 from repro.reactive import (
     CampaignState,
     ReactiveService,
-    WorkerKilled,
     fast_transport,
     replay_transport,
     synthetic_triggers,
@@ -32,8 +33,7 @@ def triggers(world):
 
 def make_service(world, **overrides):
     kwargs = dict(probes_per_window=4, post_attack_s=2 * HOUR,
-                  probe_budget=24, transport=fast_transport(seed=1),
-                  checkpoint_every=3)
+                  probe_budget=24, transport=fast_transport(seed=1))
     kwargs.update(overrides)
     return ReactiveService(world, **kwargs)
 
@@ -127,12 +127,12 @@ class TestRecovery:
         assert faulted.counts["kills"] > 0
         assert faulted.summary() == base.summary()
 
-    def test_restore_cap_is_enforced(self, world, triggers):
+    def test_restore_cap_is_enforced(self, world, triggers, monkeypatch):
+        monkeypatch.setattr(service_module, "MAX_RESTORES", 3)
         injector = FaultInjector(ChaosConfig(
             seed=1, worker=FaultPolicy(crash_p=1.0)))
-        with pytest.raises(RuntimeError, match="restore cap"):
-            make_service(world).run(triggers, injector=injector,
-                                    max_restores=3)
+        with pytest.raises(RuntimeError, match=r"restore cap \(3\)"):
+            make_service(world).run(triggers, injector=injector)
 
     def test_chaos_summary_reports_kills_separately(self, world, triggers):
         injector = FaultInjector(
@@ -221,15 +221,17 @@ class TestBackpressure:
 
 
 class TestTransports:
-    def test_fast_transport_is_pure(self):
-        transport = fast_transport(seed=3, loss=0.2)
+    def test_fast_transport_is_pure(self, monkeypatch):
+        monkeypatch.setattr(synth_module, "FAST_LOSS", 0.2)
+        transport = fast_transport(seed=3)
         replies = [transport(9, "example.nl", None, 12345) for _ in range(3)]
         assert len({(r.rtt_ms, r.rcode) for r in replies}) == 1
 
-    def test_fast_transport_losses(self):
-        transport = fast_transport(seed=3, loss=1.0)
+    def test_fast_transport_losses(self, monkeypatch):
+        transport = fast_transport(seed=3)
+        monkeypatch.setattr(synth_module, "FAST_LOSS", 1.0)
         assert not transport(9, "x", None, 1).answered
-        transport = fast_transport(seed=3, loss=0.0)
+        monkeypatch.setattr(synth_module, "FAST_LOSS", 0.0)
         assert transport(9, "x", None, 1).answered
 
     def test_replay_transport_is_pure_and_restores_the_stream(self, world):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.metrics import (
-    BASELINE_FALLBACK_DAYS,
     ImpactPoint,
     ImpactSeries,
     compute_baseline_degraded,
@@ -68,19 +67,14 @@ class TestReactiveStore:
 
 
 def _reference_reactive_impact_series(store, directory, nsset_id, window,
-                                      baseline_store, baseline_kind="day",
-                                      min_bucket_n=1,
-                                      baseline_fallback_days=
-                                      BASELINE_FALLBACK_DAYS):
+                                      baseline_store):
     """``reactive_impact_series`` with its bucket loop written out, kept
     as the reference the shared series builder must equal."""
     probes = measurement_store_from_reactive(store, directory)
     baseline, fell_back = compute_baseline_degraded(
-        baseline_store, nsset_id, window.start, baseline_kind,
-        baseline_fallback_days)
+        baseline_store, nsset_id, window.start, "day")
     series = ImpactSeries(nsset_id=nsset_id, window=window,
-                          baseline_rtt=baseline, min_bucket_n=min_bucket_n,
-                          degraded=fell_back)
+                          baseline_rtt=baseline, degraded=fell_back)
     for ts, agg in probes.buckets_in(nsset_id, window.start, window.end):
         if not agg.is_valid:
             series.n_corrupt += 1

@@ -3,8 +3,6 @@
 import asyncio
 import json
 
-import pytest
-
 from repro.net.ip import ip_to_str
 from repro.obs import RunTelemetry
 from repro.serve import (

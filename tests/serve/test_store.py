@@ -9,6 +9,7 @@ from repro.obs import RunTelemetry
 from repro.openintel.platform import OpenIntelPlatform
 from repro.openintel.storage import MeasurementStore
 from repro.serve import SERVE_PHASES, ShardedStudyStore
+from repro.serve import store as serve_store_module
 from repro.util.timeutil import DAY, parse_ts
 
 SMALL = dict(seed=11, n_domains=300, attacks_per_month=150,
@@ -112,8 +113,9 @@ class TestLoadDay:
         # Second load is served from the warm in-memory set (same object).
         assert store.load_day(day, "join") is join
 
-    def test_loaded_cap_evicts_oldest(self, config, tmp_path):
-        store = ShardedStudyStore(config, str(tmp_path), loaded_cap=2)
+    def test_loaded_cap_evicts_oldest(self, config, tmp_path, monkeypatch):
+        monkeypatch.setattr(serve_store_module, "LOADED_CAP", 2)
+        store = ShardedStudyStore(config, str(tmp_path))
         store.build()
         days = store.days()
         for day in days:

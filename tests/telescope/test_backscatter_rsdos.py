@@ -4,12 +4,18 @@ import random
 
 import pytest
 
-from repro.attacks.model import Attack, AttackVector, ImpairmentProfile, Spoofing
+from repro.attacks.model import Attack, AttackVector, Spoofing
 from repro.net.ports import PORT_DNS, PORT_HTTP, PROTO_TCP, PROTO_UDP
 from repro.telescope.backscatter import BackscatterSimulator
 from repro.telescope.darknet import Darknet
 from repro.telescope.feed import RSDoSFeed, ppm_to_victim_pps
-from repro.telescope.rsdos import RSDoSClassifier, RSDoSThresholds
+from repro.telescope.rsdos import (
+    GAP_S,
+    MIN_DURATION_S,
+    MIN_PACKETS,
+    MIN_SLASH16,
+    RSDoSClassifier,
+)
 from repro.util.timeutil import FIVE_MINUTES, HOUR, Window
 
 VICTIM = 0x0A000001
@@ -152,9 +158,9 @@ class TestRSDoSClassifier:
         assert inferred.start == 0
         assert inferred.end == HOUR
 
-    def _infer(self, ground_truth, thresholds=None):
+    def _infer(self, ground_truth):
         observations = self._observe(ground_truth)
-        return RSDoSClassifier(thresholds).infer(observations)
+        return RSDoSClassifier().infer(observations)
 
     def test_gap_splits_attacks(self):
         early = visible_attack(start=0, duration=1800)
@@ -198,10 +204,9 @@ class TestRSDoSClassifier:
         assert {a.victim_ip for a in attacks} == {VICTIM, VICTIM + 1}
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            RSDoSThresholds(min_packets=0)
-        with pytest.raises(ValueError):
-            RSDoSThresholds(gap_s=60)
+        assert MIN_PACKETS >= 1 and MIN_SLASH16 >= 1 and MIN_DURATION_S >= 0
+        # A gap shorter than one window would split adjacent windows.
+        assert GAP_S >= FIVE_MINUTES
 
 
 class TestRSDoSFeed:

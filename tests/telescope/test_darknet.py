@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net.ip import IPV4_SPACE, IPv4Prefix
+from repro.net.ip import IPv4Prefix
+from repro.telescope import darknet as darknet_module
 from repro.telescope.darknet import EXTRAPOLATION, TELESCOPE_COVERAGE, Darknet
 
 
@@ -24,12 +25,10 @@ class TestCoverage:
         # A /9 holds 128 /16s, a /10 holds 64.
         assert Darknet().n_slash16s == 192
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Darknet(prefixes=())
-
-    def test_custom_prefixes(self):
-        darknet = Darknet(prefixes=(IPv4Prefix.parse("198.18.0.0/16"),))
+    def test_custom_prefixes(self, monkeypatch):
+        monkeypatch.setattr(darknet_module, "TELESCOPE_PREFIXES",
+                            (IPv4Prefix.parse("198.18.0.0/16"),))
+        darknet = Darknet()
         assert darknet.n_addresses == 65536
         assert 1 / darknet.coverage == pytest.approx(65536.0)
 

@@ -29,7 +29,7 @@ from repro.telescope.feed import RSDoSFeed
 from repro.telescope.rsdos import RSDoSClassifier
 from repro.util.rng import RngStreams, derive_seed, poisson
 from repro.util.timeutil import DAY, FIVE_MINUTES, HOUR, Window
-from repro.world.capacity import HEADROOM, overload_drop
+from repro.world.capacity import overload_drop
 
 
 def _study_simulator(world, jitter_seed=None):
@@ -91,7 +91,7 @@ def reference_observe_attack(sim, attack, sample=poisson):
         if spoofed_pps <= 0:
             continue
         link_util = sim.link_util_fn(attack.victim_ip, mid)
-        respond = (1.0 - overload_drop(link_util, HEADROOM)) \
+        respond = (1.0 - overload_drop(link_util)) \
             * attack.response_ratio
         expected = darknet.expected_hits(spoofed_pps * respond * seconds)
         n_packets = sample(sim.rng, expected)
@@ -176,11 +176,11 @@ class TestObserveAttackIsReference:
                                  _hand_built_attacks())
 
 
-def reference_observe(attacks, simulator, thresholds=None) -> RSDoSFeed:
+def reference_observe(attacks, simulator) -> RSDoSFeed:
     """The curation as first written: every observation, filtered by
     "some inferred attack on its victim contains its window"."""
     observations = list(simulator.observe_all(attacks))
-    inferred = RSDoSClassifier(thresholds).infer(observations)
+    inferred = RSDoSClassifier().infer(observations)
     keep = {}
     for attack in inferred:
         keep.setdefault(attack.victim_ip, []).append(attack.window)

@@ -9,14 +9,17 @@ from repro.attacks.model import AmplificationProfile, Attack, AttackVector, Spoo
 from repro.net.ports import PORT_DNS, PROTO_UDP
 from repro.telescope.darknet import Darknet
 from repro.telescope.reflector import (
+    MIN_DARK_TARGETS,
+    MIN_QUERIES,
+    MIN_WINDOWS,
     InferredReflection,
     ReflectorClassifier,
     ReflectorFeed,
     ReflectorObservation,
     ReflectorSimulator,
-    ReflectorThresholds,
     match_reflections,
 )
+from repro.telescope.rsdos import GAP_S
 from repro.util.timeutil import FIVE_MINUTES, HOUR, Window
 
 
@@ -121,10 +124,9 @@ class TestClassifier:
         assert ReflectorClassifier().infer(observations) == []
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            ReflectorThresholds(min_queries=0)
-        with pytest.raises(ValueError):
-            ReflectorThresholds(gap_s=60)
+        assert MIN_QUERIES >= 1 and MIN_WINDOWS >= 1 and MIN_DARK_TARGETS >= 1
+        # A gap shorter than one window would split adjacent windows.
+        assert GAP_S >= FIVE_MINUTES
 
 
 class TestInferredReflection:

@@ -267,22 +267,6 @@ class TestEveryPublicNameHasACaller:
             f"MEMBERS_UNREAD_ON_PURPOSE with its reason")
 
 
-CONFIG_MODULE = ROOT / "src" / "repro" / "world" / "config.py"
-
-
-def _is_config_call(node):
-    """A ``WorldConfig(...)`` or ``dataclasses.replace(...)`` call."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id in ("WorldConfig", "replace")
-    return isinstance(func, ast.Attribute) and (
-        func.attr == "WorldConfig"
-        or (func.attr == "replace" and isinstance(func.value, ast.Name)
-            and func.value.id == "dataclasses"))
-
-
 def _bindings(tree):
     """Name -> every expression bound to it in one file: assignments
     (to a name or an attribute), keyword arguments and parameter
@@ -336,35 +320,117 @@ def _mapping_keys(expr, bindings, followed):
                 yield from _mapping_keys(value, bindings, followed)
 
 
-def test_world_config_fields_are_set_outside_tests(sources):
-    """A ``WorldConfig`` field nobody outside tests sets is one value in
-    use: it belongs in a constant of the module that reads it. A field
-    is set by a keyword of a ``WorldConfig(...)`` or
-    ``dataclasses.replace(...)`` call, or by a string key of a dict
-    literal unpacked into one with ``**``. A keyword passed to another
-    callee, or a string constant elsewhere, does not set it. Calls are
-    matched by name, so a ``replace`` of another dataclass counts."""
-    tree, _ = sources[CONFIG_MODULE]
-    cls = next(node for node in tree.body
-               if isinstance(node, ast.ClassDef) and node.name == "WorldConfig")
-    fields = {node.target.id for node in cls.body
-              if isinstance(node, ast.AnnAssign)}
+#: Defaulted fields of frozen dataclasses no caller outside tests sets,
+#: each kept for the reason given.
+FIELDS_UNSET_ON_PURPOSE = {
+    "ChaosConfig.ingest":
+        "a fault surface that only the chaos tests arm",
+    "DeploymentProfile.n_asns":
+        "persisted by reflection into the world golden's dump",
+}
 
-    set_fields = set()
+
+def _is_frozen_dataclass(cls):
+    for decorator in cls.decorator_list:
+        if isinstance(decorator, ast.Call) and any(
+                keyword.arg == "frozen"
+                and isinstance(keyword.value, ast.Constant)
+                and keyword.value.value is True
+                for keyword in decorator.keywords):
+            func = decorator.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "dataclass":
+                return True
+    return False
+
+
+def _fields(cls):
+    """``(name, has default)`` for a dataclass's fields, in order;
+    ``ClassVar`` annotations are not fields."""
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) \
+                and isinstance(node.target, ast.Name) \
+                and "ClassVar" not in ast.dump(node.annotation):
+            yield node.target.id, node.value is not None
+
+
+def _callee(node):
+    func = node.func
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def _own_class_calls(cls):
+    """The ``cls(...)`` calls inside a class's own classmethods."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and any(
+                getattr(d, "id", None) == "classmethod"
+                for d in node.decorator_list) and node.args.args:
+            first = node.args.args[0].arg
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) \
+                        and isinstance(call.func, ast.Name) \
+                        and call.func.id == first:
+                    yield call
+
+
+def test_frozen_dataclass_fields_are_set_outside_tests(sources):
+    """A defaulted field of a frozen dataclass under ``src/repro`` that
+    nobody outside tests sets is one value in use: it belongs in a
+    constant of the module that reads it. A field is set by a call
+    outside tests to its class (or to ``cls`` in the class's own
+    classmethods), as a keyword or as the positional argument at the
+    field's index; by a keyword of ``dataclasses.replace``; or by a
+    string key of a dict literal unpacked into either with ``**``.
+    Calls are matched by name, so a ``replace`` of another dataclass,
+    or a same-named class elsewhere, counts."""
+    classes = {}  # name -> [(field, has default)]
+    calls = []  # (callee, call, the file's tree)
     for path, (tree, _) in sources.items():
-        if path == CONFIG_MODULE:
+        if not _is_package(path):
             continue
-        bindings = None
-        for node in filter(_is_config_call, ast.walk(tree)):
-            for keyword in node.keywords:
-                if keyword.arg:
-                    set_fields.add(keyword.arg)
-                    continue
-                if bindings is None:
-                    bindings = _bindings(tree)
-                set_fields.update(_mapping_keys(keyword.value, bindings,
-                                                set()))
-    unset = sorted(fields - set_fields)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_frozen_dataclass(node):
+                classes[node.name] = list(_fields(node))
+                calls += [(node.name, call, tree)
+                          for call in _own_class_calls(node)]
+
+    def set_by(call, names, tree, bindings):
+        """The field names one call sets, ``names`` being its class's
+        fields in order."""
+        positional = [a for a in call.args if not isinstance(a, ast.Starred)]
+        out = set(names[:len(positional)])
+        for keyword in call.keywords:
+            if keyword.arg:
+                out.add(keyword.arg)
+            else:
+                if tree not in bindings:
+                    bindings[tree] = _bindings(tree)
+                out.update(_mapping_keys(keyword.value, bindings[tree],
+                                         set()))
+        return out
+
+    # (class name, field); a ``replace`` keyword sets the field of any
+    # class, under the class name None.
+    set_fields, bindings = set(), {}
+    for path, (tree, _) in sources.items():
+        calls += [(_callee(node), node, tree) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)]
+    for callee, call, tree in calls:
+        if callee in classes:
+            names = [name for name, _ in classes[callee]]
+            set_fields.update((callee, name) for name in
+                              set_by(call, names, tree, bindings))
+        elif callee == "replace":
+            set_fields.update((None, name) for name in
+                              set_by(call, [], tree, bindings))
+
+    unset = sorted(
+        f"{cls}.{field}" for cls, fields in classes.items()
+        for field, has_default in fields
+        if has_default and (cls, field) not in set_fields
+        and (None, field) not in set_fields
+        and f"{cls}.{field}" not in FIELDS_UNSET_ON_PURPOSE)
     assert not unset, (
-        f"WorldConfig fields no caller outside tests sets: {unset}; make "
-        f"each a constant of the module that reads it")
+        f"{len(unset)} frozen dataclass fields no caller outside tests "
+        f"sets: {unset}; make each a constant of the module that reads "
+        f"it, or exempt one in FIELDS_UNSET_ON_PURPOSE with its reason")

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.util.timeutil import (
     DAY,
     FIVE_MINUTES,
-    HOUR,
     Timeline,
     Window,
     day_start,

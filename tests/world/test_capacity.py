@@ -19,23 +19,23 @@ UTIL = st.floats(min_value=0, max_value=1000)
 
 class TestOverloadDrop:
     def test_zero_below_headroom(self):
-        assert overload_drop(0.5, 0.8) == 0.0
-        assert overload_drop(0.8, 0.8) == 0.0
+        assert overload_drop(0.5) == 0.0
+        assert overload_drop(0.8) == 0.0
 
     def test_classic_values(self):
-        assert overload_drop(1.0, 0.8) == pytest.approx(0.2)
-        assert overload_drop(2.0, 0.8) == pytest.approx(0.6)
-        assert overload_drop(8.0, 0.8) == pytest.approx(0.9)
+        assert overload_drop(1.0) == pytest.approx(0.2)
+        assert overload_drop(2.0) == pytest.approx(0.6)
+        assert overload_drop(8.0) == pytest.approx(0.9)
 
     @given(UTIL)
     def test_bounded(self, util):
-        p = overload_drop(util, 0.8)
+        p = overload_drop(util)
         assert 0.0 <= p < 1.0
 
     @given(st.tuples(UTIL, UTIL))
     def test_monotone(self, pair):
         lo, hi = sorted(pair)
-        assert overload_drop(lo, 0.8) <= overload_drop(hi, 0.8)
+        assert overload_drop(lo) <= overload_drop(hi)
 
 
 class TestQueueDelay:

@@ -9,7 +9,6 @@ from repro.net.ip import slash24_of
 from repro.topology.generator import generate_topology
 from repro.world.domains import (
     MISCONFIG_FRACTION,
-    DomainDirectory,
     MisconfigTarget,
     NSSetRegistry,
     build_population,

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.dns.resolver import AgnosticResolver, ResolverConfig
+from repro.dns.resolver import AgnosticResolver
 from repro.dns.rr import RRType
 from repro.dns.server import ServerReply
 from repro.world.scenarios import drop_for_impact, expected_retry_burn_s
@@ -24,7 +24,7 @@ def measured_burn(p: float, n: int = 15000, base_rtt: float = 10.0) -> float:
             return ServerReply.dropped()
         return ServerReply.ok(base_rtt)
 
-    resolver = AgnosticResolver(transport, random.Random(5), ResolverConfig())
+    resolver = AgnosticResolver(transport, random.Random(5))
     total = 0.0
     count = 0
     for _ in range(n):

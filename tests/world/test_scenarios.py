@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.net.ports import PORT_DNS
 from repro.util.timeutil import HOUR, parse_ts
 from repro.world.scenarios import (
     TABLE6_TARGETS,
     TRANSIP_DEC_PPS,
-    TRANSIP_MAR_PPS,
     rate_for_drop,
     transip_campaigns,
     russia_campaigns,
@@ -21,7 +19,7 @@ class TestRateForDrop:
         capacity = 50_000.0
         for p in (0.2, 0.5, 0.9):
             rate = rate_for_drop(p, capacity, cost_factor=1.0)
-            assert overload_drop(rate / capacity, 0.8) == pytest.approx(p)
+            assert overload_drop(rate / capacity) == pytest.approx(p)
 
     def test_cost_factor_divides(self):
         assert rate_for_drop(0.5, 100.0, cost_factor=4.0) == \

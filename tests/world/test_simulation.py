@@ -4,9 +4,8 @@ import pytest
 
 from repro.dns.name import DomainName
 from repro.dns.rr import RRType
-from repro.net.ip import ip_to_str, parse_ip, slash24_of
+from repro.net.ip import parse_ip, slash24_of
 from repro.util.timeutil import DAY, parse_ts
-from repro.world.config import WorldConfig
 from repro.world.simulation import (_ATTACK_DERIVED, SPECIAL_TARGETS,
                                     AttackIndex, build_world)
 
