@@ -2,10 +2,13 @@
 
 ``ReactiveReport.summary()`` carries the exact accounting and the
 sha256 of the probe store, so it pins every admission, shed, probe
-timestamp and reply of a run. Three runs at ``repro reactive``'s CI
+timestamp and reply of a run. Four runs at ``repro reactive``'s CI
 arguments are recorded under ``golden/``: the bounded trigger topic
-with ``block`` backpressure, the same run with ``shed_oldest``, and the
-same run with neither a topic capacity nor a probe budget.
+with ``block`` backpressure, the same run with ``shed_oldest``, the
+same run with neither a topic capacity nor a probe budget, and the CI
+run fed the world's own RSDoS feed instead of synthetic triggers. The
+last is the only one whose triggers miss nameservers: synthetic
+triggers always hit one.
 
 The files must never be re-recorded to make a reactive change pass. A
 change that is *meant* to change the platform's behaviour re-records
@@ -21,7 +24,7 @@ import sys
 
 import pytest
 
-from repro import WorldConfig, build_world
+from repro import WorldConfig, build_world, run_study
 from repro.reactive import ReactiveService, fast_transport, synthetic_triggers
 from repro.util.timeutil import HOUR
 
@@ -36,6 +39,7 @@ CASES = {
     "ci": CI_RUN,
     "shed_oldest": dict(CI_RUN, backpressure="shed_oldest"),
     "unbounded": dict(CI_RUN, feed_capacity=None, probe_budget=None),
+    "study_feed": CI_RUN,
 }
 
 
@@ -50,7 +54,10 @@ def _world():
 
 
 def run_summary(world, case: str) -> str:
-    triggers = synthetic_triggers(world, 100, seed=0, invalid_share=0.02)
+    if case == "study_feed":
+        triggers = run_study(world=world).feed
+    else:
+        triggers = synthetic_triggers(world, 100, seed=0, invalid_share=0.02)
     service = ReactiveService(world, transport=fast_transport(seed=42),
                               **CASES[case])
     return service.run(triggers).summary() + "\n"
