@@ -22,7 +22,7 @@ Subpackages (importable directly for finer-grained use):
 - :mod:`repro.attacks` — attack model and schedule generation
 - :mod:`repro.telescope` — darknet, backscatter, RSDoS inference, feed
 - :mod:`repro.openintel` — daily crawl and aggregate storage
-- :mod:`repro.streaming` — in-process topics, consumers and stream jobs
+- :mod:`repro.streaming` — in-process topics, consumers and a broker
 - :mod:`repro.chaos` — seeded fault injection over the pipeline surfaces
 - :mod:`repro.obs` — run telemetry: metrics registry, phase spans, clocks
 - :mod:`repro.artifacts` — content-addressed phase cache (warm re-runs)
@@ -43,7 +43,7 @@ from repro.obs import MetricsRegistry, RunTelemetry
 from repro.world.config import WorldConfig
 from repro.world.simulation import World, build_world
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Study",

@@ -101,7 +101,9 @@ class ChaosConfig:
       the crawl (RTT values damaged to NaN/negative; the store's ingest
       guard rejects and counts them). Null in every preset — enable it
       explicitly to exercise the rejected-row degradation path.
-    - ``processor``: stream processors (transient, retryable exceptions).
+    - ``processor``: the feed hardening's validation attempts
+      (transient, retryable faults; see
+      :meth:`~repro.chaos.FaultInjector.harden_feed`).
     - ``worker``: the reactive campaign worker (``crash_p`` per 5-minute
       tick — the worker dies and is restarted from its last checkpoint).
       Null in every study preset; the reactive platform's chaos-soak and

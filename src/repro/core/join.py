@@ -63,8 +63,8 @@ class RejectedRecord:
     """A feed record the join refused, with the reason.
 
     Damaged feed rows (truncated, corrupt, wrong type) are recorded
-    here instead of crashing the join — the classification analog of a
-    dead-letter topic."""
+    here instead of crashing the join — the classification analog of
+    the feed hardening's dead letters."""
 
     record: object
     reason: str

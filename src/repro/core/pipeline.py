@@ -354,7 +354,7 @@ class Study:
     #: pack declares ``has_counterfactuals``).
     counterfactuals: Optional[object] = None
     #: the fault injector of a chaos run (None on clean runs); carries
-    #: the injected-fault log and the feed job's dead letters.
+    #: the injected-fault log and the feed hardening's dead letters.
     chaos: Optional["FaultInjector"] = None
     #: the run's telemetry (metrics + phase spans); defaults to the
     #: shared no-op bundle, and is never ``None`` after construction.
@@ -499,8 +499,9 @@ def run_study(config: Optional[WorldConfig] = None,
     ``chaos`` enables seeded fault injection on the pipeline's
     measurement surfaces (see :mod:`repro.chaos`): the crawl's transport
     is wrapped, measurement rows may be damaged at store ingest, the
-    feed is faulted and re-validated through a hardened streaming job
-    (poison records dead-letter with metadata), and the measurement
+    feed is faulted and re-validated with retries and a circuit breaker
+    (refused records dead-letter with a reason, see
+    :class:`repro.chaos.FaultInjector`), and the measurement
     store is damaged post-crawl. Analyses then degrade — flagging
     affected events — rather than crash. With every fault probability
     at zero the run is byte-identical to a clean one.

@@ -7,8 +7,9 @@ nameserver of each, spread evenly over the window — starting within
 It is built as an overload-aware pipeline:
 
 - triggers flow through a *bounded* topic with a backpressure policy
-  (``block`` / ``shed_oldest`` / ``reject``) and a hardened validation
-  job (schema gate + dead-letter queue);
+  (``block`` / ``shed_oldest``), and the worker validates each one as
+  it reads it: a malformed trigger counts as ``invalid``, one whose
+  victim is no nameserver as ``ignored``;
 - a priority :class:`CampaignScheduler` applies admission control:
   deadline-ordered probing, a global probe budget, deterministic
   shedding by documented priority (newest attacks, highest-impact

@@ -2,8 +2,9 @@
 
 This is §4.3.1 rebuilt as an overload-aware campaign pipeline. Attack
 triggers flow from the RSDoS feed through a *bounded* topic (capacity
-plus a backpressure policy, see :mod:`repro.streaming.topic`) into a
-hardened validation job and then the priority
+plus a backpressure policy, see :mod:`repro.streaming.topic`) to the
+worker, which validates each trigger as it reads it and plans a
+campaign for the priority
 :class:`~repro.reactive.campaigns.CampaignScheduler`. A single
 :class:`CampaignWorker` drives everything in 5-minute virtual-time
 ticks; the :class:`ReactiveService` owns the worker's lifecycle —
@@ -17,22 +18,22 @@ The worker checkpoints at tick boundaries (every :data:`CHECKPOINT_EVERY`
 ticks); a tick fires every probe it lays out, so nothing is pending
 there. A checkpoint is
 
-- the broker-durable committed offset of the campaigns consumer,
-- the validation job's own checkpoint (offsets + sink high-water),
+- the broker-durable committed offset of the trigger consumer, and the
+  invalid and ignored trigger counts up to it,
 - the end offsets of the results topic and of the finished-campaigns
   log (done and shed campaigns are appended there, never copied), and
 - the live campaigns (waiting and active).
 
-Restore truncates the results, finished and validated topics back to
-the checkpointed high-water marks, seeks consumers to committed
-offsets, and rebuilds the live campaigns; replay from there is
+Restore truncates the results and finished topics back to the
+checkpointed high-water marks, resumes the trigger consumer from its
+committed offset, and rebuilds the live campaigns; replay from there is
 deterministic (pure transport, per-campaign derived RNGs,
 totally-ordered scheduling), so a killed-and-restored run produces a
 probe store *bit-identical* to an uninterrupted one. After
-checkpointing, the worker ``trim``\\ s the trigger and validated
-topics up to the committed offsets — recovery never replays below a
-committed offset, and the release is what frees capacity on a bounded
-``block`` trigger topic.
+checkpointing, the worker ``trim``\\ s the trigger topic up to the
+committed offset — recovery never replays below a committed offset,
+and the release is what frees capacity on a bounded ``block`` trigger
+topic.
 
 Metric exactness under chaos: the worker's live counters (admitted,
 probes, trigger latency observations…) are staged in a
@@ -67,12 +68,6 @@ from repro.reactive.campaigns import (
     plan_campaign,
 )
 from repro.reactive.store import ReactiveProbe, ReactiveStore
-from repro.streaming.processors import (
-    FailFastProcessor,
-    FilterProcessor,
-    RetryPolicy,
-    StreamJob,
-)
 from repro.streaming.topic import Broker
 from repro.telescope.feed import RSDoSFeed
 from repro.telescope.rsdos import InferredAttack, attack_problem
@@ -90,12 +85,11 @@ __all__ = [
 
 #: Topic names of the reactive pipeline (Kafka-style fixed plumbing).
 TRIGGER_TOPIC = "rsdos-triggers"
-VALIDATED_TOPIC = "dns-triggers"
 RESULTS_TOPIC = "probe-results"
 #: Done and shed campaigns, in completion order: an append-only log,
 #: so a checkpoint records its end offset instead of copying it.
 FINISHED_TOPIC = "campaigns-finished"
-#: The campaign consumer's broker group (its committed offsets live
+#: The trigger consumer's broker group (its committed offsets live
 #: under this name, so recovery does not need the consumer object).
 CONSUMER_GROUP = "campaigns"
 
@@ -154,12 +148,14 @@ class CampaignWorker:
     :meth:`run_tick`:
 
     1. positions itself (fast-forwarding over empty windows when idle);
-    2. pumps the hardened validation job up to the tick's end;
-    3. ingests validated triggers into planned campaigns;
-    4. runs admission control, lays out and fires this window's probes;
-    5. appends shed and done campaigns to the finished log and updates
+    2. reads the triggers up to the tick's end, counting each one that
+       :func:`~repro.telescope.rsdos.attack_problem` rejects as invalid
+       and each whose victim is no nameserver (or serves no delegated
+       domain) as ignored, and planning a campaign for every other;
+    3. runs admission control, lays out and fires this window's probes;
+    4. appends shed and done campaigns to the finished log and updates
        gauges;
-    6. consults the chaos crash hook — dying *here* leaves the tick
+    5. consults the chaos crash hook — dying *here* leaves the tick
        uncommitted — then commits the tick and, every
        :data:`CHECKPOINT_EVERY` ticks, checkpoints.
     """
@@ -182,17 +178,9 @@ class CampaignWorker:
         # a crash discards exactly the increments whose work the
         # restore rolls back (see the module docstring).
         self.metrics = buffered(broker.metrics)
-        ns_ips = world.directory.nameserver_ips()
+        self._ns_ips = world.directory.nameserver_ips()
         self.trigger_topic = broker.topic(TRIGGER_TOPIC)
-        self.job = StreamJob(
-            broker, TRIGGER_TOPIC, VALIDATED_TOPIC,
-            [FailFastProcessor(InferredAttack, check=attack_problem,
-                               name="trigger-schema"),
-             FilterProcessor(lambda a: a.victim_ip in ns_ips)],
-            name="trigger-validate",
-            retry_policy=RetryPolicy(max_retries=2))
-        self.validated = broker.topic(VALIDATED_TOPIC)
-        self.consumer = broker.consumer(VALIDATED_TOPIC, group=CONSUMER_GROUP,
+        self.consumer = broker.consumer(TRIGGER_TOPIC, group=CONSUMER_GROUP,
                                         from_committed=True)
         self.results = broker.topic(RESULTS_TOPIC)
         self.finished = broker.topic(FINISHED_TOPIC)
@@ -203,8 +191,11 @@ class CampaignWorker:
         #: end of the last committed tick (the next tick's start).
         self.now_window: Optional[int] = None
         self.ticks = 0
-        #: validated triggers whose victim serves no delegated domains.
-        self.n_no_domains = 0
+        #: triggers :func:`attack_problem` rejected.
+        self.n_invalid = 0
+        #: valid triggers whose victim is no nameserver or serves no
+        #: delegated domain.
+        self.n_ignored = 0
         metrics = self.metrics
         self._c_probes = metrics.counter("repro.reactive.probes")
         self._c_ticks = metrics.counter("repro.reactive.ticks")
@@ -217,11 +208,9 @@ class CampaignWorker:
     # -- positioning ----------------------------------------------------------
 
     def _next_input_ts(self) -> Optional[int]:
-        """Timestamp of the earliest unconsumed record anywhere upstream."""
-        pending = self.trigger_topic.read(self.job.consumer.offset, 1)
-        ready = self.validated.read(self.consumer.offset, 1)
-        candidates = [records[0].ts for records in (pending, ready) if records]
-        return min(candidates) if candidates else None
+        """Timestamp of the earliest unconsumed trigger."""
+        pending = self.trigger_topic.read(self.consumer.offset, 1)
+        return pending[0].ts if pending else None
 
     def _position(self) -> Optional[int]:
         """The next tick's window start, or ``None`` when fully drained.
@@ -249,16 +238,21 @@ class CampaignWorker:
         if w is None:
             return False
         tick_end = w + FIVE_MINUTES
-        self.job.step(until_ts=tick_end)
         for record in self.consumer.poll(until_ts=tick_end):
-            campaign = plan_campaign(
-                self.world, record.value, record.ts,
-                probes_per_window=self.probes_per_window,
-                trigger_sla_s=TRIGGER_SLA_S,
-                post_attack_s=self.post_attack_s,
-                seed=self.world.config.seed)
+            attack = record.value
+            if attack_problem(attack) is not None:
+                self.n_invalid += 1
+                continue
+            campaign = None
+            if attack.victim_ip in self._ns_ips:
+                campaign = plan_campaign(
+                    self.world, attack, record.ts,
+                    probes_per_window=self.probes_per_window,
+                    trigger_sla_s=TRIGGER_SLA_S,
+                    post_attack_s=self.post_attack_s,
+                    seed=self.world.config.seed)
             if campaign is None:
-                self.n_no_domains += 1
+                self.n_ignored += 1
                 continue
             self.campaigns.submit(campaign)
         for campaign in self.campaigns.admit_tick(w):
@@ -269,7 +263,7 @@ class CampaignWorker:
             self.metrics.gauge("repro.reactive.campaign_probes",
                                campaign=campaign.key).set(campaign.n_probes)
         self._g_queue.set(float(len(self.trigger_topic)))
-        self._g_feed_lag.set(float(self.job.consumer.lag))
+        self._g_feed_lag.set(float(self.consumer.lag))
         self._g_active.set(float(len(self.campaigns.active)))
         self._g_waiting.set(float(len(self.campaigns.waitlist)))
         self._c_ticks.inc()
@@ -302,23 +296,22 @@ class CampaignWorker:
     def checkpoint_now(self) -> Dict:
         """Commit offsets durably, snapshot state, release retention.
 
-        Trimming the trigger/validated topics up to the committed
-        offsets is safe (recovery never replays below them) and is what
-        frees capacity on a bounded ``block`` trigger topic.
+        Trimming the trigger topic up to the committed offset is safe
+        (recovery never replays below it) and is what frees capacity on
+        a bounded ``block`` trigger topic.
         """
         self.consumer.commit()
         state = {
-            "version": 2,
+            "version": 3,
             "now": self.now_window,
             "ticks": self.ticks,
-            "n_no_domains": self.n_no_domains,
-            "job": self.job.checkpoint(),
+            "n_invalid": self.n_invalid,
+            "n_ignored": self.n_ignored,
             "results_end": self.results.end_offset,
             "finished_end": self.finished.end_offset,
             "campaigns": self.campaigns.checkpoint(),
         }
-        self.trigger_topic.trim(self.job.consumer.offset)
-        self.validated.trim(self.consumer.offset)
+        self.trigger_topic.trim(self.consumer.offset)
         self._c_checkpoints.inc()
         # The checkpoint is the durability point: everything staged up
         # to here is committed work, so fold it into the real registry.
@@ -330,19 +323,19 @@ class CampaignWorker:
 
     def restore(self, state: Dict) -> None:
         """Resume a *fresh* worker from a checkpoint over the same broker."""
-        if state.get("version") != 2:
+        if state.get("version") != 3:
             raise ValueError(
                 f"unsupported checkpoint version: {state.get('version')}")
-        self.job.restore(state["job"])
         self.results.truncate(state["results_end"])
         self.finished.truncate(state["finished_end"])
-        # The campaigns consumer was already constructed from the
+        # The trigger consumer was already constructed from the
         # broker's committed offset — the half of the checkpoint that
         # survives without the consumer object.
         self.campaigns.restore(state["campaigns"])
         self.now_window = state["now"]
         self.ticks = state["ticks"]
-        self.n_no_domains = state["n_no_domains"]
+        self.n_invalid = state["n_invalid"]
+        self.n_ignored = state["n_ignored"]
 
 
 @dataclass
@@ -563,9 +556,8 @@ class ReactiveService:
         done = [c for c in campaigns if c.state == CampaignState.DONE]
         shed = [c for c in campaigns if c.state == CampaignState.SHED]
         n_feed_shed = trigger_topic.n_shed
-        n_invalid = worker.job.n_dead
-        n_filtered = worker.job.n_in - worker.job.n_dead - worker.job.n_out
-        n_ignored = n_filtered + worker.n_no_domains
+        n_invalid = worker.n_invalid
+        n_ignored = worker.n_ignored
         counts = {
             "triggers": len(triggers),
             "feed_shed": n_feed_shed,

@@ -39,7 +39,7 @@ def synthetic_triggers(world: World, n: int, *, seed: int = 0,
     hours of quiet between waves — the overload shape admission control
     exists for. ``invalid_share`` > 0
     damages that share of records (negative packet counts, inverted
-    windows) so the validation job's dead-letter path sees traffic too.
+    windows) so the worker's invalid-trigger path sees traffic too.
     Returned sorted by ``(start, victim_ip)``; deterministic in
     ``(world, n, seed)``.
     """

@@ -16,15 +16,14 @@ What happens when a producer would overflow it is the topic's
   drain hook (:meth:`Topic.on_full`, typically wired to pump the
   consuming worker) until space frees; if no hook is registered or the
   hook stops making progress, :class:`TopicFull` is raised. This is
-  the lossless policy: nothing is ever dropped, but an overloaded
-  producer eventually sees the error instead of queueing unboundedly.
+  the lossless policy: nothing is ever dropped, but a producer whose
+  consumer stops draining sees the error instead of queueing
+  unboundedly.
 - ``"shed_oldest"`` — the oldest retained record is evicted to make
   room (Kafka-retention flavour). Evictions are counted under
   ``repro.stream.topic.shed`` and consumers that were positioned
   before the new start offset account the gap in
   :attr:`Consumer.missed` — sheds are *never* silent.
-- ``"reject"`` — the produce fails with :class:`TopicFull` (counted
-  under ``repro.stream.topic.rejected``); the caller decides.
 
 Retained records are released from the head with :meth:`Topic.trim`
 (the analog of Kafka ``DeleteRecords``): a consuming worker trims up
@@ -54,7 +53,7 @@ from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 T = TypeVar("T")
 
 #: The backpressure policies a bounded topic accepts.
-BACKPRESSURE_POLICIES = ("block", "shed_oldest", "reject")
+BACKPRESSURE_POLICIES = ("block", "shed_oldest")
 
 #: How many times ``produce`` re-invokes the drain hook before giving
 #: up: each invocation must free at least one slot, so this only bounds
@@ -63,14 +62,14 @@ _MAX_DRAIN_ATTEMPTS = 1_000_000
 
 
 class TopicFull(Exception):
-    """Producing to a bounded topic that could not make room."""
+    """Producing to a full ``block`` topic whose drain hook is missing
+    or made no progress."""
 
-    def __init__(self, topic: str, capacity: int, policy: str):
-        super().__init__(
-            f"topic {topic!r} full ({capacity} records, policy={policy})")
+    def __init__(self, topic: str, capacity: int):
+        super().__init__(f"topic {topic!r} full ({capacity} records) "
+                         f"and nothing drains it")
         self.topic = topic
         self.capacity = capacity
-        self.policy = policy
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,6 @@ class Topic(Generic[T]):
                 "repro.stream.topic.shed", topic=name)
             self._c_blocked = self.metrics.counter(
                 "repro.stream.topic.blocked", topic=name)
-            self._c_rejected = self.metrics.counter(
-                "repro.stream.topic.rejected", topic=name)
 
     # -- bounded-capacity plumbing -------------------------------------------
 
@@ -132,9 +129,6 @@ class Topic(Generic[T]):
     def _make_room(self) -> None:
         """Apply the backpressure policy until one slot is free."""
         assert self.capacity is not None
-        if self.backpressure == "reject":
-            self._c_rejected.inc()
-            raise TopicFull(self.name, self.capacity, self.backpressure)
         if self.backpressure == "shed_oldest":
             while len(self._log) >= self.capacity:
                 del self._log[0]
@@ -152,7 +146,7 @@ class Topic(Generic[T]):
             if not self._drain_hook():
                 break
         if len(self._log) >= self.capacity:
-            raise TopicFull(self.name, self.capacity, self.backpressure)
+            raise TopicFull(self.name, self.capacity)
 
     def produce(self, ts: int, value: T) -> Record[T]:
         """Append a record; timestamps must be non-decreasing."""
@@ -213,11 +207,11 @@ class Topic(Generic[T]):
         """Discard records at/after ``end_offset``; returns how many.
 
         Crash-recovery only (the analog of Kafka log truncation when a
-        restarted job rolls back to its last committed offset): a
-        restored :class:`~repro.streaming.processors.StreamJob` drops
-        sink records produced after its checkpoint before reprocessing,
-        so recovery is exactly-once rather than at-least-once. Consumers
-        of other groups positioned past ``end_offset`` must ``seek``.
+        restarted worker rolls back to its last checkpoint): a restored
+        reactive worker drops the results it produced after its
+        checkpoint before replaying, so recovery is exactly-once rather
+        than at-least-once. Consumers of other groups positioned past
+        ``end_offset`` must ``seek``.
         """
         if not self._base <= end_offset <= self.end_offset:
             raise ValueError(f"end_offset {end_offset} out of range")
@@ -310,7 +304,7 @@ class Broker:
         #: (topic, group) -> durably committed consumer offset.
         self._committed: Dict[Tuple[str, str], int] = {}
         #: handed to every topic this broker creates, and picked up by
-        #: :class:`~repro.streaming.processors.StreamJob` s built on it.
+        #: the reactive worker built on it.
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
 
     def topic(self, name: str, capacity: Optional[int] = None,

@@ -42,11 +42,12 @@ def attack_problem(obj: object) -> Optional[str]:
     """Why ``obj`` is not a well-formed :class:`InferredAttack` record
     (``None`` when it is fine).
 
-    The schema gate for every consumer of the feed: the hardened
-    streaming validator and the dataset join both use it to route
-    damaged records (truncated rows, out-of-range addresses, swapped
-    windows, NaN rates) to dead-letter/reject paths instead of letting
-    them crash an analysis or leak NaNs into one.
+    The schema gate for every consumer of the feed: the chaos feed
+    hardening (:meth:`repro.chaos.FaultInjector.harden_feed`), the
+    reactive worker and the dataset join all use it to route damaged
+    records (truncated rows, out-of-range addresses, swapped windows,
+    NaN rates) to dead letters, invalid counts or rejections instead of
+    letting them crash an analysis or leak NaNs into one.
     """
     if not isinstance(obj, InferredAttack):
         return f"not an InferredAttack: {type(obj).__name__}"

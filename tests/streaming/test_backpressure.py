@@ -3,13 +3,8 @@
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.streaming import (
-    BACKPRESSURE_POLICIES,
-    Broker,
-    Consumer,
-    Topic,
-    TopicFull,
-)
+from repro.streaming import Broker, Consumer, Topic, TopicFull
+from repro.streaming.topic import BACKPRESSURE_POLICIES
 
 
 def _fill(topic, n, start_ts=0):
@@ -30,18 +25,7 @@ class TestBoundedTopic:
             Topic("t", capacity=5, backpressure="nope")
 
     def test_policies_tuple(self):
-        assert BACKPRESSURE_POLICIES == ("block", "shed_oldest", "reject")
-
-    def test_reject_raises_topic_full(self):
-        topic = Topic("t", capacity=2, backpressure="reject")
-        _fill(topic, 2)
-        with pytest.raises(TopicFull) as err:
-            topic.produce(2, "overflow")
-        assert err.value.topic == "t"
-        assert err.value.capacity == 2
-        assert err.value.policy == "reject"
-        # nothing was appended
-        assert len(topic) == 2
+        assert BACKPRESSURE_POLICIES == ("block", "shed_oldest")
 
     def test_shed_oldest_evicts_head_and_counts(self):
         topic = Topic("t", capacity=3, backpressure="shed_oldest")
@@ -64,8 +48,12 @@ class TestBoundedTopic:
     def test_block_without_hook_raises(self):
         topic = Topic("t", capacity=2, backpressure="block")
         _fill(topic, 2)
-        with pytest.raises(TopicFull):
+        with pytest.raises(TopicFull) as err:
             topic.produce(2, "overflow")
+        assert err.value.topic == "t"
+        assert err.value.capacity == 2
+        # nothing was appended
+        assert len(topic) == 2
 
     def test_block_drain_hook_frees_space(self):
         topic = Topic("t", capacity=2, backpressure="block")
@@ -134,7 +122,7 @@ class TestTrim:
         assert [r.offset for r in topic.read(0)] == [3, 4]
 
     def test_trim_frees_capacity(self):
-        topic = Topic("t", capacity=3, backpressure="reject")
+        topic = Topic("t", capacity=3, backpressure="block")
         _fill(topic, 3)
         topic.trim(2)
         topic.produce(3, "fits")
@@ -207,9 +195,9 @@ class TestBrokerCommits:
 class TestBrokerBoundedTopics:
     def test_capacity_applies_at_creation(self):
         broker = Broker()
-        topic = broker.topic("t", capacity=4, backpressure="reject")
+        topic = broker.topic("t", capacity=4, backpressure="shed_oldest")
         assert topic.capacity == 4
-        assert topic.backpressure == "reject"
+        assert topic.backpressure == "shed_oldest"
 
     def test_mismatched_rerequest_is_an_error(self):
         broker = Broker()
@@ -217,7 +205,7 @@ class TestBrokerBoundedTopics:
         with pytest.raises(ValueError):
             broker.topic("t", capacity=8)
         with pytest.raises(ValueError):
-            broker.topic("t", backpressure="reject")
+            broker.topic("t", backpressure="shed_oldest")
 
     def test_omitted_params_return_existing(self):
         broker = Broker()

@@ -1,19 +1,8 @@
-"""Tests for topics, consumers, and stream jobs."""
+"""Tests for topics, consumers, and the broker."""
 
 import pytest
 
-from repro.streaming.processors import FilterProcessor, Processor, StreamJob
 from repro.streaming.topic import Broker, Consumer, Topic
-
-
-class Times(Processor):
-    """A one-to-one test processor: multiplies each value."""
-
-    def __init__(self, factor):
-        self.factor = factor
-
-    def process(self, record):
-        yield record.value * self.factor
 
 
 class TestTopic:
@@ -88,39 +77,27 @@ class TestBroker:
         assert "x" in broker
 
 
-class TestStreamJob:
-    def test_filter(self):
-        broker = Broker()
-        for i in range(5):
-            broker.topic("in").produce(i, i)
-        job = StreamJob(broker, "in", "out",
-                        [FilterProcessor(lambda x: x % 2 == 0)])
-        job.drain()
-        assert [r.value for r in broker.topic("out")] == [0, 2, 4]
+class TestTopicTruncate:
+    def test_truncate_drops_tail(self):
+        topic = Topic("t")
+        for i, value in enumerate("abcd"):
+            topic.produce(i, value)
+        assert topic.truncate(2) == 2
+        assert [r.value for r in topic] == ["a", "b"]
+        assert topic.end_offset == 2
 
-    def test_chained_processors(self):
-        broker = Broker()
-        for i in range(4):
-            broker.topic("in").produce(i, i)
-        job = StreamJob(broker, "in", "out", [
-            FilterProcessor(lambda x: x > 0),
-            Times(10),
-        ])
-        job.drain()
-        assert [r.value for r in broker.topic("out")] == [10, 20, 30]
+    def test_truncate_validates_range(self):
+        topic = Topic("t")
+        topic.produce(0, "x")
+        with pytest.raises(ValueError):
+            topic.truncate(5)
+        with pytest.raises(ValueError):
+            topic.truncate(-1)
 
-    def test_incremental_step(self):
-        broker = Broker()
-        job = StreamJob(broker, "in", "out", [Times(1)])
-        broker.topic("in").produce(1, "a")
-        assert job.step() == 1
-        assert job.step() == 0
-        broker.topic("in").produce(2, "b")
-        assert job.step() == 1
-        assert job.n_in == 2 and job.n_out == 2
-
-    def test_timestamps_preserved(self):
-        broker = Broker()
-        broker.topic("in").produce(123, "x")
-        StreamJob(broker, "in", "out", [Times(1)]).drain()
-        assert broker.topic("out").read(0)[0].ts == 123
+    def test_produce_append_after_truncate(self):
+        topic = Topic("t")
+        for i in range(3):
+            topic.produce(i, i)
+        topic.truncate(1)
+        record = topic.produce(9, "new")
+        assert record.offset == 1
