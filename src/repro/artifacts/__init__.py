@@ -19,8 +19,9 @@ output is bit-identical to cold, at any worker count.
 >>> warm.report() == study.report()
 True
 
-Chaos runs bypass the cache entirely: injected faults must never be
-cached. See ``docs/caching.md`` for the layout and invalidation rules.
+A chaos run uses the cache only for the phases no fault reaches:
+injected faults must never be cached. See ``docs/caching.md`` for the
+layout and invalidation rules.
 """
 
 from repro.artifacts.cache import PhaseCache

@@ -16,10 +16,10 @@ pipeline recomputes and overwrites it. Saving is likewise best-effort —
 an artifact that refuses to serialize (e.g. a degraded join) is skipped
 with a ``repro.cache.skipped`` count, and the run proceeds unaffected.
 
-Chaos runs never construct a :class:`PhaseCache` at all (the pipeline
-bypasses caching entirely when a fault injector is active): injected
-faults are schedule-dependent state, and caching them would replay one
-run's faults into every later run.
+A chaos run hands the executor keys only for the phases no fault
+reaches (the telescope, and the crawl when transport faults are off):
+injected faults are schedule-dependent state, and caching them would
+replay one run's faults into every later run.
 """
 
 from __future__ import annotations

@@ -293,7 +293,7 @@ def dumps_join(join: DatasetJoin) -> bytes:
     Joins with rejected records are refused: rejects hold arbitrary
     damaged objects with no stable representation, and degraded results
     must never enter the cache anyway (they only arise under chaos,
-    which bypasses it entirely).
+    which never caches the join).
     """
     if join.rejected:
         raise ValueError(

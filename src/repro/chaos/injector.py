@@ -283,31 +283,6 @@ class FaultInjector:
 
     # -- the measurement store ------------------------------------------------
 
-    def wrap_store_ingest(self, store) -> None:
-        """Damage RTT rows *at ingest*: the crawl's rows reach the store
-        with NaN or negative round-trip times, modelling corrupted
-        telemetry on the wire. The store's ingest guard must reject
-        (count, not aggregate) them — and the study must then flag
-        itself degraded even when no aggregate, join record, or event
-        was otherwise touched.
-
-        A null ingest policy leaves the store unwrapped (zero overhead,
-        byte-identical clean runs).
-        """
-        policy = self.config.ingest
-        if policy.is_null:
-            return
-        rng = self.rngs.stream("ingest")
-        real_add = store.add_fast
-
-        def chaotic_add(nsset_id, ts, status, rtt_ms, dense):
-            if self._fire("ingest", "corrupt", policy.corrupt_p, rng,
-                          policy, f"nsset={nsset_id} ts={ts}"):
-                rtt_ms = float("nan") if rng.random() < 0.5 else -1.0 - rtt_ms
-            real_add(nsset_id, ts, status, rtt_ms, dense)
-
-        store.add_fast = chaotic_add
-
     def corrupt_store(self, store) -> None:
         """Damage a filled :class:`MeasurementStore` in place: whole
         missing OpenINTEL days and corrupt 5-minute buckets."""

@@ -97,10 +97,6 @@ class ChaosConfig:
       corruption, truncation, duplicates, reordering).
     - ``store``: the measurement store after the crawl (whole missing
       OpenINTEL days, corrupt 5-minute buckets).
-    - ``ingest``: measurement rows on their way *into* the store during
-      the crawl (RTT values damaged to NaN/negative; the store's ingest
-      guard rejects and counts them). Null in every preset — enable it
-      explicitly to exercise the rejected-row degradation path.
     - ``processor``: the feed hardening's validation attempts
       (transient, retryable faults; see
       :meth:`~repro.chaos.FaultInjector.harden_feed`).
@@ -114,15 +110,14 @@ class ChaosConfig:
     transport: FaultPolicy = field(default_factory=FaultPolicy)
     feed: FaultPolicy = field(default_factory=FaultPolicy)
     store: FaultPolicy = field(default_factory=FaultPolicy)
-    ingest: FaultPolicy = field(default_factory=FaultPolicy)
     processor: FaultPolicy = field(default_factory=FaultPolicy)
     worker: FaultPolicy = field(default_factory=FaultPolicy)
 
     @property
     def is_null(self) -> bool:
         return (self.transport.is_null and self.feed.is_null
-                and self.store.is_null and self.ingest.is_null
-                and self.processor.is_null and self.worker.is_null)
+                and self.store.is_null and self.processor.is_null
+                and self.worker.is_null)
 
     @classmethod
     def preset(cls, level: str = "moderate", seed: int = 0) -> "ChaosConfig":
@@ -169,8 +164,7 @@ class ChaosConfig:
     def describe(self) -> str:
         """One line per non-null surface, for logs and CLI output."""
         lines = []
-        for surface in ("transport", "feed", "store", "ingest", "processor",
-                        "worker"):
+        for surface in ("transport", "feed", "store", "processor", "worker"):
             policy: FaultPolicy = getattr(self, surface)
             if policy.is_null:
                 continue

@@ -111,7 +111,8 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
                         help="cache phase outputs under PATH (created if "
                              "missing) and skip phases already cached for "
                              "this config; outputs are bit-identical warm "
-                             "or cold, chaos runs bypass the cache")
+                             "or cold, and chaos runs use it only for the "
+                             "phases no fault reaches")
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:

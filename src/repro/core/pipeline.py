@@ -65,10 +65,6 @@ from repro.world.simulation import World, build_world
 
 # -- bypass warnings ----------------------------------------------------------
 
-#: why a chaos run cannot use the artifact cache.
-CHAOS_CACHE_REASON = (
-    "chaos runs bypass the artifact cache: injected faults "
-    "must never be cached nor replayed from it")
 #: why a pre-built world cannot use the artifact cache.
 PREBUILT_WORLD_REASON = (
     "a pre-built world cannot be fingerprinted (its build "
@@ -150,8 +146,6 @@ def _run_crawl(ctx: RunContext, world: World) -> MeasurementStore:
         transport = injector.wrap_transport(world.transport)
     platform = OpenIntelPlatform(world, transport=transport,
                                  telemetry=ctx.telemetry)
-    if injector is not None:
-        injector.wrap_store_ingest(platform.store)
     # The serve layer crawls one day-partition at a time; a full-range
     # crawl (the default) is unchanged.
     start, end = ctx.params.get("crawl_window") or (None, None)
@@ -383,10 +377,10 @@ class Study:
     def degraded(self) -> bool:
         """True when any pipeline stage ran on impaired inputs.
 
-        Ingest-rejected measurement rows count: damaged RTT telemetry
-        that the store refused to aggregate still means the crawl ran on
-        impaired inputs, even when every surviving aggregate, join
-        record, and event is clean.
+        Rows the store's ingest guard rejected count: damaged RTT
+        telemetry that the store refused to aggregate still means the
+        store was fed impaired inputs, even when every surviving
+        aggregate, join record, and event is clean.
         """
         return (self.join.degraded or self.store.n_rejected > 0
                 or bool(self.degraded_events))
@@ -454,15 +448,16 @@ def _open_phase_cache(cache, config: WorldConfig, world: Optional[World],
                       telemetry: RunTelemetry):
     """Gate and open the artifact cache for one run.
 
-    Chaos runs and pre-built worlds bypass the cache with a
-    :class:`RuntimeWarning`; otherwise returns the opened
-    :class:`~repro.artifacts.cache.PhaseCache` and the run's chained
-    fingerprint keys.
+    A pre-built world bypasses the cache with a :class:`RuntimeWarning`;
+    otherwise returns the opened
+    :class:`~repro.artifacts.cache.PhaseCache` and the chained
+    fingerprint keys of the phases it may serve. A chaos run gets the
+    keys of the phases no fault reaches: the telescope, and the crawl
+    when the transport (the crawl's only fault surface) is null. Feed
+    faults reach the join and store faults the events, so those stay
+    uncached.
     """
     if cache is None:
-        return None, {}
-    if chaos is not None:
-        _warn_bypass(CHAOS_CACHE_REASON, stacklevel=4)
         return None, {}
     if world is not None:
         _warn_bypass(PREBUILT_WORLD_REASON, stacklevel=4)
@@ -470,8 +465,12 @@ def _open_phase_cache(cache, config: WorldConfig, world: Optional[World],
     from repro.artifacts.cache import PhaseCache
     from repro.artifacts.fingerprint import study_keys
 
-    return (PhaseCache.open(cache, telemetry=telemetry),
-            study_keys(config, install_scenarios))
+    keys = study_keys(config, install_scenarios)
+    if chaos is not None:
+        kept = (("telescope", "crawl") if chaos.transport.is_null
+                else ("telescope",))
+        keys = {phase: keys[phase] for phase in kept}
+    return PhaseCache.open(cache, telemetry=telemetry), keys
 
 
 def run_study(config: Optional[WorldConfig] = None,
@@ -498,9 +497,8 @@ def run_study(config: Optional[WorldConfig] = None,
 
     ``chaos`` enables seeded fault injection on the pipeline's
     measurement surfaces (see :mod:`repro.chaos`): the crawl's transport
-    is wrapped, measurement rows may be damaged at store ingest, the
-    feed is faulted and re-validated with retries and a circuit breaker
-    (refused records dead-letter with a reason, see
+    is wrapped, the feed is faulted and re-validated with retries and a
+    circuit breaker (refused records dead-letter with a reason, see
     :class:`repro.chaos.FaultInjector`), and the measurement
     store is damaged post-crawl. Analyses then degrade — flagging
     affected events — rather than crash. With every fault probability
@@ -523,9 +521,11 @@ def run_study(config: Optional[WorldConfig] = None,
     is annotated ``cached=True`` and ``repro.cache.*`` counters record
     the traffic — and on a miss the freshly-computed artifact is
     stored. Warm-cache output is bit-identical to cold (tests assert
-    it). Chaos runs bypass the cache entirely (faults must never be
-    cached), as do runs on a pre-built ``world`` (its build flags
-    cannot be fingerprinted); both warn.
+    it). A chaos run reads and writes only the phases no fault reaches
+    — the telescope, and the crawl unless transport faults are on —
+    under the clean run's keys; its faulted join and events are never
+    cached. A run on a pre-built ``world`` bypasses the cache with a
+    warning (its build flags cannot be fingerprinted).
 
     ``journal`` writes the run's append-only JSONL event log (see
     :mod:`repro.obs.journal`): a path opens (and closes) a fresh

@@ -27,8 +27,8 @@ A platform built with ``transport=`` keeps every dense-day query on the
 resolver: an injected transport (chaos transport faults) draws once per
 query, so answering a query without it would shift every later draw.
 The study passes one only when the chaos policy has transport faults,
-so a chaos run whose faults all lie elsewhere (feed, store, ingest)
-takes the same quiet branches as a clean run. Keying transport faults by
+so a chaos run whose faults all lie elsewhere (feed, store) takes the
+same quiet branches as a clean run. Keying transport faults by
 ``(ns_ip, qname, ts)`` would let those runs take the quiet branch too.
 
 Determinism

@@ -1,12 +1,14 @@
 """Pipeline integration for the phase cache: the ISSUE's acceptance bar.
 
 Warm-cache ``run_study`` output must be bit-identical to the cold run
-that populated the cache — at 1, 2, and 4 workers — the warm run must
-visibly skip the telescope and crawl phases (cached spans and
-``repro.cache.hits > 0``), and chaos runs must never read or write the
-cache.
+that populated the cache — at 1, 2, and 4 workers — and the warm run
+must visibly skip the telescope and crawl phases (cached spans and
+``repro.cache.hits > 0``). A chaos run uses the cache only for the
+phases no fault reaches (the telescope, and the crawl when transport
+faults are off) and prints its cold output byte for byte.
 """
 
+import dataclasses
 import warnings
 
 import pytest
@@ -159,21 +161,91 @@ class TestDeferredBuild:
         assert _counter_total(telemetry, "repro.cache.hits") == len(PHASES)
 
 
-class TestCacheBypass:
-    def test_chaos_never_reads_or_writes_cache(self, cold_study, cache_dir):
-        store = ArtifactStore(cache_dir)
-        before = {(e.key, e.size, e.last_used) for e in store.entries()}
-        telemetry = RunTelemetry.create()
-        chaos = ChaosConfig(seed=5, transport=FaultPolicy(drop_p=0.05))
-        with pytest.warns(RuntimeWarning, match="chaos runs bypass"):
-            run_study(WorldConfig.tiny(), cache=cache_dir, chaos=chaos,
-                      telemetry=telemetry)
-        after = {(e.key, e.size, e.last_used) for e in store.entries()}
-        assert after == before  # nothing read (no last_used stamp), nothing written
-        assert _counter_total(telemetry, "repro.cache.hits") == 0
-        assert _counter_total(telemetry, "repro.cache.misses") == 0
-        assert _counter_total(telemetry, "repro.cache.bytes_written") == 0
+def _phase_traffic(telemetry, phase):
+    """Every ``repro.cache.*`` counter a run recorded for ``phase``."""
+    counters = telemetry.snapshot()["metrics"]["counters"]
+    return {k: v for k, v in counters.items()
+            if k.startswith("repro.cache.")
+            and k.endswith(f"{{phase={phase}}}")}
 
+
+def _chaos_outputs(study):
+    """What a chaos run shows: report, fault summary, fault log, dead
+    letters (``repr``, since a corrupted record may hold a NaN)."""
+    injector = study.chaos
+    return (study.report(), injector.summary(), injector.events,
+            repr(injector.dead_letters))
+
+
+def _feed_and_store_chaos(seed):
+    """The moderate preset without its transport faults: no fault
+    reaches the crawl."""
+    return dataclasses.replace(ChaosConfig.preset("moderate", seed=seed),
+                               transport=FaultPolicy())
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3], ids=lambda s: f"seed-{s}")
+def chaos_runs(request, cold_study, cache_dir):
+    """A cold moderate-chaos run, and the same run against the cache the
+    clean ``cold_study`` filled, with its telemetry."""
+    chaos = ChaosConfig.preset("moderate", seed=request.param)
+    cold = run_study(WorldConfig.tiny(), chaos=chaos)
+    telemetry = RunTelemetry.create()
+    warm = run_study(WorldConfig.tiny(), chaos=chaos, cache=cache_dir,
+                     telemetry=telemetry)
+    return cold, warm, telemetry
+
+
+class TestChaosComposesWithCache:
+    def test_warm_chaos_run_prints_its_cold_output(self, chaos_runs):
+        cold, warm, _ = chaos_runs
+        assert _chaos_outputs(warm) == _chaos_outputs(cold)
+        assert warm.store == cold.store
+
+    def test_reads_the_telescope_and_nothing_faults_reach(self, chaos_runs):
+        _, _, telemetry = chaos_runs
+        assert _phase_traffic(telemetry, "telescope")[
+            "repro.cache.hits{phase=telescope}"] == 1
+        # Transport faults are on, so the crawl stays cold too.
+        for phase in ("crawl", "join", "events"):
+            assert _phase_traffic(telemetry, phase) == {}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_feed_and_store_faults_also_hit_the_crawl(self, cold_study,
+                                                      cache_dir, seed):
+        chaos = _feed_and_store_chaos(seed)
+        cold = run_study(WorldConfig.tiny(), chaos=chaos)
+        telemetry = RunTelemetry.create()
+        warm = run_study(WorldConfig.tiny(), chaos=chaos, cache=cache_dir,
+                         telemetry=telemetry)
+        assert _chaos_outputs(warm) == _chaos_outputs(cold)
+        assert warm.chaos.counts[("store", "corrupt")] > 0
+        for phase in ("telescope", "crawl"):
+            assert _phase_traffic(telemetry, phase)[
+                f"repro.cache.hits{{phase={phase}}}"] == 1
+        for phase in ("join", "events"):
+            assert _phase_traffic(telemetry, phase) == {}
+        # The store faults damaged a freshly decoded store, not the
+        # cached crawl: a clean run still fetches the clean store.
+        assert run_study(WorldConfig.tiny(), cache=cache_dir).store == \
+            cold_study.store
+
+    def test_chaos_run_fills_only_the_clean_phases(self, cold_study,
+                                                   tmp_path):
+        cache = str(tmp_path / "cache")
+        telemetry = RunTelemetry.create()
+        run_study(WorldConfig.tiny(), chaos=_feed_and_store_chaos(1),
+                  cache=cache, telemetry=telemetry)
+        assert sorted(e.phase for e in ArtifactStore(cache).entries()) == \
+            ["crawl", "telescope"]
+        assert _phase_traffic(telemetry, "join") == {}
+        # The crawl was saved before the store faults damaged it.
+        warm = run_study(WorldConfig.tiny(), cache=cache)
+        assert warm.store == cold_study.store
+        assert warm.report() == cold_study.report()
+
+
+class TestCacheBypass:
     def test_prebuilt_world_bypasses_with_warning(self, cache_dir):
         world = build_world(WorldConfig.tiny(seed=11))
         store = ArtifactStore(cache_dir)

@@ -12,7 +12,6 @@ import pytest
 from repro import (ChaosConfig, RunTelemetry, WorldConfig, build_world,
                    run_study)
 from repro.core.pipeline import (
-    CHAOS_CACHE_REASON,
     PREBUILT_WORLD_REASON,
     WORKERS_IGNORED_REASON,
     _warn_bypass,
@@ -21,8 +20,6 @@ from repro.obs import read_journal
 
 # The messages exactly as the pre-refactor pipeline emitted them.
 EXPECTED = {
-    "chaos-cache": "chaos runs bypass the artifact cache: injected faults "
-                   "must never be cached nor replayed from it",
     "prebuilt-world": "a pre-built world cannot be fingerprinted (its build "
                       "flags are unknown); pass a config instead of a world "
                       "to use the artifact cache",
@@ -37,7 +34,6 @@ class TestHelper:
             _warn_bypass("exactly this")
 
     def test_messages_unchanged(self):
-        assert CHAOS_CACHE_REASON == EXPECTED["chaos-cache"]
         assert PREBUILT_WORLD_REASON == EXPECTED["prebuilt-world"]
         assert WORKERS_IGNORED_REASON == EXPECTED["workers-ignored"]
 
@@ -68,12 +64,6 @@ class TestPipelineEmission:
         assert len(matches) == 1, [str(w.message) for w in recorded]
         assert matches[0].category is RuntimeWarning
         return matches[0]
-
-    def test_chaos_run_with_cache(self, tmp_path):
-        with pytest.warns(RuntimeWarning) as recorded:
-            run_study(WorldConfig.tiny(), cache=str(tmp_path / "c"),
-                      chaos=ChaosConfig(seed=1))
-        assert self._emitted(recorded, "chaos-cache").filename == __file__
 
     def test_prebuilt_world_with_cache(self, tmp_path):
         world = build_world(WorldConfig.tiny(seed=11))

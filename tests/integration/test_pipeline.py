@@ -9,6 +9,7 @@ import pytest
 
 import repro
 from repro import Study, WorldConfig, run_study
+from repro.dns.rcode import ResponseStatus
 from repro.world.config import PAPER_TOTAL_ATTACKS
 
 
@@ -110,20 +111,21 @@ class TestParallelStudyEquivalence:
 
 class TestDegradedPredicate:
     def test_rejected_rows_flag_the_study(self, tiny_config):
-        # A chaos schedule that ONLY damages RTT rows at store ingest:
-        # no feed faults, no aggregate corruption, no transport faults —
-        # so the join is clean and no event is degraded. The rejected
-        # rows alone must still flag the study (PR 1's contract: "True
-        # when any pipeline stage ran on impaired inputs").
-        from repro import ChaosConfig
-        from repro.chaos.policy import FaultPolicy
-
-        chaos = ChaosConfig(seed=3, ingest=FaultPolicy(corrupt_p=0.01))
-        study = run_study(tiny_config, chaos=chaos)
+        # One NaN row the store's guard refuses, and nothing else
+        # damaged: the join is clean and no event is degraded. The
+        # rejected row alone must still flag the study ("True when any
+        # pipeline stage ran on impaired inputs") and its report.
+        study = run_study(tiny_config)
+        nsset_id, day = next(iter(study.store.daily))
+        study.store.add_fast(nsset_id, day, ResponseStatus.OK,
+                             float("nan"), False)
         assert study.store.n_rejected > 0
         assert not study.join.degraded
         assert not study.degraded_events
         assert study.degraded
+        degraded, = [line for line in study.report().splitlines()
+                     if line.startswith("degraded")]
+        assert degraded.endswith(", 1 store rejects")
 
     def test_clean_run_not_degraded(self, tiny_study):
         assert tiny_study.store.n_rejected == 0

@@ -338,8 +338,6 @@ def _mapping_keys(expr, bindings, followed):
 #: Defaulted fields of frozen dataclasses no caller outside tests sets,
 #: each kept for the reason given.
 FIELDS_UNSET_ON_PURPOSE = {
-    "ChaosConfig.ingest":
-        "a fault surface that only the chaos tests arm",
     "DeploymentProfile.n_asns":
         "persisted by reflection into the world golden's dump",
 }
