@@ -7,16 +7,10 @@ and publishes its totals into the run's metrics registry
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import List, Tuple
-
 from repro.dns.rcode import ResponseStatus
-from repro.obs.registry import DEFAULT_BUCKETS_MS, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 
-__all__ = ["CrawlStats", "RTT_BUCKETS_MS"]
-
-#: Fixed bucket bounds (ms) of the crawl RTT histogram.
-RTT_BUCKETS_MS: Tuple[float, ...] = DEFAULT_BUCKETS_MS
+__all__ = ["CrawlStats"]
 
 
 class CrawlStats:
@@ -24,12 +18,12 @@ class CrawlStats:
 
     __slots__ = ("domain_days", "fast_path_days", "dead_days",
                  "resolver_days", "queries", "quiet_queries", "ok",
-                 "timeout", "servfail", "other", "rtt_bucket_counts",
-                 "rtt_sum")
+                 "timeout", "servfail", "other")
 
     def __init__(self) -> None:
         self.domain_days = 0
-        #: quiet days answered from the closed-form fast path.
+        #: quiet days of closed-form NSSets, counted as OK rows and
+        #: deferred to the store (drawn when their cell is read).
         self.fast_path_days = 0
         #: quiet days of never-answering NSSets (synthesized timeouts).
         self.dead_days = 0
@@ -47,22 +41,13 @@ class CrawlStats:
         self.timeout = 0
         self.servfail = 0
         self.other = 0
-        self.rtt_bucket_counts: List[int] = [0] * (len(RTT_BUCKETS_MS) + 1)
-        #: running sum of OK RTTs.
-        self.rtt_sum = 0.0
 
     # -- collection (crawl hot loop) -----------------------------------------
 
-    def add_ok(self, rtt_ms: float) -> None:
-        """Record one answered measurement and its RTT."""
-        self.ok += 1
-        self.rtt_bucket_counts[bisect_left(RTT_BUCKETS_MS, rtt_ms)] += 1
-        self.rtt_sum += rtt_ms
-
-    def add_result(self, status: ResponseStatus, rtt_ms: float) -> None:
+    def add_result(self, status: ResponseStatus) -> None:
         """Record one resolver result."""
         if status is ResponseStatus.OK:
-            self.add_ok(rtt_ms)
+            self.ok += 1
         elif status is ResponseStatus.TIMEOUT:
             self.timeout += 1
         elif status is ResponseStatus.SERVFAIL:
@@ -90,8 +75,6 @@ class CrawlStats:
         for status, n in (("ok", self.ok), ("timeout", self.timeout),
                           ("servfail", self.servfail), ("other", self.other)):
             counter("repro.crawl.responses", status=status).inc(n)
-        registry.histogram("repro.crawl.rtt_ms", buckets=RTT_BUCKETS_MS) \
-            .add_counts(self.rtt_bucket_counts, self.rtt_sum)
 
     def __repr__(self) -> str:
         return (f"CrawlStats(domain_days={self.domain_days}, "

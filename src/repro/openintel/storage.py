@@ -9,15 +9,23 @@ count or a sum can be drawn for a whole (NSSet, interval) at once where
 a per-row extreme cannot.
 
 Keeping raw per-query rows for 17 months x the namespace is what
-the authors used Spark for; this store instead aggregates on ingest —
+the authors used Spark for; this store instead keeps aggregates only —
 daily everywhere (for the day-before baselines) and at 5-minute
 granularity on *dense* days (days on which an attack touches the NSSet),
 which is provably sufficient for every metric in the paper's analysis.
+
+Most rows are aggregated on ingest. A quiet day of an NSSet the crawl
+answers in closed form is *deferred* instead: the crawl counts its rows
+and records its key, and the :class:`DailyTable` draws the cell's
+aggregate the first time something reads it. The §4.1 impact metric
+reads a daily aggregate only for the day before an impact window, so a
+study draws few of those cells.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import MutableMapping
 from functools import cached_property
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
@@ -121,15 +129,62 @@ class Aggregate:
                 f"to={self.timeout_n}, sf={self.servfail_n})")
 
 
+class DailyTable(MutableMapping):
+    """The daily aggregates, keyed by ``(nsset_id, day)``.
+
+    The key set is exact. A deferred cell holds no aggregate until it
+    is read: the first read draws it with ``fill(key)`` and keeps it.
+    Reading values (``[]``, ``get``, ``values()``, ``items()``, ``==``)
+    fills the cells read; the keys, ``in``, ``len`` and ``del`` fill
+    none.
+    """
+
+    __slots__ = ("cells", "_fill")
+
+    def __init__(self, cells: Optional[Dict] = None,
+                 fill: Optional[Callable[[Tuple[int, int]],
+                                         Aggregate]] = None) -> None:
+        #: key -> its aggregate, or ``None`` while the cell is deferred.
+        self.cells: Dict[Tuple[int, int], Optional[Aggregate]] = (
+            {} if cells is None else cells)
+        self._fill = fill
+
+    def __getitem__(self, key: Tuple[int, int]) -> Aggregate:
+        agg = self.cells[key]
+        if agg is None:
+            agg = self.cells[key] = self._fill(key)
+        return agg
+
+    def __contains__(self, key) -> bool:
+        return key in self.cells
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        return iter(self.cells)
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __setitem__(self, key: Tuple[int, int], agg: Aggregate) -> None:
+        self.cells[key] = agg
+
+    def __delitem__(self, key: Tuple[int, int]) -> None:
+        del self.cells[key]
+
+
 class MeasurementStore:
-    """Daily + dense 5-minute aggregates per NSSet."""
+    """Daily + dense 5-minute aggregates per NSSet.
+
+    ``fill`` draws a deferred daily cell (see :meth:`defer`); a store
+    that defers nothing needs none.
+    """
 
     #: rtt sanity ceiling for ingest: far above any real deadline, low
     #: enough to reject inf/NaN and garbage (comparison-only, hot path).
     MAX_RTT_MS = 1e9
 
-    def __init__(self) -> None:
-        self.daily: Dict[Tuple[int, int], Aggregate] = {}
+    def __init__(self, fill: Optional[Callable[[Tuple[int, int]],
+                                               Aggregate]] = None) -> None:
+        self.daily = DailyTable(fill=fill)
         self.buckets: Dict[Tuple[int, int], Aggregate] = {}
         self.n_measurements = 0
         #: malformed rows rejected at ingest (negative/NaN/inf RTTs).
@@ -162,8 +217,8 @@ class MeasurementStore:
     # attributes shadow them, and so does the built table once cached.
 
     @cached_property
-    def daily(self) -> Dict[Tuple[int, int], Aggregate]:
-        return self._build_table("daily")
+    def daily(self) -> DailyTable:
+        return DailyTable(self._build_table("daily"))
 
     @cached_property
     def buckets(self) -> Dict[Tuple[int, int], Aggregate]:
@@ -185,10 +240,13 @@ class MeasurementStore:
             return
         self.n_measurements += 1
         day_key = (nsset_id, ts - ts % DAY)
-        agg = self.daily.get(day_key)
+        cells = self.daily.cells
+        agg = cells.get(day_key)
         if agg is None:
-            agg = Aggregate()
-            self.daily[day_key] = agg
+            # A deferred cell is drawn before it takes another row.
+            agg = self.daily.get(day_key)
+            if agg is None:
+                agg = cells[day_key] = Aggregate()
         agg.add(status, rtt_ms)
         if dense:
             bucket_key = (nsset_id, ts - ts % FIVE_MINUTES)
@@ -197,6 +255,16 @@ class MeasurementStore:
                 bagg = Aggregate()
                 self.buckets[bucket_key] = bagg
             bagg.add(status, rtt_ms)
+
+    def defer(self, key: Tuple[int, int], n_rows: int) -> None:
+        """Count a daily cell's ``n_rows`` rows now; ``fill`` draws its
+        aggregate when it is first read.
+
+        Only rows the ingest guard cannot reject may be deferred: they
+        are counted without being seen.
+        """
+        self.daily.cells[key] = None
+        self.n_measurements += n_rows
 
     # -- queries ---------------------------------------------------------------
 

@@ -123,7 +123,7 @@ class TestExposition:
         registry.counter("repro.chaos.faults", surface="feed",
                          kind="drop").inc(2)
         registry.gauge("repro.store.daily_aggregates").set(7)
-        h = registry.histogram("repro.crawl.rtt_ms", buckets=(1.0, 10.0))
+        h = registry.histogram("repro.serve.query_latency_ms", buckets=(1.0, 10.0))
         h.observe(0.5)
         h.observe(5.0)
         text = registry.render_prometheus()
@@ -131,10 +131,10 @@ class TestExposition:
         assert 'repro_chaos_faults{kind="drop",surface="feed"} 2' in text
         assert "# TYPE repro_store_daily_aggregates gauge" in text
         # Histogram buckets are cumulative, with +Inf, _sum and _count.
-        assert 'repro_crawl_rtt_ms_bucket{le="1.0"} 1' in text
-        assert 'repro_crawl_rtt_ms_bucket{le="10.0"} 2' in text
-        assert 'repro_crawl_rtt_ms_bucket{le="+Inf"} 2' in text
-        assert "repro_crawl_rtt_ms_count 2" in text
+        assert 'repro_serve_query_latency_ms_bucket{le="1.0"} 1' in text
+        assert 'repro_serve_query_latency_ms_bucket{le="10.0"} 2' in text
+        assert 'repro_serve_query_latency_ms_bucket{le="+Inf"} 2' in text
+        assert "repro_serve_query_latency_ms_count 2" in text
         assert text.endswith("\n")
 
     def test_empty_registry_renders_empty(self, registry):

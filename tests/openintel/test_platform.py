@@ -316,8 +316,6 @@ class TestCrawlStats:
         assert stats.rows == (stats.ok + stats.timeout + stats.servfail
                               + stats.other)
         assert stats.rows > 0
-        assert sum(stats.rtt_bucket_counts) == stats.ok
-        assert stats.rtt_sum > 0.0
 
     def test_published_metrics_match_the_stats(self, stats):
         telemetry = RunTelemetry.create()
@@ -327,7 +325,3 @@ class TestCrawlStats:
         assert counters["repro.crawl.quiet_queries"] == stats.quiet_queries
         assert counters["repro.crawl.rows"] == stats.rows
         assert counters["repro.crawl.responses{status=ok}"] == stats.ok
-        hist = telemetry.snapshot()["metrics"]["histograms"]
-        assert hist["repro.crawl.rtt_ms"]["count"] == stats.ok
-        assert hist["repro.crawl.rtt_ms"]["sum"] == pytest.approx(
-            stats.rtt_sum)

@@ -157,3 +157,59 @@ class TestMeasurementStore:
         store.add_fast(2, 100, ResponseStatus.OK, 99.0, False)
         assert store.day_avg_rtt(1, 0) == 10.0
         assert store.day_avg_rtt(2, 0) == 99.0
+
+
+class TestDeferredCells:
+    """A deferred daily cell is drawn by the store's ``fill`` on its
+    first value read, once, and never by a read of the keys."""
+
+    @staticmethod
+    def _store():
+        filled = []
+
+        def fill(key):
+            filled.append(key)
+            agg = Aggregate()
+            agg.add(ResponseStatus.OK, 10.0)
+            agg.add(ResponseStatus.OK, 30.0)
+            return agg
+
+        store = MeasurementStore(fill=fill)
+        store.defer((1, 0), 2)
+        store.defer((2, 0), 2)
+        return store, filled
+
+    def test_keys_len_and_del_draw_nothing(self):
+        store, filled = self._store()
+        assert store.n_measurements == 4
+        assert sorted(store.daily) == [(1, 0), (2, 0)]
+        assert len(store.daily) == 2 and (1, 0) in store.daily
+        del store.daily[(2, 0)]
+        assert (2, 0) not in store.daily
+        assert filled == []
+
+    def test_a_cell_is_drawn_once_on_first_read(self):
+        store, filled = self._store()
+        assert store.day_avg_rtt(1, 0) == 20.0
+        assert store.day_aggregate(1, 0) is store.daily[(1, 0)]
+        assert store.day_aggregate(3, 0) is None
+        assert filled == [(1, 0)]
+        assert [agg.n for agg in store.daily.values()] == [2, 2]
+        assert filled == [(1, 0), (2, 0)]
+
+    def test_a_row_for_a_deferred_cell_is_added_to_its_draw(self):
+        store, filled = self._store()
+        store.add_fast(1, 100, ResponseStatus.OK, 20.0, False)
+        assert filled == [(1, 0)]
+        assert store.daily[(1, 0)].state() == (3, 3, 60.0, 0, 0, 0)
+        assert store.n_measurements == 5
+
+    def test_equality_and_merge_draw_every_cell(self):
+        store, filled = self._store()
+        twin, _ = self._store()
+        assert store == twin
+        merged = MeasurementStore()
+        merged.merge(store)
+        assert merged.daily == twin.daily
+        assert merged.n_measurements == 4
+        assert sorted(filled) == [(1, 0), (2, 0)]
