@@ -42,9 +42,8 @@ class CensusSnapshot:
 class AnycastCensus:
     """The full quarterly census series with point-in-time lookup."""
 
-    def __init__(self, snapshots: Optional[List[CensusSnapshot]] = None):
-        self.snapshots: List[CensusSnapshot] = sorted(
-            snapshots or [], key=lambda s: s.taken_at)
+    def __init__(self):
+        self.snapshots: List[CensusSnapshot] = []
 
     def add_snapshot(self, snapshot: CensusSnapshot) -> None:
         self.snapshots.append(snapshot)

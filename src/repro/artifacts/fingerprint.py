@@ -10,8 +10,8 @@ on, and *nothing* else:
   fields: changing one changes code, not keys, so it needs a
   :data:`SCHEMA_VERSIONS` bump for each phase whose output moves (the
   phase-output golden fails until it gets one). Version 2.0.0 dropped
-  those constants from the config, so every key changed once;
-- whether scripted scenarios were installed into the world;
+  those constants from the config and version 7.0.0 the
+  scenario-install flag beside it, so each changed every key once;
 - the phase name and its serializer's schema version (bumping a
   version in :data:`SCHEMA_VERSIONS` invalidates exactly that phase's
   entries — and, through chaining, every phase downstream of it);
@@ -20,8 +20,11 @@ on, and *nothing* else:
 
 Worker count and telemetry are deliberately
 absent: the crawl is serial and ignores ``n_workers``, and telemetry
-observes without perturbing, so neither can change a phase's output. Chaos runs never consult the cache at all (see
-:mod:`repro.artifacts.cache`), so fault schedules need no key.
+observes without perturbing, so neither can change a phase's output.
+Fault schedules need no key either: a chaos run reads and writes only
+the phases no fault reaches (the telescope, and the crawl when the
+transport is unfaulted), under the clean run's keys, and never caches
+its faulted join or events (see :func:`repro.core.pipeline.run_study`).
 
 Keys are pure functions of their inputs — no clocks, no RNG, no
 environment — so the same config produces the same keys in any
@@ -87,22 +90,17 @@ def _canonical(value: object) -> object:
         f"cannot canonicalize {type(value).__name__!r} for fingerprinting")
 
 
-def canonical_config(config: WorldConfig,
-                     install_scenarios: bool = True) -> str:
+def canonical_config(config: WorldConfig) -> str:
     """The canonical JSON form of a world config (stable key order,
     exact floats — ``json`` emits ``repr``-round-trippable literals)."""
-    doc = {
-        "config": _canonical(config),
-        "install_scenarios": bool(install_scenarios),
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return json.dumps({"config": _canonical(config)}, sort_keys=True,
+                      separators=(",", ":"))
 
 
-def config_fingerprint(config: WorldConfig,
-                       install_scenarios: bool = True) -> str:
+def config_fingerprint(config: WorldConfig) -> str:
     """sha256 hex digest of the canonical config — the base every
     phase key chains from."""
-    text = canonical_config(config, install_scenarios)
+    text = canonical_config(config)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -119,8 +117,7 @@ def phase_key(phase: str, base: str,
     return h.hexdigest()
 
 
-def study_keys(config: WorldConfig,
-               install_scenarios: bool = True) -> Dict[str, str]:
+def study_keys(config: WorldConfig) -> Dict[str, str]:
     """The full chained key set of one study configuration.
 
     ``telescope`` and ``crawl`` hang directly off the config (they are
@@ -130,7 +127,7 @@ def study_keys(config: WorldConfig,
     invalidating an upstream phase invalidates its consumers and only
     its consumers.
     """
-    base = config_fingerprint(config, install_scenarios)
+    base = config_fingerprint(config)
     telescope = phase_key("telescope", base)
     crawl = phase_key("crawl", base)
     join = phase_key("join", base, upstream=(telescope,))
@@ -239,8 +236,7 @@ def events_crawl_cover(day: int, partition, timeline) -> List[int]:
     return [d for d in range(first, last, DAY)]
 
 
-def day_keys(config: WorldConfig, attacks,
-             install_scenarios: bool = True) -> Dict[int, Dict[str, str]]:
+def day_keys(config: WorldConfig, attacks) -> Dict[int, Dict[str, str]]:
     """Chained per-day keys for every day of the config's timeline.
 
     Layout per day ``D`` (``telescope``/``crawl`` off the base config
@@ -256,7 +252,7 @@ def day_keys(config: WorldConfig, attacks,
     config's — which is what lets a what-if edit to one day invalidate
     only that day's chain while the config fingerprint stays fixed.
     """
-    base = config_fingerprint(config, install_scenarios)
+    base = config_fingerprint(config)
     timeline = config.timeline
     days = list(timeline.days())
     telescope: Dict[int, str] = {}
@@ -284,7 +280,7 @@ def day_keys(config: WorldConfig, attacks,
     return out
 
 
-def catalog_key(config: WorldConfig, install_scenarios: bool = True) -> str:
+def catalog_key(config: WorldConfig) -> str:
     """Key of the serve layer's domain->NSSet catalog — a pure function
     of the config (the directory never depends on the attack schedule)."""
-    return phase_key("catalog", config_fingerprint(config, install_scenarios))
+    return phase_key("catalog", config_fingerprint(config))

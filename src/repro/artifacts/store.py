@@ -56,12 +56,11 @@ class ArtifactEntry:
 
 
 class ArtifactStore:
-    """A size-capped, content-addressed blob store on a local directory."""
+    """A content-addressed blob store on a local directory, trimmed
+    to a byte cap by :meth:`gc`."""
 
-    def __init__(self, root: str, max_bytes: Optional[int] = None):
+    def __init__(self, root: str):
         self.root = root
-        #: soft cap enforced by :meth:`gc` (``None`` = unbounded).
-        self.max_bytes = max_bytes
         os.makedirs(os.path.join(root, _OBJECTS), exist_ok=True)
 
     # -- paths / locking ------------------------------------------------------
@@ -189,14 +188,10 @@ class ArtifactStore:
 
     # -- maintenance ----------------------------------------------------------
 
-    def gc(self, max_bytes: Optional[int] = None) -> List[ArtifactEntry]:
+    def gc(self, max_bytes: int) -> List[ArtifactEntry]:
         """Evict least-recently-used entries until the store fits
-        ``max_bytes`` (defaults to the store's cap); returns what was
-        evicted. A ``None``/absent cap is a no-op.
+        ``max_bytes``; returns what was evicted.
         """
-        cap = self.max_bytes if max_bytes is None else max_bytes
-        if cap is None:
-            return []
         evicted: List[ArtifactEntry] = []
         with self._lock():
             entries = self._read_index()
@@ -205,7 +200,7 @@ class ArtifactStore:
             for key in sorted(entries,
                               key=lambda k: (entries[k].get("last_used", 0.0),
                                              k)):
-                if total <= cap:
+                if total <= max_bytes:
                     break
                 meta = entries.pop(key)
                 total -= int(meta.get("size", 0))

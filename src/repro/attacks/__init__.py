@@ -28,7 +28,6 @@ from repro.attacks.packs import (
     VolumetricPack,
     available_packs,
     get_pack,
-    register_pack,
     validate_pack_name,
 )
 
@@ -49,6 +48,5 @@ __all__ = [
     "VolumetricPack",
     "available_packs",
     "get_pack",
-    "register_pack",
     "validate_pack_name",
 ]

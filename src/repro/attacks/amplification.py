@@ -32,7 +32,7 @@ from repro.attacks.model import (
     AttackVector,
     Spoofing,
 )
-from repro.attacks.packs import ScenarioPack, register_pack
+from repro.attacks.packs import ScenarioPack
 from repro.net.ports import PORT_DNS, PROTO_UDP
 from repro.util.timeutil import MINUTE, Window
 
@@ -89,7 +89,6 @@ class AmplificationAnalysis:
         return self.n_matched / self.n_scheduled if self.n_scheduled else 0.0
 
 
-@register_pack
 class AmplificationPack(ScenarioPack):
     """DNS reflection/amplification attacks + reflector-query inference."""
 
@@ -148,7 +147,7 @@ class AmplificationPack(ScenarioPack):
 
     reflector_queries = True
 
-    def observe_darknet(self, world):
+    def observe_darknet(self, world, attacks):
         from repro.telescope.darknet import Darknet
         from repro.telescope.reflector import ReflectorFeed, ReflectorSimulator
 
@@ -158,8 +157,8 @@ class AmplificationPack(ScenarioPack):
                                               "reflector"))
         baf_of: Dict[int, float] = {
             a.victim_ip: a.amplification.mean_baf
-            for a in world.attacks if a.amplification is not None}
-        return ReflectorFeed.observe(world.attacks, simulator, baf_of=baf_of)
+            for a in attacks if a.amplification is not None}
+        return ReflectorFeed.observe(attacks, simulator, baf_of=baf_of)
 
     # -- analysis ------------------------------------------------------------
 

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.attacks.packs import ScenarioPack, register_pack
+from repro.attacks.packs import ScenarioPack
 from repro.core.counterfactual import DefenseReport, evaluate_defenses
 
 __all__ = ["DefensePack"]
 
 
-@register_pack
 class DefensePack(ScenarioPack):
     """Layered-mitigation counterfactuals over the existing schedule."""
 

@@ -76,14 +76,14 @@ class AttackVector:
         return self.ports[0] if self.ports else 0
 
     @classmethod
-    def tcp_syn(cls, port: int, pps: float,
-                spoofing: Spoofing = Spoofing.RANDOM) -> "AttackVector":
-        return cls(PROTO_TCP, (port,), pps, spoofing, packet_bytes=60)
+    def tcp_syn(cls, port: int, pps: float) -> "AttackVector":
+        """A randomly-spoofed SYN flood on one port."""
+        return cls(PROTO_TCP, (port,), pps, packet_bytes=60)
 
     @classmethod
-    def udp_flood(cls, port: int, pps: float,
-                  spoofing: Spoofing = Spoofing.RANDOM) -> "AttackVector":
-        return cls(PROTO_UDP, (port,), pps, spoofing)
+    def udp_flood(cls, port: int, pps: float) -> "AttackVector":
+        """A randomly-spoofed UDP flood on one port."""
+        return cls(PROTO_UDP, (port,), pps)
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,20 @@ is a :class:`ScenarioPack` — a named plugin bundling the world hooks
 (extra infrastructure and enrichment), a schedule generator (extra
 ground-truth attacks), a telescope flag (whether the darknet also sees
 the class as reflector queries), and analysis hooks (a pack-specific
-report section). The registry maps pack names to implementations,
-``WorldConfig`` carries the selected pack (name + params, both
-fingerprinted), and ``build_world``/``run_study`` call the hooks at
-fixed points — so a new attack class is a new module, never a fork of
-the pipeline.
+report section). The registry, :data:`_BUILTIN`, maps each pack name
+to the module and class that implement it; ``WorldConfig`` carries the
+selected pack (name + params, both fingerprinted), and
+``build_world``/``run_study`` call the hooks at fixed points — so a new
+attack class is a new module and one registry row, never a fork of the
+pipeline.
 
 The paper's randomly-spoofed volumetric model is itself the first
 pack (:class:`VolumetricPack`): every one of its hooks is a no-op on
 top of the background generator and the scripted case studies, so the
 default path is byte-identical to the pre-pack pipeline.
 
-Three more packs ship with the library (each registered lazily, so
-importing this module stays cheap and cycle-free):
+Three more packs ship with the library (each imported only when first
+selected, so importing this module stays cheap and cycle-free):
 
 * ``amplification`` (:mod:`repro.attacks.amplification`) — reflection
   attacks with BAF distributions and a reflector-query telescope
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.attacks.model import Attack
 
@@ -48,22 +49,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.telescope.reflector import ReflectorFeed
 
 __all__ = ["ScenarioPack", "VolumetricPack",
-           "UnknownPackError", "register_pack", "get_pack",
+           "UnknownPackError", "get_pack",
            "available_packs", "validate_pack_name", "DEFAULT_PACK"]
 
 #: the pack every config selects unless told otherwise.
 DEFAULT_PACK = "volumetric"
 
-#: Built-in packs, resolved lazily: pack modules may import world and
-#: telescope machinery, which in turn import this module's registry.
+#: The pack registry: name -> (module, class), resolved lazily because
+#: pack modules may import world and telescope machinery, which in turn
+#: import this module. A new pack is one row here.
 _BUILTIN: Dict[str, Tuple[str, str]] = {
     "volumetric": ("repro.attacks.packs", "VolumetricPack"),
     "amplification": ("repro.attacks.amplification", "AmplificationPack"),
     "wartime": ("repro.attacks.wartime", "WartimePack"),
     "defense": ("repro.attacks.defense", "DefensePack"),
 }
-
-_REGISTRY: Dict[str, Type["ScenarioPack"]] = {}
 
 
 class UnknownPackError(ValueError):
@@ -86,7 +86,8 @@ class ScenarioPack:
     ``world.rngs.stream("pack:<name>", ...)`` streams.
     """
 
-    #: registry name (also the CLI ``--scenario-pack`` value).
+    #: registry name (its :data:`_BUILTIN` key, and the CLI
+    #: ``--scenario-pack`` value).
     name: str = "abstract"
     #: one-line description for ``repro packs ls``.
     description: str = ""
@@ -123,9 +124,11 @@ class ScenarioPack:
     #: randomly-spoofed vectors also reach the darknet as backscatter.
     reflector_queries: bool = False
 
-    def observe_darknet(self, world) -> Optional["ReflectorFeed"]:
-        """Run the pack's extra darknet inference branch (only called
-        when :attr:`reflector_queries` is true)."""
+    def observe_darknet(self, world, attacks: List[Attack]
+                        ) -> Optional["ReflectorFeed"]:
+        """Run the pack's extra darknet inference branch over
+        ``attacks``, the slice of the schedule the telescope observes
+        (only called when :attr:`reflector_queries` is true)."""
         return None
 
     # -- analysis hooks -------------------------------------------------------
@@ -181,27 +184,15 @@ class VolumetricPack(ScenarioPack):
         return VolumetricParams()
 
 
-_REGISTRY[VolumetricPack.name] = VolumetricPack
-
-
-def register_pack(cls: Type[ScenarioPack]) -> Type[ScenarioPack]:
-    """Register a pack class under its ``name`` (usable as a
-    decorator); later registrations win, so tests can shadow."""
-    if not cls.name or cls.name == "abstract":
-        raise ValueError("a scenario pack needs a concrete name")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
 def available_packs() -> List[str]:
     """All registered pack names, sorted."""
-    return sorted(set(_REGISTRY) | set(_BUILTIN))
+    return sorted(_BUILTIN)
 
 
 def validate_pack_name(name: str) -> str:
     """Return ``name`` if it resolves to a pack, else raise
     :class:`UnknownPackError` (cheap: never imports pack modules)."""
-    if name not in _REGISTRY and name not in _BUILTIN:
+    if name not in _BUILTIN:
         raise UnknownPackError(name)
     return name
 
@@ -213,12 +204,5 @@ def get_pack(name: str, params=None) -> ScenarioPack:
     is what ``WorldConfig.pack_params`` carries). Unknown names raise
     :class:`UnknownPackError` listing what is available.
     """
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        spec = _BUILTIN.get(name)
-        if spec is None:
-            raise UnknownPackError(name)
-        module = importlib.import_module(spec[0])
-        cls = getattr(module, spec[1])
-        _REGISTRY[name] = cls
-    return cls(params)
+    module, cls = _BUILTIN[validate_pack_name(name)]
+    return getattr(importlib.import_module(module), cls)(params)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.attacks.model import Attack, AttackVector, Spoofing
-from repro.attacks.packs import ScenarioPack, register_pack
+from repro.attacks.packs import ScenarioPack
 from repro.net.ports import PORT_DNS, PROTO_UDP
 from repro.util.timeutil import DAY, HOUR, MINUTE, Window
 
@@ -87,7 +87,6 @@ class WartimeAnalysis:
         return sum(w.n_attacks for w in self.waves)
 
 
-@register_pack
 class WartimePack(ScenarioPack):
     """Correlated attack waves against one country's organizations."""
 

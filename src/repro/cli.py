@@ -72,7 +72,6 @@ from typing import List, Optional
 
 from repro import ChaosConfig, WorldConfig, run_study
 from repro.attacks.packs import UnknownPackError
-from repro.core.visibility import analyze_visibility
 from repro.datasets.io import dataset_bundle_dump
 from repro.obs import NULL_TELEMETRY, RunTelemetry
 from repro.util.tables import Table, format_pct
@@ -99,10 +98,6 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--chaos-seed", type=int, default=0,
                         help="fault-schedule seed (default 0; independent "
                              "of the world --seed)")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="accepted for compatibility: the crawl is "
-                             "serial, and N other than 1 warns and "
-                             "changes nothing (default 1)")
     _add_cache_args(parser)
 
 
@@ -208,7 +203,6 @@ def _run(args: argparse.Namespace):
     clock = telemetry.clock
     t0 = clock.now()
     study = run_study(config, chaos=chaos,
-                      n_workers=getattr(args, "workers", 1),
                       telemetry=telemetry,
                       cache=getattr(args, "cache_dir", None),
                       journal=(telemetry.journal
@@ -274,8 +268,7 @@ def cmd_case(args: argparse.Namespace) -> int:
 
 def cmd_visibility(args: argparse.Namespace) -> int:
     study = _run(args)
-    with study.telemetry.tracer.span("visibility"):
-        report = analyze_visibility(study.world.attacks, study.feed)
+    report = study.visibility
     table = Table(["attack class", "detected", "total", "rate"],
                   title="Telescope visibility (§4.3 oracle)")
     for name, (detected, total) in sorted(report.by_class.items()):

@@ -30,6 +30,7 @@ if TYPE_CHECKING:  # avoid a core <-> chaos/artifacts import cycle at runtime
     from repro.chaos.injector import FaultInjector
     from repro.chaos.policy import ChaosConfig
 
+from repro.attacks.model import Attack
 from repro.core.correlation import CorrelationAnalysis, analyze_correlation
 from repro.core.events import EVENT_MIN_DOMAINS, AttackEvent, extract_events
 from repro.core.impact import (
@@ -67,9 +68,9 @@ from repro.world.simulation import World, build_world
 
 #: why a pre-built world cannot use the artifact cache.
 PREBUILT_WORLD_REASON = (
-    "a pre-built world cannot be fingerprinted (its build "
-    "flags are unknown); pass a config instead of a world "
-    "to use the artifact cache")
+    "a pre-built world may have been edited since it was built "
+    "(replace_attacks), so its config does not fingerprint it; pass a "
+    "config instead of a world to use the artifact cache")
 #: why a worker count other than 1 changes nothing.
 WORKERS_IGNORED_REASON = (
     "the crawl is serial: n_workers other than 1 is ignored")
@@ -115,8 +116,15 @@ def _counterfactual_enabled(ctx: RunContext) -> bool:
 
 
 def _build_configured_world(ctx: RunContext) -> World:
-    return build_world(ctx.params["config"],
-                       install_scenarios=ctx.params["install_scenarios"])
+    return build_world(ctx.params["config"])
+
+
+def _observed_attacks(ctx: RunContext, world: World) -> List[Attack]:
+    """The attacks both darknet branches observe: the serve layer's
+    day slice when it sets one (``repro.serve``), else the whole
+    schedule."""
+    attacks = ctx.params.get("attacks")
+    return world.attacks if attacks is None else attacks
 
 
 def _observe_telescope(ctx: RunContext, world: World) -> RSDoSFeed:
@@ -124,9 +132,7 @@ def _observe_telescope(ctx: RunContext, world: World) -> RSDoSFeed:
     # Slice-ability hooks for the serve layer (repro.serve): observe a
     # subset of the schedule on a caller-derived RNG. Absent, the
     # defaults reproduce the monolithic study byte-for-byte.
-    attacks = ctx.params.get("attacks")
-    if attacks is None:
-        attacks = world.attacks
+    attacks = _observed_attacks(ctx, world)
     rng = ctx.params.get("telescope_rng")
     if rng is None:
         rng = world.rngs.stream("telescope")
@@ -166,8 +172,9 @@ def _harden_feed(ctx: RunContext, feed: RSDoSFeed) -> List:
 
 
 def _observe_reflectors(ctx: RunContext, world: World):
-    """The pack's extra darknet branch (amplification reflector queries)."""
-    return world.pack.observe_darknet(world)
+    """The pack's extra darknet branch (amplification reflector
+    queries), over the same attacks the telescope observes."""
+    return world.pack.observe_darknet(world, _observed_attacks(ctx, world))
 
 
 def _merge_curated_feeds(ctx: RunContext, feed_attacks, reflector_feed):
@@ -325,7 +332,7 @@ class _CompanyRanking(list):
     """Table 6: the full company ranking; callable to take the top n
     (the historical ``study.top_companies(n)`` signature)."""
 
-    def __call__(self, n: int = 10) -> List:
+    def __call__(self, n: int) -> List:
         return list(self[:n])
 
 
@@ -444,7 +451,6 @@ class Study:
 
 def _open_phase_cache(cache, config: WorldConfig, world: Optional[World],
                       chaos: Optional["ChaosConfig"],
-                      install_scenarios: bool,
                       telemetry: RunTelemetry):
     """Gate and open the artifact cache for one run.
 
@@ -465,7 +471,7 @@ def _open_phase_cache(cache, config: WorldConfig, world: Optional[World],
     from repro.artifacts.cache import PhaseCache
     from repro.artifacts.fingerprint import study_keys
 
-    keys = study_keys(config, install_scenarios)
+    keys = study_keys(config)
     if chaos is not None:
         kept = (("telescope", "crawl") if chaos.transport.is_null
                 else ("telescope",))
@@ -475,7 +481,6 @@ def _open_phase_cache(cache, config: WorldConfig, world: Optional[World],
 
 def run_study(config: Optional[WorldConfig] = None,
               world: Optional[World] = None,
-              install_scenarios: bool = True,
               chaos: Optional["ChaosConfig"] = None,
               n_workers: int = 1,
               telemetry: Optional[RunTelemetry] = None,
@@ -484,7 +489,9 @@ def run_study(config: Optional[WorldConfig] = None,
               journal: Optional[Union[str, RunJournal]] = None,
               profile: bool = False) -> Study:
     """Run the full pipeline: world -> telescope + OpenINTEL -> join ->
-    events. Pass a pre-built ``world`` to reuse one across analyses.
+    events. Pass a pre-built ``world`` to reuse one across analyses;
+    otherwise the world is built from ``config``, scripted case studies
+    included (:func:`repro.world.simulation.build_world`).
 
     The run executes :data:`STUDY_GRAPH` — the declared §4 dataflow —
     through the :class:`repro.engine.Executor`, whose one phase runner
@@ -525,7 +532,8 @@ def run_study(config: Optional[WorldConfig] = None,
     — the telescope, and the crawl unless transport faults are on —
     under the clean run's keys; its faulted join and events are never
     cached. A run on a pre-built ``world`` bypasses the cache with a
-    warning (its build flags cannot be fingerprinted).
+    warning: the world may have been edited since it was built
+    (``World.replace_attacks``), so its config does not fingerprint it.
 
     ``journal`` writes the run's append-only JSONL event log (see
     :mod:`repro.obs.journal`): a path opens (and closes) a fresh
@@ -554,7 +562,7 @@ def run_study(config: Optional[WorldConfig] = None,
         telemetry.attach_journal(journal)
     config = world.config if world is not None else (config or WorldConfig())
     phase_cache, keys = _open_phase_cache(cache, config, world, chaos,
-                                          install_scenarios, telemetry)
+                                          telemetry)
     injector: Optional["FaultInjector"] = None
     if chaos is not None:
         from repro.chaos.injector import FaultInjector
@@ -565,7 +573,6 @@ def run_study(config: Optional[WorldConfig] = None,
         "config": config,
         "world": world,
         "injector": injector,
-        "install_scenarios": install_scenarios,
     })
     profiler = None
     if profile:

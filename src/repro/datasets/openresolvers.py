@@ -23,12 +23,11 @@ class OpenResolverScan:
         self.scanned_at = scanned_at
 
     @classmethod
-    def from_world(cls, world, scanned_at: Optional[int] = None
-                   ) -> "OpenResolverScan":
+    def from_world(cls, world) -> "OpenResolverScan":
         """Scan the simulated world: every answering public-resolver
         target shows up (recall is effectively perfect for the handful
         of major public resolvers the filter exists for)."""
-        return cls(world.open_resolver_ips, scanned_at)
+        return cls(world.open_resolver_ips)
 
     def add(self, ip) -> None:
         self._ips.add(parse_ip(ip) if isinstance(ip, str) else int(ip))

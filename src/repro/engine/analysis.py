@@ -73,7 +73,7 @@ class cached_analysis:
             doc=doc,
         )
 
-    def __get__(self, obj, objtype=None):
+    def __get__(self, obj, objtype):
         if obj is None:
             return self
         if self.attr not in obj.__dict__:

@@ -60,18 +60,15 @@ class RunTelemetry:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
-                 clock: Optional[Clock] = None,
-                 run_id: Optional[str] = None,
-                 started_at_utc: Optional[str] = None):
+                 clock: Optional[Clock] = None):
         self.clock = clock or MonotonicClock()
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(self.clock)
         #: 12-hex-digit run identity, shared with the run's journal.
-        self.run_id = run_id or new_run_id()
+        self.run_id = new_run_id()
         #: Wall-clock anchor: the UTC instant `anchor_monotonic` was read.
-        self.started_at_utc = started_at_utc or \
-            datetime.now(timezone.utc).isoformat()
+        self.started_at_utc = datetime.now(timezone.utc).isoformat()
         #: Monotonic anchor: span ``start`` offsets are readings of the
         #: same clock, so `started_at_utc + (start - anchor_monotonic)`
         #: places a span on the wall clock.

@@ -135,11 +135,9 @@ class ShardedStudyStore:
     """Day-partitioned study artifacts over one artifact cache."""
 
     def __init__(self, config: WorldConfig, cache,
-                 install_scenarios: bool = True,
                  telemetry: Optional[RunTelemetry] = None,
                  edit: Optional[Callable[[List], List]] = None):
         self.config = config
-        self.install_scenarios = install_scenarios
         self.telemetry = telemetry or NULL_TELEMETRY
         self.cache = PhaseCache.open(cache, telemetry=self.telemetry)
         self._edit = edit
@@ -155,8 +153,7 @@ class ShardedStudyStore:
     def world(self) -> World:
         """The (lazily built, possibly edited) ground-truth world."""
         if self._world is None:
-            world = build_world(self.config,
-                                install_scenarios=self.install_scenarios)
+            world = build_world(self.config)
             if self._edit is not None:
                 world.replace_attacks(self._edit(list(world.attacks)))
             self._world = world
@@ -172,8 +169,7 @@ class ShardedStudyStore:
     def day_keys(self) -> Dict[int, Dict[str, str]]:
         """Per-day chained keys of the current (edited) schedule."""
         if self._day_keys is None:
-            self._day_keys = day_keys(self.config, self.world().attacks,
-                                      self.install_scenarios)
+            self._day_keys = day_keys(self.config, self.world().attacks)
         return self._day_keys
 
     def days(self) -> List[int]:
@@ -263,7 +259,6 @@ class ShardedStudyStore:
             "config": self.config,
             "world": world,
             "injector": None,
-            "install_scenarios": self.install_scenarios,
             "attacks": attacks_starting_on(world.attacks, day),
             "telescope_rng": rng,
             "telescope_jitter_seed": jitter,
@@ -321,7 +316,7 @@ class ShardedStudyStore:
 
     def catalog(self) -> Dict:
         """The domain->NSSet catalog (cached under its own key)."""
-        key = catalog_key(self.config, self.install_scenarios)
+        key = catalog_key(self.config)
         data = self.cache.store.get(key)
         if data is not None:
             try:

@@ -66,11 +66,8 @@ class InternetTopology:
 
     # -- organizations -----------------------------------------------------
 
-    def add_org(self, name: str, country: str = "ZZ",
-                org_id: Optional[str] = None) -> Organization:
-        org_id = org_id or f"org-{len(self._orgs) + 1:05d}"
-        if org_id in self._orgs:
-            raise ValueError(f"duplicate org id: {org_id}")
+    def add_org(self, name: str, country: str = "ZZ") -> Organization:
+        org_id = f"org-{len(self._orgs) + 1:05d}"
         org = Organization(org_id=org_id, name=name, country=country)
         self._orgs[org_id] = org
         return org

@@ -14,12 +14,11 @@ from __future__ import annotations
 import os
 import tempfile
 from contextlib import contextmanager
-from typing import IO, Iterator, Optional
+from typing import IO, Iterator
 
 
 @contextmanager
-def atomic_write(path: str, mode: str = "w",
-                 encoding: Optional[str] = None) -> Iterator[IO]:
+def atomic_write(path: str, mode: str = "w") -> Iterator[IO]:
     """Write ``path`` atomically: yield a temp-file handle, then
     ``os.replace`` it over the destination on clean exit.
 
@@ -35,7 +34,7 @@ def atomic_write(path: str, mode: str = "w",
                                prefix=os.path.basename(path) + ".",
                                suffix=".tmp")
     try:
-        with os.fdopen(fd, mode, encoding=encoding) as fp:
+        with os.fdopen(fd, mode) as fp:
             yield fp
             fp.flush()
             os.fsync(fp.fileno())

@@ -36,7 +36,6 @@ def _axis_label(value: float, log: bool) -> str:
 def ascii_scatter(xs: Sequence[float], ys: Sequence[float],
                   width: int = 60, height: int = 16,
                   log_x: bool = False, log_y: bool = False,
-                  marker: str = "o",
                   x_label: str = "x", y_label: str = "y",
                   title: Optional[str] = None) -> str:
     """Render a scatter plot; overlapping points escalate o -> O -> @."""
@@ -51,7 +50,7 @@ def ascii_scatter(xs: Sequence[float], ys: Sequence[float],
         col = _scale(x, lo_x, hi_x, width, log_x)
         row = _scale(y, lo_y, hi_y, height, log_y)
         grid[height - 1 - row][col] += 1
-    density_chars = {1: marker, 2: "O"}
+    density_chars = {1: "o", 2: "O"}
     lines: List[str] = []
     if title:
         lines.append(title)
@@ -81,8 +80,7 @@ def ascii_scatter(xs: Sequence[float], ys: Sequence[float],
 
 def ascii_series(points: Sequence[Tuple[float, float]],
                  width: int = 60, height: int = 12,
-                 log_y: bool = False, title: Optional[str] = None,
-                 y_label: str = "y") -> str:
+                 log_y: bool = False, title: Optional[str] = None) -> str:
     """Render a time series as a column chart of bucket means."""
     if not points:
         return (title or "") + "\n(no data)"

@@ -47,11 +47,11 @@ class Table:
     >>> print(t.render())  # doctest: +SKIP
     """
 
-    def __init__(self, headers: Sequence[str], title: Optional[str] = None,
-                 caption: Optional[str] = None):
+    def __init__(self, headers: Sequence[str], title: Optional[str] = None):
         self.headers = [str(h) for h in headers]
         self.title = title
-        self.caption = caption
+        #: a line printed under the table, set after construction.
+        self.caption: Optional[str] = None
         self.rows: List[List[str]] = []
 
     def add_row(self, cells: Sequence[Any]) -> None:

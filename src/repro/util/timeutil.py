@@ -86,8 +86,9 @@ class Window:
     def contains(self, ts: int) -> bool:
         return self.start <= ts < self.end
 
-    def expand(self, before: int = 0, after: int = 0) -> "Window":
-        return Window(self.start - before, self.end + after)
+    def expand(self, after: int) -> "Window":
+        """This window with its end moved ``after`` seconds later."""
+        return Window(self.start, self.end + after)
 
     def buckets(self, width: int = FIVE_MINUTES) -> Iterator[int]:
         """Tumbling-window starts that intersect this interval."""

@@ -79,10 +79,9 @@ class WorldConfig:
         )
 
     @classmethod
-    def small(cls, seed: int = 42) -> "WorldConfig":
+    def small(cls) -> "WorldConfig":
         """Integration-test scale: three months, a few thousand domains."""
         return cls(
-            seed=seed,
             start="2021-01-01",
             end_exclusive="2021-04-01",
             n_domains=4_000,

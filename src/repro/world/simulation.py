@@ -407,16 +407,15 @@ class World:
 # ---------------------------------------------------------------------------
 
 
-def build_world(config: Optional[WorldConfig] = None,
-                install_scenarios: bool = True) -> World:
-    """Build the full study world from a configuration.
-
-    Set ``install_scenarios=False`` to get only the statistical
-    background (useful for isolating the longitudinal analyses from the
-    scripted case studies).
+def build_world(config: Optional[WorldConfig] = None) -> World:
+    """Build the full study world from a configuration: the statistical
+    background, the scripted case studies of :mod:`repro.world.scenarios`
+    (TransIP, mil.ru, RZD) and the selected scenario pack. The world is
+    a pure function of ``config``.
     """
     config = config or WorldConfig()
     from repro.attacks.packs import get_pack
+    from repro.world import scenarios
     pack = get_pack(config.scenario_pack, config.pack_params)
     world = World(config)
     world.pack = pack
@@ -451,9 +450,7 @@ def build_world(config: Optional[WorldConfig] = None,
         misconfig_targets, SECONDARY_POOL)
     _ensure_misconfig_coverage(world, misconfig_targets, rng_pop)
 
-    if install_scenarios:
-        from repro.world import scenarios
-        scenarios.install_scenario_infrastructure(world, gen)
+    scenarios.install_scenario_infrastructure(world, gen)
 
     # Pack infrastructure lands after the scripted scenarios and before
     # the routing tables are derived, so pack providers resolve through
@@ -477,10 +474,8 @@ def build_world(config: Optional[WorldConfig] = None,
     world.attacks = generate_schedule(
         rng_attacks, world.timeline, catalog, config.attacks_per_month, scale)
 
-    if install_scenarios:
-        from repro.world import scenarios
-        world.attacks.extend(scenarios.scenario_attacks(world))
-        world.attacks.sort(key=lambda a: (a.window.start, a.victim_ip))
+    world.attacks.extend(scenarios.scenario_attacks(world))
+    world.attacks.sort(key=lambda a: (a.window.start, a.victim_ip))
 
     extra = pack.generate_attacks(world)
     if extra:

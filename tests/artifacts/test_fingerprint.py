@@ -18,7 +18,7 @@ class TestCanonicalConfig:
         assert doc["config"]["__class__"] == "WorldConfig"
         assert set(doc["config"]) == {"__class__"} | {
             f.name for f in dataclasses.fields(WorldConfig)}
-        assert doc["install_scenarios"] is True
+        assert set(doc) == {"config"}
 
     def test_identical_configs_canonicalize_identically(self):
         assert canonical_config(WorldConfig.tiny()) == \
@@ -37,11 +37,6 @@ class TestConfigFingerprint:
     def test_seed_changes_fingerprint(self):
         assert config_fingerprint(WorldConfig.tiny(seed=1)) != \
             config_fingerprint(WorldConfig.tiny(seed=2))
-
-    def test_install_scenarios_changes_fingerprint(self):
-        cfg = WorldConfig.tiny()
-        assert config_fingerprint(cfg, install_scenarios=True) != \
-            config_fingerprint(cfg, install_scenarios=False)
 
 
 class TestStudyKeys:

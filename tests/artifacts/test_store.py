@@ -108,10 +108,10 @@ class TestAccounting:
 
 
 class TestGc:
-    def test_no_cap_is_noop(self, tmp_path):
+    def test_cap_that_fits_is_noop(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
         store.put("aa" * 32, b"x" * 100)
-        assert store.gc() == []
+        assert store.gc(100) == []
         assert len(store) == 1
 
     def test_evicts_least_recently_used_first(self, tmp_path, fake_time):
@@ -127,11 +127,11 @@ class TestGc:
         assert not os.path.exists(store._blob_path("bb" * 32))
         assert store.get("aa" * 32) == b"x" * 40
 
-    def test_constructor_cap_used_by_default(self, tmp_path, fake_time):
-        store = ArtifactStore(str(tmp_path), max_bytes=50)
+    def test_positional_cap(self, tmp_path, fake_time):
+        store = ArtifactStore(str(tmp_path))
         store.put("aa" * 32, b"x" * 40)
         store.put("bb" * 32, b"y" * 40)
-        evicted = store.gc()
+        evicted = store.gc(50)
         assert len(evicted) == 1
         assert store.total_bytes <= 50
 

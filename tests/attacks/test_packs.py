@@ -17,7 +17,6 @@ from repro.attacks.packs import (
     VolumetricPack,
     available_packs,
     get_pack,
-    register_pack,
     validate_pack_name,
 )
 from repro.attacks.wartime import (
@@ -61,26 +60,13 @@ class TestRegistry:
         with pytest.raises(UnknownPackError):
             validate_pack_name("nope")
 
-    def test_register_pack_requires_concrete_name(self):
-        class Anonymous(ScenarioPack):
-            pass
+    def test_every_registry_row_names_its_own_pack(self):
+        from repro.attacks.packs import _BUILTIN
 
-        with pytest.raises(ValueError):
-            register_pack(Anonymous)
-
-    def test_register_and_shadow(self):
-        from repro.attacks import packs as packs_module
-
-        @register_pack
-        class Probe(ScenarioPack):
-            name = "test-probe"
-            description = "registered by the test suite"
-
-        try:
-            assert "test-probe" in available_packs()
-            assert isinstance(get_pack("test-probe"), Probe)
-        finally:
-            del packs_module._REGISTRY["test-probe"]
+        for name in _BUILTIN:
+            pack = get_pack(name)
+            assert isinstance(pack, ScenarioPack)
+            assert pack.name == name
 
     def test_params_override(self):
         params = AmplificationParams(n_attacks=2)
@@ -122,7 +108,7 @@ class TestVolumetricPack:
     def test_every_hook_is_a_noop(self, tiny_world):
         pack = VolumetricPack()
         assert pack.generate_attacks(tiny_world) == []
-        assert pack.observe_darknet(tiny_world) is None
+        assert pack.observe_darknet(tiny_world, tiny_world.attacks) is None
         assert pack.has_counterfactuals is False
         assert pack.counterfactuals(tiny_world, []) is None
         assert pack.reflector_queries is False

@@ -18,11 +18,12 @@ from repro.core.pipeline import (
 )
 from repro.obs import read_journal
 
-# The messages exactly as the pre-refactor pipeline emitted them.
+# The messages exactly as the pipeline emits them.
 EXPECTED = {
-    "prebuilt-world": "a pre-built world cannot be fingerprinted (its build "
-                      "flags are unknown); pass a config instead of a world "
-                      "to use the artifact cache",
+    "prebuilt-world": "a pre-built world may have been edited since it was "
+                      "built (replace_attacks), so its config does not "
+                      "fingerprint it; pass a config instead of a world to "
+                      "use the artifact cache",
     "workers-ignored": "the crawl is serial: n_workers other than 1 is "
                        "ignored",
 }

@@ -1,5 +1,7 @@
 """Tests for the sharded measurement store: build, reuse, gc, catalog."""
 
+import dataclasses
+
 import pytest
 
 from repro import WorldConfig
@@ -198,3 +200,23 @@ class TestDayChaining:
         crawl = OpenIntelPlatform(world).run(cover[0], cover[-1] + DAY)
         assert merged == crawl
         assert merged.n_merges == len(cover)
+
+
+class TestPackDayPartitions:
+    def test_a_days_join_holds_only_that_days_attacks(self, tmp_path):
+        """Under a reflector pack, the pack's darknet branch observes the
+        same day slice as the telescope, so no served day's join
+        classifies an attack that starts on another day."""
+        config = dataclasses.replace(WorldConfig.tiny(),
+                                     end_exclusive="2021-03-06",
+                                     scenario_pack="amplification")
+        store = ShardedStudyStore(config, str(tmp_path))
+        store.build()
+        classified, outside = 0, []
+        for day in store.days():
+            for record in store.load_day(day, "join").classified:
+                classified += 1
+                if not day <= record.attack.start < day + DAY:
+                    outside.append((day, record.attack.start))
+        assert classified
+        assert not outside

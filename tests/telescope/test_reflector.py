@@ -220,7 +220,7 @@ class TestCurationIsReferenceFilter:
     def test_amplification_tiny_worlds(self, seed):
         world = build_world(dataclasses.replace(
             WorldConfig.tiny(seed=seed), scenario_pack="amplification"))
-        feed = world.pack.observe_darknet(world)
+        feed = world.pack.observe_darknet(world, world.attacks)
         simulator = ReflectorSimulator(
             Darknet(), jitter_seed=world.rngs.spawn_seed(
                 "pack:amplification", "reflector"))

@@ -22,6 +22,11 @@ class TestParser:
         assert args.domains == 8000
         assert args.seed == 42
 
+    def test_workers_flag_is_gone(self):
+        for argv in (["report"], ["export"], ["visibility"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--workers", "2"])
+
     def test_case_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["case", "nonexistent"])
@@ -59,11 +64,22 @@ class TestCommands:
         assert "anycast_census.jsonl" in files
         assert "open_resolvers.json" in files
 
-    def test_visibility_runs(self, capsys):
+    def test_visibility_runs(self, capsys, monkeypatch):
+        from repro.core import visibility
+
+        calls = []
+        oracle = visibility.analyze_visibility
+
+        def counted(*args):
+            calls.append(args)
+            return oracle(*args)
+
+        monkeypatch.setattr(visibility, "analyze_visibility", counted)
         assert main(["visibility"] + FAST_ARGS) == 0
         out = capsys.readouterr().out
         assert "Telescope visibility" in out
         assert "randomly spoofed" in out
+        assert len(calls) == 1
 
 
 class TestTelemetryFlags:

@@ -460,6 +460,7 @@ def test_frozen_dataclass_fields_are_set_outside_tests(unset):
     ("UNCALLED_ON_PURPOSE", "uncalled"),
     ("MEMBERS_UNREAD_ON_PURPOSE", "unread"),
     ("FIELDS_UNSET_ON_PURPOSE", "unset"),
+    ("PARAMETERS_UNSET_ON_PURPOSE", "unset_parameters"),
 ])
 def test_exemptions_are_not_stale(request, exemptions, flagged):
     """Every exemption names something that exists and that its scan
@@ -470,3 +471,198 @@ def test_exemptions_are_not_stale(request, exemptions, flagged):
     assert not stale, (
         f"{exemptions} exempts what its scan no longer flags: {stale}; "
         f"delete those entries")
+
+
+#: Defaulted parameters no caller outside tests sets, each kept for the
+#: reason given.
+PARAMETERS_UNSET_ON_PURPOSE = {
+    "BackscatterSimulator.materialize_packets(max_packets)":
+        "reference path a test compares the fast path against",
+    "Consumer.poll(max_records)":
+        "test seam: a partial read shows a lagging consumer's offsets",
+    "FakeClock.__init__(start)": "test seam: a test double's start time",
+    "RunTelemetry.create(clock)":
+        "test seam: a fake clock makes span durations exact",
+    "RunTelemetry.__init__(clock)":
+        "test seam: ``RunTelemetry.create(clock)`` passes it through",
+    "ScenarioPack.__init__(params)":
+        "set by ``get_pack``, which calls the pack class through a "
+        "variable the scan cannot follow",
+    "WorldConfig.tiny(seed)":
+        "test seam: tests build the tiny preset at several seeds",
+    "run_study(n_workers)":
+        "the study benchmark passes it in a ``**`` of a returned dict; "
+        "it goes with the benchmark's next change",
+    "main(argv)": "test seam: tests run the CLI in-process",
+}
+
+
+def _scanned_defs(tree):
+    """``(qualified name, callee names, definition, bound)`` for a
+    file's module-level functions and the methods of its module-level
+    classes; ``bound`` says a call does not pass the first parameter
+    (``self``/``cls``). A class call reaches ``__init__``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, (node.name,), node, False
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if not isinstance(sub, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef)):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in sub.decorator_list)
+                callee = node.name if sub.name == "__init__" else sub.name
+                yield (f"{node.name}.{sub.name}", (callee,), sub,
+                       not static)
+
+
+def _parameters(definition, bound):
+    """``(positional names a call can fill, {name: has default})``."""
+    args = definition.args
+    positional = args.posonlyargs + args.args
+    defaulted = {arg.arg for arg in positional[len(positional)
+                                               - len(args.defaults):]}
+    defaulted.update(arg.arg for arg, default
+                     in zip(args.kwonlyargs, args.kw_defaults)
+                     if default is not None)
+    names = [arg.arg for arg in positional][1 if bound else 0:]
+    every = {arg.arg: arg.arg in defaulted
+             for arg in positional + args.kwonlyargs}
+    return names, every
+
+
+def _unset_parameters(sources):
+    """Defaulted parameters of functions and methods under
+    ``src/repro`` that no call outside tests sets. Such a parameter is
+    one value in use: its behaviour is the only one, and the switch is
+    dead. A call sets a parameter by keyword, by the positional
+    argument at its index (a ``*`` argument fills every index from its
+    own on), or by a string key of a dict literal unpacked with ``**``.
+    Callees are matched by name, a class call reaching ``__init__``. A
+    call that passes the enclosing function's own parameter through
+    sets the callee's only if that parameter is required or itself
+    set."""
+    signatures = {}  # callee name -> [(positional names, {name: default})]
+    scanned = []  # (qualified name, callee names, {name: has default})
+    for path, (tree, _) in sources.items():
+        if not _is_package(path):
+            continue
+        for qualname, callees, definition, bound in _scanned_defs(tree):
+            names, every = _parameters(definition, bound)
+            for callee in callees:
+                signatures.setdefault(callee, []).append((names, every))
+            scanned.append((qualname, callees, every))
+
+    # (callee, parameter) pairs a call sets outright, and those it sets
+    # only if an enclosing function's (callee, parameter) is set.
+    outright, forwarded, bindings = set(), [], {}
+
+    def record(callee, name, value, enclosing):
+        key = (callee, name)
+        if isinstance(value, ast.Name):
+            for callees, every in reversed(enclosing):
+                if value.id in every:
+                    if every[value.id]:
+                        forwarded.extend(((c, value.id), key)
+                                         for c in callees)
+                        return
+                    break
+        outright.add(key)
+
+    def visit_call(call, callee, tree, enclosing):
+        for names, _ in signatures.get(callee, ()):
+            for index, arg in enumerate(call.args):
+                if isinstance(arg, ast.Starred):
+                    for name in names[index:]:
+                        outright.add((callee, name))
+                    break
+                if index < len(names):
+                    record(callee, names[index], arg, enclosing)
+        for keyword in call.keywords:
+            if keyword.arg:
+                record(callee, keyword.arg, keyword.value, enclosing)
+            else:
+                if tree not in bindings:
+                    bindings[tree] = _bindings(tree)
+                outright.update((callee, name) for name in _mapping_keys(
+                    keyword.value, bindings[tree], set()))
+
+    def walk(node, tree, enclosing, owner):
+        """Visit every call under ``node``; ``enclosing`` is the stack
+        of ``(callee names, {parameter: has default})`` of the defs
+        around it, ``owner`` the class whose classmethod binds the
+        name of its first parameter."""
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                if isinstance(child, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                    callees = ((node.name,) if child.name == "__init__"
+                               else (child.name,))
+                    classmethod_ = any(
+                        getattr(d, "id", None) == "classmethod"
+                        for d in child.decorator_list)
+                    first = (child.args.args[0].arg
+                             if classmethod_ and child.args.args else None)
+                    _, every = _parameters(child, False)
+                    bases = [getattr(b, "id", None)
+                             or getattr(b, "attr", None) for b in node.bases]
+                    for sub in child.decorator_list + child.args.defaults:
+                        walk(sub, tree, enclosing, owner)
+                    for sub in child.body:
+                        walk(sub, tree, enclosing + [(callees, every)],
+                             (first, node.name, bases))
+                else:
+                    walk(child, tree, enclosing, owner)
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _, every = _parameters(node, False)
+            for sub in node.decorator_list + node.args.defaults:
+                walk(sub, tree, enclosing, owner)
+            for sub in node.body:
+                walk(sub, tree, enclosing + [((node.name,), every)], owner)
+            return
+        if isinstance(node, ast.Call):
+            callees = [_callee(node)]
+            if owner and isinstance(node.func, ast.Name) \
+                    and node.func.id == owner[0]:
+                callees = [owner[1]]
+            elif owner and callees == ["__init__"] \
+                    and isinstance(node.func.value, ast.Call) \
+                    and _callee(node.func.value) == "super":
+                callees = owner[2]
+            for callee in callees:
+                visit_call(node, callee, tree, enclosing)
+        for child in ast.iter_child_nodes(node):
+            walk(child, tree, enclosing, owner)
+
+    for path, (tree, _) in sources.items():
+        walk(tree, tree, [], None)
+
+    set_ = set(outright)
+    changed = True
+    while changed:
+        changed = False
+        for source, target in forwarded:
+            if source in set_ and target not in set_:
+                set_.add(target)
+                changed = True
+
+    return {f"{qualname}({name})" for qualname, callees, every in scanned
+            for name, has_default in every.items()
+            if has_default and not any((callee, name) in set_
+                                       for callee in callees)}
+
+
+@pytest.fixture(scope="module")
+def unset_parameters(sources):
+    return _unset_parameters(sources)
+
+
+def test_defaulted_parameters_are_set_outside_tests(unset_parameters):
+    left = sorted(unset_parameters - set(PARAMETERS_UNSET_ON_PURPOSE))
+    assert not left, (
+        f"{len(left)} defaulted parameters no caller outside tests "
+        f"sets: {left}; delete each switch and keep the default's "
+        f"behaviour, or exempt one in PARAMETERS_UNSET_ON_PURPOSE with "
+        f"its reason")

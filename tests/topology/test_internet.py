@@ -113,12 +113,6 @@ class TestInternetTopology:
         with pytest.raises(ValueError):
             internet.add_as(asys.org, number=asys.number)
 
-    def test_duplicate_org_id_rejected(self):
-        internet = InternetTopology()
-        internet.add_org("A", org_id="x")
-        with pytest.raises(ValueError):
-            internet.add_org("B", org_id="x")
-
     def test_allocate_rejects_silly_lengths(self):
         internet, asys = self._topology()
         with pytest.raises(AllocationError):

@@ -76,6 +76,7 @@ class TestTable:
         assert table.render().count("---") >= 1
 
     def test_caption(self):
-        table = Table(["a"], caption="the caption")
+        table = Table(["a"])
+        table.caption = "the caption"
         table.add_row(["x"])
         assert table.render().endswith("the caption")

@@ -96,8 +96,8 @@ class TestWindow:
             Window(200, 100)
 
     def test_expand(self):
-        w = Window(1000, 2000).expand(before=100, after=200)
-        assert (w.start, w.end) == (900, 2200)
+        w = Window(1000, 2000).expand(after=200)
+        assert (w.start, w.end) == (1000, 2200)
 
     def test_buckets(self):
         w = Window(100, 700)

@@ -68,16 +68,6 @@ class TestWorldAssembly:
         assert [(x.victim_ip, x.window.start) for x in a.attacks] == \
             [(x.victim_ip, x.window.start) for x in b.attacks]
 
-    def test_no_scenarios_flag(self, tiny_config):
-        world = build_world(tiny_config, install_scenarios=False)
-        assert "Russian MoD" not in world.providers
-        transip_ips = world.providers["TransIP"].ns_ips
-        # No scripted TransIP campaign in the schedule.
-        march_attack = [a for a in world.attacks
-                        if a.victim_ip in transip_ips
-                        and a.window.start == parse_ts("2021-03-01 19:00")]
-        assert march_attack == []
-
 
 class TestTransport:
     def test_unknown_ip_dropped(self, tiny_world):

@@ -5,7 +5,7 @@ optimised; every such change must keep each random draw, its arguments
 and its order. This golden pins the result: the namespace and its
 delegations, NSSet ids, providers and nameservers, routes, prefix2AS,
 AS2Org, the anycast census and every attack field, for three seeds of
-``WorldConfig.tiny()`` with and without the scripted scenarios.
+``WorldConfig.tiny()`` (every world installs the scripted scenarios).
 
 The digests were recorded before the world build was last optimised
 and must never be re-recorded to make a world-build change pass. A
@@ -31,11 +31,11 @@ from repro.net.ip import IPv4Prefix
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "world_sha256.json")
-CASES = [(seed, scenarios) for seed in (1, 2, 3) for scenarios in (True, False)]
+SEEDS = (1, 2, 3)
 
 
-def _case_id(seed: int, scenarios: bool) -> str:
-    return f"tiny-seed{seed}-{'scenarios' if scenarios else 'background'}"
+def _case_id(seed: int) -> str:
+    return f"tiny-seed{seed}-scenarios"
 
 
 def _canon(obj):
@@ -97,23 +97,20 @@ def world_digest(world) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _build(seed: int, scenarios: bool):
-    return build_world(WorldConfig.tiny(seed=seed),
-                       install_scenarios=scenarios)
+def _build(seed: int):
+    return build_world(WorldConfig.tiny(seed=seed))
 
 
-@pytest.mark.parametrize("seed,scenarios", CASES,
-                         ids=[_case_id(*case) for case in CASES])
-def test_world_matches_golden(seed, scenarios):
+@pytest.mark.parametrize("seed", SEEDS, ids=[_case_id(s) for s in SEEDS])
+def test_world_matches_golden(seed):
     with open(GOLDEN) as fp:
         golden = json.load(fp)
-    assert world_digest(_build(seed, scenarios)) == \
-        golden[_case_id(seed, scenarios)]
+    assert world_digest(_build(seed)) == golden[_case_id(seed)]
 
 
 def test_dump_sees_every_attack_field():
     """The digest must move when any drawn attack value moves."""
-    world = _build(1, False)
+    world = _build(1)
     before = world_digest(world)
     attack = world.attacks[len(world.attacks) // 2]
     attack.response_ratio = attack.response_ratio / 2
@@ -124,8 +121,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit(__doc__)
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    digests = {_case_id(*case): world_digest(_build(*case))
-               for case in CASES}
+    digests = {_case_id(seed): world_digest(_build(seed)) for seed in SEEDS}
     with open(GOLDEN, "w") as fp:
         json.dump(digests, fp, indent=2, sort_keys=True)
         fp.write("\n")
