@@ -497,14 +497,20 @@ PARAMETERS_UNSET_ON_PURPOSE = {
 }
 
 
+def _method_callee(cls, method):
+    """The name a call to ``method`` goes by: a class call reaches
+    ``__init__``."""
+    return cls.name if method.name == "__init__" else method.name
+
+
 def _scanned_defs(tree):
-    """``(qualified name, callee names, definition, bound)`` for a
+    """``(qualified name, callee name, definition, bound)`` for a
     file's module-level functions and the methods of its module-level
     classes; ``bound`` says a call does not pass the first parameter
-    (``self``/``cls``). A class call reaches ``__init__``."""
+    (``self``/``cls``)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, (node.name,), node, False
+            yield node.name, node.name, node, False
         elif isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if not isinstance(sub, (ast.FunctionDef,
@@ -512,9 +518,8 @@ def _scanned_defs(tree):
                     continue
                 static = any(getattr(d, "id", None) == "staticmethod"
                              for d in sub.decorator_list)
-                callee = node.name if sub.name == "__init__" else sub.name
-                yield (f"{node.name}.{sub.name}", (callee,), sub,
-                       not static)
+                yield (f"{node.name}.{sub.name}", _method_callee(node, sub),
+                       sub, not static)
 
 
 def _parameters(definition, bound):
@@ -543,16 +548,15 @@ def _unset_parameters(sources):
     call that passes the enclosing function's own parameter through
     sets the callee's only if that parameter is required or itself
     set."""
-    signatures = {}  # callee name -> [(positional names, {name: default})]
-    scanned = []  # (qualified name, callee names, {name: has default})
+    signatures = {}  # callee name -> [positional names of each def]
+    scanned = []  # (qualified name, callee name, {name: has default})
     for path, (tree, _) in sources.items():
         if not _is_package(path):
             continue
-        for qualname, callees, definition, bound in _scanned_defs(tree):
+        for qualname, callee, definition, bound in _scanned_defs(tree):
             names, every = _parameters(definition, bound)
-            for callee in callees:
-                signatures.setdefault(callee, []).append((names, every))
-            scanned.append((qualname, callees, every))
+            signatures.setdefault(callee, []).append(names)
+            scanned.append((qualname, callee, every))
 
     # (callee, parameter) pairs a call sets outright, and those it sets
     # only if an enclosing function's (callee, parameter) is set.
@@ -561,17 +565,16 @@ def _unset_parameters(sources):
     def record(callee, name, value, enclosing):
         key = (callee, name)
         if isinstance(value, ast.Name):
-            for callees, every in reversed(enclosing):
+            for outer, every in reversed(enclosing):
                 if value.id in every:
                     if every[value.id]:
-                        forwarded.extend(((c, value.id), key)
-                                         for c in callees)
+                        forwarded.append(((outer, value.id), key))
                         return
                     break
         outright.add(key)
 
     def visit_call(call, callee, tree, enclosing):
-        for names, _ in signatures.get(callee, ()):
+        for names in signatures.get(callee, ()):
             for index, arg in enumerate(call.args):
                 if isinstance(arg, ast.Starred):
                     for name in names[index:]:
@@ -590,15 +593,14 @@ def _unset_parameters(sources):
 
     def walk(node, tree, enclosing, owner):
         """Visit every call under ``node``; ``enclosing`` is the stack
-        of ``(callee names, {parameter: has default})`` of the defs
-        around it, ``owner`` the class whose classmethod binds the
-        name of its first parameter."""
+        of ``(callee name, {parameter: has default})`` of the defs
+        around it, and ``owner`` is ``(the name a classmethod binds its
+        class to, the class, its bases)`` inside a method."""
         if isinstance(node, ast.ClassDef):
             for child in node.body:
                 if isinstance(child, (ast.FunctionDef,
                                       ast.AsyncFunctionDef)):
-                    callees = ((node.name,) if child.name == "__init__"
-                               else (child.name,))
+                    callee = _method_callee(node, child)
                     classmethod_ = any(
                         getattr(d, "id", None) == "classmethod"
                         for d in child.decorator_list)
@@ -610,7 +612,7 @@ def _unset_parameters(sources):
                     for sub in child.decorator_list + child.args.defaults:
                         walk(sub, tree, enclosing, owner)
                     for sub in child.body:
-                        walk(sub, tree, enclosing + [(callees, every)],
+                        walk(sub, tree, enclosing + [(callee, every)],
                              (first, node.name, bases))
                 else:
                     walk(child, tree, enclosing, owner)
@@ -620,7 +622,7 @@ def _unset_parameters(sources):
             for sub in node.decorator_list + node.args.defaults:
                 walk(sub, tree, enclosing, owner)
             for sub in node.body:
-                walk(sub, tree, enclosing + [((node.name,), every)], owner)
+                walk(sub, tree, enclosing + [(node.name, every)], owner)
             return
         if isinstance(node, ast.Call):
             callees = [_callee(node)]
@@ -648,10 +650,9 @@ def _unset_parameters(sources):
                 set_.add(target)
                 changed = True
 
-    return {f"{qualname}({name})" for qualname, callees, every in scanned
+    return {f"{qualname}({name})" for qualname, callee, every in scanned
             for name, has_default in every.items()
-            if has_default and not any((callee, name) in set_
-                                       for callee in callees)}
+            if has_default and (callee, name) not in set_}
 
 
 @pytest.fixture(scope="module")
