@@ -667,3 +667,37 @@ def test_defaulted_parameters_are_set_outside_tests(unset_parameters):
         f"sets: {left}; delete each switch and keep the default's "
         f"behaviour, or exempt one in PARAMETERS_UNSET_ON_PURPOSE with "
         f"its reason")
+
+
+#: ``(package source, caller source, what the scan flags)``: each row
+#: pins one rule of ``_unset_parameters`` on a two-file tree.
+PARAMETER_SCAN_CASES = {
+    "never-set": ("def f(a, b=1): pass", "f(0)", {"f(b)"}),
+    "keyword": ("def f(a, b=1): pass", "f(0, b=2)", set()),
+    "positional": ("def f(a, b=1): pass", "f(0, 2)", set()),
+    "starred": ("def f(a, b=1): pass", "f(*args)", set()),
+    "dict-literal": ("def f(a, b=1): pass", "f(0, **{'b': 2})", set()),
+    "forwards-an-unset-default": (
+        "def f(a, b=1): pass\ndef g(b=1): f(0, b=b)", "g()",
+        {"f(b)", "g(b)"}),
+    "forwards-a-set-default": (
+        "def f(a, b=1): pass\ndef g(b=1): f(0, b=b)", "g(b=3)", set()),
+    "forwards-a-required-parameter": (
+        "def f(a, b=1): pass\ndef g(b): f(0, b=b)", "", set()),
+    "class-call-skips-self": (
+        "class C:\n    def __init__(self, x=1): pass", "C(2)", set()),
+    "dict-bound-to-a-name": (
+        "def f(a, b=1): pass", "opts = {'b': 2}\nf(0, **opts)", set()),
+    "method-call": (
+        "class C:\n    def run(self, n=1): pass", "c.run(2)", set()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARAMETER_SCAN_CASES))
+def test_parameter_scan_rules(case):
+    package, caller, flagged = PARAMETER_SCAN_CASES[case]
+    trees = {ROOT / "src" / "repro" / "probe.py": package,
+             ROOT / "examples" / "probe.py": caller}
+    sources = {path: (ast.parse(text), text.splitlines())
+               for path, text in trees.items()}
+    assert _unset_parameters(sources) == flagged

@@ -113,6 +113,12 @@ class TestInternetTopology:
         with pytest.raises(ValueError):
             internet.add_as(asys.org, number=asys.number)
 
+    def test_org_ids_are_distinct(self):
+        internet = InternetTopology()
+        a = internet.add_org("A")
+        b = internet.add_org("A")
+        assert a.org_id != b.org_id
+
     def test_allocate_rejects_silly_lengths(self):
         internet, asys = self._topology()
         with pytest.raises(AllocationError):
