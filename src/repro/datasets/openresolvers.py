@@ -17,10 +17,8 @@ from repro.net.ip import ip_to_str, parse_ip
 class OpenResolverScan:
     """A snapshot of addresses observed answering recursive queries."""
 
-    def __init__(self, ips: Optional[Iterable[int]] = None,
-                 scanned_at: Optional[int] = None):
+    def __init__(self, ips: Optional[Iterable[int]] = None):
         self._ips: Set[int] = {int(ip) for ip in (ips or ())}
-        self.scanned_at = scanned_at
 
     @classmethod
     def from_world(cls, world) -> "OpenResolverScan":
@@ -45,12 +43,10 @@ class OpenResolverScan:
 
     def dump(self, fp: TextIO) -> None:
         fp.write(json.dumps({
-            "scanned_at": self.scanned_at,
             "resolvers": [ip_to_str(ip) for ip in sorted(self._ips)],
         }) + "\n")
 
     @classmethod
     def load(cls, fp: TextIO) -> "OpenResolverScan":
         row = json.loads(fp.readline())
-        return cls((parse_ip(t) for t in row["resolvers"]),
-                   scanned_at=row.get("scanned_at"))
+        return cls(parse_ip(t) for t in row["resolvers"])

@@ -28,15 +28,20 @@ class TestOpenResolverScan:
         assert parse_ip("204.79.197.200") not in scan
 
     def test_dump_load_roundtrip(self):
-        scan = OpenResolverScan([parse_ip("8.8.8.8"), parse_ip("1.1.1.1")],
-                                scanned_at=12345)
+        scan = OpenResolverScan([parse_ip("8.8.8.8"), parse_ip("1.1.1.1")])
         buf = io.StringIO()
         scan.dump(buf)
         buf.seek(0)
         loaded = OpenResolverScan.load(buf)
         assert len(loaded) == 2
-        assert loaded.scanned_at == 12345
         assert parse_ip("8.8.8.8") in loaded
+
+    def test_load_ignores_an_older_bundles_scan_time(self):
+        buf = io.StringIO(
+            '{"scanned_at": 12345, "resolvers": ["8.8.8.8"]}\n')
+        loaded = OpenResolverScan.load(buf)
+        assert len(loaded) == 1 and parse_ip("8.8.8.8") in loaded
+        assert not hasattr(loaded, "scanned_at")
 
 
 class TestDatasetBundle:
