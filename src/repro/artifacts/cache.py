@@ -89,16 +89,23 @@ class PhaseCache:
 
     def save(self, phase: str, key: str, artifact: object) -> bool:
         """Serialize and store a phase artifact; returns whether it was
-        written. Unserializable artifacts are skipped, not fatal."""
+        written. Unserializable artifacts are skipped, not fatal.
+
+        The work is timed by a ``cache.save`` span (annotated with the
+        ``phase`` and the ``bytes`` written) under the span of the phase
+        that saves, so a slow save is not hidden in the phase's own
+        time."""
         dumps = PHASE_SERIALIZERS[phase][0]
-        try:
-            data = dumps(artifact)
-        except ValueError:
-            self._count("skipped", phase)
-            self.telemetry.journal.emit("cache.skipped", phase=phase,
-                                        key=key)
-            return False
-        self.store.put(key, data, phase=phase)
+        with self.telemetry.tracer.span("cache.save", phase=phase) as span:
+            try:
+                data = dumps(artifact)
+            except ValueError:
+                self._count("skipped", phase)
+                self.telemetry.journal.emit("cache.skipped", phase=phase,
+                                            key=key)
+                return False
+            self.store.put(key, data, phase=phase)
+            span.annotate(bytes=len(data))
         self._count("bytes_written", phase, len(data))
         self.telemetry.journal.emit("cache.save", phase=phase, key=key,
                                     bytes=len(data))

@@ -58,7 +58,8 @@ SCHEMA_VERSIONS: Dict[str, int] = {
     # v2: columnar store layout (column arrays instead of row dicts).
     # v3: packed columns behind a JSON header line.
     # v4: the unread rtt_min/rtt_max columns went.
-    "crawl": 4,
+    # v5: deferred quiet cells saved as keys plus their draw inputs.
+    "crawl": 5,
     "join": 1,
     "events": 1,
     # serve-layer domain->NSSet catalog (attack-independent).

@@ -19,7 +19,10 @@ The crawl meets four kinds of domain-day or query:
   store (:meth:`MeasurementStore.defer`). The first read of the cell
   walks the NSSet's domains in directory order, on the same
   per-(domain, day) streams and draws as a row-by-row crawl, so the
-  cell is the same bit for bit; a cell nothing reads is never drawn.
+  cell is the same bit for bit; a cell nothing reads is never drawn,
+  not even by a save to the phase cache. The draw lives with the store
+  (``storage._QuietDays``); the crawl only decides which cells to
+  defer.
 * **A quiet day of a never-answering NSSet.** It records a timeout and
   draws nothing.
 * **A quiet instant on a dense day.** Outside every busy span of the
@@ -64,8 +67,9 @@ from repro.dns.resolver import ATTEMPT_TIMEOUT_MS, DEADLINE_MS, AgnosticResolver
 from repro.dns.rr import RRType
 from repro.obs import NULL_TELEMETRY, RunTelemetry
 from repro.openintel.stats import CrawlStats
-from repro.openintel.storage import Aggregate, MeasurementStore
-from repro.util.rng import derive_seed, seed_prefix
+from repro.openintel.storage import (MeasurementStore, _QuietDays,
+                                     domain_seed_prefix)
+from repro.util.rng import derive_seed
 from repro.util.timeutil import DAY, day_start, iter_days
 from repro.world.simulation import World
 
@@ -108,6 +112,7 @@ class OpenIntelPlatform:
         #: it keeps every dense-day query on the resolver.
         self._own_transport = transport is None
         self._offsets: List[int] = []
+        self._crawl_seed = 0
         self._seed_prefixes: List[hashlib.blake2b] = []
         self._classes: Dict[int, int] = {}
         self._quiet_rtts: Dict[int, Tuple[float, ...]] = {}
@@ -118,9 +123,8 @@ class OpenIntelPlatform:
         self._quiet_instants: Set[int] = set()
         self._base_rtts: Dict[int, float] = {}
         self._prepare()
-        self.store = MeasurementStore(fill=_QuietDays(
-            self._quiet_rtts, self._quiet_domains,
-            self._seed_prefixes).draw)
+        self.store = MeasurementStore(quiet=_QuietDays(
+            self._crawl_seed, self._quiet_rtts, self._quiet_domains))
 
     def _prepare(self) -> None:
         directory = self.world.directory
@@ -131,11 +135,10 @@ class OpenIntelPlatform:
         ]
         # Root of the per-(domain, day) streams. Each domain's seed is
         # hashed once here, up to the day: the hot loop copies that
-        # state and adds the day, which equals
-        # ``derive_seed(domain_seed, str(day))`` at half the cost.
-        crawl_seed = self.world.rngs.spawn_seed("openintel-crawl")
+        # state and adds the day.
+        self._crawl_seed = self.world.rngs.spawn_seed("openintel-crawl")
         self._seed_prefixes = [
-            seed_prefix(derive_seed(crawl_seed, str(d.domain_id)))
+            domain_seed_prefix(self._crawl_seed, d.domain_id)
             for d in directory.domains
         ]
         for nsset_id, ips in directory.nssets.items():
@@ -270,45 +273,3 @@ class OpenIntelPlatform:
         finally:
             self.world.set_transport_rng(restore)
         return store
-
-
-class _QuietDays:
-    """Draws the deferred quiet (NSSet, day) cells of one crawl.
-
-    It holds only what a draw reads, so the store that keeps it keeps
-    neither the platform nor the world alive.
-    """
-
-    def __init__(self, quiet_rtts: Dict[int, Tuple[float, ...]],
-                 quiet_domains: Dict[int, List[int]],
-                 seed_prefixes: List[hashlib.blake2b]) -> None:
-        self._quiet_rtts = quiet_rtts
-        self._quiet_domains = quiet_domains
-        self._seed_prefixes = seed_prefixes
-        self._rng = random.Random()
-
-    def draw(self, key: Tuple[int, int]) -> Aggregate:
-        """One cell, drawn row by row: each of the NSSet's domains in
-        directory order, on its own (domain, day) stream, with the
-        draws a quiet-day query takes."""
-        nsset_id, day = key
-        rtts = self._quiet_rtts[nsset_id]
-        n_rtts = len(rtts)
-        domain_ids = self._quiet_domains[nsset_id]
-        seed_prefixes = self._seed_prefixes
-        day_key = str(day).encode("utf-8")
-        reseed, draw, expo = (self._rng.seed, self._rng.random,
-                              self._rng.expovariate)
-        from_bytes = int.from_bytes
-        # Every row is OK, and the sum runs in row order from 0.0, as
-        # ``Aggregate.add`` would run it.
-        rtt_sum = 0.0
-        for domain_id in domain_ids:
-            h = seed_prefixes[domain_id].copy()
-            h.update(day_key)
-            reseed(from_bytes(h.digest(), "big"))
-            rtt_sum += rtts[int(draw() * n_rtts)] + expo(0.5)
-        agg = Aggregate()
-        agg.n = agg.ok_n = len(domain_ids)
-        agg.rtt_sum = rtt_sum
-        return agg

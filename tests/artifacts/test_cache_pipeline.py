@@ -14,6 +14,7 @@ import warnings
 import pytest
 
 from repro import WorldConfig, build_world, run_study
+from repro.artifacts.cache import PhaseCache
 from repro.artifacts.fingerprint import PHASES, study_keys
 from repro.artifacts.store import ArtifactStore
 from repro.chaos import ChaosConfig, FaultPolicy
@@ -63,6 +64,28 @@ class TestColdRunPopulates:
         assert _counter_total(telemetry, "repro.cache.misses") == len(PHASES)
         assert _counter_total(telemetry, "repro.cache.hits") == 0
         assert _counter_total(telemetry, "repro.cache.bytes_written") > 0
+
+    def test_each_save_is_a_span_under_its_phase(self, tmp_path):
+        telemetry = RunTelemetry.create()
+        run_study(WorldConfig.tiny(), cache=str(tmp_path / "fresh"),
+                  telemetry=telemetry)
+        (study,) = [s for s in telemetry.snapshot()["spans"]
+                    if s["name"] == "study"]
+        counters = telemetry.snapshot()["metrics"]["counters"]
+        saves = {}
+        for span in study["children"]:
+            for child in span.get("children", []):
+                if child["name"] == "cache.save":
+                    saves[span["name"]] = child["meta"]
+        assert sorted(saves) == sorted(PHASES)
+        for phase, meta in saves.items():
+            assert meta == {"phase": phase, "bytes": counters[
+                f"repro.cache.bytes_written{{phase={phase}}}"]}
+
+    def test_an_untraced_save_records_no_span(self, tiny_study, tmp_path):
+        cache = PhaseCache(ArtifactStore(str(tmp_path)))
+        assert cache.save("crawl", "k", tiny_study.store)
+        assert cache.telemetry.tracer.snapshot() == []
 
 
 class TestWarmColdEquivalence:

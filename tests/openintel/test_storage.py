@@ -159,22 +159,29 @@ class TestMeasurementStore:
         assert store.day_avg_rtt(2, 0) == 99.0
 
 
+class _Draws:
+    """A stand-in for the crawl's quiet-day draws: every cell is two OK
+    rows of 10 and 30 ms, and each draw is logged."""
+
+    def __init__(self, filled):
+        self.filled = filled
+
+    def draw(self, key):
+        self.filled.append(key)
+        agg = Aggregate()
+        agg.add(ResponseStatus.OK, 10.0)
+        agg.add(ResponseStatus.OK, 30.0)
+        return agg
+
+
 class TestDeferredCells:
-    """A deferred daily cell is drawn by the store's ``fill`` on its
+    """A deferred daily cell is drawn by the store's ``quiet`` on its
     first value read, once, and never by a read of the keys."""
 
     @staticmethod
     def _store():
         filled = []
-
-        def fill(key):
-            filled.append(key)
-            agg = Aggregate()
-            agg.add(ResponseStatus.OK, 10.0)
-            agg.add(ResponseStatus.OK, 30.0)
-            return agg
-
-        store = MeasurementStore(fill=fill)
+        store = MeasurementStore(quiet=_Draws(filled))
         store.defer((1, 0), 2)
         store.defer((2, 0), 2)
         return store, filled
@@ -213,3 +220,25 @@ class TestDeferredCells:
         assert merged.daily == twin.daily
         assert merged.n_measurements == 4
         assert sorted(filled) == [(1, 0), (2, 0)]
+
+    def test_split_keeps_unchanged_draws_deferred(self):
+        store, filled = self._store()
+        store.daily[(1, 0)]
+        keys, aggregates = store.daily.split()
+        assert keys == [(1, 0), (2, 0)] and aggregates == {}
+        assert filled == [(1, 0)]
+
+    def test_split_gives_changed_cells_as_aggregates(self):
+        store, _ = self._store()
+        store.defer((3, 0), 2)
+        store.add_fast(1, 100, ResponseStatus.OK, 20.0, False)
+        donor = MeasurementStore()
+        donor.add_fast(2, 100, ResponseStatus.TIMEOUT, 0.0, False)
+        store.merge(donor)
+        replaced = Aggregate()
+        store.daily[(3, 0)] = replaced
+        keys, aggregates = store.daily.split()
+        assert keys == []
+        assert aggregates[(1, 0)].state() == (3, 3, 60.0, 0, 0, 0)
+        assert aggregates[(2, 0)].state() == (3, 2, 40.0, 1, 0, 0)
+        assert aggregates[(3, 0)] is replaced
