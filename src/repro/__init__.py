@@ -43,7 +43,7 @@ from repro.obs import MetricsRegistry, RunTelemetry
 from repro.world.config import WorldConfig
 from repro.world.simulation import World, build_world
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "Study",
